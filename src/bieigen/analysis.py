@@ -13,7 +13,10 @@ three biharmonicity characterizations:
   constant density  lap2 + 2c lap + (2 c^2 - <lap2, phi>) phi    (|dphi|^2 = c)
 
 with e = |dphi|^2 and div theta = |lap|^2 + <grad lap, grad phi>. Each is zero
-exactly when the map is biharmonic under the stated hypothesis. A unit-length
+exactly when the map is biharmonic under the stated hypothesis. The
+per-point constant-density residual takes c = e, the density at that point;
+the classification verdict takes c = c_hat, the mean density over the
+samples (see `constant_density_residual`). A unit-length
 constraint check <lap, phi> + |dphi|^2 = 0 runs on every sphere-target
 analysis as an internal consistency guard.
 """
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import Chart, laplacian_jet, metric_frame
+from .charts import Chart, laplacian_jet, metric_frame, pushforward
 from .exprs import eval_jet, parse, variables_of
 from .jets import JetDomainError
 
@@ -122,7 +125,10 @@ class PointAnalysis:
 
 def constant_density_residual(pa: PointAnalysis, c: float) -> np.ndarray:
     """Biharmonicity residual under the constant-energy-density hypothesis,
-    evaluated with an externally supplied density constant."""
+    evaluated with an externally supplied density constant. `analyze_point`
+    fills `residual_constant_density` with c = e, the pointwise density;
+    the classification verdict and `residual --equation me1` use c = c_hat,
+    the fitted mean density."""
     coef = 2.0 * c * c - float(pa.bilap_phi @ pa.phi)
     return pa.bilap_phi + 2.0 * c * pa.lap_phi + coef * pa.phi
 
@@ -175,58 +181,51 @@ def _analyze_point(smap, point):
     energy = energy_jet.value
     lap_energy = laplacian_jet(frame, energy_jet).value
     d_energy = np.array([energy_jet.extract_derivative(i).value for i in range(m)])
-    grad_push = np.array([
-        float(d_energy @ frame.g_inv_values @ dphi[:, a])
-        for a in range(len(phi_jets))])
+    grad_push = pushforward(frame, d_energy, dphi)
 
     d_lap = np.array([[lj.extract_derivative(i).value for lj in lap_jets]
                       for i in range(m)])
     grad_lap_dot_grad_phi = float(np.einsum("ij,ia,ja->", frame.g_inv_values, d_lap, dphi))
     div_theta = float(lap_phi @ lap_phi) + grad_lap_dot_grad_phi
 
-    if smap.target == TARGET_SPHERE:
-        defect = abs(float(lap_phi @ phi) + energy)
-        if defect > SELF_CHECK_TOL:
-            raise AnalysisError(
-                f"sphere identity <lap phi, phi> = -|dphi|^2 violated by "
-                f"{defect:.3e} at {point}", point)
-        tension = lap_phi + (energy / smap.radius ** 2) * phi
-    else:
-        tension = lap_phi.copy()
-
-    mean_curvature = None
-    if smap.unit_sphere and gram_defect <= GRAM_TOL:
-        mean_curvature = (lap_phi + m * phi) / m
-        tangency = abs(float(mean_curvature @ phi))
-        if tangency > TANGENCY_TOL:
-            raise AnalysisError(
-                f"mean curvature tangency check failed ({tangency:.3e}) at {point}",
-                point)
-
-    residual_sub = None
-    residual_full = None
-    residual_cd = None
-    if smap.unit_sphere:
-        lap_sq = float(lap_phi @ lap_phi)
-        if gram_defect <= GRAM_TOL:
-            residual_sub = (bilap_phi + 2.0 * m * lap_phi
-                            + (2.0 * m * m - lap_sq) * phi)
-        coef = lap_energy + 2.0 * div_theta - lap_sq + 2.0 * energy * energy
-        residual_full = (bilap_phi + 2.0 * energy * lap_phi + coef * phi
-                         + 2.0 * grad_push)
-
     pa = PointAnalysis(
         point=point, phi=phi, dphi=dphi, lap_phi=lap_phi, bilap_phi=bilap_phi,
         energy_density=energy, lap_energy_density=lap_energy,
         grad_energy_pushforward=grad_push, div_theta=div_theta,
-        tension=tension, mean_curvature=mean_curvature,
+        tension=_tension(smap, lap_phi, phi, energy), mean_curvature=None,
         gram_defect=gram_defect, sphere_defect=sphere_defect,
-        residual_submanifold=residual_sub, residual_full=residual_full,
+        residual_submanifold=None, residual_full=None,
         residual_constant_density=None)
-    if smap.unit_sphere:
-        residual_cd = constant_density_residual(pa, energy)
-        pa.residual_constant_density = residual_cd
+    if smap.target == TARGET_SPHERE and pa.constraint_defect > SELF_CHECK_TOL:
+        raise AnalysisError(
+            f"sphere identity <lap phi, phi> = -|dphi|^2 violated by "
+            f"{pa.constraint_defect:.3e} at {point}", point)
+    if not smap.unit_sphere:
+        return pa
+
+    lap_sq = float(lap_phi @ lap_phi)
+    if gram_defect <= GRAM_TOL:
+        pa.mean_curvature = (lap_phi + m * phi) / m
+        tangency = abs(float(pa.mean_curvature @ phi))
+        if tangency > TANGENCY_TOL:
+            raise AnalysisError(
+                f"mean curvature tangency check failed ({tangency:.3e}) at {point}",
+                point)
+        pa.residual_submanifold = (bilap_phi + 2.0 * m * lap_phi
+                                   + (2.0 * m * m - lap_sq) * phi)
+    coef = lap_energy + 2.0 * div_theta - lap_sq + 2.0 * energy * energy
+    pa.residual_full = (bilap_phi + 2.0 * energy * lap_phi + coef * phi
+                        + 2.0 * grad_push)
+    pa.residual_constant_density = constant_density_residual(pa, energy)
     return pa
+
+
+def _tension(smap, lap, phi, energy):
+    """The tension formula of `tension_field`, shared by `analyze_point` and
+    the bienergy quadrature."""
+    if smap.target != TARGET_SPHERE:
+        return lap.copy()
+    return lap + (energy / smap.radius ** 2) * phi
 
 
 def analyze_samples(smap: SphereMap, points) -> list:
@@ -239,34 +238,13 @@ def analyze_samples(smap: SphereMap, points) -> list:
 
 def energy_density(smap: SphereMap, point) -> float:
     """|dphi|^2 = g^ij <d_i phi, d_j phi> at a point."""
-    frame = metric_frame(smap.chart, point, 1)
-    env = smap.chart.param_jets(point, 1)
-    m = smap.dim
-    dphi = np.array([[eval_jet(c, env).extract_derivative(i).value
-                      for c in smap.components] for i in range(m)])
-    return float(np.einsum("ij,ia,ja->", frame.g_inv_values, dphi, dphi))
-
-
-def _tension_from_frame(smap, frame, env):
-    m = smap.dim
-    phi_jets = [eval_jet(c, env) for c in smap.components]
-    phi = np.array([j.value for j in phi_jets])
-    lap = np.array([laplacian_jet(frame, pj).value for pj in phi_jets])
-    if smap.target != TARGET_SPHERE:
-        return lap, phi
-    dphi = np.array([[pj.extract_derivative(i).value for pj in phi_jets]
-                     for i in range(m)])
-    energy = float(np.einsum("ij,ia,ja->", frame.g_inv_values, dphi, dphi))
-    return lap + (energy / smap.radius ** 2) * phi, phi
+    return analyze_point(smap, point).energy_density
 
 
 def tension_field(smap: SphereMap, point) -> np.ndarray:
     """tau(phi) = lap phi + (|dphi|^2 / r^2) phi for sphere targets, lap phi
     for Euclidean targets."""
-    frame = metric_frame(smap.chart, point, 1)
-    env = smap.chart.param_jets(point, 2)
-    tau, _ = _tension_from_frame(smap, frame, env)
-    return tau
+    return analyze_point(smap, point).tension
 
 
 def mean_curvature(smap: SphereMap, point) -> Optional[np.ndarray]:
@@ -292,11 +270,25 @@ def residual_full(smap: SphereMap, point) -> np.ndarray:
 
 
 def residual_constant_density(smap: SphereMap, point, c: float) -> np.ndarray:
-    pa = analyze_point(smap, point)
     if not smap.unit_sphere:
         raise AnalysisError(
             "constant-density residual requires a unit-sphere target", point)
-    return constant_density_residual(pa, c)
+    return constant_density_residual(analyze_point(smap, point), c)
+
+
+def _tension_from_frame(smap, frame, env):
+    """Tension at one point from order-2 field jets and an order-1 frame:
+    the cheaper path the bienergy quadrature takes instead of the order-4
+    `analyze_point`."""
+    phi_jets = [eval_jet(c, env) for c in smap.components]
+    phi = np.array([j.value for j in phi_jets])
+    lap = np.array([laplacian_jet(frame, pj).value for pj in phi_jets])
+    energy = 0.0
+    if smap.target == TARGET_SPHERE:
+        dphi = np.array([[pj.extract_derivative(i).value for pj in phi_jets]
+                         for i in range(smap.dim)])
+        energy = float(np.einsum("ij,ia,ja->", frame.g_inv_values, dphi, dphi))
+    return _tension(smap, lap, phi, energy)
 
 
 def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
@@ -323,6 +315,6 @@ def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
     for p in points:
         frame = shared_frame or metric_frame(chart, tuple(p), 1)
         env = chart.param_jets(tuple(p), 2)
-        tau, _ = _tension_from_frame(smap, frame, env)
+        tau = _tension_from_frame(smap, frame, env)
         total += float(tau @ tau) * frame.sqrt_det.value
     return 0.5 * total * cell

@@ -310,15 +310,17 @@ def bilaplacian(chart, field: FieldLike, point) -> float:
     return laplacian_jet(frame, laplacian_jet(frame, fjet)).value
 
 
+def pushforward(frame, ds, dphi):
+    """dphi(grad s) = g^ij d_i s d_j phi^A for each ambient component A, from
+    the partials ds (length m) and dphi (shape (m, ambient)) at the frame's
+    point."""
+    return np.array([float(ds @ frame.g_inv_values @ dphi[:, a])
+                     for a in range(dphi.shape[1])])
+
+
 def gradient_pushforward(chart, scalar: FieldLike, target_components, point):
     """Ambient components of dphi(grad s): g^ij d_i s d_j phi^A at a point."""
-    frame = metric_frame(chart, point, 1)
-    m = chart.dim
-    s_jet = _field_jet(chart, scalar, point, 1)
-    ds = np.array([s_jet.extract_derivative(i).value for i in range(m)])
-    out = []
-    for comp in target_components:
-        cjet = _field_jet(chart, comp, point, 1)
-        dt = np.array([cjet.extract_derivative(j).value for j in range(m)])
-        out.append(float(ds @ frame.g_inv_values @ dt))
-    return np.array(out)
+    fjets = [_field_jet(chart, f, point, 1) for f in (scalar, *target_components)]
+    d = np.array([[fj.extract_derivative(i).value for fj in fjets]
+                  for i in range(chart.dim)])
+    return pushforward(metric_frame(chart, point, 1), d[:, 0], d[:, 1:])

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import SphereMap, analyze_samples, constant_density_residual
+from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL_ABS = 1e-8
 DEFAULT_TOL_REL = 1e-8
@@ -85,6 +86,7 @@ class ClassificationReport:
     ambient_dim: int
     target: str
     radius: float
+    unit_sphere: bool
     tol_abs: float
     tol_rel: float
     constants: FittedConstants
@@ -107,10 +109,6 @@ class ClassificationReport:
     max_constraint_defect: float = 0.0
     samples: list = field(default_factory=list, repr=False)
 
-    @property
-    def unit_sphere(self):
-        return self.target == "sphere" and abs(self.radius - 1.0) < 1e-12
-
 
 def _threshold(tol_abs, tol_rel, scale):
     return tol_abs + tol_rel * abs(scale)
@@ -129,157 +127,126 @@ def _spread(values, around=None):
 
 def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
              tol_abs=DEFAULT_TOL_ABS, tol_rel=DEFAULT_TOL_REL) -> ClassificationReport:
-    """Assemble the full classification report from per-point analyses."""
+    """Assemble the full classification report from per-point analyses.
+
+    The constant-density verdict evaluates its residual with c = c_hat, the
+    mean density, not with the pointwise density of the per-point
+    `residual_constant_density` column."""
     if not samples:
         raise ValueError("empty sample set")
     m = smap.dim
     lam, mu, rho, c = (fitted.lambda_hat, fitted.mu_hat, fitted.rho_hat,
                        fitted.c_hat)
-
-    eigen_res, eigen_scale = [], 0.0
-    bieigen_res, bieigen_scale = [], 0.0
-    buckling_res, buckling_scale = [], 0.0
-    harmonic_res, harmonic_scale = [], 0.0
-    sub_res, sub_scale = [], 0.0
-    full_res, full_scale = [], 0.0
-    cd_res, cd_scale = [], 0.0
+    per_point, scales = {}, {}
     lambda_ratios, mu_ratios, rho_ratios = [], [], []
-    densities = []
     eta_norms = []
 
     for s in samples:
         phi_inf = _inf(s.phi)
         lap_inf = _inf(s.lap_phi)
         bilap_inf = _inf(s.bilap_phi)
-        densities.append(s.energy_density)
-
-        eigen_res.append(_inf(s.lap_phi + lam * s.phi))
-        eigen_scale = max(eigen_scale, lap_inf, abs(lam) * phi_inf)
-
-        bieigen_res.append(_inf(s.bilap_phi - mu * s.phi))
-        bieigen_scale = max(bieigen_scale, bilap_inf, abs(mu) * phi_inf)
-
-        if rho is not None:
-            buckling_res.append(_inf(s.bilap_phi + rho * s.lap_phi))
-            buckling_scale = max(buckling_scale, bilap_inf, abs(rho) * lap_inf)
-
-        harmonic_res.append(_inf(s.tension))
-        harmonic_scale = max(harmonic_scale, lap_inf,
-                             s.energy_density * phi_inf / smap.radius ** 2
-                             if smap.target == "sphere" else lap_inf)
-
-        if s.residual_submanifold is not None:
-            sub_res.append(_inf(s.residual_submanifold))
-            sub_scale = max(sub_scale, bilap_inf, 2 * m * lap_inf,
-                            abs(2 * m * m - float(s.lap_phi @ s.lap_phi)) * phi_inf)
-        if s.residual_full is not None:
-            full_res.append(_inf(s.residual_full))
-            coef = (s.lap_energy_density + 2 * s.div_theta
-                    - float(s.lap_phi @ s.lap_phi)
-                    + 2 * s.energy_density ** 2)
-            full_scale = max(full_scale, bilap_inf,
-                             2 * s.energy_density * lap_inf,
-                             abs(coef) * phi_inf,
-                             2 * _inf(s.grad_energy_pushforward))
-            cd_vec = constant_density_residual(s, c)
-            cd_res.append(_inf(cd_vec))
-            cd_scale = max(cd_scale, bilap_inf, 2 * abs(c) * lap_inf,
-                           abs(2 * c * c - float(s.bilap_phi @ s.phi)) * phi_inf)
+        lap_sq = float(s.lap_phi @ s.lap_phi)
+        full_coef = (s.lap_energy_density + 2 * s.div_theta - lap_sq
+                     + 2 * s.energy_density ** 2)
+        # one row per residual: its name, its vector (None where it does not
+        # apply) and the terms whose running max scales its threshold; the
+        # terms keep their order, since max() with a NaN term depends on it
+        table = (
+            ("eigen", s.lap_phi + lam * s.phi, (lap_inf, abs(lam) * phi_inf)),
+            ("bieigen", s.bilap_phi - mu * s.phi, (bilap_inf, abs(mu) * phi_inf)),
+            ("harmonic", s.tension,
+             (lap_inf, s.energy_density * phi_inf / smap.radius ** 2
+              if smap.target == "sphere" else lap_inf)),
+            ("buckling", None, ()) if rho is None else
+            ("buckling", s.bilap_phi + rho * s.lap_phi, (bilap_inf, abs(rho) * lap_inf)),
+            ("biharmonic_submanifold", s.residual_submanifold,
+             (bilap_inf, 2 * m * lap_inf, abs(2 * m * m - lap_sq) * phi_inf)),
+            ("biharmonic_full", s.residual_full,
+             (bilap_inf, 2 * s.energy_density * lap_inf, abs(full_coef) * phi_inf,
+              2 * _inf(s.grad_energy_pushforward))),
+            ("biharmonic_constant_density",
+             None if s.residual_constant_density is None
+             else constant_density_residual(s, c),
+             (bilap_inf, 2 * abs(c) * lap_inf,
+              abs(2 * c * c - float(s.bilap_phi @ s.phi)) * phi_inf)),
+        )
+        for name, vec, terms in table:
+            if vec is not None:
+                per_point.setdefault(name, []).append(_inf(vec))
+                scales[name] = max(scales.get(name, 0.0), *terms)
 
         p2 = float(s.phi @ s.phi)
-        l2 = float(s.lap_phi @ s.lap_phi)
         if p2 > RATIO_FLOOR:
             lambda_ratios.append(-float(s.lap_phi @ s.phi) / p2)
             mu_ratios.append(float(s.bilap_phi @ s.phi) / p2)
-        if l2 > RATIO_FLOOR:
-            rho_ratios.append(-float(s.bilap_phi @ s.lap_phi) / l2)
+        if lap_sq > RATIO_FLOOR:
+            rho_ratios.append(-float(s.bilap_phi @ s.lap_phi) / lap_sq)
         if s.mean_curvature is not None:
             eta_norms.append(float(np.linalg.norm(s.mean_curvature)))
 
-    residuals = {
-        "eigen": _norms(eigen_res),
-        "bieigen": _norms(bieigen_res),
-        "harmonic": _norms(harmonic_res),
-    }
-    if buckling_res:
-        residuals["buckling"] = _norms(buckling_res)
-    if sub_res:
-        residuals["biharmonic_submanifold"] = _norms(sub_res)
-    if full_res:
-        residuals["biharmonic_full"] = _norms(full_res)
-    if cd_res:
-        residuals["biharmonic_constant_density"] = _norms(cd_res)
+    residuals = {name: _norms(values) for name, values in per_point.items()}
+
+    def holds(name):
+        if name not in residuals:
+            return None
+        return residuals[name].max < _threshold(tol_abs, tol_rel, scales[name])
 
     spreads = {
-        "density": _spread(densities, c),
+        "density": _spread([s.energy_density for s in samples], c),
         "lambda_pointwise": _spread(lambda_ratios, lam),
         "mu_pointwise": _spread(mu_ratios, mu),
         "rho_pointwise": _spread(rho_ratios, rho) if rho is not None
         else _spread(rho_ratios),
     }
 
-    is_isometric = max(s.gram_defect for s in samples) <= ISOMETRY_TOL
+    max_gram_defect = max(s.gram_defect for s in samples)
     is_constant_density = spreads["density"]["abs"] <= _threshold(tol_abs, tol_rel, c)
-    is_harmonic = residuals["harmonic"].max < _threshold(tol_abs, tol_rel, harmonic_scale)
-    is_eigenmap = residuals["eigen"].max < _threshold(tol_abs, tol_rel, eigen_scale)
-    is_bieigenmap = residuals["bieigen"].max < _threshold(tol_abs, tol_rel, bieigen_scale)
-    is_buckling = None
-    if rho is not None:
-        is_buckling = residuals["buckling"].max < _threshold(tol_abs, tol_rel,
-                                                             buckling_scale)
-    is_bh_sub = None
-    if sub_res:
-        is_bh_sub = residuals["biharmonic_submanifold"].max < _threshold(
-            tol_abs, tol_rel, sub_scale)
-    is_bh_cd = None
-    if cd_res and is_constant_density:
-        is_bh_cd = residuals["biharmonic_constant_density"].max < _threshold(
-            tol_abs, tol_rel, cd_scale)
-    if full_res:
-        is_biharmonic = residuals["biharmonic_full"].max < _threshold(
-            tol_abs, tol_rel, full_scale)
+    is_harmonic = holds("harmonic")
+    is_eigenmap = holds("eigen")
+    is_bieigenmap = holds("bieigen")
+    if "biharmonic_full" in residuals:
+        is_biharmonic = holds("biharmonic_full")
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
         bilap_max = max(_inf(s.bilap_phi) for s in samples)
         is_biharmonic = bilap_max < _threshold(tol_abs, tol_rel,
-                                               max(1.0, bieigen_scale))
+                                               max(1.0, scales["bieigen"]))
     else:
         # sphere of radius != 1: the residual formulas are stated for the
         # unit sphere only, but harmonic maps are biharmonic for any target
         is_biharmonic = True if is_harmonic else None
 
     return ClassificationReport(
-        sample_count=len(samples), dim=m, ambient_dim=smap.ambient_dim,
-        target=smap.target, radius=smap.radius,
+        sample_count=len(samples), dim=smap.dim, ambient_dim=smap.ambient_dim,
+        target=smap.target, radius=smap.radius, unit_sphere=smap.unit_sphere,
         tol_abs=tol_abs, tol_rel=tol_rel, constants=fitted,
-        is_isometric=is_isometric,
+        is_isometric=max_gram_defect <= ISOMETRY_TOL,
         is_constant_density=is_constant_density,
         is_harmonic=is_harmonic,
         is_biharmonic=is_biharmonic,
-        is_biharmonic_submanifold=is_bh_sub,
-        is_biharmonic_constant_density=is_bh_cd,
+        is_biharmonic_submanifold=holds("biharmonic_submanifold"),
+        is_biharmonic_constant_density=(holds("biharmonic_constant_density")
+                                        if is_constant_density else None),
         is_eigenmap=is_eigenmap,
         is_bieigenmap=is_bieigenmap,
-        is_buckling=is_buckling,
+        is_buckling=holds("buckling"),
         is_proper_bieigenmap=is_bieigenmap and not is_eigenmap,
         residuals=residuals, spreads=spreads,
         eta_max_norm=max(eta_norms) if eta_norms else None,
         eta_deviation_from_unit=(max(abs(n - 1.0) for n in eta_norms)
                                  if eta_norms else None),
-        max_gram_defect=max(s.gram_defect for s in samples),
+        max_gram_defect=max_gram_defect,
         max_sphere_defect=max(s.sphere_defect for s in samples),
         max_constraint_defect=max(s.constraint_defect for s in samples),
         samples=list(samples))
 
 
 def classify(smap: SphereMap, sample_count=64, tol_abs=DEFAULT_TOL_ABS,
-             tol_rel=DEFAULT_TOL_REL, margin=None) -> ClassificationReport:
+             tol_rel=DEFAULT_TOL_REL, margin=DEFAULT_MARGIN) -> ClassificationReport:
     """Sample a map on its chart and produce the full report."""
-    kwargs = {} if margin is None else {"margin": margin}
-    points = smap.chart.sample_points(sample_count, **kwargs)
+    points = smap.chart.sample_points(sample_count, margin)
     samples = analyze_samples(smap, points)
-    fitted = fit_constants(samples)
-    return verdicts(smap, samples, fitted, tol_abs, tol_rel)
+    return verdicts(smap, samples, fit_constants(samples), tol_abs, tol_rel)
 
 
 # --------------------------------------------------------------------------

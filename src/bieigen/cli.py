@@ -10,25 +10,27 @@ MANIFEST is a manifest JSON path or the name of a built-in catalog entry.
 The default tolerance is 1e-8, overridable per run with --tol or globally
 with the BIEIGEN_TOL environment variable.
 
-Exit codes: 0 success or PASS, 1 verdict FAIL, 2 manifest or usage errors,
-3 evaluation errors (degenerate metric, function domain, constraint
-violation; the offending point is reported), 4 NOT_APPLICABLE with the unmet
+Exit codes: 0 success or PASS, 1 verdict FAIL, 2 manifest or usage errors
+(bad flag values included), 3 evaluation errors (degenerate metric, function
+domain, constraint violation, overflow or a non-finite report value; the
+offending point or quantity is reported), 4 NOT_APPLICABLE with the unmet
 precondition named, 5 residual equation preconditions not satisfied.
 """
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import report as rpt
-from .analysis import (AnalysisError, analyze_samples,
+from .analysis import (AnalysisError, bienergy_quadrature,
                        constant_density_residual)
 from .catalog import catalog_get, catalog_list
-from .charts import GeometryError
+from .charts import DEFAULT_MARGIN, GeometryError
 from .classify import (DEFAULT_TOL_ABS, NOT_APPLICABLE, PASS, THEOREMS,
-                       fit_constants, verdicts, verify)
+                       classify, verify)
 from .exprs import ParseError, UnboundVariableError
 from .jets import JetDomainError
 from .manifest import ManifestError, build_map, load_manifest
@@ -45,41 +47,24 @@ TOL_ENV_VAR = "BIEIGEN_TOL"
 EQUATIONS = ("eq102", "mf", "me1")
 
 
-def _default_tol():
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL_ABS
-    try:
-        return float(raw)
-    except ValueError:
-        raise ManifestError(f"{TOL_ENV_VAR} must be a number, got {raw!r}")
-
-
-def _resolve_manifest(spec):
-    """A path to a manifest file, or the name of a catalog entry."""
+def _load_map(spec):
+    """(name, map) from a manifest file path or a catalog entry name."""
     if os.path.exists(spec):
-        return load_manifest(spec)
+        return build_map(load_manifest(spec))
     try:
-        return catalog_get(spec).manifest
+        entry = catalog_get(spec)
     except KeyError:
         raise ManifestError(
             f"'{spec}' is neither a manifest file nor a catalog entry name")
-
-
-def _classified(args):
-    doc = _resolve_manifest(args.manifest)
-    name, smap = build_map(doc)
-    tol = args.tol if args.tol is not None else _default_tol()
-    points = smap.chart.sample_points(args.samples, margin=args.margin)
-    samples = analyze_samples(smap, points)
-    fitted = fit_constants(samples)
-    return name, smap, verdicts(smap, samples, fitted, tol, tol)
+    return build_map(entry.manifest)
 
 
 def cmd_classify(args):
-    name, smap, report = _classified(args)
+    name, smap = _load_map(args.manifest)
+    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
+    doc = rpt.classification_dict(name, report, {"margin": args.margin})
+    rpt.require_finite(doc)
     if args.format == "json":
-        doc = rpt.classification_dict(name, report, {"margin": args.margin})
         sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
         sys.stdout.write(rpt.classification_csv(name, report))
@@ -89,14 +74,16 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    name, smap, report = _classified(args)
+    name, smap = _load_map(args.manifest)
+    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
     verdict = verify(report, args.theorem)
-    print(f"{name} {verdict}")
+    lines = [f"{name} {verdict}"]
     for key in sorted(verdict.details):
         value = verdict.details[key]
         shown = "n/a" if value is None else (
             rpt.format_float(value) if isinstance(value, float) else value)
-        print(f"  {key}: {shown}")
+        lines.append(f"  {key}: {shown}")
+    print("\n".join(lines))
     if verdict.status == PASS:
         return EXIT_OK
     if verdict.status == NOT_APPLICABLE:
@@ -105,17 +92,12 @@ def cmd_verify(args):
 
 
 def cmd_residual(args):
-    doc = _resolve_manifest(args.manifest)
-    name, smap = build_map(doc)
-    tol = args.tol if args.tol is not None else _default_tol()
-    points = smap.chart.sample_points(args.samples, margin=args.margin)
-    samples = analyze_samples(smap, points)
-    report = verdicts(smap, samples, fit_constants(samples), tol, tol)
-
+    name, smap = _load_map(args.manifest)
     if not smap.unit_sphere:
         print(f"error: residual equations require a unit-sphere target "
               f"({name} targets {smap.target})", file=sys.stderr)
         return EXIT_PRECONDITION
+    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
 
     summary = {}
     if args.equation == "eq102":
@@ -123,9 +105,9 @@ def cmd_residual(args):
             print(f"error: eq102 requires an isometric map; max Gram defect "
                   f"{report.max_gram_defect:.3e}", file=sys.stderr)
             return EXIT_PRECONDITION
-        vectors = [pa.residual_submanifold for pa in samples]
+        vectors = [pa.residual_submanifold for pa in report.samples]
     elif args.equation == "mf":
-        vectors = [pa.residual_full for pa in samples]
+        vectors = [pa.residual_full for pa in report.samples]
     else:
         if not report.is_constant_density:
             print(f"error: me1 requires constant energy density; spread "
@@ -133,18 +115,19 @@ def cmd_residual(args):
                   f"{report.constants.c_hat:.6g}", file=sys.stderr)
             return EXIT_PRECONDITION
         c = report.constants.c_hat
-        vectors = [constant_density_residual(pa, c) for pa in samples]
+        vectors = [constant_density_residual(pa, c) for pa in report.samples]
         summary["c"] = c
 
     rows = [(pa.point, float(np.max(np.abs(vec))))
-            for pa, vec in zip(samples, vectors)]
+            for pa, vec in zip(report.samples, vectors)]
     norms = np.array([r[1] for r in rows])
     summary["max"] = float(np.max(norms))
     summary["rms"] = float(np.sqrt(np.mean(norms * norms)))
 
+    doc = rpt.residual_table_json(name, args.equation, rows, summary)
+    rpt.require_finite(doc)
     if args.format == "json":
-        sys.stdout.write(rpt.to_json(
-            rpt.residual_table_json(name, args.equation, rows, summary)))
+        sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
         sys.stdout.write(rpt.residual_table_csv(rows, smap.dim))
     else:
@@ -153,9 +136,7 @@ def cmd_residual(args):
 
 
 def cmd_bienergy(args):
-    from .analysis import bienergy_quadrature
-    doc = _resolve_manifest(args.manifest)
-    name, smap = build_map(doc)
+    name, smap = _load_map(args.manifest)
     value = bienergy_quadrature(smap, args.grid)
     print(f"chart-domain bienergy of {name} (grid {args.grid}): "
           f"{rpt.format_float(value)}")
@@ -186,13 +167,34 @@ def _positive_int(text):
     return value
 
 
+def _tolerance(text):
+    """--tol, and $BIEIGEN_TOL through the flag's default."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0 (from --tol or ${TOL_ENV_VAR}), "
+            f"got {text!r}")
+    return value
+
+
+def _margin(text):
+    value = float(text)
+    if not 0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 < margin < 0.5, got {text!r}")
+    return value
+
+
 def _add_sampling_flags(sub):
     sub.add_argument("--samples", type=_positive_int, default=64,
                      help="number of interior sample points (default 64)")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", type=_tolerance,
+                     default=os.environ.get(TOL_ENV_VAR, repr(DEFAULT_TOL_ABS)),
                      help="absolute and relative verdict tolerance "
                           f"(default 1e-8, or ${TOL_ENV_VAR})")
-    sub.add_argument("--margin", type=float, default=1e-3,
+    sub.add_argument("--margin", type=_margin, default=DEFAULT_MARGIN,
                      help="interior inset as a fraction of each non-periodic "
                           "interval (default 1e-3)")
 
@@ -251,7 +253,8 @@ def main(argv=None) -> int:
     except (ManifestError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MANIFEST
-    except (GeometryError, JetDomainError, UnboundVariableError) as err:
+    except (GeometryError, JetDomainError, UnboundVariableError,
+            OverflowError, rpt.NonFiniteError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
     except AnalysisError as err:

@@ -23,7 +23,17 @@ _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 class JetDomainError(ArithmeticError):
     """Evaluation left the domain of an operation: division by a zero value,
     log or sqrt of a non-positive value, fractional power of a non-positive
-    value."""
+    value, a function argument or value outside the float range."""
+
+
+def _kernel(fn, *args):
+    """fn(*args), with an overflow or a non-finite argument raised as
+    JetDomainError."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        shown = ", ".join(map(repr, args))
+        raise JetDomainError(f"{fn.__name__}({shown}) is out of float range") from None
 
 
 def _compositions(total, nvars):
@@ -298,7 +308,7 @@ def scalar_pow(x, exponent):
         return _ipow(x, n)
     if x <= 0.0:
         raise JetDomainError(f"fractional power of non-positive value {x}")
-    return x ** exponent
+    return _kernel(pow, x, exponent)
 
 
 def power(a, exponent):
@@ -317,11 +327,11 @@ def power(a, exponent):
     v = a.value
     if v <= 0.0:
         raise JetDomainError(f"fractional power of non-positive value {v}")
-    derivs = [v ** exponent]
+    derivs = [_kernel(pow, v, exponent)]
     coef = 1.0
     for k in range(1, a.order + 1):
         coef *= exponent - (k - 1)
-        derivs.append(coef * v ** (exponent - k))
+        derivs.append(coef * _kernel(pow, v, exponent - k))
     return _compose(a, derivs)
 
 
@@ -342,17 +352,17 @@ def _compose(a, derivs):
 
 
 def sin(a):
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = _kernel(math.sin, a.value), _kernel(math.cos, a.value)
     return _compose(a, (s, c, -s, -c, s)[: a.order + 1])
 
 
 def cos(a):
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = _kernel(math.sin, a.value), _kernel(math.cos, a.value)
     return _compose(a, (c, -s, -c, s, c)[: a.order + 1])
 
 
 def tan(a):
-    t = math.tan(a.value)
+    t = _kernel(math.tan, a.value)
     w = 1.0 + t * t
     derivs = (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
               8.0 * t * w * (2.0 + 3.0 * t * t))
@@ -360,7 +370,7 @@ def tan(a):
 
 
 def exp(a):
-    e = math.exp(a.value)
+    e = _kernel(math.exp, a.value)
     return _compose(a, (e,) * (a.order + 1))
 
 
@@ -385,10 +395,10 @@ def sqrt(a):
 
 
 def sinh(a):
-    s, c = math.sinh(a.value), math.cosh(a.value)
+    s, c = _kernel(math.sinh, a.value), _kernel(math.cosh, a.value)
     return _compose(a, (s, c, s, c, s)[: a.order + 1])
 
 
 def cosh(a):
-    s, c = math.sinh(a.value), math.cosh(a.value)
+    s, c = _kernel(math.sinh, a.value), _kernel(math.cosh, a.value)
     return _compose(a, (c, s, c, s, c)[: a.order + 1])

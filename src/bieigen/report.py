@@ -21,10 +21,30 @@ CSV_POINT_COLUMNS = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A report value is infinite or NaN (an overflow during evaluation)."""
+
+
 def format_float(x) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x}")
+        raise NonFiniteError(f"refusing to serialize non-finite value {x}")
     return format(float(x), ".17g")
+
+
+def require_finite(doc, where="", point=None):
+    """Raise NonFiniteError naming the first non-finite float of a report
+    document by key path, and by sample point inside a per-point row. Checked
+    before any format is rendered, so JSON, CSV and text fail alike."""
+    if isinstance(doc, dict):
+        point = doc.get("point", point)
+        for key in sorted(doc):
+            require_finite(doc[key], f"{where}.{key}" if where else key, point)
+    elif isinstance(doc, (list, tuple)):
+        for k, item in enumerate(doc):
+            require_finite(item, f"{where}[{k}]", point)
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        at = f" at point {tuple(point)}" if point is not None else ""
+        raise NonFiniteError(f"non-finite value {doc} for {where}{at}")
 
 
 def to_json(obj) -> str:

@@ -63,6 +63,25 @@ def test_energy_density_fixtures():
     assert energy_density(_entry_map("constant_map"), (2.2,)) == 0.0
 
 
+def test_single_quantity_entry_points_are_analyze_point_fields():
+    # geodesic polar chart of the unit sphere: order-1 and order-3 frames
+    # give |dphi|^2 a last ulp apart here, so only the analyze_point route
+    # itself matches exactly
+    polar = Chart.explicit(["u", "v"], [(0.1, 1.0), (0.0, 2.0 * math.pi)],
+                           [["1", "0"], ["sin(u)^2"]], periodic=[False, True])
+    for comps in (["sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)"],
+                  ["sin(u)*cos(2*v)", "sin(u)*sin(2*v)", "cos(u)"]):
+        smap = SphereMap.build(polar, comps)
+        for p in smap.chart.sample_points(9):
+            pa = analyze_point(smap, p)
+            assert energy_density(smap, p) == pa.energy_density
+            np.testing.assert_array_equal(tension_field(smap, p), pa.tension)
+    off_sphere = SphereMap.build(CIRCLE, ["cos(t)", "sin(t)", "0.5"])
+    for quantity in (energy_density, tension_field):
+        with pytest.raises(SphereConstraintError):
+            quantity(off_sphere, (1.0,))
+
+
 def test_tension_routes_agree_on_isometric_immersions():
     # tau = m * eta whenever the mean curvature is defined
     for name in ("great_circle_S2", "small_circle_S2", "clifford_torus_S3",

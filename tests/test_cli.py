@@ -43,6 +43,21 @@ SINGULAR_METRIC = {
 }
 
 
+OVERFLOW = {
+    "name": "overflow_exp3",
+    "chart": {"params": ["t"], "domain": [[0, 1]], "periodic": [False],
+              "metric": {"mode": "explicit", "g": [["1"]]}},
+    "map": {"target": "euclidean", "components": ["exp(exp(exp(3*t)))"]},
+}
+
+HUGE_DOMAIN = {
+    "name": "huge_domain",
+    "chart": {"params": ["t"], "domain": [[0, 1e300]], "periodic": [False],
+              "metric": {"mode": "explicit", "g": [["1"]]}},
+    "map": {"target": "euclidean", "components": ["t"]},
+}
+
+
 def _write(tmp_path, doc):
     path = tmp_path / f"{doc['name']}.json"
     path.write_text(to_json(doc))
@@ -196,6 +211,50 @@ def test_residual_eq102_requires_isometry_exit_5(capsys):
 
 def test_residual_requires_unit_sphere_exit_5(capsys):
     assert main(["residual", "circle_S1_sqrt_half", "--equation", "mf"]) == 5
+
+
+def test_residual_checks_unit_sphere_before_any_point(capsys, monkeypatch):
+    def analyze_point(smap, point):
+        raise AssertionError(f"analyzed {point}")
+    monkeypatch.setattr("bieigen.analysis.analyze_point", analyze_point)
+    assert main(["residual", "circle_S1_sqrt_half", "--equation", "mf"]) == 5
+    assert "unit-sphere target" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("doc, words", [
+    (OVERFLOW, ("exp(", "out of float range", "at point (")),
+    (HUGE_DOMAIN, ("non-finite value inf", "points[0].phi_norm", "at point (")),
+], ids=["overflow", "huge_domain"])
+def test_overflow_and_non_finite_values_exit_3(tmp_path, capsys, doc, words, fmt):
+    path = _write(tmp_path, doc)
+    assert main(["classify", path, "--samples", "8", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(word in captured.err for word in words), captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bienergy_overflow_exit_3(tmp_path, capsys):
+    assert main(["bienergy", _write(tmp_path, OVERFLOW), "--grid", "8"]) == 3
+    assert "out of float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, env, named", [
+    (["--tol", "nan"], None, "--tol"), (["--tol", "-1"], None, "--tol"),
+    (["--tol", "inf"], None, "--tol"), (["--margin", "0.5"], None, "--margin"),
+    (["--margin", "0"], None, "--margin"), ([], "-1", "BIEIGEN_TOL"),
+    ([], "abc", "BIEIGEN_TOL"),
+], ids=["tol_nan", "tol_negative", "tol_inf", "margin_half", "margin_zero",
+        "env_negative", "env_not_a_number"])
+def test_bad_tolerance_and_margin_exit_2(capsys, monkeypatch, flags, env, named):
+    if env is not None:
+        monkeypatch.setenv("BIEIGEN_TOL", env)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "great_circle_S2", "--theorem", "takahashi", *flags])
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_bienergy_command(capsys):

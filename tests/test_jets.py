@@ -157,6 +157,16 @@ def test_domain_errors():
         jets.power(zero, -1)
 
 
+@pytest.mark.parametrize("func, value", [
+    (jets.exp, 1000.0), (jets.sinh, 1000.0), (jets.cosh, -1000.0),
+    (jets.sin, math.inf), (jets.cos, math.inf), (jets.tan, math.inf),
+    (lambda t: jets.power(t, 1.5), 1e300), (lambda t: jets.power(t, -2.5), 1e-300),
+], ids=["exp", "sinh", "cosh", "sin", "cos", "tan", "power_large", "power_negative_exponent"])
+def test_out_of_float_range_is_a_domain_error(func, value):
+    with pytest.raises(JetDomainError, match="out of float range"):
+        func(jets.variable(0, value, 2, 1))
+
+
 def test_integer_power_matches_repeated_multiplication():
     t = jets.variable(0, 1.37, 4, 1)
     np.testing.assert_array_equal((t ** 5).coeffs, (t * t * t * t * t).coeffs)
