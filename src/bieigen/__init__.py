@@ -11,17 +11,13 @@ never from finite differences.
 
 from .analysis import (AnalysisError, PointAnalysis, SphereConstraintError,
                        SphereMap, analyze_point, analyze_samples,
-                       bienergy_quadrature, constant_density_residual,
-                       energy_density, mean_curvature, residual_constant_density,
-                       residual_full, residual_submanifold, tension_field)
+                       bienergy_quadrature, constant_density_residual)
 from .catalog import CatalogEntry, catalog_get, catalog_list, catalog_names
 from .charts import (Chart, ExplicitMetric, GeometryError, InducedMetric,
                      MetricFrame, bilaplacian, gradient_pushforward,
                      laplace_beltrami, laplacian_jet, metric_frame)
 from .classify import (ClassificationReport, FittedConstants, TheoremVerdict,
-                       classify, fit_constants, verdicts, verify,
-                       verify_t1, verify_t2, verify_t3, verify_t4,
-                       verify_takahashi)
+                       classify, fit_constants, verdicts, verify)
 from .exprs import (Expr, ParseError, UnboundVariableError, eval_jet,
                     eval_value, parse, to_source)
 from .jets import Jet, JetDomainError

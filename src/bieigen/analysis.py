@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import Chart, laplacian_jet, metric_frame, pushforward
+from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, metric_frame,
+                     pushforward)
 from .exprs import eval_jet, parse, variables_of
 from .jets import JetDomainError
 
@@ -221,8 +222,9 @@ def _analyze_point(smap, point):
 
 
 def _tension(smap, lap, phi, energy):
-    """The tension formula of `tension_field`, shared by `analyze_point` and
-    the bienergy quadrature."""
+    """tau(phi) = lap phi + (|dphi|^2 / r^2) phi for sphere targets, lap phi
+    for Euclidean targets; shared by `analyze_point` and the bienergy
+    quadrature."""
     if smap.target != TARGET_SPHERE:
         return lap.copy()
     return lap + (energy / smap.radius ** 2) * phi
@@ -230,50 +232,6 @@ def _tension(smap, lap, phi, energy):
 
 def analyze_samples(smap: SphereMap, points) -> list:
     return [analyze_point(smap, p) for p in points]
-
-
-# --------------------------------------------------------------------------
-# single-quantity entry points
-# --------------------------------------------------------------------------
-
-def energy_density(smap: SphereMap, point) -> float:
-    """|dphi|^2 = g^ij <d_i phi, d_j phi> at a point."""
-    return analyze_point(smap, point).energy_density
-
-
-def tension_field(smap: SphereMap, point) -> np.ndarray:
-    """tau(phi) = lap phi + (|dphi|^2 / r^2) phi for sphere targets, lap phi
-    for Euclidean targets."""
-    return analyze_point(smap, point).tension
-
-
-def mean_curvature(smap: SphereMap, point) -> Optional[np.ndarray]:
-    """Mean curvature vector of an isometric immersion into the unit sphere;
-    None when the map is not isometric at the point."""
-    return analyze_point(smap, point).mean_curvature
-
-
-def residual_submanifold(smap: SphereMap, point) -> np.ndarray:
-    pa = analyze_point(smap, point)
-    if pa.residual_submanifold is None:
-        raise AnalysisError(
-            "submanifold residual requires an isometric map into the unit sphere",
-            point)
-    return pa.residual_submanifold
-
-
-def residual_full(smap: SphereMap, point) -> np.ndarray:
-    pa = analyze_point(smap, point)
-    if pa.residual_full is None:
-        raise AnalysisError("full residual requires a unit-sphere target", point)
-    return pa.residual_full
-
-
-def residual_constant_density(smap: SphereMap, point, c: float) -> np.ndarray:
-    if not smap.unit_sphere:
-        raise AnalysisError(
-            "constant-density residual requires a unit-sphere target", point)
-    return constant_density_residual(analyze_point(smap, point), c)
 
 
 def _tension_from_frame(smap, frame, env):
@@ -295,11 +253,14 @@ def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
     """Composite midpoint value of (1/2) int |tau|^2 sqrt|g| over the chart
     domain box, using `grid` cells per axis. Labeled chart-domain bienergy:
     on charts that do not cover the manifold up to measure zero it is a
-    chart-domain quantity only."""
+    chart-domain quantity only. Raises SizeError above MAX_POINTS cells."""
     if grid < 1:
         raise ValueError("grid must be at least 1")
     chart = smap.chart
     m = chart.dim
+    if grid ** m > MAX_POINTS:
+        raise SizeError(f"{grid} cells per axis in {m} dimensions exceed the "
+                        f"cap of {MAX_POINTS} cells")
     axes = []
     cell = 1.0
     for lo, hi in chart.domain:

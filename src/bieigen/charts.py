@@ -14,7 +14,7 @@ K-2. Iterating the operator on an order-4 field yields the bi-Laplacian value.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,11 +25,16 @@ from .jets import Jet
 MIN_METRIC_EIGENVALUE = 1e-10
 MIN_IMMERSION_DET = 1e-12
 DEFAULT_MARGIN = 1e-3
+MAX_POINTS = 2 ** 20  # sample points or quadrature cells in one grid
 
 
 class GeometryError(RuntimeError):
     """Degenerate geometry at an evaluation point (metric not positive
     definite, rank-deficient immersion, point outside the chart)."""
+
+
+class SizeError(ValueError):
+    """A sample or quadrature grid above MAX_POINTS points or cells."""
 
 
 @dataclass(frozen=True)
@@ -137,10 +142,16 @@ class Chart:
 
         Periodic axes are sampled at cell midpoints over a full period;
         non-periodic axes are inset from both ends by `margin` times the
-        interval length.
+        interval length. Raises SizeError when the grid would have more than
+        MAX_POINTS points.
         """
         m = self.dim
-        per_axis = max(2, math.ceil(max(1, count) ** (1.0 / m)))
+        # counts above the cap are clamped to cap + 1 so the float root stays
+        # finite; the grid they give is still above the cap
+        per_axis = max(2, math.ceil(min(max(1, count), MAX_POINTS + 1) ** (1.0 / m)))
+        if per_axis ** m > MAX_POINTS:
+            raise SizeError(f"a grid of at least {count} sample points exceeds "
+                            f"the cap of {MAX_POINTS}")
         axes = []
         for (lo, hi), per in zip(self.domain, self.periodic):
             if per:
@@ -276,20 +287,18 @@ def laplacian_jet(frame, fjet):
     return div / frame.sqrt_det.truncated(K - 2)
 
 
-FieldLike = Union[Expr, str, Callable]
+FieldLike = Union[Expr, str]
 
 _EXPR_NODES = Expr.__args__
 
 
 def _field_jet(chart, field, point, order):
-    """Field jets from an expression, source string, or env -> Jet callable."""
+    """Field jets from an expression or source string."""
     env = chart.param_jets(point, order)
     if isinstance(field, str):
         return eval_jet(parse(field), env)
     if isinstance(field, _EXPR_NODES):
         return eval_jet(field, env)
-    if callable(field):
-        return field(env)
     raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
 
 

@@ -8,13 +8,15 @@ Constants are least-squares fits over all samples and ambient components:
     c_hat      =  mean |dphi|^2
 
 rho_hat is not applicable when lap phi vanishes identically (constant maps).
-Verdicts compare pointwise residual max-norms against tol_abs plus tol_rel
-times the magnitude of the dominant term, so they are stable across scales.
+Verdicts compare pointwise residual max-norms against one tolerance, applied
+absolutely and relatively: tol plus tol times the magnitude of the dominant
+term, so they are stable across scales.
 The isometry verdict uses a fixed gate on the Gram defect, independent of the
 user tolerance.
 
-The five theorem verifiers never conflate an unmet precondition with a failed
-conclusion: they return NOT_APPLICABLE naming the missing hypothesis.
+Each theorem is a row of `THEOREMS`: its hypotheses, shared with the other
+theorems, and a conclusion. `verify` never conflates an unmet hypothesis with
+a failed conclusion: it returns NOT_APPLICABLE naming the first one unmet.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +27,7 @@ import numpy as np
 from .analysis import SphereMap, analyze_samples, constant_density_residual
 from .charts import DEFAULT_MARGIN
 
-DEFAULT_TOL_ABS = 1e-8
-DEFAULT_TOL_REL = 1e-8
+DEFAULT_TOL = 1e-8
 ISOMETRY_TOL = 1e-9
 RHO_DENOMINATOR_FLOOR = 1e-14
 RATIO_FLOOR = 1e-10
@@ -87,8 +88,7 @@ class ClassificationReport:
     target: str
     radius: float
     unit_sphere: bool
-    tol_abs: float
-    tol_rel: float
+    tol: float
     constants: FittedConstants
     is_isometric: bool
     is_constant_density: bool
@@ -110,8 +110,9 @@ class ClassificationReport:
     samples: list = field(default_factory=list, repr=False)
 
 
-def _threshold(tol_abs, tol_rel, scale):
-    return tol_abs + tol_rel * abs(scale)
+def _threshold(tol, scale):
+    """`tol` applied absolutely and relatively to the dominant term `scale`."""
+    return tol + tol * abs(scale)
 
 
 def _spread(values, around=None):
@@ -126,7 +127,7 @@ def _spread(values, around=None):
 
 
 def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
-             tol_abs=DEFAULT_TOL_ABS, tol_rel=DEFAULT_TOL_REL) -> ClassificationReport:
+             tol=DEFAULT_TOL) -> ClassificationReport:
     """Assemble the full classification report from per-point analyses.
 
     The constant-density verdict evaluates its residual with c = c_hat, the
@@ -189,7 +190,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
     def holds(name):
         if name not in residuals:
             return None
-        return residuals[name].max < _threshold(tol_abs, tol_rel, scales[name])
+        return residuals[name].max < _threshold(tol, scales[name])
 
     spreads = {
         "density": _spread([s.energy_density for s in samples], c),
@@ -200,7 +201,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
     }
 
     max_gram_defect = max(s.gram_defect for s in samples)
-    is_constant_density = spreads["density"]["abs"] <= _threshold(tol_abs, tol_rel, c)
+    is_constant_density = spreads["density"]["abs"] <= _threshold(tol, c)
     is_harmonic = holds("harmonic")
     is_eigenmap = holds("eigen")
     is_bieigenmap = holds("bieigen")
@@ -209,8 +210,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
         bilap_max = max(_inf(s.bilap_phi) for s in samples)
-        is_biharmonic = bilap_max < _threshold(tol_abs, tol_rel,
-                                               max(1.0, scales["bieigen"]))
+        is_biharmonic = bilap_max < _threshold(tol, max(1.0, scales["bieigen"]))
     else:
         # sphere of radius != 1: the residual formulas are stated for the
         # unit sphere only, but harmonic maps are biharmonic for any target
@@ -219,7 +219,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
     return ClassificationReport(
         sample_count=len(samples), dim=smap.dim, ambient_dim=smap.ambient_dim,
         target=smap.target, radius=smap.radius, unit_sphere=smap.unit_sphere,
-        tol_abs=tol_abs, tol_rel=tol_rel, constants=fitted,
+        tol=tol, constants=fitted,
         is_isometric=max_gram_defect <= ISOMETRY_TOL,
         is_constant_density=is_constant_density,
         is_harmonic=is_harmonic,
@@ -241,16 +241,16 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
         samples=list(samples))
 
 
-def classify(smap: SphereMap, sample_count=64, tol_abs=DEFAULT_TOL_ABS,
-             tol_rel=DEFAULT_TOL_REL, margin=DEFAULT_MARGIN) -> ClassificationReport:
+def classify(smap: SphereMap, sample_count=64, tol=DEFAULT_TOL, *,
+             margin=DEFAULT_MARGIN) -> ClassificationReport:
     """Sample a map on its chart and produce the full report."""
     points = smap.chart.sample_points(sample_count, margin)
     samples = analyze_samples(smap, points)
-    return verdicts(smap, samples, fit_constants(samples), tol_abs, tol_rel)
+    return verdicts(smap, samples, fit_constants(samples), tol)
 
 
 # --------------------------------------------------------------------------
-# theorem verifiers
+# theorem checks
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -265,140 +265,93 @@ class TheoremVerdict:
         return f"{self.theorem}: {self.status}{extra}"
 
 
-def _na(theorem, reason):
-    return TheoremVerdict(theorem, NOT_APPLICABLE, reason)
+# Each hypothesis is a (predicate on the report, reason named when it fails)
+# row; theorems share rows and list them in the order they are checked.
+SPHERE_TARGET = (lambda r: r.target == "sphere", "image does not lie on a sphere")
+UNIT_SPHERE = (lambda r: r.unit_sphere, "target is not the unit sphere")
+ISOMETRIC = (lambda r: r.is_isometric, "map is not isometric")
+CONSTANT_DENSITY = (lambda r: r.is_constant_density, "energy density is not constant")
+BIHARMONIC = (lambda r: r.is_biharmonic, "map is not biharmonic")
+EIGENMAP = (lambda r: r.is_eigenmap, "map is not an eigenmap")
+BIEIGENMAP = (lambda r: r.is_bieigenmap, "map is not a bi-eigenmap")
+BUCKLING = (lambda r: r.is_buckling, "map is not a buckling eigenmap")
+NOT_HARMONIC = (lambda r: not r.is_harmonic, "map is harmonic")
 
 
-def verify_takahashi(report: ClassificationReport) -> TheoremVerdict:
+def _takahashi(report, thr):
     """Minimal isometric immersions into a radius-r sphere have eigenvalue
     m / r^2; checks the fitted eigenvalue and minimality via the tension."""
-    name = "takahashi"
-    if report.target != "sphere":
-        return _na(name, "image does not lie on a sphere")
-    if not report.is_isometric:
-        return _na(name, "map is not isometric")
-    if not report.is_eigenmap:
-        return _na(name, "map is not an eigenmap")
+    lam = report.constants.lambda_hat
     expected = report.dim / report.radius ** 2
-    thr = _threshold(report.tol_abs, report.tol_rel, expected)
     tension_max = report.residuals["harmonic"].max
-    tension_thr = _threshold(report.tol_abs, report.tol_rel,
-                             max(1.0, abs(report.constants.lambda_hat)))
-    ok = abs(report.constants.lambda_hat - expected) < thr and tension_max < tension_thr
-    return TheoremVerdict(name, PASS if ok else FAIL, None, {
-        "lambda_hat": report.constants.lambda_hat,
-        "expected_lambda": expected,
-        "tension_max": tension_max,
-    })
+    ok = abs(lam - expected) < thr(expected) and tension_max < thr(max(1.0, abs(lam)))
+    return ok, {"lambda_hat": lam, "expected_lambda": expected,
+                "tension_max": tension_max}
 
 
-def verify_t1(report: ClassificationReport) -> TheoremVerdict:
+def _t1(report, thr):
     """A biharmonic isometric immersion into the unit sphere that is a
     bi-eigenmap must be minimal with bi-eigenvalue m^2 (and eigenvalue m)."""
-    name = "t1"
-    if not report.unit_sphere:
-        return _na(name, "target is not the unit sphere")
-    if not report.is_isometric:
-        return _na(name, "map is not isometric")
-    if not report.is_biharmonic:
-        return _na(name, "map is not biharmonic")
-    if not report.is_bieigenmap:
-        return _na(name, "map is not a bi-eigenmap")
     m = report.dim
-    thr_mu = _threshold(report.tol_abs, report.tol_rel, m * m)
-    thr_eta = _threshold(report.tol_abs, report.tol_rel, 1.0)
-    thr_lam = _threshold(report.tol_abs, report.tol_rel, m)
+    c = report.constants
     eta_max = report.eta_max_norm if report.eta_max_norm is not None else float("inf")
-    ok = (abs(report.constants.mu_hat - m * m) < thr_mu
-          and eta_max < thr_eta
+    ok = (abs(c.mu_hat - m * m) < thr(m * m)
+          and eta_max < thr(1.0)
           and report.is_eigenmap
-          and abs(report.constants.lambda_hat - m) < thr_lam)
-    return TheoremVerdict(name, PASS if ok else FAIL, None, {
-        "mu_hat": report.constants.mu_hat, "expected_mu": float(m * m),
-        "eta_max_norm": report.eta_max_norm,
-        "lambda_hat": report.constants.lambda_hat, "expected_lambda": float(m),
-    })
+          and abs(c.lambda_hat - m) < thr(m))
+    return ok, {"mu_hat": c.mu_hat, "expected_mu": float(m * m),
+                "eta_max_norm": report.eta_max_norm,
+                "lambda_hat": c.lambda_hat, "expected_lambda": float(m)}
 
 
-def verify_t2(report: ClassificationReport) -> TheoremVerdict:
+def _t2(report, thr):
     """A proper biharmonic isometric immersion into the unit sphere that is a
     buckling eigenmap has buckling constant 2m and unit mean curvature."""
-    name = "t2"
-    if not report.unit_sphere:
-        return _na(name, "target is not the unit sphere")
-    if not report.is_isometric:
-        return _na(name, "map is not isometric")
-    if not report.is_biharmonic:
-        return _na(name, "map is not biharmonic")
-    if not report.is_buckling:
-        return _na(name, "map is not a buckling eigenmap")
-    if report.is_harmonic:
-        return _na(name, "map is harmonic")
     m = report.dim
-    thr_rho = _threshold(report.tol_abs, report.tol_rel, 2 * m)
-    thr_eta = _threshold(report.tol_abs, report.tol_rel, 1.0)
+    rho = report.constants.rho_hat
     dev = (report.eta_deviation_from_unit
            if report.eta_deviation_from_unit is not None else float("inf"))
-    ok = abs(report.constants.rho_hat - 2 * m) < thr_rho and dev < thr_eta
-    return TheoremVerdict(name, PASS if ok else FAIL, None, {
-        "rho_hat": report.constants.rho_hat, "expected_rho": float(2 * m),
-        "eta_unit_deviation": report.eta_deviation_from_unit,
-    })
+    ok = abs(rho - 2 * m) < thr(2 * m) and dev < thr(1.0)
+    return ok, {"rho_hat": rho, "expected_rho": float(2 * m),
+                "eta_unit_deviation": report.eta_deviation_from_unit}
 
 
-def verify_t3(report: ClassificationReport) -> TheoremVerdict:
+def _t3(report, thr):
     """A biharmonic constant-density bi-eigenmap into the unit sphere is
     harmonic (no isometry assumption)."""
-    name = "t3"
-    if not report.unit_sphere:
-        return _na(name, "target is not the unit sphere")
-    if not report.is_constant_density:
-        return _na(name, "energy density is not constant")
-    if not report.is_biharmonic:
-        return _na(name, "map is not biharmonic")
-    if not report.is_bieigenmap:
-        return _na(name, "map is not a bi-eigenmap")
-    ok = report.is_harmonic
-    return TheoremVerdict(name, PASS if ok else FAIL, None, {
-        "tension_max": report.residuals["harmonic"].max,
-    })
+    return report.is_harmonic, {"tension_max": report.residuals["harmonic"].max}
 
 
-def verify_t4(report: ClassificationReport) -> TheoremVerdict:
+def _t4(report, thr):
     """A biharmonic constant-density buckling eigenmap into the unit sphere is
     harmonic or has buckling constant 2c."""
-    name = "t4"
-    if not report.unit_sphere:
-        return _na(name, "target is not the unit sphere")
-    if not report.is_constant_density:
-        return _na(name, "energy density is not constant")
-    if not report.is_biharmonic:
-        return _na(name, "map is not biharmonic")
-    if not report.is_buckling:
-        return _na(name, "map is not a buckling eigenmap")
-    c = report.constants.c_hat
     if report.is_harmonic:
-        return TheoremVerdict(name, PASS, None, {"branch": "harmonic"})
-    thr = _threshold(report.tol_abs, report.tol_rel, 2 * c)
-    ok = abs(report.constants.rho_hat - 2 * c) < thr
-    return TheoremVerdict(name, PASS if ok else FAIL, None, {
-        "branch": "buckling", "rho_hat": report.constants.rho_hat,
-        "expected_rho": 2 * c,
-    })
+        return True, {"branch": "harmonic"}
+    c = report.constants.c_hat
+    rho = report.constants.rho_hat
+    return abs(rho - 2 * c) < thr(2 * c), {
+        "branch": "buckling", "rho_hat": rho, "expected_rho": 2 * c}
 
 
+# name -> (hypotheses in check order, conclusion)
 THEOREMS = {
-    "takahashi": verify_takahashi,
-    "t1": verify_t1,
-    "t2": verify_t2,
-    "t3": verify_t3,
-    "t4": verify_t4,
+    "takahashi": ((SPHERE_TARGET, ISOMETRIC, EIGENMAP), _takahashi),
+    "t1": ((UNIT_SPHERE, ISOMETRIC, BIHARMONIC, BIEIGENMAP), _t1),
+    "t2": ((UNIT_SPHERE, ISOMETRIC, BIHARMONIC, BUCKLING, NOT_HARMONIC), _t2),
+    "t3": ((UNIT_SPHERE, CONSTANT_DENSITY, BIHARMONIC, BIEIGENMAP), _t3),
+    "t4": ((UNIT_SPHERE, CONSTANT_DENSITY, BIHARMONIC, BUCKLING), _t4),
 }
 
 
 def verify(report: ClassificationReport, theorem: str) -> TheoremVerdict:
+    """NOT_APPLICABLE naming the first unmet hypothesis of `theorem`, else
+    PASS or FAIL on its conclusion."""
     try:
-        checker = THEOREMS[theorem]
+        hypotheses, conclusion = THEOREMS[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem '{theorem}'") from None
-    return checker(report)
+    for holds, reason in hypotheses:
+        if not holds(report):
+            return TheoremVerdict(theorem, NOT_APPLICABLE, reason)
+    ok, details = conclusion(report, lambda scale: _threshold(report.tol, scale))
+    return TheoremVerdict(theorem, PASS if ok else FAIL, None, details)

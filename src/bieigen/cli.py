@@ -11,9 +11,10 @@ The default tolerance is 1e-8, overridable per run with --tol or globally
 with the BIEIGEN_TOL environment variable.
 
 Exit codes: 0 success or PASS, 1 verdict FAIL, 2 manifest or usage errors
-(bad flag values included), 3 evaluation errors (degenerate metric, function
-domain, constraint violation, overflow or a non-finite report value; the
-offending point or quantity is reported), 4 NOT_APPLICABLE with the unmet
+(bad flag values included, and a --samples or --grid whose grid would exceed
+charts.MAX_POINTS points or cells), 3 evaluation errors (degenerate metric,
+function domain, constraint violation, overflow or a non-finite report value;
+the offending point or quantity is reported), 4 NOT_APPLICABLE with the unmet
 precondition named, 5 residual equation preconditions not satisfied.
 """
 
@@ -28,8 +29,8 @@ from . import report as rpt
 from .analysis import (AnalysisError, bienergy_quadrature,
                        constant_density_residual)
 from .catalog import catalog_get, catalog_list
-from .charts import DEFAULT_MARGIN, GeometryError
-from .classify import (DEFAULT_TOL_ABS, NOT_APPLICABLE, PASS, THEOREMS,
+from .charts import DEFAULT_MARGIN, GeometryError, SizeError
+from .classify import (DEFAULT_TOL, NOT_APPLICABLE, PASS, THEOREMS,
                        classify, verify)
 from .exprs import ParseError, UnboundVariableError
 from .jets import JetDomainError
@@ -61,7 +62,7 @@ def _load_map(spec):
 
 def cmd_classify(args):
     name, smap = _load_map(args.manifest)
-    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
+    report = classify(smap, args.samples, args.tol, margin=args.margin)
     doc = rpt.classification_dict(name, report, {"margin": args.margin})
     rpt.require_finite(doc)
     if args.format == "json":
@@ -75,7 +76,7 @@ def cmd_classify(args):
 
 def cmd_verify(args):
     name, smap = _load_map(args.manifest)
-    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
+    report = classify(smap, args.samples, args.tol, margin=args.margin)
     verdict = verify(report, args.theorem)
     lines = [f"{name} {verdict}"]
     for key in sorted(verdict.details):
@@ -97,7 +98,7 @@ def cmd_residual(args):
         print(f"error: residual equations require a unit-sphere target "
               f"({name} targets {smap.target})", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = classify(smap, args.samples, args.tol, args.tol, args.margin)
+    report = classify(smap, args.samples, args.tol, margin=args.margin)
 
     summary = {}
     if args.equation == "eq102":
@@ -191,7 +192,7 @@ def _add_sampling_flags(sub):
     sub.add_argument("--samples", type=_positive_int, default=64,
                      help="number of interior sample points (default 64)")
     sub.add_argument("--tol", type=_tolerance,
-                     default=os.environ.get(TOL_ENV_VAR, repr(DEFAULT_TOL_ABS)),
+                     default=os.environ.get(TOL_ENV_VAR, repr(DEFAULT_TOL)),
                      help="absolute and relative verdict tolerance "
                           f"(default 1e-8, or ${TOL_ENV_VAR})")
     sub.add_argument("--margin", type=_margin, default=DEFAULT_MARGIN,
@@ -249,17 +250,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy overflow leaves inf/nan values, which the reports refuse with
+        # exit 3; its warnings would only add lines ahead of that message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ManifestError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MANIFEST
-    except (GeometryError, JetDomainError, UnboundVariableError,
+    except SizeError as err:
+        flag = "--grid" if args.command == "bienergy" else "--samples"
+        print(f"error: {flag}: {err}", file=sys.stderr)
+        return EXIT_MANIFEST
+    except (AnalysisError, GeometryError, JetDomainError, UnboundVariableError,
             OverflowError, rpt.NonFiniteError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
-        return EXIT_EVAL
-    except AnalysisError as err:
-        where = f" at point {err.point}" if err.point else ""
-        print(f"evaluation error{where}: {err}", file=sys.stderr)
         return EXIT_EVAL
 
 

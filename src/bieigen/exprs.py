@@ -14,6 +14,7 @@ bit for bit because both sides call the same scalar kernels.
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Union
 
 from . import jets
@@ -336,9 +337,12 @@ def _scalar_sqrt(x):
     return math.sqrt(x)
 
 
+# guarded like the jet functions: overflow or a non-finite argument raises
+# JetDomainError
 _VALUE_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "log": _scalar_log, "sqrt": _scalar_sqrt, "sinh": math.sinh, "cosh": math.cosh,
+    **{name: partial(jets._kernel, getattr(math, name))
+       for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")},
+    "log": _scalar_log, "sqrt": _scalar_sqrt,
 }
 
 

@@ -278,12 +278,6 @@ def constant_like(value, jet):
     return constant(value, jet.order, jet.nvars)
 
 
-def variables(values, order):
-    """Jets of all coordinate functions at a point, as a list."""
-    nvars = len(values)
-    return [variable(i, v, order, nvars) for i, v in enumerate(values)]
-
-
 def _ipow(x, n):
     # identical multiply sequence for floats and jets keeps order-0 jet
     # evaluation bit-for-bit equal to scalar evaluation

@@ -29,6 +29,7 @@ from typing import Mapping
 from .analysis import SphereMap
 from .charts import Chart
 from .exprs import ParseError, UnboundVariableError, eval_value, parse
+from .jets import JetDomainError
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -63,7 +64,7 @@ def _bound(value, where):
     if isinstance(value, str):
         try:
             return float(eval_value(parse(value), {}))
-        except ParseError as err:
+        except (ParseError, JetDomainError) as err:
             raise ManifestError(f"{where}: {err}") from err
         except UnboundVariableError as err:
             raise ManifestError(f"{where} must be constant: {err}") from err

@@ -158,8 +158,8 @@ def classification_dict(name, report, settings=None) -> dict:
         },
         "settings": {
             "samples": report.sample_count,
-            "tol_abs": report.tol_abs,
-            "tol_rel": report.tol_rel,
+            "tol_abs": report.tol,
+            "tol_rel": report.tol,
             **(settings or {}),
         },
         "constants": {
@@ -205,8 +205,8 @@ def classification_text(name, report) -> str:
         else f"sphere (radius {report.radius:g})"
     lines.append(f"  domain dimension {report.dim}, ambient dimension "
                  f"{report.ambient_dim}, target {target}")
-    lines.append(f"  samples {report.sample_count}, tol_abs {report.tol_abs:g}, "
-                 f"tol_rel {report.tol_rel:g}")
+    lines.append(f"  samples {report.sample_count}, tol_abs {report.tol:g}, "
+                 f"tol_rel {report.tol:g}")
     c = report.constants
     rho = "n/a" if c.rho_hat is None else f"{c.rho_hat:.12g}"
     lines.append(f"  constants: lambda_hat {c.lambda_hat:.12g}  "

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from bieigen import build_map, catalog_get
-from bieigen.analysis import (AnalysisError, SphereConstraintError, SphereMap,
-                              analyze_point, analyze_samples,
-                              bienergy_quadrature, constant_density_residual,
-                              energy_density, mean_curvature,
-                              residual_constant_density, residual_full,
-                              residual_submanifold, tension_field)
-from bieigen.charts import Chart
+from bieigen.analysis import (SphereConstraintError, SphereMap, analyze_point,
+                              analyze_samples, bienergy_quadrature,
+                              constant_density_residual)
+from bieigen.charts import MAX_POINTS, Chart, SizeError
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
 
@@ -56,30 +53,11 @@ def test_small_circle_composition_values():
 
 
 def test_energy_density_fixtures():
-    assert energy_density(_entry_map("clifford_torus_S3"), (0.4, 1.9)) \
+    assert analyze_point(_entry_map("clifford_torus_S3"), (0.4, 1.9)).energy_density \
         == pytest.approx(2.0, abs=1e-12)
-    assert energy_density(_entry_map("kfold_equator_S2"), (0.77,)) \
+    assert analyze_point(_entry_map("kfold_equator_S2"), (0.77,)).energy_density \
         == pytest.approx(9.0, abs=1e-12)
-    assert energy_density(_entry_map("constant_map"), (2.2,)) == 0.0
-
-
-def test_single_quantity_entry_points_are_analyze_point_fields():
-    # geodesic polar chart of the unit sphere: order-1 and order-3 frames
-    # give |dphi|^2 a last ulp apart here, so only the analyze_point route
-    # itself matches exactly
-    polar = Chart.explicit(["u", "v"], [(0.1, 1.0), (0.0, 2.0 * math.pi)],
-                           [["1", "0"], ["sin(u)^2"]], periodic=[False, True])
-    for comps in (["sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)"],
-                  ["sin(u)*cos(2*v)", "sin(u)*sin(2*v)", "cos(u)"]):
-        smap = SphereMap.build(polar, comps)
-        for p in smap.chart.sample_points(9):
-            pa = analyze_point(smap, p)
-            assert energy_density(smap, p) == pa.energy_density
-            np.testing.assert_array_equal(tension_field(smap, p), pa.tension)
-    off_sphere = SphereMap.build(CIRCLE, ["cos(t)", "sin(t)", "0.5"])
-    for quantity in (energy_density, tension_field):
-        with pytest.raises(SphereConstraintError):
-            quantity(off_sphere, (1.0,))
+    assert analyze_point(_entry_map("constant_map"), (2.2,)).energy_density == 0.0
 
 
 def test_tension_routes_agree_on_isometric_immersions():
@@ -96,12 +74,12 @@ def test_tension_routes_agree_on_isometric_immersions():
 
 def test_clifford_torus_minimal():
     smap = _entry_map("clifford_torus_S3")
-    eta = mean_curvature(smap, (1.3, 0.2))
+    eta = analyze_point(smap, (1.3, 0.2)).mean_curvature
     np.testing.assert_allclose(eta, 0.0, atol=1e-10)
 
 
 def test_mean_curvature_not_applicable_when_not_isometric():
-    assert mean_curvature(_entry_map("kfold_equator_S2"), (0.5,)) is None
+    assert analyze_point(_entry_map("kfold_equator_S2"), (0.5,)).mean_curvature is None
 
 
 def test_sphere_constraint_violation():
@@ -112,14 +90,15 @@ def test_sphere_constraint_violation():
 
 
 def test_residual_operation_preconditions():
-    noniso = _entry_map("nonisometric_buckling_S2")
-    with pytest.raises(AnalysisError):
-        residual_submanifold(noniso, (0.3,))
-    small_r = _entry_map("circle_S1_sqrt_half")
-    with pytest.raises(AnalysisError):
-        residual_full(small_r, (0.3,))
-    with pytest.raises(AnalysisError):
-        residual_constant_density(small_r, (0.3,), 1.0)
+    # the submanifold residual needs an isometric map, all three need a
+    # unit-sphere target
+    noniso = analyze_point(_entry_map("nonisometric_buckling_S2"), (0.3,))
+    assert noniso.residual_submanifold is None
+    assert noniso.residual_full is not None
+    small_r = analyze_point(_entry_map("circle_S1_sqrt_half"), (0.3,))
+    assert small_r.residual_submanifold is None
+    assert small_r.residual_full is None
+    assert small_r.residual_constant_density is None
 
 
 def test_constant_density_residual_is_linear_algebra_on_samples():
@@ -136,7 +115,7 @@ def test_harmonic_maps_have_zero_full_residual():
                  "round_sphere_chart_S2_in_R3"):
         smap = _entry_map(name)
         for p in smap.chart.sample_points(9)[:5]:
-            vec = residual_full(smap, p)
+            vec = analyze_point(smap, p).residual_full
             assert np.max(np.abs(vec)) < 1e-8
 
 
@@ -189,14 +168,23 @@ def test_bienergy_nonisometric_closed_form():
     assert bienergy_quadrature(smap, 128) == pytest.approx(expected, abs=1e-9)
 
 
+def test_sample_and_quadrature_grids_are_capped():
+    with pytest.raises(ValueError, match="cap of 1048576"):
+        CIRCLE.sample_points(MAX_POINTS + 1)
+    torus = _entry_map("clifford_torus_S3")
+    assert len(torus.chart.sample_points(MAX_POINTS)) == MAX_POINTS
+    with pytest.raises(SizeError):
+        torus.chart.sample_points(10 ** 400)  # beyond float range
+    with pytest.raises(SizeError):
+        bienergy_quadrature(torus, 1025)  # 1025^2 cells
+
+
 def test_euclidean_target_uses_component_laplacian_as_tension():
     smap = SphereMap.build(CIRCLE, ["cos(t)", "sin(t)", "0"], target="euclidean")
     pa = analyze_point(smap, (0.7,))
     np.testing.assert_allclose(pa.tension, pa.lap_phi, atol=0)
     assert pa.residual_full is None
     assert pa.mean_curvature is None
-    tau = tension_field(smap, (0.7,))
-    np.testing.assert_allclose(tau, pa.lap_phi, atol=1e-14)
 
 
 def _div_theta_one_form_route(smap, point):

@@ -67,6 +67,42 @@ def test_expected_bienergies(reports):
         assert abs(refined - value) < 1e-9, name
 
 
+NA = "NOT_APPLICABLE"
+NOT_ISOMETRIC = (f"takahashi: {NA} (map is not isometric)",
+                 f"t1: {NA} (map is not isometric)", f"t2: {NA} (map is not isometric)")
+VERDICT_LINES = {
+    "great_circle_S2": ("takahashi: PASS", "t1: PASS",
+                        f"t2: {NA} (map is harmonic)", "t3: PASS", "t4: PASS"),
+    "small_circle_S2": (f"takahashi: {NA} (map is not an eigenmap)",
+                        f"t1: {NA} (map is not a bi-eigenmap)", "t2: PASS",
+                        f"t3: {NA} (map is not a bi-eigenmap)", "t4: PASS"),
+    "clifford_torus_S3": ("takahashi: PASS", "t1: PASS",
+                          f"t2: {NA} (map is harmonic)", "t3: PASS", "t4: PASS"),
+    "clifford_comp_S4": (f"takahashi: {NA} (map is not an eigenmap)",
+                         f"t1: {NA} (map is not a bi-eigenmap)", "t2: PASS",
+                         f"t3: {NA} (map is not a bi-eigenmap)", "t4: PASS"),
+    "kfold_equator_S2": (*NOT_ISOMETRIC, "t3: PASS", "t4: PASS"),
+    "nonisometric_buckling_S2": (*NOT_ISOMETRIC,
+                                 f"t3: {NA} (map is not a bi-eigenmap)", "t4: PASS"),
+    "round_sphere_chart_S2_in_R3": ("takahashi: PASS", "t1: PASS",
+                                    f"t2: {NA} (map is harmonic)", "t3: PASS",
+                                    "t4: PASS"),
+    "constant_map": (*NOT_ISOMETRIC, "t3: PASS",
+                     f"t4: {NA} (map is not a buckling eigenmap)"),
+    "circle_S1_sqrt_half": ("takahashi: PASS",
+                            *(f"{t}: {NA} (target is not the unit sphere)"
+                              for t in ("t1", "t2", "t3", "t4"))),
+}
+
+
+def test_every_verdict_line_and_unmet_hypothesis(reports):
+    # the first unmet hypothesis is the one named, so these pin check order
+    assert sorted(VERDICT_LINES) == sorted(reports)
+    for name, (_, _, report) in reports.items():
+        got = tuple(str(verify(report, t)) for t in ALL_THEOREMS)
+        assert got == VERDICT_LINES[name], name
+
+
 def test_every_theorem_has_pass_and_not_applicable_coverage(reports):
     for theorem in ALL_THEOREMS:
         statuses = {verify(report, theorem).status

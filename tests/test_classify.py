@@ -11,7 +11,7 @@ from bieigen.classify import (FAIL, NOT_APPLICABLE, PASS, classify,
 
 def _report(name, samples=64, tol=1e-8):
     _, smap = build_map(catalog_get(name).manifest)
-    return smap, classify(smap, samples, tol, tol)
+    return smap, classify(smap, samples, tol)
 
 
 def test_fit_constants_unit_circle():
@@ -198,6 +198,12 @@ def test_unknown_theorem_name():
         verify(report, "t9")
 
 
+def test_margin_is_keyword_only():
+    _, smap = build_map(catalog_get("great_circle_S2").manifest)
+    with pytest.raises(TypeError):
+        classify(smap, 64, 1e-8, 1e-8)
+
+
 def test_nearly_isometric_fixture_fails_takahashi_at_tight_tolerance():
     # metric inflated by 5e-10: inside the fixed isometry gate (1e-9) but the
     # eigenvalue relation is visibly off once the tolerance drops below it
@@ -206,7 +212,7 @@ def test_nearly_isometric_fixture_fails_takahashi_at_tight_tolerance():
     smap = SphereMap.build(chart, ["cos(t)", "sin(t)", "0"])
     loose = classify(smap, 64)
     assert verify(loose, "takahashi").status == PASS
-    tight = classify(smap, 64, tol_abs=1e-12, tol_rel=1e-12)
+    tight = classify(smap, 64, tol=1e-12)
     assert tight.is_isometric and tight.is_eigenmap
     verdict = verify(tight, "takahashi")
     assert verdict.status == FAIL

@@ -173,7 +173,8 @@ def test_domain_error_exit_3(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["classify", path]) == 3
     err = capsys.readouterr().err
-    assert "log" in err and "point" in err
+    assert err.startswith("evaluation error: log of non-positive value")
+    assert err.count("\n") == 1 and err.count("at point") == 1, err
 
 
 def test_residual_commands(capsys):
@@ -221,7 +222,6 @@ def test_residual_checks_unit_sphere_before_any_point(capsys, monkeypatch):
     assert "unit-sphere target" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("doc, words", [
     (OVERFLOW, ("exp(", "out of float range", "at point (")),
@@ -233,12 +233,45 @@ def test_overflow_and_non_finite_values_exit_3(tmp_path, capsys, doc, words, fmt
     captured = capsys.readouterr()
     assert captured.out == ""
     assert all(word in captured.err for word in words), captured.err
-    assert "Traceback" not in captured.err
+    # one line: no numpy warnings ahead of it, the point named once
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err.count("at point") == 1, captured.err
 
 
 def test_bienergy_overflow_exit_3(tmp_path, capsys):
     assert main(["bienergy", _write(tmp_path, OVERFLOW), "--grid", "8"]) == 3
-    assert "out of float range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error: exp(") and err.count("\n") == 1, err
+    assert "out of float range" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "exp(1000)"]]}},
+     "chart.domain[0][1]: exp(1000.0) is out of float range"),
+    ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [["1/0", 1]]}},
+     "chart.domain[0][0]: division by zero"),
+    ({**NEARLY_ISOMETRIC, "map": {**NEARLY_ISOMETRIC["map"], "radius": "exp(1000)"}},
+     "map.radius: exp(1000.0) is out of float range"),
+], ids=["bound_overflow", "bound_division_by_zero", "radius_overflow"])
+def test_constant_expression_errors_are_manifest_errors_exit_2(tmp_path, capsys,
+                                                                doc, message):
+    assert main(["classify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "great_circle_S2", "--samples", "1000000000000"],
+     "--samples: a grid of at least 1000000000000 sample points exceeds the "
+     "cap of 1048576"),
+    (["residual", "clifford_torus_S3", "--equation", "mf", "--samples", "10" * 400],
+     f"--samples: a grid of at least {'10' * 400} sample points exceeds the cap "
+     "of 1048576"),
+    (["bienergy", "clifford_torus_S3", "--grid", "10000000"],
+     "--grid: 10000000 cells per axis in 2 dimensions exceed the cap of 1048576 cells"),
+], ids=["samples", "residual_samples", "grid"])
+def test_oversized_samples_and_grid_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags, env, named", [

@@ -178,6 +178,10 @@ def test_eval_domain_errors():
         eval_jet(parse("1/(t + 2)"), env)
     with pytest.raises(JetDomainError):
         eval_value(parse("sqrt(t)"), {"t": -1.0})
+    with pytest.raises(JetDomainError, match=r"exp\(1000.0\) is out of float range"):
+        eval_value(parse("exp(1000)"), {})
+    with pytest.raises(JetDomainError, match="out of float range"):
+        eval_value(parse("sin(t)"), {"t": math.inf})
 
 
 def test_order0_evaluation_is_bit_identical():

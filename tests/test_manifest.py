@@ -97,6 +97,13 @@ def test_domain_bounds_accept_constant_expressions():
         build_map(_variant(**{"chart.domain": [[0, "2*t"]]}))
     with pytest.raises(ManifestError, match="lo < hi"):
         build_map(_variant(**{"chart.domain": [[1.0, 0.0]]}))
+    # constant bounds out of float range are manifest errors naming the key
+    with pytest.raises(ManifestError, match=r"^chart\.domain\[0\]\[1\]: "
+                                            r"exp\(1000\.0\) is out of float range$"):
+        build_map(_variant(**{"chart.domain": [[0, "exp(1000)"]]}))
+    with pytest.raises(ManifestError,
+                       match=r"^chart\.domain\[0\]\[0\]: division by zero$"):
+        build_map(_variant(**{"chart.domain": [["1/0", 1]]}))
 
 
 def test_periodic_defaults_to_false():
@@ -111,6 +118,8 @@ def test_radius_rules():
     assert smap.radius == 1.0
     with pytest.raises(ManifestError, match="positive"):
         build_map(_variant(**{"map.radius": -2.0}))
+    with pytest.raises(ManifestError, match=r"^map.radius: cosh\(1000.0\) is out"):
+        build_map(_variant(**{"map.radius": "cosh(1000)"}))
     with pytest.raises(ManifestError, match="radius"):
         build_map(_variant(**{"map.target": "euclidean"}))  # radius forbidden
     ok = _variant(**{"map.target": "euclidean", "map.radius": ...})
