@@ -3,13 +3,19 @@
 A chart is a coordinate patch with named parameters, a domain box, per-axis
 periodicity flags, and a metric that is either induced from an immersion into
 Euclidean space or given explicitly as component expressions. All geometric
-quantities are produced as jets at a point, so the divergence form
+quantities are produced as jets at a block of points, one numpy column per
+point, so the divergence form
 
     lap f = (1/sqrt|g|) d_i ( sqrt|g| g^ij d_j f )
 
 is evaluated entirely in exact truncated Taylor arithmetic. The order budget
 is: field jets at order K (up to 4), metric jets at order K-1, lap f at order
 K-2. Iterating the operator on an order-4 field yields the bi-Laplacian value.
+
+`metric_frame` builds the metric data for a block of points; the one-point
+functions (`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
+`gradient_pushforward`) evaluate a block of one. A failing check raises for
+the first offending point of the block and carries its index in `index`.
 """
 
 import math
@@ -30,7 +36,12 @@ MAX_POINTS = 2 ** 20  # sample points or quadrature cells in one grid
 
 class GeometryError(RuntimeError):
     """Degenerate geometry at an evaluation point (metric not positive
-    definite, rank-deficient immersion, point outside the chart)."""
+    definite, rank-deficient immersion, point outside the chart); `index`
+    is the point's position in the evaluated block."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class SizeError(ValueError):
@@ -122,20 +133,30 @@ class Chart:
         return Chart(tuple(params), tuple(tuple(map(float, iv)) for iv in domain),
                      _periodic_flags(periodic, len(params)), InducedMetric(comps))
 
-    def param_jets(self, point, order):
-        """Environment binding each parameter to its coordinate jet."""
-        self.require_inside(point)
-        vals = list(point)
-        return {name: jets.variable(i, vals[i], order, self.dim)
+    def param_jets(self, points, order):
+        """Environment binding each parameter to its coordinate jet, at one
+        point or at a block of points (a sequence of points)."""
+        self.require_inside(points)
+        return self._coordinate_jets(np.asarray(points, dtype=float), order)
+
+    def _coordinate_jets(self, coords, order):
+        return {name: jets.variable(i, coords[..., i], order, self.dim)
                 for i, name in enumerate(self.params)}
 
-    def require_inside(self, point):
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} coordinates, chart has {self.dim}")
-        for x, (lo, hi), per in zip(point, self.domain, self.periodic):
-            if not per and not lo < x < hi:
-                raise GeometryError(
-                    f"point {tuple(point)} is not strictly inside the chart domain")
+    def require_inside(self, points):
+        """GeometryError for the first of the points (or for the one point)
+        that is not strictly inside the domain on a non-periodic axis."""
+        coords = np.asarray(points, dtype=float)
+        if coords.shape[-1] != self.dim:
+            raise ValueError(f"point has {coords.shape[-1]} coordinates, "
+                             f"chart has {self.dim}")
+        lo, hi = np.array(self.domain).T
+        inside = (lo < coords) & (coords < hi) | np.array(self.periodic)
+        bad = jets.first_index(~inside.all(axis=-1))
+        if bad is not None:
+            point = points if coords.ndim == 1 else points[bad]
+            raise GeometryError(
+                f"point {tuple(point)} is not strictly inside the chart domain", bad)
 
     def sample_points(self, count=64, margin=DEFAULT_MARGIN):
         """Quasi-uniform interior tensor grid with at least `count` points.
@@ -209,60 +230,96 @@ def _adjugate(mat, one):
 
 
 class MetricFrame:
-    """Jets of g_ij, g^ij and sqrt|g| at one chart point."""
+    """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, and the
+    values of g_ij and g^ij with the points on the first axis."""
 
-    def __init__(self, chart, point, order, g, g_inv, sqrt_det):
+    def __init__(self, chart, order, g, g_inv, sqrt_det, count=None):
         self.chart = chart
-        self.point = tuple(point)
         self.order = order
         self.g = g
         self.g_inv = g_inv
         self.sqrt_det = sqrt_det
-        m = chart.dim
-        self.g_values = np.array([[g[i][j].value for j in range(m)] for i in range(m)])
-        self.g_inv_values = np.array(
-            [[g_inv[i][j].value for j in range(m)] for i in range(m)])
+        self.g_values = _values(g, count)
+        self.g_inv_values = _values(g_inv, count)
         # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
+        m = chart.dim
         self.flux = [[sqrt_det * g_inv[i][j] for j in range(m)] for i in range(m)]
 
+    def at(self, index):
+        """The one-point frame at position `index` of the block."""
+        def pick(matrix):
+            return [[jet.at(index) for jet in row] for row in matrix]
+        return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
+                           self.sqrt_det.at(index))
 
-def metric_frame(chart, point, order=3):
-    """Metric data as order-`order` jets (induced mode consumes one extra
-    derivative order from the immersion)."""
+
+def _values(matrix, count):
+    """Values of a matrix of jets, C-ordered: (m, m) at one point, (count,
+    m, m) at a block, where a block of one (a constant metric) repeats."""
+    m = len(matrix)
+    if matrix[0][0].coeffs.ndim == 1:
+        return np.array([[jet.value for jet in row] for row in matrix])
+    out = np.empty((count, m, m))
+    for i in range(m):
+        for j in range(m):
+            out[:, i, j] = matrix[i][j].coeffs[0]
+    return out
+
+
+def _metric_jets(chart, coords, order):
+    """g_ij as order-`order` jets at a block of coordinates; symmetric
+    entries are one object."""
     m = chart.dim
+    g = [[None] * m for _ in range(m)]
     if isinstance(chart.metric, InducedMetric):
-        env = chart.param_jets(point, order + 1)
+        env = chart._coordinate_jets(coords, order + 1)
         x_jets = [eval_jet(e, env) for e in chart.metric.immersion]
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
-        g = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 acc = dx[i][0] * dx[j][0]
                 for a in range(1, len(x_jets)):
                     acc = acc + dx[i][a] * dx[j][a]
-                g[i][j] = acc
-                g[j][i] = acc
+                g[i][j] = g[j][i] = acc
     else:
-        env = chart.param_jets(point, order)
-        g = [[eval_jet(chart.metric.entries[i][j], env) for j in range(m)]
-             for i in range(m)]
+        env = chart._coordinate_jets(coords, order)
+        for i in range(m):
+            for j in range(i, m):
+                g[i][j] = g[j][i] = eval_jet(chart.metric.entries[i][j], env)
+    return g
 
+
+def metric_frame(chart, points, order=3):
+    """Metric data as order-`order` jets (induced mode consumes one extra
+    derivative order from the immersion), at one point or at a block of
+    points (a sequence of points). A one-point frame is a block of one. A
+    constant metric is evaluated at the block's first point only; its jets
+    are a block of one that broadcasts against the block."""
+    if np.ndim(points) == 1:
+        return metric_frame(chart, [points], order).at(0)
+    chart.require_inside(points)
+    coords = np.asarray(points, dtype=float)
+    if chart.metric_is_constant:
+        coords = coords[:1]
+    g = _metric_jets(chart, coords, order)
     det = _det(g)
-    if isinstance(chart.metric, InducedMetric) and det.value < MIN_IMMERSION_DET:
+    # written so that a NaN fails the checks too
+    if isinstance(chart.metric, InducedMetric):
+        bad = jets.first_index(~(det.coeffs[0] >= MIN_IMMERSION_DET))
+        if bad is not None:
+            raise GeometryError(
+                f"immersion is rank-deficient at {tuple(points[bad])} "
+                f"(det {det.coeffs[0][bad]:.3e})", bad)
+    smallest = np.linalg.eigvalsh(_values(g, len(coords)))[:, 0]
+    bad = jets.first_index(~(smallest > MIN_METRIC_EIGENVALUE))
+    if bad is not None:
         raise GeometryError(
-            f"immersion is rank-deficient at {tuple(point)} (det {det.value:.3e})")
-    g_values = np.array([[g[i][j].value for j in range(m)] for i in range(m)])
-    smallest = float(np.linalg.eigvalsh(g_values)[0])
-    if smallest <= MIN_METRIC_EIGENVALUE:
-        raise GeometryError(
-            f"metric is not positive definite at {tuple(point)} "
-            f"(smallest eigenvalue {smallest:.3e})")
+            f"metric is not positive definite at {tuple(points[bad])} "
+            f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
 
-    one = jets.constant_like(1.0, det)
-    adj = _adjugate(g, one)
-    g_inv = [[adj[i][j] / det for j in range(m)] for i in range(m)]
-    sqrt_det = jets.sqrt(det)
-    return MetricFrame(chart, point, order, g, g_inv, sqrt_det)
+    g_inv = [[cofactor / det for cofactor in row]
+             for row in _adjugate(g, jets.constant_like(1.0, det))]
+    return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), len(points))
 
 
 def laplacian_jet(frame, fjet):
@@ -292,9 +349,9 @@ FieldLike = Union[Expr, str]
 _EXPR_NODES = Expr.__args__
 
 
-def _field_jet(chart, field, point, order):
+def _field_jet(chart, field, points, order):
     """Field jets from an expression or source string."""
-    env = chart.param_jets(point, order)
+    env = chart.param_jets(points, order)
     if isinstance(field, str):
         return eval_jet(parse(field), env)
     if isinstance(field, _EXPR_NODES):
@@ -307,29 +364,33 @@ def laplace_beltrami(chart, field: FieldLike, point, order=2) -> Jet:
     jet (default order 2, enough to apply the operator once more)."""
     if not 0 <= order <= 2:
         raise ValueError("result order must be 0, 1 or 2")
-    frame = metric_frame(chart, point, order + 1)
-    fjet = _field_jet(chart, field, point, order + 2)
-    return laplacian_jet(frame, fjet)
+    frame = metric_frame(chart, [point], order + 1)
+    fjet = _field_jet(chart, field, [point], order + 2)
+    return laplacian_jet(frame, fjet).at(0)
 
 
 def bilaplacian(chart, field: FieldLike, point) -> float:
     """Value of the iterated Laplacian at a point (field evaluated at order 4)."""
-    frame = metric_frame(chart, point, 3)
-    fjet = _field_jet(chart, field, point, 4)
-    return laplacian_jet(frame, laplacian_jet(frame, fjet)).value
+    frame = metric_frame(chart, [point], 3)
+    fjet = _field_jet(chart, field, [point], 4)
+    return laplacian_jet(frame, laplacian_jet(frame, fjet)).at(0).value
 
 
 def pushforward(frame, ds, dphi):
     """dphi(grad s) = g^ij d_i s d_j phi^A for each ambient component A, from
-    the partials ds (length m) and dphi (shape (m, ambient)) at the frame's
-    point."""
-    return np.array([float(ds @ frame.g_inv_values @ dphi[:, a])
-                     for a in range(dphi.shape[1])])
+    the partials ds (shape (P, m)) and dphi (shape (P, m, ambient)) at the
+    frame's block of points; shape (P, ambient). Each component is its own
+    stacked product, as `ds @ g_inv @ dphi[:, a]` is at one point."""
+    ds_g = np.matmul(ds[:, None, :], frame.g_inv_values)
+    return np.stack([np.matmul(ds_g, dphi[:, :, a, None])[:, 0, 0]
+                     for a in range(dphi.shape[-1])], axis=-1)
 
 
 def gradient_pushforward(chart, scalar: FieldLike, target_components, point):
     """Ambient components of dphi(grad s): g^ij d_i s d_j phi^A at a point."""
-    fjets = [_field_jet(chart, f, point, 1) for f in (scalar, *target_components)]
-    d = np.array([[fj.extract_derivative(i).value for fj in fjets]
-                  for i in range(chart.dim)])
-    return pushforward(metric_frame(chart, point, 1), d[:, 0], d[:, 1:])
+    fjets = [_field_jet(chart, f, [point], 1) for f in (scalar, *target_components)]
+    d = np.stack([np.stack([fj.extract_derivative(i).value for fj in fjets], axis=-1)
+                  for i in range(chart.dim)], axis=1)
+    frame = metric_frame(chart, [point], 1)
+    return pushforward(frame, np.ascontiguousarray(d[:, :, 0]),
+                       np.ascontiguousarray(d[:, :, 1:]))[0]

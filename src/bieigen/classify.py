@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import SphereMap, analyze_samples, constant_density_residual
+from .analysis import (SampleBatch, SphereMap, analyze_samples,
+                       constant_density_residual, dots, inf_norms)
 from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL = 1e-8
@@ -45,15 +46,16 @@ class FittedConstants:
     c_hat: float
 
 
-def fit_constants(samples) -> FittedConstants:
+def fit_constants(samples: SampleBatch) -> FittedConstants:
     """Least-squares eigen-style constants over a sample set."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to fit constants")
-    phi2 = sum(float(s.phi @ s.phi) for s in samples)
-    lap_phi = sum(float(s.lap_phi @ s.phi) for s in samples)
-    bilap_phi = sum(float(s.bilap_phi @ s.phi) for s in samples)
-    bilap_lap = sum(float(s.bilap_phi @ s.lap_phi) for s in samples)
-    lap2 = sum(float(s.lap_phi @ s.lap_phi) for s in samples)
+    # Python's float sum, in sample order, as the reference values were made
+    phi2 = sum(dots(samples.phi, samples.phi).tolist())
+    lap_phi = sum(dots(samples.lap_phi, samples.phi).tolist())
+    bilap_phi = sum(dots(samples.bilap_phi, samples.phi).tolist())
+    bilap_lap = sum(dots(samples.bilap_phi, samples.lap_phi).tolist())
+    lap2 = sum(dots(samples.lap_phi, samples.lap_phi).tolist())
     if phi2 > RHO_DENOMINATOR_FLOOR:
         lambda_hat = -lap_phi / phi2 + 0.0  # +0.0 normalizes -0.0
         mu_hat = bilap_phi / phi2 + 0.0
@@ -61,7 +63,7 @@ def fit_constants(samples) -> FittedConstants:
         lambda_hat = 0.0
         mu_hat = 0.0
     rho_hat = None if lap2 < RHO_DENOMINATOR_FLOOR else -bilap_lap / lap2 + 0.0
-    c_hat = float(np.mean([s.energy_density for s in samples]))
+    c_hat = float(np.mean(samples.energy_density))
     return FittedConstants(lambda_hat, mu_hat, rho_hat, c_hat)
 
 
@@ -72,12 +74,8 @@ class ResidualNorm:
 
 
 def _norms(per_point) -> ResidualNorm:
-    arr = np.asarray(per_point, dtype=float)
-    return ResidualNorm(float(np.max(arr)), float(np.sqrt(np.mean(arr * arr))))
-
-
-def _inf(vec) -> float:
-    return float(np.max(np.abs(vec)))
+    return ResidualNorm(float(np.max(per_point)),
+                        float(np.sqrt(np.mean(per_point * per_point))))
 
 
 @dataclass
@@ -107,7 +105,7 @@ class ClassificationReport:
     max_gram_defect: float = 0.0
     max_sphere_defect: float = 0.0
     max_constraint_defect: float = 0.0
-    samples: list = field(default_factory=list, repr=False)
+    samples: Optional[SampleBatch] = field(default=None, repr=False)
 
 
 def _threshold(tol, scale):
@@ -118,89 +116,98 @@ def _threshold(tol, scale):
 def _spread(values, around=None):
     """Max deviation of pointwise values, absolute and relative to `around`
     (the fitted constant; the mean when not given)."""
-    if not values:
+    if not len(values):
         return None
-    arr = np.asarray(values)
-    center = float(np.mean(arr)) if around is None else around
-    absolute = float(np.max(np.abs(arr - center)))
+    center = float(np.mean(values)) if around is None else around
+    absolute = float(np.max(np.abs(values - center)))
     return {"abs": absolute, "rel": absolute / max(1.0, abs(center))}
 
 
-def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
+def _scale(terms, rows):
+    """Threshold scale of a residual: the largest of its terms over `rows`,
+    at least 0.0. A NaN term never wins, as in a running max() from 0.0."""
+    values = np.stack(terms)[:, rows]
+    values = values[values > 0.0]
+    return float(np.max(values)) if values.size else 0.0
+
+
+def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
              tol=DEFAULT_TOL) -> ClassificationReport:
-    """Assemble the full classification report from per-point analyses.
+    """Assemble the full classification report from the per-point analyses.
 
     The constant-density verdict evaluates its residual with c = c_hat, the
     mean density, not with the pointwise density of the per-point
     `residual_constant_density` column."""
-    if not samples:
+    if not len(samples):
         raise ValueError("empty sample set")
+    s = samples
     m = smap.dim
     lam, mu, rho, c = (fitted.lambda_hat, fitted.mu_hat, fitted.rho_hat,
                        fitted.c_hat)
-    per_point, scales = {}, {}
-    lambda_ratios, mu_ratios, rho_ratios = [], [], []
-    eta_norms = []
-
-    for s in samples:
-        phi_inf = _inf(s.phi)
-        lap_inf = _inf(s.lap_phi)
-        bilap_inf = _inf(s.bilap_phi)
-        lap_sq = float(s.lap_phi @ s.lap_phi)
-        full_coef = (s.lap_energy_density + 2 * s.div_theta - lap_sq
-                     + 2 * s.energy_density ** 2)
-        # one row per residual: its name, its vector (None where it does not
-        # apply) and the terms whose running max scales its threshold; the
-        # terms keep their order, since max() with a NaN term depends on it
-        table = (
-            ("eigen", s.lap_phi + lam * s.phi, (lap_inf, abs(lam) * phi_inf)),
-            ("bieigen", s.bilap_phi - mu * s.phi, (bilap_inf, abs(mu) * phi_inf)),
-            ("harmonic", s.tension,
-             (lap_inf, s.energy_density * phi_inf / smap.radius ** 2
-              if smap.target == "sphere" else lap_inf)),
-            ("buckling", None, ()) if rho is None else
-            ("buckling", s.bilap_phi + rho * s.lap_phi, (bilap_inf, abs(rho) * lap_inf)),
-            ("biharmonic_submanifold", s.residual_submanifold,
-             (bilap_inf, 2 * m * lap_inf, abs(2 * m * m - lap_sq) * phi_inf)),
-            ("biharmonic_full", s.residual_full,
-             (bilap_inf, 2 * s.energy_density * lap_inf, abs(full_coef) * phi_inf,
-              2 * _inf(s.grad_energy_pushforward))),
-            ("biharmonic_constant_density",
-             None if s.residual_constant_density is None
-             else constant_density_residual(s, c),
-             (bilap_inf, 2 * abs(c) * lap_inf,
-              abs(2 * c * c - float(s.bilap_phi @ s.phi)) * phi_inf)),
-        )
-        for name, vec, terms in table:
-            if vec is not None:
-                per_point.setdefault(name, []).append(_inf(vec))
-                scales[name] = max(scales.get(name, 0.0), *terms)
-
-        p2 = float(s.phi @ s.phi)
-        if p2 > RATIO_FLOOR:
-            lambda_ratios.append(-float(s.lap_phi @ s.phi) / p2)
-            mu_ratios.append(float(s.bilap_phi @ s.phi) / p2)
-        if lap_sq > RATIO_FLOOR:
-            rho_ratios.append(-float(s.bilap_phi @ s.lap_phi) / lap_sq)
-        if s.mean_curvature is not None:
-            eta_norms.append(float(np.linalg.norm(s.mean_curvature)))
-
-    residuals = {name: _norms(values) for name, values in per_point.items()}
+    every = np.ones(len(s), dtype=bool)
+    phi_inf = inf_norms(s.phi)
+    lap_inf = inf_norms(s.lap_phi)
+    bilap_inf = inf_norms(s.bilap_phi)
+    lap_sq = dots(s.lap_phi, s.lap_phi)
+    energy = s.energy_density
+    # Python's float power, as the reference values were made (it differs
+    # from energy * energy in the last bit now and then)
+    energy_sq = np.array([e ** 2 for e in energy.tolist()])
+    full_coef = s.lap_energy_density + 2 * s.div_theta - lap_sq + 2 * energy_sq
+    # one row per residual: its name, its per-point vectors (None where it
+    # does not apply), the rows where they are defined, and the terms whose
+    # max over those rows scales its threshold
+    table = (
+        ("eigen", s.lap_phi + lam * s.phi, every, (lap_inf, abs(lam) * phi_inf)),
+        ("bieigen", s.bilap_phi - mu * s.phi, every, (bilap_inf, abs(mu) * phi_inf)),
+        ("harmonic", s.tension, every,
+         (lap_inf, energy * phi_inf / smap.radius ** 2
+          if smap.target == "sphere" else lap_inf)),
+        ("buckling", None, every, ()) if rho is None else
+        ("buckling", s.bilap_phi + rho * s.lap_phi, every,
+         (bilap_inf, abs(rho) * lap_inf)),
+        ("biharmonic_submanifold", s.residual_submanifold, s.isometric,
+         (bilap_inf, 2 * m * lap_inf, abs(2 * m * m - lap_sq) * phi_inf)),
+        ("biharmonic_full", s.residual_full, every,
+         (bilap_inf, 2 * energy * lap_inf, abs(full_coef) * phi_inf,
+          2 * inf_norms(s.grad_energy_pushforward))),
+        ("biharmonic_constant_density",
+         None if s.residual_constant_density is None
+         else constant_density_residual(s, c), every,
+         (bilap_inf, 2 * abs(c) * lap_inf,
+          abs(2 * c * c - dots(s.bilap_phi, s.phi)) * phi_inf)),
+    )
+    residuals, scales = {}, {}
+    for name, vec, rows, terms in table:
+        if vec is not None and rows.any():
+            residuals[name] = _norms(inf_norms(vec)[rows])
+            scales[name] = _scale(terms, rows)
 
     def holds(name):
         if name not in residuals:
             return None
         return residuals[name].max < _threshold(tol, scales[name])
 
+    p2 = dots(s.phi, s.phi)
+    ratio_rows = p2 > RATIO_FLOOR
+    rho_rows = lap_sq > RATIO_FLOOR
+    rho_ratios = -dots(s.bilap_phi, s.lap_phi)[rho_rows] / lap_sq[rho_rows]
     spreads = {
-        "density": _spread([s.energy_density for s in samples], c),
-        "lambda_pointwise": _spread(lambda_ratios, lam),
-        "mu_pointwise": _spread(mu_ratios, mu),
+        "density": _spread(energy, c),
+        "lambda_pointwise": _spread(-dots(s.lap_phi, s.phi)[ratio_rows] / p2[ratio_rows],
+                                    lam),
+        "mu_pointwise": _spread(dots(s.bilap_phi, s.phi)[ratio_rows] / p2[ratio_rows], mu),
         "rho_pointwise": _spread(rho_ratios, rho) if rho is not None
         else _spread(rho_ratios),
     }
+    # maxima over the samples are Python's max() in sample order, which keeps
+    # the first value where a NaN would make numpy's max NaN
+    eta_norms = []
+    if s.mean_curvature is not None:
+        eta = s.mean_curvature[s.isometric]
+        eta_norms = np.sqrt(dots(eta, eta)).tolist()
 
-    max_gram_defect = max(s.gram_defect for s in samples)
+    max_gram_defect = max(s.gram_defect.tolist())
     is_constant_density = spreads["density"]["abs"] <= _threshold(tol, c)
     is_harmonic = holds("harmonic")
     is_eigenmap = holds("eigen")
@@ -209,7 +216,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
         is_biharmonic = holds("biharmonic_full")
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
-        bilap_max = max(_inf(s.bilap_phi) for s in samples)
+        bilap_max = max(bilap_inf.tolist())
         is_biharmonic = bilap_max < _threshold(tol, max(1.0, scales["bieigen"]))
     else:
         # sphere of radius != 1: the residual formulas are stated for the
@@ -217,7 +224,7 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
         is_biharmonic = True if is_harmonic else None
 
     return ClassificationReport(
-        sample_count=len(samples), dim=smap.dim, ambient_dim=smap.ambient_dim,
+        sample_count=len(s), dim=smap.dim, ambient_dim=smap.ambient_dim,
         target=smap.target, radius=smap.radius, unit_sphere=smap.unit_sphere,
         tol=tol, constants=fitted,
         is_isometric=max_gram_defect <= ISOMETRY_TOL,
@@ -236,9 +243,9 @@ def verdicts(smap: SphereMap, samples, fitted: FittedConstants,
         eta_deviation_from_unit=(max(abs(n - 1.0) for n in eta_norms)
                                  if eta_norms else None),
         max_gram_defect=max_gram_defect,
-        max_sphere_defect=max(s.sphere_defect for s in samples),
-        max_constraint_defect=max(s.constraint_defect for s in samples),
-        samples=list(samples))
+        max_sphere_defect=max(s.sphere_defect.tolist()),
+        max_constraint_defect=max(s.constraint_defect.tolist()),
+        samples=s)
 
 
 def classify(smap: SphereMap, sample_count=64, tol=DEFAULT_TOL, *,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import report as rpt
 from .analysis import (AnalysisError, bienergy_quadrature,
-                       constant_density_residual)
+                       constant_density_residual, inf_norms)
 from .catalog import catalog_get, catalog_list
 from .charts import DEFAULT_MARGIN, GeometryError, SizeError
 from .classify import (DEFAULT_TOL, NOT_APPLICABLE, PASS, THEOREMS,
@@ -60,11 +60,18 @@ def _load_map(spec):
     return build_map(entry.manifest)
 
 
-def cmd_classify(args):
+def _classified(args):
+    """(name, classification report, its document): the document is checked
+    for non-finite values before any command reads the report."""
     name, smap = _load_map(args.manifest)
     report = classify(smap, args.samples, args.tol, margin=args.margin)
     doc = rpt.classification_dict(name, report, {"margin": args.margin})
     rpt.require_finite(doc)
+    return name, report, doc
+
+
+def cmd_classify(args):
+    name, report, doc = _classified(args)
     if args.format == "json":
         sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
@@ -75,8 +82,7 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    name, smap = _load_map(args.manifest)
-    report = classify(smap, args.samples, args.tol, margin=args.margin)
+    name, report, _ = _classified(args)
     verdict = verify(report, args.theorem)
     lines = [f"{name} {verdict}"]
     for key in sorted(verdict.details):
@@ -99,6 +105,7 @@ def cmd_residual(args):
               f"({name} targets {smap.target})", file=sys.stderr)
         return EXIT_PRECONDITION
     report = classify(smap, args.samples, args.tol, margin=args.margin)
+    samples = report.samples
 
     summary = {}
     if args.equation == "eq102":
@@ -106,9 +113,9 @@ def cmd_residual(args):
             print(f"error: eq102 requires an isometric map; max Gram defect "
                   f"{report.max_gram_defect:.3e}", file=sys.stderr)
             return EXIT_PRECONDITION
-        vectors = [pa.residual_submanifold for pa in report.samples]
+        vectors = samples.residual_submanifold
     elif args.equation == "mf":
-        vectors = [pa.residual_full for pa in report.samples]
+        vectors = samples.residual_full
     else:
         if not report.is_constant_density:
             print(f"error: me1 requires constant energy density; spread "
@@ -116,12 +123,11 @@ def cmd_residual(args):
                   f"{report.constants.c_hat:.6g}", file=sys.stderr)
             return EXIT_PRECONDITION
         c = report.constants.c_hat
-        vectors = [constant_density_residual(pa, c) for pa in report.samples]
+        vectors = constant_density_residual(samples, c)
         summary["c"] = c
 
-    rows = [(pa.point, float(np.max(np.abs(vec))))
-            for pa, vec in zip(report.samples, vectors)]
-    norms = np.array([r[1] for r in rows])
+    norms = inf_norms(vectors)
+    rows = list(zip(samples.points.tolist(), norms.tolist()))
     summary["max"] = float(np.max(norms))
     summary["rms"] = float(np.sqrt(np.mean(norms * norms)))
 

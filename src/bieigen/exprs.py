@@ -178,13 +178,20 @@ class _Parser:
                       expected="constant exponent")
         except JetDomainError as err:
             self.fail(f"invalid constant exponent ({err})", caret_pos)
+        if not math.isfinite(exponent):
+            self.fail("constant exponent is not finite", caret_pos,
+                      expected="finite constant exponent")
         return Pow(base, exponent)
 
     def atom(self):
         kind, text, pos = self.peek()
         if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                self.fail("numeric literal out of range", pos,
+                          expected="a finite number")
             self.advance()
-            return Const(float(text))
+            return Const(value)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":

@@ -1,12 +1,15 @@
-"""Truncated multivariate Taylor arithmetic up to order 4.
+"""Truncated multivariate Taylor arithmetic up to order 4, at a block of points.
 
 A Jet stores the Taylor-normalized coefficients c_alpha = d^alpha f / alpha!
-of a scalar quantity at a point, for every multi-index alpha with
-|alpha| <= order. Sums, products, quotients and the elementary functions
-propagate full derivative information, so each partial derivative consumed by
-the geometry layer is exact up to floating-point rounding. Orders are capped
-at 4 and variable counts at 4, which keeps every coefficient table at 70
-entries or fewer; tables are dense and precomputed once per (order, nvars).
+of a scalar quantity for every multi-index alpha with |alpha| <= order, at a
+block of points: one row per coefficient, one column per point. Sums,
+products, quotients and the elementary functions propagate full derivative
+information for the whole block in a few numpy calls, so each partial
+derivative consumed by the geometry layer is exact up to floating-point
+rounding, and every point gets the same bits it would get on its own.
+Orders are capped at 4 and variable counts at 4, which keeps every
+coefficient table at 70 entries or fewer; tables are dense and built on
+first use, once per (order, nvars).
 """
 
 import math
@@ -18,12 +21,32 @@ MAX_ORDER = 4
 MAX_VARS = 4
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
+_FACTORIALS = np.array(_FACTORIAL)
+
+# Products per multiply up to which one bincount sums them faster than
+# round-by-round slice additions (a block of one always does).
+_BINCOUNT_MAX = 2048
+# Products computed at once at most (128 KB): larger temporaries are slower
+# (freshly mapped pages) and raise the peak memory.
+_GROUP_MAX = 16384
 
 
 class JetDomainError(ArithmeticError):
     """Evaluation left the domain of an operation: division by a zero value,
     log or sqrt of a non-positive value, fractional power of a non-positive
-    value, a function argument or value outside the float range."""
+    value, a function argument or value outside the float range.
+
+    `index` is the position, within the evaluated block, of the first point
+    at which the operation failed."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
+
+
+def first_index(mask):
+    """Flat position of the first True entry of a block mask, or None."""
+    return int(mask.argmax()) if mask.any() else None
 
 
 def _kernel(fn, *args):
@@ -50,6 +73,60 @@ def _graded_indices(order, nvars):
         yield from _compositions(total, nvars)
 
 
+def _rounds(terms, count):
+    """Regroup (x slot, y slot, output slot) terms, output slots in
+    range(count), into rounds: round r holds the r-th term of every output
+    slot that has one, so adding round after round sums each slot's terms
+    in their listed order, and one round is one numpy call over a block.
+
+    Output slots are permuted by decreasing term count, which makes every
+    round a prefix of the permuted slots: rounds add into slices, not
+    scattered rows. Returns the x and y slots sorted by round, the size of
+    each round, and the permutation (permuted position -> slot)."""
+    terms_of = [0] * count
+    keyed = []
+    for x, y, out in terms:
+        keyed.append((terms_of[out], out, x, y))
+        terms_of[out] += 1
+    perm = sorted(range(count), key=lambda k: (-terms_of[k], k))
+    rank = {k: n for n, k in enumerate(perm)}
+    keyed.sort(key=lambda key: (key[0], rank[key[1]]))
+    sizes = tuple(sum(1 for n in terms_of if n > r) for r in range(max(terms_of)))
+    xs = np.asarray([key[2] for key in keyed], dtype=np.intp)
+    ys = np.asarray([key[3] for key in keyed], dtype=np.intp)
+    return xs, ys, sizes, np.asarray(perm, dtype=np.intp)
+
+
+@lru_cache(maxsize=4096)
+def _groups(sizes, points):
+    """Consecutive rounds of the given sizes, grouped so that the products
+    of one group at `points` points stay within _GROUP_MAX values: (first
+    term, end term, round sizes) per group."""
+    groups, start, group = [], 0, []
+    for size in sizes:
+        if group and (sum(group) + size) * points > _GROUP_MAX:
+            groups.append((start, start + sum(group), group))
+            start, group = start + sum(group), []
+        group.append(size)
+    groups.append((start, start + sum(group), group))
+    return groups
+
+
+def _fold(ufunc, acc, x, xs, y, ys, sizes):
+    """acc[:size] = ufunc(acc[:size], x[xs] * y[ys]) for one round after the
+    other (see `_rounds`), so each slot of acc takes its terms in order."""
+    points = acc[0].size
+    groups = ([(0, len(xs), sizes)] if len(xs) * points <= _GROUP_MAX
+              else _groups(sizes, points))
+    for start, stop, group in groups:
+        products = x[xs[start:stop]] * y[ys[start:stop]]
+        offset = 0
+        for size in group:
+            head = acc[:size]
+            ufunc(head, products[offset:offset + size], out=head)
+            offset += size
+
+
 class _JetSpace:
     """Index tables shared by all jets of one (order, nvars) signature."""
 
@@ -64,46 +141,66 @@ class _JetSpace:
         self.position = {alpha: k for k, alpha in enumerate(self.multi_indices)}
         self.size = len(self.multi_indices)
 
-        mul_a, mul_b, mul_out = [], [], []
-        for i, alpha in enumerate(self.multi_indices):
-            for j, beta in enumerate(self.multi_indices):
-                gamma = tuple(a + b for a, b in zip(alpha, beta))
-                if sum(gamma) <= order:
-                    mul_a.append(i)
-                    mul_b.append(j)
-                    mul_out.append(self.position[gamma])
-        self._mul_a = np.asarray(mul_a, dtype=np.intp)
-        self._mul_b = np.asarray(mul_b, dtype=np.intp)
-        self._mul_out = np.asarray(mul_out, dtype=np.intp)
+        # the product convolution, each output's terms in ascending (i, j);
+        # in graded order the betas with |alpha + beta| <= order are a prefix
+        degree = [sum(alpha) for alpha in self.multi_indices]
+        prefix = [sum(1 for k in degree if k <= d) for d in range(order + 1)]
+        pairs = [(i, j, self.position[tuple(a + b for a, b in zip(alpha, beta))])
+                 for i, alpha in enumerate(self.multi_indices)
+                 for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
+        self._mul_a, self._mul_b, self._mul_sizes, perm = _rounds(pairs, self.size)
+        self._mul_unperm = np.argsort(perm)
+        # output slot of each product, for summing small blocks in one call
+        self._mul_out = perm[np.concatenate([np.arange(n) for n in self._mul_sizes])]
 
-        # Division recurrence: for each output slot k (in graded order), the
-        # pairs (q_pos, b_pos) with b_pos nonzero multi-index contributing to
-        # the convolution at k. q_pos always has lower total degree than k.
-        self._div_terms = [[] for _ in range(self.size)]
-        for i, j, k in zip(mul_a, mul_b, mul_out):
-            if sum(self.multi_indices[j]) > 0:
-                self._div_terms[k].append((i, j))
+        # Division recurrence: output slot k subtracts q[i] * b[j] over the
+        # product terms of k with a nonzero multi-index j, in product order.
+        # Those q slots have lower total degree than k, so the slots of one
+        # degree (contiguous in graded order) are solved together.
+        self._div_degrees = []
+        for d in range(1, order + 1):
+            lo, hi = prefix[d - 1], prefix[d]
+            qi, bj, sizes, perm = _rounds([(i, j, k - lo) for i, j, k in pairs
+                                           if lo <= k < hi and degree[j] > 0], hi - lo)
+            self._div_degrees.append((lo + perm, qi, bj, sizes))
 
         self._diff_tables = {}
 
     def multiply(self, a, b):
-        out = np.bincount(self._mul_out, weights=a[self._mul_a] * b[self._mul_b],
-                          minlength=self.size)
-        # bit-exact: the value slot receives exactly one contribution a0*b0
-        return out
+        shape = a.shape if (a.size, a.ndim) >= (b.size, b.ndim) else b.shape
+        points = max(a.size, b.size) // self.size  # the block length
+        if points == 1:
+            # numpy's bincount sums sequentially from 0.0, in table order
+            products = a.ravel()[self._mul_a] * b.ravel()[self._mul_b]
+            return np.bincount(self._mul_out, weights=products,
+                               minlength=self.size).reshape(shape)
+        if len(self._mul_a) * points <= _BINCOUNT_MAX:
+            index = (self._mul_out[:, None] * points + np.arange(points)).ravel()
+            products = (a[self._mul_a] * b[self._mul_b]).ravel()
+            return np.bincount(index, weights=products,
+                               minlength=self.size * points).reshape(shape)
+        out = np.zeros(shape)  # sums start from 0.0, as bincount's do
+        _fold(np.add, out, a, self._mul_a, b, self._mul_b, self._mul_sizes)
+        return out[self._mul_unperm]
 
     def divide(self, a, b):
+        zero = first_index(b[0] == 0.0)
+        if zero is not None:
+            raise JetDomainError("division by a jet with zero value", zero)
+        shape = a.shape if (a.size, a.ndim) >= (b.size, b.ndim) else b.shape
+        if a.size == b.size == self.size:  # one point: flat rows index faster
+            a, b = a.ravel(), b.ravel()
         b0 = b[0]
-        if b0 == 0.0:
-            raise JetDomainError("division by a jet with zero value")
-        q = np.empty(self.size)
-        q[0] = a[0] / b0
-        for k in range(1, self.size):
-            acc = a[k]
-            for qi, bj in self._div_terms[k]:
-                acc -= q[qi] * b[bj]
-            q[k] = acc / b0
-        return q
+        q0 = a[0] / b0
+        q = np.empty((self.size,) + q0.shape)
+        q[0] = q0
+        for slots, qi, bj, sizes in self._div_degrees:
+            acc = a[slots]  # a copy, in the permuted slot order of the rounds
+            if acc.shape[1:] != q0.shape:
+                acc = np.array(np.broadcast_to(acc, acc.shape[:1] + q0.shape))
+            _fold(np.subtract, acc, q, qi, b, bj, sizes)
+            q[slots] = acc / b0
+        return q.reshape(shape)
 
     def diff_table(self, direction):
         """Positions and de-normalization factors for d/du_direction."""
@@ -117,7 +214,7 @@ class _JetSpace:
                 shifted[direction] += 1
                 src[k] = self.position[tuple(shifted)]
                 fac[k] = beta[direction] + 1
-            table = (src, fac)
+            table = (src, fac[:, None])  # a column: it scales every point
             self._diff_tables[direction] = table
         return table
 
@@ -127,15 +224,28 @@ def _space(order, nvars):
     return _JetSpace(order, nvars)
 
 
+def _scalar(x):
+    """A float for a one-point jet, the per-point array for a block."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class Jet:
-    """Immutable truncated Taylor expansion of a scalar at one point."""
+    """Immutable truncated Taylor expansion of a scalar at a block of points.
+
+    `coeffs` has shape (size,) at one point or (size, P) at a block of P
+    points: coefficient-major, so coeffs[k] holds coefficient k of every
+    point. Jets of one computation share (order, nvars); blocks broadcast,
+    so a block of one combines with a block of P. Numbers, and arrays with
+    one entry per point, act as per-point constants: + and - shift the value
+    slot, * and / scale every coefficient."""
 
     __slots__ = ("order", "nvars", "coeffs")
+    __array_ufunc__ = None  # `array * jet` defers to Jet.__rmul__
 
     def __init__(self, order, nvars, coeffs):
         space = _space(order, nvars)
         arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (space.size,):
+        if arr.ndim not in (1, 2) or arr.shape[0] != space.size:
             raise ValueError(
                 f"expected {space.size} coefficients for order {order} in "
                 f"{nvars} variables, got shape {arr.shape}")
@@ -145,11 +255,11 @@ class Jet:
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        return _scalar(self.coeffs[0])
 
     def coefficient(self, alpha):
         """Taylor-normalized coefficient d^alpha f / alpha!."""
-        return float(self.coeffs[_space(self.order, self.nvars).position[tuple(alpha)]])
+        return _scalar(self.coeffs[_space(self.order, self.nvars).position[tuple(alpha)]])
 
     def derivative(self, alpha):
         """Plain partial derivative d^alpha f (de-normalized)."""
@@ -159,6 +269,10 @@ class Jet:
             scale *= _FACTORIAL[a]
         return self.coefficient(alpha) * scale
 
+    def at(self, index):
+        """The one-point jet at position `index` of the block."""
+        return Jet(self.order, self.nvars, self.coeffs[:, index])
+
     def _binary(self, other):
         if isinstance(other, Jet):
             if other.order != self.order or other.nvars != self.nvars:
@@ -166,7 +280,7 @@ class Jet:
                     f"jet shape mismatch: ({self.order},{self.nvars}) vs "
                     f"({other.order},{other.nvars})")
             return other
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, np.ndarray)):
             return None
         return NotImplemented
 
@@ -214,8 +328,9 @@ class Jet:
         if rhs is NotImplemented:
             return NotImplemented
         if rhs is None:
-            if other == 0:
-                raise JetDomainError("division by zero")
+            zero = first_index(np.equal(other, 0))
+            if zero is not None:
+                raise JetDomainError("division by zero", zero)
             return Jet(self.order, self.nvars, self.coeffs / other)
         space = _space(self.order, self.nvars)
         return Jet(self.order, self.nvars, space.divide(self.coeffs, rhs.coeffs))
@@ -224,7 +339,7 @@ class Jet:
         if not isinstance(other, (int, float)):
             return NotImplemented
         space = _space(self.order, self.nvars)
-        num = np.zeros(space.size)
+        num = np.zeros(self.coeffs.shape)
         num[0] = other
         return Jet(self.order, self.nvars, space.divide(num, self.coeffs))
 
@@ -239,7 +354,7 @@ class Jet:
             raise ValueError(f"cannot truncate order {self.order} jet to order {order}")
         size = _space(order, self.nvars).size
         # graded index ordering makes truncation a prefix slice
-        return Jet(order, self.nvars, self.coeffs[:size].copy())
+        return Jet(order, self.nvars, self.coeffs[:size])
 
     def extract_derivative(self, direction):
         """Order-(K-1) jet of the partial derivative in one direction."""
@@ -248,6 +363,8 @@ class Jet:
         if not 0 <= direction < self.nvars:
             raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
         src, fac = _space(self.order, self.nvars).diff_table(direction)
+        if self.coeffs.ndim == 1:
+            fac = fac[:, 0]
         return Jet(self.order - 1, self.nvars, self.coeffs[src] * fac)
 
     def __repr__(self):
@@ -255,11 +372,13 @@ class Jet:
 
 
 def variable(index, value, order, nvars):
-    """Jet of the coordinate function u_index at a point."""
+    """Jet of the coordinate function u_index at a point, or at a block of
+    points when `value` is an array of coordinates."""
     space = _space(order, nvars)
     if not 0 <= index < nvars:
         raise ValueError(f"variable index {index} out of range for {nvars} variables")
-    coeffs = np.zeros(space.size)
+    value = np.asarray(value, dtype=float)
+    coeffs = np.zeros((space.size,) + value.shape)
     coeffs[0] = value
     if order >= 1:
         unit = tuple(1 if k == index else 0 for k in range(nvars))
@@ -268,14 +387,18 @@ def variable(index, value, order, nvars):
 
 
 def constant(value, order, nvars):
-    space = _space(order, nvars)
-    coeffs = np.zeros(space.size)
+    """Constant jet; an array `value` gives a block of constants."""
+    value = np.asarray(value, dtype=float)
+    coeffs = np.zeros((_space(order, nvars).size,) + value.shape)
     coeffs[0] = value
     return Jet(order, nvars, coeffs)
 
 
 def constant_like(value, jet):
-    return constant(value, jet.order, jet.nvars)
+    """Constant jet with the signature and the block of `jet`."""
+    coeffs = np.zeros(jet.coeffs.shape)
+    coeffs[0] = value
+    return Jet(jet.order, jet.nvars, coeffs)
 
 
 def _ipow(x, n):
@@ -314,85 +437,136 @@ def power(a, exponent):
         if n == 0:
             return constant_like(1.0, a)
         if n < 0:
-            if a.value == 0.0:
-                raise JetDomainError("zero value raised to a negative power")
+            zero = first_index(a.coeffs[0] == 0.0)
+            if zero is not None:
+                raise JetDomainError("zero value raised to a negative power", zero)
             return 1.0 / _ipow(a, -n)
         return _ipow(a, n)
-    v = a.value
-    if v <= 0.0:
-        raise JetDomainError(f"fractional power of non-positive value {v}")
-    derivs = [_kernel(pow, v, exponent)]
-    coef = 1.0
-    for k in range(1, a.order + 1):
-        coef *= exponent - (k - 1)
-        derivs.append(coef * _kernel(pow, v, exponent - k))
-    return _compose(a, derivs)
+    return _compose(a, _per_point(_power_tower, a, exponent, a.order))
+
+
+def _per_point(tower, a, *args):
+    """tower(v, *args) at the value v of each point of `a`, stacked to shape
+    (len(tower), *block). Towers run on floats through the `math` kernels,
+    which keeps order-0 jets bit-for-bit equal to `exprs.eval_value`; an
+    error carries the index of the point that raised it."""
+    values = a.coeffs[0]
+    rows = []
+    for index, v in enumerate(np.ravel(values).tolist()):
+        try:
+            rows.append(tower(v, *args))
+        except (ArithmeticError, ValueError) as err:
+            err.index = index
+            raise
+    return np.array(rows).T.reshape((-1,) + values.shape)
 
 
 def _compose(a, derivs):
     """Truncated composition f(a) from the derivative tower of f at a.value.
 
-    derivs[k] must hold f^(k)(a.value) for k = 0..a.order. Horner evaluation in
-    the zero-value part of `a` leaves the value slot exactly derivs[0].
+    derivs[k] must hold f^(k)(a.value) for k = 0..a.order; further entries
+    are ignored. Horner evaluation in the zero-value part of `a` leaves the
+    value slot exactly derivs[0].
     """
-    taylor = [derivs[k] / _FACTORIAL[k] for k in range(a.order + 1)]
+    taylor = derivs[:a.order + 1] / _FACTORIALS[:a.order + 1].reshape(
+        (-1,) + (1,) * (derivs.ndim - 1))
     hat = a.coeffs.copy()
     hat[0] = 0.0
     hat = Jet(a.order, a.nvars, hat)
     acc = constant_like(taylor[-1], a)
     for k in range(a.order - 1, -1, -1):
-        acc = acc * hat + taylor[k]
+        acc = acc * hat
+        acc.coeffs[0] += taylor[k]  # acc * hat + taylor[k], on the fresh product
     return acc
 
 
+# Derivative towers: a function and its first four derivatives at one float.
+
+def _sin_tower(v):
+    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
+    return s, c, -s, -c, s
+
+
+def _cos_tower(v):
+    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
+    return c, -s, -c, s, c
+
+
+def _tan_tower(v):
+    t = _kernel(math.tan, v)
+    w = 1.0 + t * t
+    return (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
+            8.0 * t * w * (2.0 + 3.0 * t * t))
+
+
+def _exp_tower(v):
+    return (_kernel(math.exp, v),) * 5
+
+
+def _log_tower(v):
+    if v <= 0.0:
+        raise JetDomainError(f"log of non-positive value {v}")
+    return math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4
+
+
+def _sqrt_tower(v, order):
+    if v < 0.0 or (v == 0.0 and order >= 1):
+        raise JetDomainError(f"sqrt of non-positive value {v}")
+    s = math.sqrt(v)
+    if order == 0:
+        return (s,)
+    return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
+            -0.9375 / (s * v * v * v))
+
+
+def _sinh_tower(v):
+    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
+    return s, c, s, c, s
+
+
+def _cosh_tower(v):
+    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
+    return c, s, c, s, c
+
+
+def _power_tower(v, exponent, order):
+    if v <= 0.0:
+        raise JetDomainError(f"fractional power of non-positive value {v}")
+    derivs = [_kernel(pow, v, exponent)]
+    coef = 1.0
+    for k in range(1, order + 1):
+        coef *= exponent - (k - 1)
+        derivs.append(coef * _kernel(pow, v, exponent - k))
+    return derivs
+
+
 def sin(a):
-    s, c = _kernel(math.sin, a.value), _kernel(math.cos, a.value)
-    return _compose(a, (s, c, -s, -c, s)[: a.order + 1])
+    return _compose(a, _per_point(_sin_tower, a))
 
 
 def cos(a):
-    s, c = _kernel(math.sin, a.value), _kernel(math.cos, a.value)
-    return _compose(a, (c, -s, -c, s, c)[: a.order + 1])
+    return _compose(a, _per_point(_cos_tower, a))
 
 
 def tan(a):
-    t = _kernel(math.tan, a.value)
-    w = 1.0 + t * t
-    derivs = (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
-              8.0 * t * w * (2.0 + 3.0 * t * t))
-    return _compose(a, derivs[: a.order + 1])
+    return _compose(a, _per_point(_tan_tower, a))
 
 
 def exp(a):
-    e = _kernel(math.exp, a.value)
-    return _compose(a, (e,) * (a.order + 1))
+    return _compose(a, _per_point(_exp_tower, a))
 
 
 def log(a):
-    v = a.value
-    if v <= 0.0:
-        raise JetDomainError(f"log of non-positive value {v}")
-    derivs = (math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4)
-    return _compose(a, derivs[: a.order + 1])
+    return _compose(a, _per_point(_log_tower, a))
 
 
 def sqrt(a):
-    v = a.value
-    if v < 0.0 or (v == 0.0 and a.order >= 1):
-        raise JetDomainError(f"sqrt of non-positive value {v}")
-    s = math.sqrt(v)
-    if a.order == 0:
-        return constant_like(s, a)
-    derivs = (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
-              -0.9375 / (s * v * v * v))
-    return _compose(a, derivs[: a.order + 1])
+    return _compose(a, _per_point(_sqrt_tower, a, a.order))
 
 
 def sinh(a):
-    s, c = _kernel(math.sinh, a.value), _kernel(math.cosh, a.value)
-    return _compose(a, (s, c, s, c, s)[: a.order + 1])
+    return _compose(a, _per_point(_sinh_tower, a))
 
 
 def cosh(a):
-    s, c = _kernel(math.sinh, a.value), _kernel(math.cosh, a.value)
-    return _compose(a, (c, s, c, s, c)[: a.order + 1])
+    return _compose(a, _per_point(_cosh_tower, a))

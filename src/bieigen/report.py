@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .analysis import dots, inf_norms
+
 FORMAT_VERSION = "1"
 
 CSV_POINT_COLUMNS = [
@@ -119,31 +121,41 @@ def _escape(s):
 # classification report -> plain data
 # --------------------------------------------------------------------------
 
-def point_row(pa) -> dict:
-    eta = pa.mean_curvature
-    return {
-        "point": [float(x) for x in pa.point],
-        "energy_density": pa.energy_density,
-        "phi_norm": float(np.linalg.norm(pa.phi)),
-        "lap_phi_norm": float(np.linalg.norm(pa.lap_phi)),
-        "bilap_phi_norm": float(np.linalg.norm(pa.bilap_phi)),
-        "tension_norm": float(np.linalg.norm(pa.tension)),
-        "mean_curvature_norm": (float(np.linalg.norm(eta))
-                                if eta is not None else None),
-        "div_theta": pa.div_theta,
-        "lap_energy_density": pa.lap_energy_density,
-        "grad_energy_norm": float(np.linalg.norm(pa.grad_energy_pushforward)),
-        "residual_submanifold": (float(np.max(np.abs(pa.residual_submanifold)))
-                                 if pa.residual_submanifold is not None else None),
-        "residual_full": (float(np.max(np.abs(pa.residual_full)))
-                          if pa.residual_full is not None else None),
-        "residual_constant_density": (
-            float(np.max(np.abs(pa.residual_constant_density)))
-            if pa.residual_constant_density is not None else None),
-        "gram_defect": pa.gram_defect,
-        "sphere_defect": pa.sphere_defect,
-        "constraint_defect": pa.constraint_defect,
+def point_rows(samples) -> list:
+    """One plain-data row per sample point of a SampleBatch."""
+    s = samples
+    isometric = s.isometric.tolist()
+
+    def norms(vectors):  # np.linalg.norm of each row
+        if vectors is None:
+            return [None] * len(s)
+        return np.sqrt(dots(vectors, vectors)).tolist()
+
+    def maxima(vectors):
+        return [None] * len(s) if vectors is None else inf_norms(vectors).tolist()
+
+    def where_isometric(values):
+        return [v if iso else None for v, iso in zip(values, isometric)]
+
+    columns = {
+        "point": s.points.tolist(),
+        "energy_density": s.energy_density.tolist(),
+        "phi_norm": norms(s.phi),
+        "lap_phi_norm": norms(s.lap_phi),
+        "bilap_phi_norm": norms(s.bilap_phi),
+        "tension_norm": norms(s.tension),
+        "mean_curvature_norm": where_isometric(norms(s.mean_curvature)),
+        "div_theta": s.div_theta.tolist(),
+        "lap_energy_density": s.lap_energy_density.tolist(),
+        "grad_energy_norm": norms(s.grad_energy_pushforward),
+        "residual_submanifold": where_isometric(maxima(s.residual_submanifold)),
+        "residual_full": maxima(s.residual_full),
+        "residual_constant_density": maxima(s.residual_constant_density),
+        "gram_defect": s.gram_defect.tolist(),
+        "sphere_defect": s.sphere_defect.tolist(),
+        "constraint_defect": s.constraint_defect.tolist(),
     }
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def classification_dict(name, report, settings=None) -> dict:
@@ -194,7 +206,7 @@ def classification_dict(name, report, settings=None) -> dict:
             "max_norm": report.eta_max_norm,
             "max_deviation_from_unit": report.eta_deviation_from_unit,
         },
-        "points": [point_row(pa) for pa in report.samples],
+        "points": point_rows(report.samples),
     }
     return doc
 
@@ -239,8 +251,7 @@ def classification_csv(name, report) -> str:
     out = io.StringIO()
     params = [f"u{k + 1}" for k in range(report.dim)]
     out.write(",".join(params + CSV_POINT_COLUMNS) + "\n")
-    for pa in report.samples:
-        row = point_row(pa)
+    for row in point_rows(report.samples):
         cells = [format_float(x) for x in row["point"]]
         for col in CSV_POINT_COLUMNS:
             value = row[col]

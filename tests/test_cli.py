@@ -215,9 +215,9 @@ def test_residual_requires_unit_sphere_exit_5(capsys):
 
 
 def test_residual_checks_unit_sphere_before_any_point(capsys, monkeypatch):
-    def analyze_point(smap, point):
-        raise AssertionError(f"analyzed {point}")
-    monkeypatch.setattr("bieigen.analysis.analyze_point", analyze_point)
+    def analyze_block(smap, points):
+        raise AssertionError(f"analyzed {points}")
+    monkeypatch.setattr("bieigen.analysis._analyze_block", analyze_block)
     assert main(["residual", "circle_S1_sqrt_half", "--equation", "mf"]) == 5
     assert "unit-sphere target" in capsys.readouterr().err
 
@@ -236,6 +236,30 @@ def test_overflow_and_non_finite_values_exit_3(tmp_path, capsys, doc, words, fmt
     # one line: no numpy warnings ahead of it, the point named once
     assert captured.err.count("\n") == 1, captured.err
     assert captured.err.count("at point") == 1, captured.err
+
+
+def test_verify_refuses_a_non_finite_report_like_classify(tmp_path, capsys):
+    path = _write(tmp_path, HUGE_DOMAIN)
+    assert main(["classify", path, "--samples", "8"]) == 3
+    refused = capsys.readouterr().err
+    assert "non-finite value inf for points[0].phi_norm" in refused
+    assert main(["verify", path, "--theorem", "t3", "--samples", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == refused
+
+
+def test_nan_from_overflow_fails_the_sphere_identity_exit_3(tmp_path, capsys):
+    # |dphi|^2 overflows: lap phi and the identity <lap phi, phi> = -|dphi|^2
+    # are NaN at the first sample point
+    doc = {**OVERFLOW, "name": "fast_circle",
+           "map": {"target": "sphere", "components": ["cos(1e200*t)", "sin(1e200*t)", "0"]}}
+    path = _write(tmp_path, doc)
+    message = ("evaluation error: sphere identity <lap phi, phi> = -|dphi|^2 "
+               "violated by nan at (0.001,)\n")
+    for argv in (["classify", path, "--samples", "8"],
+                 ["verify", path, "--theorem", "t3", "--samples", "8"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == message
 
 
 def test_bienergy_overflow_exit_3(tmp_path, capsys):

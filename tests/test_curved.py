@@ -1,0 +1,93 @@
+"""Curved closed-form fixtures in dimensions 3 and 4: hyperspherical charts
+with the induced metric, whose frames go through the 3x3 and 4x4 cofactor
+determinants and adjugates with 35- and 70-coefficient jets on a metric that
+varies from point to point. They live here rather than in the catalog, whose
+entries the benchmark iterates."""
+
+import math
+
+import pytest
+
+from bieigen import build_map
+from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
+
+ANGLES = ("a", "b", "c", "d")
+INSET = 0.3  # polar angles stay this far from the poles, where the chart degenerates
+POLAR = [INSET, math.pi - INSET]
+AZIMUTH = [0, "2*pi"]
+HALF = "/sqrt(2)"
+
+
+def _hyperspherical(m):
+    """Unit S^m in R^(m+1): x_k = sin(a_1)...sin(a_k) cos(a_(k+1)), and the
+    last component is the product of the sines; a_m is the azimuth."""
+    names = ANGLES[:m]
+    comps = ["*".join([f"sin({n})" for n in names[:k]] + [f"cos({names[k]})"])
+             for k in range(m)]
+    comps.append("*".join(f"sin({n})" for n in names))
+    return list(names), comps
+
+
+def _map(name, params, domain, immersion, extra=()):
+    """A unit-sphere map whose components are the immersion (plus constant
+    components), on the chart with the metric the immersion induces."""
+    periodic = [bound is AZIMUTH for bound in domain]
+    return build_map({
+        "name": name,
+        "chart": {"params": params, "domain": domain, "periodic": periodic,
+                  "metric": {"mode": "induced", "immersion": immersion}},
+        "map": {"target": "sphere", "components": immersion + list(extra)},
+    })[1]
+
+
+def _sphere_map(m, lifted):
+    params, x = _hyperspherical(m)
+    if lifted:  # S^m(1/sqrt 2) at height 1/sqrt 2 in S^(m+1)
+        return _map(f"S{m}_half_in_S{m + 1}", params, [POLAR] * (m - 1) + [AZIMUTH],
+                    [e + HALF for e in x], ["1" + HALF])
+    return _map(f"identity_S{m}", params, [POLAR] * (m - 1) + [AZIMUTH], x)
+
+
+SAMPLES = {3: 125, 4: 81}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_half_sphere_is_proper_biharmonic_buckling_with_rho_2m(m):
+    report = classify(_sphere_map(m, lifted=True), SAMPLES[m])
+    c = report.constants
+    assert c.rho_hat == pytest.approx(2 * m, abs=1e-8)
+    assert c.lambda_hat == pytest.approx(m, abs=1e-8)
+    assert c.mu_hat == pytest.approx(2 * m * m, abs=1e-8)
+    assert c.c_hat == pytest.approx(m, abs=1e-8)
+    assert report.is_isometric and report.is_biharmonic and report.is_buckling
+    assert not report.is_harmonic
+    assert report.eta_deviation_from_unit < 1e-8
+    assert verify(report, "t2").status == PASS
+    assert verify(report, "t4").status == PASS
+
+
+def test_round_s3_identity_is_takahashi_with_lambda_3():
+    report = classify(_sphere_map(3, lifted=False), SAMPLES[3])
+    assert report.constants.lambda_hat == pytest.approx(3.0, abs=1e-8)
+    assert report.is_isometric and report.is_harmonic and report.is_eigenmap
+    verdict = verify(report, "takahashi")
+    assert verdict.status == PASS
+    assert verdict.details["expected_lambda"] == 3.0
+
+
+def test_s1_times_s2_is_proper_biharmonic_but_not_buckling():
+    # generalized Clifford torus S^1(1/sqrt 2) x S^2(1/sqrt 2) in S^4:
+    # proper biharmonic because the factor dimensions differ; the factors
+    # have eigenvalues 2 and 4, so no single buckling constant fits
+    _, s2 = _hyperspherical(2)
+    immersion = ["cos(t)" + HALF, "sin(t)" + HALF] + [e + HALF for e in s2]
+    smap = _map("S1_S2_in_S4", ["t", "a", "b"], [AZIMUTH, POLAR, AZIMUTH], immersion)
+    report = classify(smap, SAMPLES[3])
+    assert report.is_isometric and report.is_biharmonic
+    assert not report.is_harmonic and report.is_buckling is False
+    assert report.constants.c_hat == pytest.approx(3.0, abs=1e-8)
+    # constant mean curvature |H| = |p - q| / (p + q) = 1/3
+    assert report.eta_max_norm == pytest.approx(1.0 / 3.0, abs=1e-8)
+    verdict = verify(report, "t2")
+    assert verdict.status == NOT_APPLICABLE
+    assert verdict.reason == "map is not a buckling eigenmap"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bieigen import jets
@@ -66,6 +66,17 @@ def test_malformed_inputs_raise(source):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert 0 <= err.value.position <= len(source.encode("utf-8"))
+
+
+@pytest.mark.parametrize("source, position", [
+    ("1e309", 0), ("2*1e400", 2), ("t^(1e200*1e200)", 1),
+    ("t^(1e200*1e200 - 1e200*1e200)", 1),
+])
+def test_non_finite_numbers_are_rejected(source, position):
+    # an overflowing literal would print as 'inf' and reparse as a variable
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert err.value.position == position
 
 
 def test_unknown_function_is_reported():
@@ -221,6 +232,8 @@ def test_variables_of():
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789.+-*/^()abcpqist_ e", max_size=40))
+@example("1e309")
+@example("t^(1e200*1e200)")
 def test_parser_is_total_on_arbitrary_text(source):
     # arbitrary input either parses (and then round-trips) or raises
     # ParseError with an in-range position; nothing else may escape

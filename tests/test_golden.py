@@ -1,0 +1,128 @@
+"""Byte-stability pins for the CLI.
+
+For every catalog entry, the SHA-256 of stdout and the exit code of
+`classify` (text, JSON, CSV), `verify` (each theorem), `residual` (each
+equation) and `bienergy` (at the entry's expected grid) are pinned, and so
+are the exit code, the stdout hash and the stderr of four fault manifests.
+The values were captured when the jet engine still evaluated one point at a
+time; a change to any of them is a change to the reports and has to be named
+as one.
+
+The pins live in `golden_pins.json` next to this file. Rewrite it with
+`PYTHONPATH=src python tests/test_golden.py` only when a report change is
+intended.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from bieigen.catalog import catalog_get, catalog_list
+from bieigen.cli import main
+
+THEOREMS = ("takahashi", "t1", "t2", "t3", "t4")
+EQUATIONS = ("eq102", "mf", "me1")
+
+FAULTS = {
+    "overflow": {
+        "name": "overflow_exp3",
+        "chart": {"params": ["t"], "domain": [[0, 1]], "periodic": [False],
+                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "euclidean", "components": ["exp(exp(exp(3*t)))"]},
+    },
+    "huge_domain": {
+        "name": "huge_domain",
+        "chart": {"params": ["t"], "domain": [[0, 1e300]], "periodic": [False],
+                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "euclidean", "components": ["t"]},
+    },
+    "singular_metric": {
+        "name": "singular_metric",
+        "chart": {"params": ["t"], "domain": [[-1.0, 1.0]], "periodic": [False],
+                  "metric": {"mode": "explicit", "g": [["t"]]}},
+        "map": {"target": "euclidean", "components": ["t", "0"]},
+    },
+    "log_domain": {
+        "name": "log_domain",
+        "chart": {"params": ["t"], "domain": [[-1.0, 1.0]], "periodic": [False],
+                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "euclidean", "components": ["log(t)"]},
+    },
+}
+FAULT_COMMANDS = {
+    "classify": ["classify", "{path}"],
+    "classify_json": ["classify", "{path}", "--format", "json"],
+    "bienergy": ["bienergy", "{path}", "--grid", "8"],
+}
+
+
+def entry_commands(name):
+    grid = catalog_get(name).expected["bienergy"]["grid"]
+    commands = {
+        "classify": ["classify", name],
+        "classify_json": ["classify", name, "--format", "json"],
+        "classify_csv": ["classify", name, "--format", "csv"],
+        "bienergy": ["bienergy", name, "--grid", str(grid)],
+    }
+    for theorem in THEOREMS:
+        commands[f"verify_{theorem}"] = ["verify", name, "--theorem", theorem]
+    for equation in EQUATIONS:
+        commands[f"residual_{equation}"] = ["residual", name, "--equation", equation]
+    return commands
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def entry_pins(name):
+    pins = {}
+    for key, argv in entry_commands(name).items():
+        code, out, _ = run(argv)
+        pins[key] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+    return pins
+
+
+def fault_pins(fault, directory):
+    path = directory / f"{fault}.json"
+    path.write_text(json.dumps(FAULTS[fault]), encoding="utf-8")
+    pins = {}
+    for key, argv in FAULT_COMMANDS.items():
+        code, out, err = run([a.format(path=path) for a in argv])
+        pins[key] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err]
+    return pins
+
+
+PINS_FILE = Path(__file__).with_name("golden_pins.json")
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS_FILE.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_list()])
+def test_catalog_reports_are_byte_stable(name, pins):
+    assert entry_pins(name) == pins["entries"][name]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_exit_codes_and_messages_are_stable(fault, tmp_path, pins):
+    assert fault_pins(fault, tmp_path) == pins["faults"][fault]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {"entries": {e.name: entry_pins(e.name) for e in catalog_list()},
+                 "faults": {f: fault_pins(f, Path(tmp)) for f in sorted(FAULTS)}}
+    PINS_FILE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
