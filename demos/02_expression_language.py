@@ -23,7 +23,7 @@ print("\nvalue at t = 0.4:", eval_value(ast, {"t": 0.4}))
 # jet evaluation carries the derivative tower of the same expression
 env = {"t": jets.variable(0, 0.4, order=4, nvars=1)}
 jet = eval_jet(ast, env)
-print("derivatives at t = 0.4:", [round(jet.derivative((k,)), 12) for k in range(5)])
+print("derivatives at t = 0.4:", [round(float(jet.derivative((k,))), 12) for k in range(5)])
 
 # exponents must be constants; the parser folds them at parse time
 print("\nx^(3/2) parses to", parse("x^(3/2)"))

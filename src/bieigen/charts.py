@@ -150,13 +150,13 @@ class Chart:
         if coords.shape[-1] != self.dim:
             raise ValueError(f"point has {coords.shape[-1]} coordinates, "
                              f"chart has {self.dim}")
+        coords = coords.reshape(-1, self.dim)
         lo, hi = np.array(self.domain).T
         inside = (lo < coords) & (coords < hi) | np.array(self.periodic)
-        bad = jets.first_index(~inside.all(axis=-1))
+        bad = jets.first_index(~inside.all(axis=1))
         if bad is not None:
-            point = points if coords.ndim == 1 else points[bad]
-            raise GeometryError(
-                f"point {tuple(point)} is not strictly inside the chart domain", bad)
+            raise GeometryError(f"point {tuple(coords[bad].tolist())} is not "
+                                f"strictly inside the chart domain", bad)
 
     def sample_points(self, count=64, margin=DEFAULT_MARGIN):
         """Quasi-uniform interior tensor grid with at least `count` points.
@@ -233,32 +233,32 @@ class MetricFrame:
     """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, and the
     values of g_ij and g^ij with the points on the first axis."""
 
-    def __init__(self, chart, order, g, g_inv, sqrt_det, count=None):
+    def __init__(self, chart, order, g, g_inv, sqrt_det, g_values, g_inv_values):
         self.chart = chart
         self.order = order
         self.g = g
         self.g_inv = g_inv
         self.sqrt_det = sqrt_det
-        self.g_values = _values(g, count)
-        self.g_inv_values = _values(g_inv, count)
+        self.g_values = g_values
+        self.g_inv_values = g_inv_values
         # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
         m = chart.dim
         self.flux = [[sqrt_det * g_inv[i][j] for j in range(m)] for i in range(m)]
 
     def at(self, index):
-        """The one-point frame at position `index` of the block."""
+        """The frame at position `index` of the block in the one-point form:
+        one-point jets and (m, m) values."""
         def pick(matrix):
             return [[jet.at(index) for jet in row] for row in matrix]
         return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
-                           self.sqrt_det.at(index))
+                           self.sqrt_det.at(index), self.g_values[index],
+                           self.g_inv_values[index])
 
 
 def _values(matrix, count):
-    """Values of a matrix of jets, C-ordered: (m, m) at one point, (count,
-    m, m) at a block, where a block of one (a constant metric) repeats."""
+    """Values of a matrix of jets at a block of `count` points, shape
+    (count, m, m), C-ordered; a block of one (a constant metric) repeats."""
     m = len(matrix)
-    if matrix[0][0].coeffs.ndim == 1:
-        return np.array([[jet.value for jet in row] for row in matrix])
     out = np.empty((count, m, m))
     for i in range(m):
         for j in range(m):
@@ -295,7 +295,7 @@ def metric_frame(chart, points, order=3):
     points (a sequence of points). A one-point frame is a block of one. A
     constant metric is evaluated at the block's first point only; its jets
     are a block of one that broadcasts against the block."""
-    if np.ndim(points) == 1:
+    if np.ndim(points) == 1:  # one point: a block of one, returned in the one-point form
         return metric_frame(chart, [points], order).at(0)
     chart.require_inside(points)
     coords = np.asarray(points, dtype=float)
@@ -310,7 +310,8 @@ def metric_frame(chart, points, order=3):
             raise GeometryError(
                 f"immersion is rank-deficient at {tuple(points[bad])} "
                 f"(det {det.coeffs[0][bad]:.3e})", bad)
-    smallest = np.linalg.eigvalsh(_values(g, len(coords)))[:, 0]
+    g_values = _values(g, len(points))
+    smallest = np.linalg.eigvalsh(g_values[:len(coords)])[:, 0]
     bad = jets.first_index(~(smallest > MIN_METRIC_EIGENVALUE))
     if bad is not None:
         raise GeometryError(
@@ -319,7 +320,8 @@ def metric_frame(chart, points, order=3):
 
     g_inv = [[cofactor / det for cofactor in row]
              for row in _adjugate(g, jets.constant_like(1.0, det))]
-    return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), len(points))
+    return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), g_values,
+                       _values(g_inv, len(points)))
 
 
 def laplacian_jet(frame, fjet):

@@ -23,11 +23,9 @@ MAX_VARS = 4
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 _FACTORIALS = np.array(_FACTORIAL)
 
-# Products per multiply up to which one bincount sums them faster than
-# round-by-round slice additions (a block of one always does).
-_BINCOUNT_MAX = 2048
-# Products computed at once at most (128 KB): larger temporaries are slower
-# (freshly mapped pages) and raise the peak memory.
+# Products formed at once at most (128 KB): larger temporaries are freshly
+# mapped pages, which made 4-D order-4 blocks slower (curved_highdim) and
+# raise the peak memory.
 _GROUP_MAX = 16384
 
 
@@ -150,7 +148,8 @@ class _JetSpace:
                  for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
         self._mul_a, self._mul_b, self._mul_sizes, perm = _rounds(pairs, self.size)
         self._mul_unperm = np.argsort(perm)
-        # output slot of each product, for summing small blocks in one call
+        # output slot of each product, for summing one point's products in
+        # one bincount call
         self._mul_out = perm[np.concatenate([np.arange(n) for n in self._mul_sizes])]
 
         # Division recurrence: output slot k subtracts q[i] * b[j] over the
@@ -167,18 +166,13 @@ class _JetSpace:
         self._diff_tables = {}
 
     def multiply(self, a, b):
-        shape = a.shape if (a.size, a.ndim) >= (b.size, b.ndim) else b.shape
-        points = max(a.size, b.size) // self.size  # the block length
-        if points == 1:
-            # numpy's bincount sums sequentially from 0.0, in table order
+        shape = a.shape if a.size >= b.size else b.shape  # a block of one broadcasts
+        if a.size == b.size == self.size:
+            # one point: numpy's bincount sums sequentially from 0.0, in
+            # table order, and costs one call
             products = a.ravel()[self._mul_a] * b.ravel()[self._mul_b]
             return np.bincount(self._mul_out, weights=products,
                                minlength=self.size).reshape(shape)
-        if len(self._mul_a) * points <= _BINCOUNT_MAX:
-            index = (self._mul_out[:, None] * points + np.arange(points)).ravel()
-            products = (a[self._mul_a] * b[self._mul_b]).ravel()
-            return np.bincount(index, weights=products,
-                               minlength=self.size * points).reshape(shape)
         out = np.zeros(shape)  # sums start from 0.0, as bincount's do
         _fold(np.add, out, a, self._mul_a, b, self._mul_b, self._mul_sizes)
         return out[self._mul_unperm]
@@ -187,9 +181,6 @@ class _JetSpace:
         zero = first_index(b[0] == 0.0)
         if zero is not None:
             raise JetDomainError("division by a jet with zero value", zero)
-        shape = a.shape if (a.size, a.ndim) >= (b.size, b.ndim) else b.shape
-        if a.size == b.size == self.size:  # one point: flat rows index faster
-            a, b = a.ravel(), b.ravel()
         b0 = b[0]
         q0 = a[0] / b0
         q = np.empty((self.size,) + q0.shape)
@@ -200,7 +191,7 @@ class _JetSpace:
                 acc = np.array(np.broadcast_to(acc, acc.shape[:1] + q0.shape))
             _fold(np.subtract, acc, q, qi, b, bj, sizes)
             q[slots] = acc / b0
-        return q.reshape(shape)
+        return q
 
     def diff_table(self, direction):
         """Positions and de-normalization factors for d/du_direction."""
@@ -214,7 +205,7 @@ class _JetSpace:
                 shifted[direction] += 1
                 src[k] = self.position[tuple(shifted)]
                 fac[k] = beta[direction] + 1
-            table = (src, fac[:, None])  # a column: it scales every point
+            table = (src, fac)
             self._diff_tables[direction] = table
         return table
 
@@ -224,20 +215,25 @@ def _space(order, nvars):
     return _JetSpace(order, nvars)
 
 
-def _scalar(x):
-    """A float for a one-point jet, the per-point array for a block."""
-    return float(x) if np.ndim(x) == 0 else x
+def _rows(factors, coeffs):
+    """One factor per coefficient row, shaped to scale every point of
+    `coeffs` (coefficient axis first, then the block's shape)."""
+    return factors.reshape((-1,) + (1,) * (coeffs.ndim - 1))
 
 
 class Jet:
     """Immutable truncated Taylor expansion of a scalar at a block of points.
 
-    `coeffs` has shape (size,) at one point or (size, P) at a block of P
-    points: coefficient-major, so coeffs[k] holds coefficient k of every
-    point. Jets of one computation share (order, nvars); blocks broadcast,
-    so a block of one combines with a block of P. Numbers, and arrays with
-    one entry per point, act as per-point constants: + and - shift the value
-    slot, * and / scale every coefficient."""
+    `coeffs` has shape (size, P) at a block of P points: coefficient-major,
+    so coeffs[k] holds coefficient k of every point, and one point inside
+    the library is a block of one, (size, 1). The one-point public form,
+    made by `variable`/`constant` from a scalar and by `at`, has shape
+    (size,). Every operation acts on the coefficient axis and broadcasts
+    the rest, so both forms take the same code path; jets of one
+    computation share (order, nvars) and one form, and a block of one
+    combines with a block of P. Numbers, and arrays with one entry per
+    point, act as per-point constants: + and - shift the value slot, * and
+    / scale every coefficient."""
 
     __slots__ = ("order", "nvars", "coeffs")
     __array_ufunc__ = None  # `array * jet` defers to Jet.__rmul__
@@ -255,11 +251,12 @@ class Jet:
 
     @property
     def value(self):
-        return _scalar(self.coeffs[0])
+        """The value at each point: coeffs[0]."""
+        return self.coeffs[0]
 
     def coefficient(self, alpha):
-        """Taylor-normalized coefficient d^alpha f / alpha!."""
-        return _scalar(self.coeffs[_space(self.order, self.nvars).position[tuple(alpha)]])
+        """Taylor-normalized coefficient d^alpha f / alpha! at each point."""
+        return self.coeffs[_space(self.order, self.nvars).position[tuple(alpha)]]
 
     def derivative(self, alpha):
         """Plain partial derivative d^alpha f (de-normalized)."""
@@ -363,9 +360,7 @@ class Jet:
         if not 0 <= direction < self.nvars:
             raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
         src, fac = _space(self.order, self.nvars).diff_table(direction)
-        if self.coeffs.ndim == 1:
-            fac = fac[:, 0]
-        return Jet(self.order - 1, self.nvars, self.coeffs[src] * fac)
+        return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs))
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, coeffs={self.coeffs!r})"
@@ -468,8 +463,7 @@ def _compose(a, derivs):
     are ignored. Horner evaluation in the zero-value part of `a` leaves the
     value slot exactly derivs[0].
     """
-    taylor = derivs[:a.order + 1] / _FACTORIALS[:a.order + 1].reshape(
-        (-1,) + (1,) * (derivs.ndim - 1))
+    taylor = derivs[:a.order + 1] / _rows(_FACTORIALS[:a.order + 1], derivs)
     hat = a.coeffs.copy()
     hat[0] = 0.0
     hat = Jet(a.order, a.nvars, hat)

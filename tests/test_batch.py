@@ -63,8 +63,8 @@ def _alphas(order):
 @settings(max_examples=60, deadline=None)
 @given(EXPRESSIONS, st.integers(0, 2 ** 32 - 1))
 def test_block_eval_jet_matches_blocks_of_one_and_oracle(ast, seed):
-    # 40 points: products of a block this size take the round-by-round path,
-    # those of a block of one the bincount path
+    # products of a block take the round-by-round path, those of a block of
+    # one and of the one-point form (a scalar variable) the bincount path
     coords = np.random.default_rng(seed).uniform(0.3, 0.9, size=(40, 2))
     block = eval_jet(ast, _block_env(coords, 4))
     assert block.coeffs.shape == (15, 40)
@@ -72,6 +72,9 @@ def test_block_eval_jet_matches_blocks_of_one_and_oracle(ast, seed):
         one = eval_jet(ast, _block_env(coords[p:p + 1], 4))
         np.testing.assert_array_equal(block.coeffs[:, p:p + 1], one.coeffs)
     point = tuple(coords[0])
+    scalar_env = {name: jets.variable(i, point[i], 4, len(VARIABLES))
+                  for i, name in enumerate(VARIABLES)}
+    np.testing.assert_array_equal(block.at(0).coeffs, eval_jet(ast, scalar_env).coeffs)
     plain = expr_fn(ast, VARIABLES)
     assert block.value[0] == eval_value(ast, dict(zip(VARIABLES, point)))
     for alpha in _alphas(4)[1:]:
