@@ -226,9 +226,10 @@ def _blockwise(evaluate, points):
     working set. When a block raises for its point i, the block's prefix
     [0, i) is evaluated again, and so on until a prefix runs clean: the
     error left is the one a point-by-point loop meets first, and its
-    `index` is set to that point's position in `points`. Overflow and
-    invalid operations are not warned about: they leave non-finite values,
-    which the checks and the reports refuse."""
+    `index` is set to that point's position in `points`. A JetDomainError
+    is raised as an AnalysisError naming the point. Overflow and invalid
+    operations are not warned about: they leave non-finite values, which
+    the checks and the reports refuse."""
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(points), BLOCK_SIZE):
@@ -245,6 +246,10 @@ def _blockwise(evaluate, points):
                     else:
                         break
                 first.index = start + getattr(first, "index", 0)
+                if isinstance(first, JetDomainError):
+                    point = tuple(np.asarray(points[first.index], dtype=float).tolist())
+                    raise AnalysisError(f"{first} at point {point}", point,
+                                        first.index) from first
                 raise first from None
     return results
 
@@ -260,12 +265,8 @@ def analyze_samples(smap: SphereMap, points) -> SampleBatch:
     points = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
     if not points:
         raise ValueError("no sample points")
-    try:
-        blocks = _blockwise(lambda block: _analyze_block(smap, block), points)
-    except JetDomainError as err:
-        point = points[err.index]
-        raise AnalysisError(f"{err} at point {point}", point) from err
-    return SampleBatch.concatenate(blocks)
+    return SampleBatch.concatenate(
+        _blockwise(lambda block: _analyze_block(smap, block), points))
 
 
 def _require(ok, points, error, defect):

@@ -308,14 +308,14 @@ def metric_frame(chart, points, order=3):
         bad = jets.first_index(~(det.coeffs[0] >= MIN_IMMERSION_DET))
         if bad is not None:
             raise GeometryError(
-                f"immersion is rank-deficient at {tuple(points[bad])} "
+                f"immersion is rank-deficient at {tuple(coords[bad].tolist())} "
                 f"(det {det.coeffs[0][bad]:.3e})", bad)
     g_values = _values(g, len(points))
     smallest = np.linalg.eigvalsh(g_values[:len(coords)])[:, 0]
     bad = jets.first_index(~(smallest > MIN_METRIC_EIGENVALUE))
     if bad is not None:
         raise GeometryError(
-            f"metric is not positive definite at {tuple(points[bad])} "
+            f"metric is not positive definite at {tuple(coords[bad].tolist())} "
             f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
 
     g_inv = [[cofactor / det for cofactor in row]

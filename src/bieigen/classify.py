@@ -69,13 +69,18 @@ def fit_constants(samples: SampleBatch) -> FittedConstants:
 
 @dataclass
 class ResidualNorm:
+    """Max and rms, over the rows where the residual is defined, of its
+    per-point max-norms; `per_point` holds those norms at every sample."""
+
     max: float
     rms: float
+    per_point: np.ndarray = field(repr=False, compare=False)
 
 
-def _norms(per_point) -> ResidualNorm:
-    return ResidualNorm(float(np.max(per_point)),
-                        float(np.sqrt(np.mean(per_point * per_point))))
+def _norms(per_point, rows) -> ResidualNorm:
+    defined = per_point[rows]
+    return ResidualNorm(float(np.max(defined)),
+                        float(np.sqrt(np.mean(defined * defined))), per_point)
 
 
 @dataclass
@@ -180,7 +185,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
     residuals, scales = {}, {}
     for name, vec, rows, terms in table:
         if vec is not None and rows.any():
-            residuals[name] = _norms(inf_norms(vec)[rows])
+            residuals[name] = _norms(inf_norms(vec), rows)
             scales[name] = _scale(terms, rows)
 
     def holds(name):

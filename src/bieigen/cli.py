@@ -26,8 +26,7 @@ import sys
 import numpy as np
 
 from . import report as rpt
-from .analysis import (AnalysisError, bienergy_quadrature,
-                       constant_density_residual, inf_norms)
+from .analysis import AnalysisError, bienergy_quadrature
 from .catalog import catalog_get, catalog_list
 from .charts import DEFAULT_MARGIN, GeometryError, SizeError
 from .classify import (DEFAULT_TOL, NOT_APPLICABLE, PASS, THEOREMS,
@@ -45,7 +44,9 @@ EXIT_PRECONDITION = 5
 
 TOL_ENV_VAR = "BIEIGEN_TOL"
 
-EQUATIONS = ("eq102", "mf", "me1")
+# each residual equation is a row of the classification's residual table
+EQUATIONS = {"eq102": "biharmonic_submanifold", "mf": "biharmonic_full",
+             "me1": "biharmonic_constant_density"}
 
 
 def _load_map(spec):
@@ -105,32 +106,21 @@ def cmd_residual(args):
               f"({name} targets {smap.target})", file=sys.stderr)
         return EXIT_PRECONDITION
     report = classify(smap, args.samples, args.tol, margin=args.margin)
-    samples = report.samples
+    if args.equation == "eq102" and not report.is_isometric:
+        print(f"error: eq102 requires an isometric map; max Gram defect "
+              f"{report.max_gram_defect:.3e}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    if args.equation == "me1" and not report.is_constant_density:
+        print(f"error: me1 requires constant energy density; spread "
+              f"{report.spreads['density']['abs']:.3e} around mean "
+              f"{report.constants.c_hat:.6g}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
-    summary = {}
-    if args.equation == "eq102":
-        if not report.is_isometric:
-            print(f"error: eq102 requires an isometric map; max Gram defect "
-                  f"{report.max_gram_defect:.3e}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        vectors = samples.residual_submanifold
-    elif args.equation == "mf":
-        vectors = samples.residual_full
-    else:
-        if not report.is_constant_density:
-            print(f"error: me1 requires constant energy density; spread "
-                  f"{report.spreads['density']['abs']:.3e} around mean "
-                  f"{report.constants.c_hat:.6g}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        c = report.constants.c_hat
-        vectors = constant_density_residual(samples, c)
-        summary["c"] = c
-
-    norms = inf_norms(vectors)
-    rows = list(zip(samples.points.tolist(), norms.tolist()))
-    summary["max"] = float(np.max(norms))
-    summary["rms"] = float(np.sqrt(np.mean(norms * norms)))
-
+    residual = report.residuals[EQUATIONS[args.equation]]
+    rows = list(zip(report.samples.points.tolist(), residual.per_point.tolist()))
+    summary = {"max": residual.max, "rms": residual.rms}
+    if args.equation == "me1":
+        summary["c"] = report.constants.c_hat
     doc = rpt.residual_table_json(name, args.equation, rows, summary)
     rpt.require_finite(doc)
     if args.format == "json":
@@ -227,7 +217,7 @@ def build_parser():
 
     p = subs.add_parser("residual", help="per-point biharmonicity residuals")
     p.add_argument("manifest")
-    p.add_argument("--equation", choices=EQUATIONS, required=True,
+    p.add_argument("--equation", choices=tuple(EQUATIONS), required=True,
                    help="eq102: isometric submanifold form; mf: general "
                         "sphere-map form; me1: constant-density form")
     _add_sampling_flags(p)

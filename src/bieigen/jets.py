@@ -444,15 +444,20 @@ def _per_point(tower, a, *args):
     """tower(v, *args) at the value v of each point of `a`, stacked to shape
     (len(tower), *block). Towers run on floats through the `math` kernels,
     which keeps order-0 jets bit-for-bit equal to `exprs.eval_value`; an
-    error carries the index of the point that raised it."""
+    error carries the index of the point that raised it, and a derivative
+    that under- or overflows a float is raised as JetDomainError."""
     values = a.coeffs[0]
     rows = []
     for index, v in enumerate(np.ravel(values).tolist()):
         try:
             rows.append(tower(v, *args))
-        except (ArithmeticError, ValueError) as err:
+        except JetDomainError as err:
             err.index = index
             raise
+        except ArithmeticError:
+            name = tower.__name__.strip("_").removesuffix("_tower")
+            raise JetDomainError(f"derivatives of {name} at {v!r} are out of "
+                                 f"float range", index) from None
     return np.array(rows).T.reshape((-1,) + values.shape)
 
 

@@ -5,7 +5,6 @@ JSON output is key-sorted, floats are rendered with 17 significant digits
 enters the stream, so identical inputs produce byte-identical reports.
 """
 
-import io
 import math
 
 import numpy as np
@@ -13,14 +12,6 @@ import numpy as np
 from .analysis import dots, inf_norms
 
 FORMAT_VERSION = "1"
-
-CSV_POINT_COLUMNS = [
-    "energy_density", "phi_norm", "lap_phi_norm", "bilap_phi_norm",
-    "tension_norm", "mean_curvature_norm", "div_theta", "lap_energy_density",
-    "grad_energy_norm", "residual_submanifold", "residual_full",
-    "residual_constant_density", "gram_defect", "sphere_defect",
-    "constraint_defect",
-]
 
 
 class NonFiniteError(ValueError):
@@ -51,79 +42,78 @@ def require_finite(doc, where="", point=None):
 
 def to_json(obj) -> str:
     """Render nested dicts/lists with sorted keys and fixed float formatting."""
-    out = io.StringIO()
-    _write_json(obj, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    return _json(obj, "\n") + "\n"
 
 
-def _write_json(obj, out, indent):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _json(obj, newline):
+    """obj as JSON text; `newline` is a line break and the indent of the line
+    on which obj starts."""
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
     if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(format_float(obj))
-    elif isinstance(obj, str):
-        out.write(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        keys = sorted(obj)
-        for k, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.write(f"{inner}{_escape(key)}: ")
-            _write_json(obj[key], out, indent + 1)
-            out.write(",\n" if k + 1 < len(keys) else "\n")
-        out.write(pad + "}")
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{_key(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for k, item in enumerate(seq):
-            out.write(inner)
-            _write_json(item, out, indent + 1)
-            out.write(",\n" if k + 1 < len(seq) else "\n")
-        out.write(pad + "]")
+        items = [_json(item, inner) for item in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _key(key):
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be strings, got {key!r}")
+    return _escape(key)
+
+
+# `"`, `\`, newline and tab get their short escapes, every other control
+# character below U+0020 a `\u00XX` escape; the rest is written verbatim.
+# The table holds every ASCII code point (a miss is slow in str.translate).
+_ESCAPES = {**{code: f"\\u{code:04x}" if code < 0x20 else chr(code)
+               for code in range(0x80)},
+            ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n",
+            ord("\t"): "\\t"}
 
 
 def _escape(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 # --------------------------------------------------------------------------
 # classification report -> plain data
 # --------------------------------------------------------------------------
 
-def point_rows(samples) -> list:
-    """One plain-data row per sample point of a SampleBatch."""
-    s = samples
+VERDICTS = (  # report attribute, text label
+    ("is_isometric", "isometric"),
+    ("is_constant_density", "constant density"),
+    ("is_harmonic", "harmonic"),
+    ("is_biharmonic", "biharmonic"),
+    ("is_biharmonic_submanifold", "biharmonic (submanifold form)"),
+    ("is_biharmonic_constant_density", "biharmonic (constant-density form)"),
+    ("is_eigenmap", "eigenmap"),
+    ("is_bieigenmap", "bi-eigenmap"),
+    ("is_buckling", "buckling eigenmap"),
+    ("is_proper_bieigenmap", "proper bi-eigenmap"),
+)
+
+
+def _point_columns(report) -> dict:
+    """The per-point quantities of a classification, one list per key, in
+    CSV column order. The submanifold and full residual norms are those of
+    its residual table."""
+    s = report.samples
     isometric = s.isometric.tolist()
 
     def norms(vectors):  # np.linalg.norm of each row
@@ -134,10 +124,14 @@ def point_rows(samples) -> list:
     def maxima(vectors):
         return [None] * len(s) if vectors is None else inf_norms(vectors).tolist()
 
+    def table(name):
+        residual = report.residuals.get(name)
+        return maxima(None) if residual is None else residual.per_point.tolist()
+
     def where_isometric(values):
         return [v if iso else None for v, iso in zip(values, isometric)]
 
-    columns = {
+    return {
         "point": s.points.tolist(),
         "energy_density": s.energy_density.tolist(),
         "phi_norm": norms(s.phi),
@@ -148,18 +142,19 @@ def point_rows(samples) -> list:
         "div_theta": s.div_theta.tolist(),
         "lap_energy_density": s.lap_energy_density.tolist(),
         "grad_energy_norm": norms(s.grad_energy_pushforward),
-        "residual_submanifold": where_isometric(maxima(s.residual_submanifold)),
-        "residual_full": maxima(s.residual_full),
+        "residual_submanifold": where_isometric(table("biharmonic_submanifold")),
+        "residual_full": table("biharmonic_full"),
+        # the pointwise-density form, which the residual table does not hold
         "residual_constant_density": maxima(s.residual_constant_density),
         "gram_defect": s.gram_defect.tolist(),
         "sphere_defect": s.sphere_defect.tolist(),
         "constraint_defect": s.constraint_defect.tolist(),
     }
-    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def classification_dict(name, report, settings=None) -> dict:
-    doc = {
+    columns = _point_columns(report)
+    return {
         "format_version": FORMAT_VERSION,
         "name": name,
         "map": {
@@ -180,18 +175,7 @@ def classification_dict(name, report, settings=None) -> dict:
             "rho_hat": report.constants.rho_hat,
             "c_hat": report.constants.c_hat,
         },
-        "verdicts": {
-            "is_isometric": report.is_isometric,
-            "is_constant_density": report.is_constant_density,
-            "is_harmonic": report.is_harmonic,
-            "is_biharmonic": report.is_biharmonic,
-            "is_biharmonic_submanifold": report.is_biharmonic_submanifold,
-            "is_biharmonic_constant_density": report.is_biharmonic_constant_density,
-            "is_eigenmap": report.is_eigenmap,
-            "is_bieigenmap": report.is_bieigenmap,
-            "is_buckling": report.is_buckling,
-            "is_proper_bieigenmap": report.is_proper_bieigenmap,
-        },
+        "verdicts": {key: getattr(report, key) for key, _ in VERDICTS},
         "residual_norms": {
             key: {"max": rn.max, "rms": rn.rms}
             for key, rn in report.residuals.items()
@@ -206,9 +190,8 @@ def classification_dict(name, report, settings=None) -> dict:
             "max_norm": report.eta_max_norm,
             "max_deviation_from_unit": report.eta_deviation_from_unit,
         },
-        "points": point_rows(report.samples),
+        "points": [dict(zip(columns, values)) for values in zip(*columns.values())],
     }
-    return doc
 
 
 def classification_text(name, report) -> str:
@@ -224,19 +207,10 @@ def classification_text(name, report) -> str:
     lines.append(f"  constants: lambda_hat {c.lambda_hat:.12g}  "
                  f"mu_hat {c.mu_hat:.12g}  rho_hat {rho}  c_hat {c.c_hat:.12g}")
     lines.append("  verdicts:")
-    for key, value in (
-            ("isometric", report.is_isometric),
-            ("constant density", report.is_constant_density),
-            ("harmonic", report.is_harmonic),
-            ("biharmonic", report.is_biharmonic),
-            ("biharmonic (submanifold form)", report.is_biharmonic_submanifold),
-            ("biharmonic (constant-density form)", report.is_biharmonic_constant_density),
-            ("eigenmap", report.is_eigenmap),
-            ("bi-eigenmap", report.is_bieigenmap),
-            ("buckling eigenmap", report.is_buckling),
-            ("proper bi-eigenmap", report.is_proper_bieigenmap)):
+    for key, label in VERDICTS:
+        value = getattr(report, key)
         shown = "n/a" if value is None else ("yes" if value else "no")
-        lines.append(f"    {key:36s} {shown}")
+        lines.append(f"    {label:36s} {shown}")
     lines.append("  residual max-norms:")
     for key in sorted(report.residuals):
         rn = report.residuals[key]
@@ -247,17 +221,25 @@ def classification_text(name, report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(header, rows) -> str:
+    """A header line, then one line per row of numbers (None: an empty cell)."""
+    lines = [",".join(header)]
+    lines += [",".join(["" if x is None else format_float(x) for x in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _params(dim):
+    return [f"u{k + 1}" for k in range(dim)]
+
+
 def classification_csv(name, report) -> str:
-    out = io.StringIO()
-    params = [f"u{k + 1}" for k in range(report.dim)]
-    out.write(",".join(params + CSV_POINT_COLUMNS) + "\n")
-    for row in point_rows(report.samples):
-        cells = [format_float(x) for x in row["point"]]
-        for col in CSV_POINT_COLUMNS:
-            value = row[col]
-            cells.append("" if value is None else format_float(value))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    """The JSON report's per-point rows, coordinates first."""
+    columns = _point_columns(report)
+    points = columns.pop("point")
+    rows = zip(points, zip(*columns.values()))
+    return _csv(_params(report.dim) + list(columns),
+                [point + list(values) for point, values in rows])
 
 
 def residual_table_text(name, equation, rows, summary) -> str:
@@ -284,10 +266,4 @@ def residual_table_json(name, equation, rows, summary) -> dict:
 
 
 def residual_table_csv(rows, dim) -> str:
-    out = io.StringIO()
-    params = [f"u{k + 1}" for k in range(dim)]
-    out.write(",".join(params + ["residual"]) + "\n")
-    for point, norm in rows:
-        out.write(",".join([format_float(x) for x in point]
-                           + [format_float(norm)]) + "\n")
-    return out.getvalue()
+    return _csv(_params(dim) + ["residual"], [[*point, norm] for point, norm in rows])

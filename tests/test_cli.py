@@ -269,6 +269,40 @@ def test_bienergy_overflow_exit_3(tmp_path, capsys):
     assert "out of float range" in err
 
 
+@pytest.mark.parametrize("command", [["classify", "--samples", "4"],
+                                     ["bienergy", "--grid", "8"]])
+@pytest.mark.parametrize("component", ["log(1e-100*t)", "log(1e100*t)",
+                                       "sqrt(1e-100*t)"])
+def test_derivative_tower_out_of_float_range_exit_3(tmp_path, capsys, command,
+                                                    component):
+    doc = {**OVERFLOW, "name": "tower_range",
+           "chart": {**OVERFLOW["chart"], "domain": [[1, 2]]},
+           "map": {"target": "euclidean", "components": [component]}}
+    path = _write(tmp_path, doc)
+    assert main([command[0], path, *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("evaluation error: derivatives of "), captured.err
+    assert "out of float range at point (1." in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_json_string_escapes():
+    text = '"\\\n\t\r\b\f\x00\x1f\x7f\u00e9'
+    assert to_json(text) == ('"\\"\\\\\\n\\t\\u000d\\u0008\\u000c'
+                             '\\u0000\\u001f\x7f\u00e9"\n')
+    assert json.loads(to_json(text)) == text
+
+
+def test_control_character_in_name_is_escaped_in_the_json_report(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(to_json({**NEARLY_ISOMETRIC, "name": "circle\rone"}))
+    assert main(["classify", str(path), "--samples", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '  "name": "circle\\u000done",\n' in out
+    assert json.loads(out)["name"] == "circle\rone"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "exp(1000)"]]}},
      "chart.domain[0][1]: exp(1000.0) is out of float range"),

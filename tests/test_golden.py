@@ -2,8 +2,9 @@
 
 For every catalog entry, the SHA-256 of stdout and the exit code of
 `classify` (text, JSON, CSV), `verify` (each theorem), `residual` (each
-equation) and `bienergy` (at the entry's expected grid) are pinned, and so
-are the exit code, the stdout hash and the stderr of four fault manifests.
+equation, in text, JSON and CSV) and `bienergy` (at the entry's expected
+grid) are pinned, and so are the exit code, the stdout hash and the stderr
+of four fault manifests.
 The values were captured when the jet engine still evaluated one point at a
 time; a change to any of them is a change to the reports and has to be named
 as one.
@@ -72,6 +73,9 @@ def entry_commands(name):
         commands[f"verify_{theorem}"] = ["verify", name, "--theorem", theorem]
     for equation in EQUATIONS:
         commands[f"residual_{equation}"] = ["residual", name, "--equation", equation]
+        for fmt in ("json", "csv"):
+            commands[f"residual_{equation}_{fmt}"] = [
+                "residual", name, "--equation", equation, "--format", fmt]
     return commands
 
 

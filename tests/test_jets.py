@@ -161,10 +161,15 @@ def test_domain_errors():
     (jets.exp, 1000.0), (jets.sinh, 1000.0), (jets.cosh, -1000.0),
     (jets.sin, math.inf), (jets.cos, math.inf), (jets.tan, math.inf),
     (lambda t: jets.power(t, 1.5), 1e300), (lambda t: jets.power(t, -2.5), 1e-300),
-], ids=["exp", "sinh", "cosh", "sin", "cos", "tan", "power_large", "power_negative_exponent"])
+    # the fourth derivative under- or overflows, even for a low-order jet
+    (jets.log, 1e-100), (jets.log, 1e100), (jets.sqrt, 1e-100),
+], ids=["exp", "sinh", "cosh", "sin", "cos", "tan", "power_large",
+        "power_negative_exponent", "log_tiny", "log_huge", "sqrt_tiny"])
 def test_out_of_float_range_is_a_domain_error(func, value):
-    with pytest.raises(JetDomainError, match="out of float range"):
-        func(jets.variable(0, value, 2, 1))
+    block = jets.variable(0, [1.0, value], 2, 1)
+    with pytest.raises(JetDomainError, match="out of float range") as info:
+        func(block)
+    assert info.value.index == 1  # the point that failed
 
 
 def test_integer_power_matches_repeated_multiplication():
