@@ -4,14 +4,17 @@ Everything here works from plain floating-point evaluations only, so the
 oracles are independent of the truncated-Taylor code paths they check.
 Central O(h^2) stencils combined with one Richardson halving give O(h^4)
 accuracy; step sizes grow with the derivative order to balance truncation
-against roundoff amplification.
+against roundoff amplification. `mp_partial` is the exception: it evaluates
+an expression tree in 30-digit mpmath arithmetic, where a finite difference
+carries no float roundoff, so it serves as a reference to ~1e-25.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
-from bieigen.exprs import eval_value, parse
+from bieigen.exprs import BinOp, Call, Const, Neg, Pow, Var, eval_value, parse
 
 # offsets and weights of O(h^2) central stencils, one per derivative order
 _STENCILS = {
@@ -133,6 +136,36 @@ def expr_fn(source_or_ast, params):
         return eval_value(ast, dict(zip(names, point)))
 
     return call
+
+
+_MP_FUNCS = {name: getattr(mp, name)
+             for name in ("sin", "cos", "tan", "exp", "sinh", "cosh", "log", "sqrt")}
+
+
+def _mp_value(e, env):
+    if isinstance(e, Const):
+        return mp.mpf(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_mp_value(e.operand, env)
+    if isinstance(e, BinOp):
+        left, right = _mp_value(e.left, env), _mp_value(e.right, env)
+        return {"+": mp.fadd, "-": mp.fsub, "*": mp.fmul, "/": mp.fdiv}[e.op](left, right)
+    if isinstance(e, Pow):
+        return mp.power(_mp_value(e.base, env), mp.mpf(e.exponent))
+    if isinstance(e, Call):
+        return _MP_FUNCS[e.func](_mp_value(e.arg, env))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def mp_partial(ast, params, point, alpha):
+    """The partial d^alpha of an expression tree at a float point, computed by
+    mpmath in 30 digits and rounded to a float."""
+    names = list(params)
+    with mp.workdps(30):
+        return float(mp.diff(lambda *x: _mp_value(ast, dict(zip(names, x))),
+                             tuple(mp.mpf(x) for x in point), tuple(alpha)))
 
 
 def induced_metric_fn(immersion_sources, params, h=1e-3):

@@ -1,12 +1,13 @@
 """Block evaluation: a block of P points gives each point the bits a block of
-one gives it, derivatives agree with finite-difference oracles, and an error
+one gives it, derivatives agree with high-precision and finite-difference
+oracles, and an error
 names the point a point-by-point loop would fail at first."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bieigen import build_map, catalog_get, jets
@@ -16,8 +17,8 @@ from bieigen.charts import Chart, GeometryError, laplacian_jet, metric_frame
 from bieigen.exprs import (BinOp, Call, Const, Neg, Pow, Var, eval_jet, eval_value,
                            parse)
 
-from _oracles import (expr_fn, explicit_metric_fn, fd_laplace_beltrami,
-                      fd_partial, random_point, random_smooth_source)
+from _oracles import (explicit_metric_fn, expr_fn, fd_laplace_beltrami, mp_partial,
+                      random_point, random_smooth_source)
 
 VARIABLES = ("u", "v")
 
@@ -62,6 +63,9 @@ def _alphas(order):
 
 @settings(max_examples=60, deadline=None)
 @given(EXPRESSIONS, st.integers(0, 2 ** 32 - 1))
+# a fourth derivative whose Richardson finite difference is off by 4e-6
+@example(Call("sqrt", BinOp("+", Const(2.0), _bounded(BinOp(
+    "*", Call("cosh", _bounded(Var("u"))), Call("cosh", _bounded(Var("u"))))))), 4096)
 def test_block_eval_jet_matches_blocks_of_one_and_oracle(ast, seed):
     # products of a block take the round-by-round path, those of a block of
     # one and of the one-point form (a scalar variable) the bincount path
@@ -75,22 +79,11 @@ def test_block_eval_jet_matches_blocks_of_one_and_oracle(ast, seed):
     scalar_env = {name: jets.variable(i, point[i], 4, len(VARIABLES))
                   for i, name in enumerate(VARIABLES)}
     np.testing.assert_array_equal(block.at(0).coeffs, eval_jet(ast, scalar_env).coeffs)
-    plain = expr_fn(ast, VARIABLES)
     assert block.value[0] == eval_value(ast, dict(zip(VARIABLES, point)))
     for alpha in _alphas(4)[1:]:
-        fd, error = _fd_with_error(plain, point, alpha)
-        tol = 4.0 * error + 1e-6 * max(1.0, abs(fd))
-        assert block.at(0).derivative(alpha) == pytest.approx(fd, abs=tol), alpha
-
-
-def _fd_with_error(plain, point, alpha):
-    """fd_partial at half its step (as fd_partial of f(x/2) at 2x, rescaled)
-    and the change from the full step, which bounds its error: random
-    expressions can oscillate fast enough to make a fixed tolerance fail."""
-    coarse = fd_partial(plain, point, alpha)
-    fine = fd_partial(lambda q: plain(tuple(x / 2 for x in q)),
-                      tuple(2 * x for x in point), alpha) * 2 ** sum(alpha)
-    return fine, abs(fine - coarse)
+        exact = mp_partial(ast, VARIABLES, point, alpha)
+        assert block.at(0).derivative(alpha) == pytest.approx(
+            exact, rel=1e-9, abs=1e-9), alpha
 
 
 @settings(max_examples=25, deadline=None)
