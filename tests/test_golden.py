@@ -4,7 +4,9 @@ For every catalog entry, the SHA-256 of stdout and the exit code of
 `classify` (text, JSON, CSV), `verify` (each theorem), `residual` (each
 equation, in text, JSON and CSV) and `bienergy` (at the entry's expected
 grid) are pinned, and so are the exit code, the stdout hash and the stderr
-of four fault manifests.
+of the fault manifests. Two entries are also pinned at 1024 samples, in JSON
+and CSV, so the per-point table is covered at a size past one analysis block;
+`kfold_equator_S2` has empty CSV cells and JSON nulls.
 The values were captured when the jet engine still evaluated one point at a
 time; a change to any of them is a change to the reports and has to be named
 as one.
@@ -61,6 +63,14 @@ FAULT_COMMANDS = {
 }
 
 
+LARGE = ("clifford_torus_S3", "kfold_equator_S2")
+
+
+def large_commands(name):
+    return {f"classify_{fmt}": ["classify", name, "--samples", "1024", "--format", fmt]
+            for fmt in ("json", "csv")}
+
+
 def entry_commands(name):
     grid = catalog_get(name).expected["bienergy"]["grid"]
     commands = {
@@ -87,9 +97,9 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def entry_pins(name):
+def entry_pins(name, commands=entry_commands):
     pins = {}
-    for key, argv in entry_commands(name).items():
+    for key, argv in commands(name).items():
         code, out, _ = run(argv)
         pins[key] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
     return pins
@@ -118,6 +128,11 @@ def test_catalog_reports_are_byte_stable(name, pins):
     assert entry_pins(name) == pins["entries"][name]
 
 
+@pytest.mark.parametrize("name", LARGE)
+def test_large_reports_are_byte_stable(name, pins):
+    assert entry_pins(name, large_commands) == pins["large"][name]
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_exit_codes_and_messages_are_stable(fault, tmp_path, pins):
     assert fault_pins(fault, tmp_path) == pins["faults"][fault]
@@ -128,5 +143,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {"entries": {e.name: entry_pins(e.name) for e in catalog_list()},
+                 "large": {n: entry_pins(n, large_commands) for n in LARGE},
                  "faults": {f: fault_pins(f, Path(tmp)) for f in sorted(FAULTS)}}
     PINS_FILE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
