@@ -27,6 +27,7 @@ gets the bits a point-by-point evaluation gives it, and an error names the
 first point at which a point-by-point loop would fail.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -271,10 +272,12 @@ def analyze_samples(smap: SphereMap, points) -> SampleBatch:
 
 def _require(ok, points, error, defect):
     """Raise `error` for the first point where the mask `ok` is False (a NaN
-    compares False, so it fails too); defect(i) describes what failed."""
+    compares False, so it fails too); defect(i) describes what failed. The
+    point is named in Python floats."""
     bad = first_index(~ok)
     if bad is not None:
-        raise error(f"{defect(bad)} at {points[bad]}", points[bad], bad)
+        point = tuple(np.asarray(points[bad], dtype=float).tolist())
+        raise error(f"{defect(bad)} at {point}", point, bad)
 
 
 def _stack(values):
@@ -392,7 +395,10 @@ def _bienergy_block(smap, points):
                          for i in range(smap.dim)], axis=1)
         energy = np.einsum("pij,pia,pja->p", frame.g_inv_values, dphi, dphi)
     tau = _tension(smap, lap, phi, energy)
-    return dots(tau, tau) * frame.sqrt_det.value
+    density = dots(tau, tau) * frame.sqrt_det.value
+    _require(np.isfinite(density), points, AnalysisError,
+             lambda i: f"bienergy density |tau|^2 sqrt|g| is {float(density[i])}")
+    return density
 
 
 def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
@@ -419,4 +425,9 @@ def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
     for block in _blockwise(lambda block: _bienergy_block(smap, block), points):
         for value in block.tolist():  # a sequential sum, cell by cell
             total += value
-    return 0.5 * total * cell
+    bienergy = 0.5 * total * cell
+    if not math.isfinite(bienergy):
+        raise AnalysisError(f"chart-domain bienergy is out of float range: the "
+                            f"densities of {len(points)} cells of volume {cell} "
+                            f"sum to {total}")
+    return bienergy

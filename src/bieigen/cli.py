@@ -62,18 +62,18 @@ def _load_map(spec):
 
 
 def _classified(args):
-    """(name, classification report, its document): the document is checked
-    for non-finite values before any command reads the report."""
+    """(name, classification report): the report is checked for non-finite
+    values before any command reads it."""
     name, smap = _load_map(args.manifest)
     report = classify(smap, args.samples, args.tol, margin=args.margin)
-    doc = rpt.classification_dict(name, report, {"margin": args.margin})
-    rpt.require_finite(doc)
-    return name, report, doc
+    rpt.require_finite(report)
+    return name, report
 
 
 def cmd_classify(args):
-    name, report, doc = _classified(args)
+    name, report = _classified(args)
     if args.format == "json":
+        doc = rpt.classification_dict(name, report, {"margin": args.margin})
         sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
         sys.stdout.write(rpt.classification_csv(name, report))
@@ -83,7 +83,7 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    name, report, _ = _classified(args)
+    name, report = _classified(args)
     verdict = verify(report, args.theorem)
     lines = [f"{name} {verdict}"]
     for key in sorted(verdict.details):
@@ -116,19 +116,14 @@ def cmd_residual(args):
               f"{report.constants.c_hat:.6g}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    residual = report.residuals[EQUATIONS[args.equation]]
-    rows = list(zip(report.samples.points.tolist(), residual.per_point.tolist()))
-    summary = {"max": residual.max, "rms": residual.rms}
-    if args.equation == "me1":
-        summary["c"] = report.constants.c_hat
-    doc = rpt.residual_table_json(name, args.equation, rows, summary)
-    rpt.require_finite(doc)
+    table, summary = rpt.residual_table(report, EQUATIONS[args.equation])
     if args.format == "json":
+        doc = rpt.residual_table_json(name, args.equation, table, summary)
         sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
-        sys.stdout.write(rpt.residual_table_csv(rows, smap.dim))
+        sys.stdout.write(rpt.residual_table_csv(table))
     else:
-        sys.stdout.write(rpt.residual_table_text(name, args.equation, rows, summary))
+        sys.stdout.write(rpt.residual_table_text(name, args.equation, table, summary))
     return EXIT_OK
 
 

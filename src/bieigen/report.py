@@ -3,13 +3,19 @@
 JSON output is key-sorted, floats are rendered with 17 significant digits
 (enough to round-trip any double exactly), and no environment-dependent state
 enters the stream, so identical inputs produce byte-identical reports.
+
+The per-point rows of a report are a `Table`, held by column: it checks its
+columns for non-finite values when it is built, formats each column once,
+and renders its JSON and its CSV from the same cell strings.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import dots, inf_norms
+from .jets import first_index
 
 FORMAT_VERSION = "1"
 
@@ -22,22 +28,6 @@ def format_float(x) -> str:
     if not math.isfinite(x):
         raise NonFiniteError(f"refusing to serialize non-finite value {x}")
     return format(float(x), ".17g")
-
-
-def require_finite(doc, where="", point=None):
-    """Raise NonFiniteError naming the first non-finite float of a report
-    document by key path, and by sample point inside a per-point row. Checked
-    before any format is rendered, so JSON, CSV and text fail alike."""
-    if isinstance(doc, dict):
-        point = doc.get("point", point)
-        for key in sorted(doc):
-            require_finite(doc[key], f"{where}.{key}" if where else key, point)
-    elif isinstance(doc, (list, tuple)):
-        for k, item in enumerate(doc):
-            require_finite(item, f"{where}[{k}]", point)
-    elif isinstance(doc, float) and not math.isfinite(doc):
-        at = f" at point {tuple(point)}" if point is not None else ""
-        raise NonFiniteError(f"non-finite value {doc} for {where}{at}")
 
 
 def to_json(obj) -> str:
@@ -58,6 +48,8 @@ def _json(obj, newline):
         return str(int(obj))
     if isinstance(obj, str):
         return _escape(obj)
+    if isinstance(obj, Table):
+        return obj.json(newline)
     inner = newline + "  "
     if isinstance(obj, dict):
         items = [f"{_key(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
@@ -91,6 +83,139 @@ def _escape(s):
     return '"' + s.translate(_ESCAPES) + '"'
 
 
+def _floats(doc, sections):
+    """(key path, value) of each float in the named sections of a document,
+    in document order; a section holds values and dicts of values."""
+    leaves = []
+    for section in sections:
+        for key, value in sorted(doc[section].items()):
+            if isinstance(value, dict):
+                leaves += [((section, key, k), v) for k, v in sorted(value.items())
+                           if isinstance(v, float)]
+            elif isinstance(value, float):
+                leaves.append(((section, key), value))
+    return leaves
+
+
+def _require_finite(leaves):
+    """Raise NonFiniteError naming the first non-finite value of `leaves`,
+    (key path, value) pairs in document order."""
+    bad = first_index(~np.isfinite(np.array([v for _, v in leaves], dtype=float)))
+    if bad is not None:
+        path, value = leaves[bad]
+        raise NonFiniteError(f"non-finite value {value} for {'.'.join(path)}")
+
+
+def _format_column(values) -> list:
+    """format(x, ".17g") of each value of a float array. Report columns
+    repeat their values, so each distinct value (by its bits, which keeps
+    -0.0 apart from 0.0) is formatted once."""
+    bits, where = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = [format(x, ".17g") for x in bits.view(float).tolist()]
+    return np.array(text, dtype=object)[where].tolist()
+
+
+class Table:
+    """Report rows that share their keys, held by column.
+
+    `columns` maps each key, in CSV column order, to a (P,) float array, or
+    to None for a column of None cells; the `point` column is a (P, m) array
+    whose cells are lists, written as the CSV columns u1..um. `defined` maps
+    a (P,) column's key to the mask of the rows that hold a value; its other
+    cells are None. None is `null` in JSON and an empty CSV cell.
+
+    A table is checked for non-finite values when it is built, and formatted
+    on its first render, each column once for both formats."""
+
+    def __init__(self, columns, defined=None):
+        self.columns = columns
+        self.defined = defined or {}
+        self.rows = len(columns["point"])
+        self._require_finite()
+
+    def _require_finite(self):
+        """Raise NonFiniteError naming the first non-finite value in the
+        order of the JSON rows: row by row, keys sorted, list cells in
+        order."""
+        first = None  # (row, key)
+        for key in sorted(self.columns):
+            values = self.columns[key]
+            if values is None:
+                continue
+            ok = np.isfinite(values)
+            if key == "point":
+                ok = ok.all(axis=1)
+            if key in self.defined:
+                ok |= ~self.defined[key]
+            row = first_index(~ok)
+            if row is not None and (first is None or row < first[0]):
+                first = (row, key)
+        if first is None:
+            return
+        row, key = first
+        value = self.columns[key][row]
+        path = f"points[{row}].{key}"
+        if key == "point":
+            k = first_index(~np.isfinite(value))
+            value, path = value[k], f"{path}[{k}]"
+        point = tuple(self.columns["point"][row].tolist())
+        raise NonFiniteError(
+            f"non-finite value {float(value)} for {path} at point {point}")
+
+    @cached_property
+    def _cells(self):
+        """(JSON cells, CSV cells): key -> one list of cell strings per
+        column, m lists for a list column."""
+        json_cells, csv_cells = {}, {}
+        for key, values in self.columns.items():
+            if values is None:
+                json_cells[key], csv_cells[key] = [["null"] * self.rows], [[""] * self.rows]
+                continue
+            json_cells[key] = csv_cells[key] = [
+                _format_column(v) for v in (values.T if key == "point" else [values])]
+            if key in self.defined:
+                (cells,) = json_cells[key]
+                json_list, csv_list = cells[:], cells[:]
+                for i in np.flatnonzero(~self.defined[key]).tolist():
+                    json_list[i], csv_list[i] = "null", ""
+                json_cells[key], csv_cells[key] = [json_list], [csv_list]
+        return json_cells, csv_cells
+
+    def json(self, newline):
+        """The rows as `_json` writes a list of objects that starts on the
+        line `newline` ends: one template of escaped, sorted keys per row,
+        filled in one `%` pass."""
+        if not self.rows:
+            return "[]"
+        cells = self._cells[0]
+        outer = newline + "  "
+        inner = outer + "  "
+        fields, slots = [], []
+        for key in sorted(cells):
+            slots += cells[key]
+            value = "%s"
+            if key == "point":
+                item = inner + "  "
+                value = "[" + item + ("," + item).join([value] * len(cells[key])) + inner + "]"
+            fields.append(_key(key).replace("%", "%%") + ": " + value)
+        row = "{" + inner + ("," + inner).join(fields) + outer + "}"
+        flat = [None] * (self.rows * len(slots))
+        for k, column in enumerate(slots):
+            flat[k::len(slots)] = column
+        template = "[" + outer + ("," + outer).join([row] * self.rows) + newline + "]"
+        return template % tuple(flat)
+
+    def csv(self) -> str:
+        """A header line, then one line per row."""
+        cells = self._cells[1]
+        header = [name for key in cells for name in (
+            [f"u{k + 1}" for k in range(len(cells[key]))] if key == "point" else [key])]
+        lines = [",".join(header)]
+        lines += [",".join(row) for row in zip(*(c for key in cells for c in cells[key]))]
+        return "\n".join(lines) + "\n"
+
+
 # --------------------------------------------------------------------------
 # classification report -> plain data
 # --------------------------------------------------------------------------
@@ -109,54 +234,57 @@ VERDICTS = (  # report attribute, text label
 )
 
 
-def _point_columns(report) -> dict:
-    """The per-point quantities of a classification, one list per key, in
-    CSV column order. The submanifold and full residual norms are those of
-    its residual table."""
+def _point_columns(report):
+    """(columns, defined) of a classification's per-point `Table`, in CSV
+    column order. The submanifold and full residual norms are those of its
+    residual table; mean curvature and the submanifold residual are defined
+    on the isometric rows."""
     s = report.samples
-    isometric = s.isometric.tolist()
 
     def norms(vectors):  # np.linalg.norm of each row
-        if vectors is None:
-            return [None] * len(s)
-        return np.sqrt(dots(vectors, vectors)).tolist()
-
-    def maxima(vectors):
-        return [None] * len(s) if vectors is None else inf_norms(vectors).tolist()
+        return None if vectors is None else np.sqrt(dots(vectors, vectors))
 
     def table(name):
         residual = report.residuals.get(name)
-        return maxima(None) if residual is None else residual.per_point.tolist()
+        return None if residual is None else residual.per_point
 
-    def where_isometric(values):
-        return [v if iso else None for v, iso in zip(values, isometric)]
-
-    return {
-        "point": s.points.tolist(),
-        "energy_density": s.energy_density.tolist(),
+    columns = {
+        "point": s.points,
+        "energy_density": s.energy_density,
         "phi_norm": norms(s.phi),
         "lap_phi_norm": norms(s.lap_phi),
         "bilap_phi_norm": norms(s.bilap_phi),
         "tension_norm": norms(s.tension),
-        "mean_curvature_norm": where_isometric(norms(s.mean_curvature)),
-        "div_theta": s.div_theta.tolist(),
-        "lap_energy_density": s.lap_energy_density.tolist(),
+        "mean_curvature_norm": norms(s.mean_curvature),
+        "div_theta": s.div_theta,
+        "lap_energy_density": s.lap_energy_density,
         "grad_energy_norm": norms(s.grad_energy_pushforward),
-        "residual_submanifold": where_isometric(table("biharmonic_submanifold")),
+        "residual_submanifold": table("biharmonic_submanifold"),
         "residual_full": table("biharmonic_full"),
         # the pointwise-density form, which the residual table does not hold
-        "residual_constant_density": maxima(s.residual_constant_density),
-        "gram_defect": s.gram_defect.tolist(),
-        "sphere_defect": s.sphere_defect.tolist(),
-        "constraint_defect": s.constraint_defect.tolist(),
+        "residual_constant_density": None if s.residual_constant_density is None
+        else inf_norms(s.residual_constant_density),
+        "gram_defect": s.gram_defect,
+        "sphere_defect": s.sphere_defect,
+        "constraint_defect": s.constraint_defect,
     }
+    return columns, {"mean_curvature_norm": s.isometric,
+                     "residual_submanifold": s.isometric}
 
 
-def classification_dict(name, report, settings=None) -> dict:
-    columns = _point_columns(report)
+def _point_table(report) -> Table:
+    """The classification's per-point table, built (and checked) on first
+    use and kept on the report, so its JSON and CSV share their cells; a
+    report changed after that renders as it was."""
+    if report.point_table is None:
+        report.point_table = Table(*_point_columns(report))
+    return report.point_table
+
+
+def _header(report) -> dict:
+    """The sections of the classification document: all of it but
+    `format_version`, `name` and `points`."""
     return {
-        "format_version": FORMAT_VERSION,
-        "name": name,
         "map": {
             "dimension": report.dim,
             "ambient_dimension": report.ambient_dim,
@@ -167,7 +295,6 @@ def classification_dict(name, report, settings=None) -> dict:
             "samples": report.sample_count,
             "tol_abs": report.tol,
             "tol_rel": report.tol,
-            **(settings or {}),
         },
         "constants": {
             "lambda_hat": report.constants.lambda_hat,
@@ -190,8 +317,28 @@ def classification_dict(name, report, settings=None) -> dict:
             "max_norm": report.eta_max_norm,
             "max_deviation_from_unit": report.eta_deviation_from_unit,
         },
-        "points": [dict(zip(columns, values)) for values in zip(*columns.values())],
     }
+
+
+def require_finite(report):
+    """Raise NonFiniteError naming the first non-finite value of the
+    classification document, in document order (keys sorted, `points` row by
+    row), and the sample point when it is in a row. Run before any format
+    is rendered, so JSON, CSV, text and `verify` fail alike."""
+    header = _header(report)
+    _require_finite(_floats(header, sorted(s for s in header if s < "points")))
+    _point_table(report)
+    _require_finite(_floats(header, sorted(s for s in header if s > "points")))
+
+
+def classification_dict(name, report, settings=None) -> dict:
+    """The classification document. Its `points` is the report's `Table`,
+    which `to_json` writes as a list of row objects."""
+    require_finite(report)
+    doc = {"format_version": FORMAT_VERSION, "name": name, **_header(report),
+           "points": _point_table(report)}
+    doc["settings"].update(settings or {})
+    return doc
 
 
 def classification_text(name, report) -> str:
@@ -221,49 +368,47 @@ def classification_text(name, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(header, rows) -> str:
-    """A header line, then one line per row of numbers (None: an empty cell)."""
-    lines = [",".join(header)]
-    lines += [",".join(["" if x is None else format_float(x) for x in row])
-              for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _params(dim):
-    return [f"u{k + 1}" for k in range(dim)]
-
-
 def classification_csv(name, report) -> str:
     """The JSON report's per-point rows, coordinates first."""
-    columns = _point_columns(report)
-    points = columns.pop("point")
-    rows = zip(points, zip(*columns.values()))
-    return _csv(_params(report.dim) + list(columns),
-                [point + list(values) for point, values in rows])
+    return _point_table(report).csv()
 
 
-def residual_table_text(name, equation, rows, summary) -> str:
+def residual_table(report, key):
+    """(table, summary) of the residual `key` of a classification: its
+    per-point max-norms by sample point, and their max and rms (and the
+    fitted density c of the constant-density form), checked for non-finite
+    values in the order of the residual document."""
+    residual = report.residuals[key]
+    table = Table({"point": report.samples.points, "residual": residual.per_point})
+    summary = {"max": residual.max, "rms": residual.rms}
+    if key == "biharmonic_constant_density":
+        summary["c"] = report.constants.c_hat
+    _require_finite(_floats({"summary": summary}, ["summary"]))
+    return table, summary
+
+
+def residual_table_text(name, equation, table, summary) -> str:
     lines = [f"{equation} residual for {name}"]
     if "c" in summary:
         lines.append(f"  constant energy density c = {summary['c']:.12g}")
     lines.append("  point -> residual max-norm")
-    for point, norm in rows:
+    for point, norm in zip(table.columns["point"].tolist(),
+                           table.columns["residual"].tolist()):
         coords = ", ".join(f"{x:.6f}" for x in point)
         lines.append(f"    ({coords})  {norm:.6e}")
     lines.append(f"  max {summary['max']:.6e}  rms {summary['rms']:.6e}")
     return "\n".join(lines) + "\n"
 
 
-def residual_table_json(name, equation, rows, summary) -> dict:
+def residual_table_json(name, equation, table, summary) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "name": name,
         "equation": equation,
-        "points": [{"point": [float(x) for x in point], "residual": norm}
-                   for point, norm in rows],
+        "points": table,
         "summary": summary,
     }
 
 
-def residual_table_csv(rows, dim) -> str:
-    return _csv(_params(dim) + ["residual"], [[*point, norm] for point, norm in rows])
+def residual_table_csv(table) -> str:
+    return table.csv()

@@ -7,6 +7,10 @@ accuracy; step sizes grow with the derivative order to balance truncation
 against roundoff amplification. `mp_partial` is the exception: it evaluates
 an expression tree in 30-digit mpmath arithmetic, where a finite difference
 carries no float roundoff, so it serves as a reference to ~1e-25.
+
+The report oracles at the end work on report documents of plain dicts and
+lists: a recursive walk for the first non-finite value, and a row-by-row CSV
+writer, the references for `report.Table`.
 """
 
 import math
@@ -244,3 +248,31 @@ def random_smooth_source(rng, variables):
 
 def random_point(rng, dim):
     return tuple(float(x) for x in rng.uniform(0.3, 0.9, size=dim))
+
+
+# --------------------------------------------------------------------------
+# report documents as plain dicts and lists
+# --------------------------------------------------------------------------
+
+def require_finite_walk(doc, where="", point=None):
+    """Raise ValueError naming the first non-finite float of a report
+    document by key path (keys sorted, lists in order), and by sample point
+    inside a row that has a `point`."""
+    if isinstance(doc, dict):
+        point = doc.get("point", point)
+        for key in sorted(doc):
+            require_finite_walk(doc[key], f"{where}.{key}" if where else key, point)
+    elif isinstance(doc, (list, tuple)):
+        for k, item in enumerate(doc):
+            require_finite_walk(item, f"{where}[{k}]", point)
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        at = f" at point {tuple(point)}" if point is not None else ""
+        raise ValueError(f"non-finite value {doc} for {where}{at}")
+
+
+def csv_rows(header, rows):
+    """A header line, then one line per row of numbers (None: an empty cell)."""
+    lines = [",".join(header)]
+    lines += [",".join(["" if x is None else format(float(x), ".17g") for x in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"

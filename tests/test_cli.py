@@ -262,6 +262,41 @@ def test_nan_from_overflow_fails_the_sphere_identity_exit_3(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("grid, cell", [(8, 0.0625), (40, 0.0125)])
+def test_nan_bienergy_density_names_the_quantity_and_cell(tmp_path, capsys, grid, cell):
+    doc = {**OVERFLOW, "name": "fast_circle",
+           "map": {"target": "sphere", "components": ["cos(1e200*t)", "sin(1e200*t)", "0"]}}
+    assert main(["bienergy", _write(tmp_path, doc), "--grid", str(grid)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("evaluation error: bienergy density |tau|^2 sqrt|g| "
+                            f"is nan at ({cell},)\n")
+
+
+@pytest.mark.parametrize("grid", [8, 40])
+def test_bienergy_sum_out_of_float_range_exit_3(tmp_path, capsys, grid):
+    # each cell's density, (6e153)^2 = 3.6e307, is finite; their sum is not
+    doc = {**OVERFLOW, "name": "steep_parabola",
+           "map": {"target": "euclidean", "components": ["3e153*t^2"]}}
+    assert main(["bienergy", _write(tmp_path, doc), "--grid", str(grid)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "evaluation error: chart-domain bienergy is out of float range: the "
+        f"densities of {grid} cells of volume {1 / grid} sum to inf\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "great_circle_S2"], ["classify", "great_circle_S2", "--format", "csv"],
+    ["verify", "great_circle_S2", "--theorem", "t1"],
+    ["residual", "great_circle_S2", "--equation", "mf", "--format", "json"]])
+def test_only_classify_json_builds_the_classification_document(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the classification document")
+    monkeypatch.setattr("bieigen.report.classification_dict", refuse)
+    assert main(argv) == 0
+
+
 def test_bienergy_overflow_exit_3(tmp_path, capsys):
     assert main(["bienergy", _write(tmp_path, OVERFLOW), "--grid", "8"]) == 3
     err = capsys.readouterr().err

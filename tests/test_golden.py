@@ -49,6 +49,14 @@ FAULTS = {
                   "metric": {"mode": "explicit", "g": [["t"]]}},
         "map": {"target": "euclidean", "components": ["t", "0"]},
     },
+    # |dphi|^2 overflows, so the bienergy density is NaN at the first cell
+    "nan_density": {
+        "name": "fast_circle",
+        "chart": {"params": ["t"], "domain": [[0, 1]], "periodic": [False],
+                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "sphere",
+                "components": ["cos(1e200*t)", "sin(1e200*t)", "0"]},
+    },
     "log_domain": {
         "name": "log_domain",
         "chart": {"params": ["t"], "domain": [[-1.0, 1.0]], "periodic": [False],
