@@ -83,9 +83,10 @@ def _escape(s):
     return '"' + s.translate(_ESCAPES) + '"'
 
 
-def _floats(doc, sections):
-    """(key path, value) of each float in the named sections of a document,
-    in document order; a section holds values and dicts of values."""
+def _require_finite(doc, sections):
+    """Raise NonFiniteError naming the first non-finite float in the named
+    sections of a document, in document order; a section holds values and
+    dicts of values."""
     leaves = []
     for section in sections:
         for key, value in sorted(doc[section].items()):
@@ -94,12 +95,6 @@ def _floats(doc, sections):
                            if isinstance(v, float)]
             elif isinstance(value, float):
                 leaves.append(((section, key), value))
-    return leaves
-
-
-def _require_finite(leaves):
-    """Raise NonFiniteError naming the first non-finite value of `leaves`,
-    (key path, value) pairs in document order."""
     bad = first_index(~np.isfinite(np.array([v for _, v in leaves], dtype=float)))
     if bad is not None:
         path, value = leaves[bad]
@@ -165,22 +160,21 @@ class Table:
 
     @cached_property
     def _cells(self):
-        """(JSON cells, CSV cells): key -> one list of cell strings per
-        column, m lists for a list column."""
-        json_cells, csv_cells = {}, {}
+        """key -> one list of cell strings per column, m lists for `point`;
+        a None cell is `null`."""
+        cells = {}
         for key, values in self.columns.items():
             if values is None:
-                json_cells[key], csv_cells[key] = [["null"] * self.rows], [[""] * self.rows]
-                continue
-            json_cells[key] = csv_cells[key] = [
-                _format_column(v) for v in (values.T if key == "point" else [values])]
-            if key in self.defined:
-                (cells,) = json_cells[key]
-                json_list, csv_list = cells[:], cells[:]
-                for i in np.flatnonzero(~self.defined[key]).tolist():
-                    json_list[i], csv_list[i] = "null", ""
-                json_cells[key], csv_cells[key] = [json_list], [csv_list]
-        return json_cells, csv_cells
+                cells[key] = [["null"] * self.rows]
+            elif key == "point":
+                cells[key] = [_format_column(v) for v in values.T]
+            else:
+                column = _format_column(values)
+                if key in self.defined:
+                    for i in np.flatnonzero(~self.defined[key]).tolist():
+                        column[i] = "null"
+                cells[key] = [column]
+        return cells
 
     def json(self, newline):
         """The rows as `_json` writes a list of objects that starts on the
@@ -188,7 +182,7 @@ class Table:
         filled in one `%` pass."""
         if not self.rows:
             return "[]"
-        cells = self._cells[0]
+        cells = self._cells
         outer = newline + "  "
         inner = outer + "  "
         fields, slots = [], []
@@ -207,13 +201,14 @@ class Table:
         return template % tuple(flat)
 
     def csv(self) -> str:
-        """A header line, then one line per row."""
-        cells = self._cells[1]
+        """A header line, then one line per row. A `null` cell is left empty
+        (no formatted number contains the text `null`)."""
+        cells = self._cells
         header = [name for key in cells for name in (
             [f"u{k + 1}" for k in range(len(cells[key]))] if key == "point" else [key])]
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in zip(*(c for key in cells for c in cells[key]))]
-        return "\n".join(lines) + "\n"
+        rows = zip(*(column for key in cells for column in cells[key]))
+        body = "".join([",".join(row) + "\n" for row in rows]).replace("null", "")
+        return ",".join(header) + "\n" + body
 
 
 # --------------------------------------------------------------------------
@@ -326,9 +321,9 @@ def require_finite(report):
     row), and the sample point when it is in a row. Run before any format
     is rendered, so JSON, CSV, text and `verify` fail alike."""
     header = _header(report)
-    _require_finite(_floats(header, sorted(s for s in header if s < "points")))
+    _require_finite(header, sorted(s for s in header if s < "points"))
     _point_table(report)
-    _require_finite(_floats(header, sorted(s for s in header if s > "points")))
+    _require_finite(header, sorted(s for s in header if s > "points"))
 
 
 def classification_dict(name, report, settings=None) -> dict:
@@ -383,7 +378,7 @@ def residual_table(report, key):
     summary = {"max": residual.max, "rms": residual.rms}
     if key == "biharmonic_constant_density":
         summary["c"] = report.constants.c_hat
-    _require_finite(_floats({"summary": summary}, ["summary"]))
+    _require_finite({"summary": summary}, ["summary"])
     return table, summary
 
 
