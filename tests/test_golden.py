@@ -7,9 +7,10 @@ grid) are pinned, and so are the exit code, the stdout hash and the stderr
 of the fault manifests. Two entries are also pinned at 1024 samples, in JSON
 and CSV, so the per-point table is covered at a size past one analysis block;
 `kfold_equator_S2` has empty CSV cells and JSON nulls.
-The values were captured when the jet engine still evaluated one point at a
-time; a change to any of them is a change to the reports and has to be named
-as one.
+The catalog values were captured when the jet engine still evaluated one
+point at a time, the 1024-sample ones while reports were still written row
+by row; a change to any of them is a change to the reports and has to be
+named as one.
 
 The pins live in `golden_pins.json` next to this file. Rewrite it with
 `PYTHONPATH=src python tests/test_golden.py` only when a report change is
