@@ -28,24 +28,30 @@ def _hyperspherical(m):
     return list(names), comps
 
 
-def _map(name, params, domain, immersion, extra=()):
+def _manifest(name, params, domain, immersion, extra=()):
     """A unit-sphere map whose components are the immersion (plus constant
     components), on the chart with the metric the immersion induces."""
     periodic = [bound is AZIMUTH for bound in domain]
-    return build_map({
+    return {
         "name": name,
         "chart": {"params": params, "domain": domain, "periodic": periodic,
                   "metric": {"mode": "induced", "immersion": immersion}},
         "map": {"target": "sphere", "components": immersion + list(extra)},
-    })[1]
+    }
+
+
+def sphere_manifest(m, lifted):
+    """The manifest of S^m(1/sqrt 2) at height 1/sqrt 2 in S^(m+1) when
+    `lifted`, else of the identity of S^m."""
+    params, x = _hyperspherical(m)
+    if lifted:
+        return _manifest(f"S{m}_half_in_S{m + 1}", params, [POLAR] * (m - 1) + [AZIMUTH],
+                         [e + HALF for e in x], ["1" + HALF])
+    return _manifest(f"identity_S{m}", params, [POLAR] * (m - 1) + [AZIMUTH], x)
 
 
 def _sphere_map(m, lifted):
-    params, x = _hyperspherical(m)
-    if lifted:  # S^m(1/sqrt 2) at height 1/sqrt 2 in S^(m+1)
-        return _map(f"S{m}_half_in_S{m + 1}", params, [POLAR] * (m - 1) + [AZIMUTH],
-                    [e + HALF for e in x], ["1" + HALF])
-    return _map(f"identity_S{m}", params, [POLAR] * (m - 1) + [AZIMUTH], x)
+    return build_map(sphere_manifest(m, lifted))[1]
 
 
 SAMPLES = {3: 125, 4: 81}
@@ -81,7 +87,8 @@ def test_s1_times_s2_is_proper_biharmonic_but_not_buckling():
     # have eigenvalues 2 and 4, so no single buckling constant fits
     _, s2 = _hyperspherical(2)
     immersion = ["cos(t)" + HALF, "sin(t)" + HALF] + [e + HALF for e in s2]
-    smap = _map("S1_S2_in_S4", ["t", "a", "b"], [AZIMUTH, POLAR, AZIMUTH], immersion)
+    smap = build_map(_manifest("S1_S2_in_S4", ["t", "a", "b"], [AZIMUTH, POLAR, AZIMUTH],
+                               immersion))[1]
     report = classify(smap, SAMPLES[3])
     assert report.is_isometric and report.is_biharmonic
     assert not report.is_harmonic and report.is_buckling is False

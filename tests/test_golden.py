@@ -6,7 +6,10 @@ equation, in text, JSON and CSV) and `bienergy` (at the entry's expected
 grid) are pinned, and so are the exit code, the stdout hash and the stderr
 of the fault manifests. Two entries are also pinned at 1024 samples, in JSON
 and CSV, so the per-point table is covered at a size past one analysis block;
-`kfold_equator_S2` has empty CSV cells and JSON nulls.
+`kfold_equator_S2` has empty CSV cells and JSON nulls. The induced-metric
+hyperspheres of `test_curved.py` in dimensions 3 and 4 are pinned in JSON,
+CSV and bienergy, so the 35- and 70-coefficient jets of a varying metric are
+covered too.
 The catalog values were captured when the jet engine still evaluated one
 point at a time, the 1024-sample ones while reports were still written row
 by row; a change to any of them is a change to the reports and has to be
@@ -27,6 +30,8 @@ import pytest
 
 from bieigen.catalog import catalog_get, catalog_list
 from bieigen.cli import main
+
+from test_curved import sphere_manifest
 
 THEOREMS = ("takahashi", "t1", "t2", "t3", "t4")
 EQUATIONS = ("eq102", "mf", "me1")
@@ -98,6 +103,22 @@ def entry_commands(name):
     return commands
 
 
+# the induced-metric hyperspheres of tests/test_curved.py: (dimension,
+# lifted, samples, bienergy grid)
+CURVED = {"identity_S3": (3, False, 125, 6), "S3_half_in_S4": (3, True, 125, 6),
+          "S4_half_in_S5": (4, True, 81, 4)}
+
+
+def curved_pins(name, directory):
+    m, lifted, samples, grid = CURVED[name]
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(sphere_manifest(m, lifted)), encoding="utf-8")
+    commands = {f"classify_{fmt}": ["classify", str(path), "--samples", str(samples),
+                                    "--format", fmt] for fmt in ("json", "csv")}
+    commands["bienergy"] = ["bienergy", str(path), "--grid", str(grid)]
+    return entry_pins(name, lambda _: commands)
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -142,6 +163,11 @@ def test_large_reports_are_byte_stable(name, pins):
     assert entry_pins(name, large_commands) == pins["large"][name]
 
 
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_curved_reports_are_byte_stable(name, tmp_path, pins):
+    assert curved_pins(name, tmp_path) == pins["curved"][name]
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_exit_codes_and_messages_are_stable(fault, tmp_path, pins):
     assert fault_pins(fault, tmp_path) == pins["faults"][fault]
@@ -153,5 +179,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {"entries": {e.name: entry_pins(e.name) for e in catalog_list()},
                  "large": {n: entry_pins(n, large_commands) for n in LARGE},
+                 "curved": {n: curved_pins(n, Path(tmp)) for n in sorted(CURVED)},
                  "faults": {f: fault_pins(f, Path(tmp)) for f in sorted(FAULTS)}}
     PINS_FILE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
