@@ -10,6 +10,23 @@ rounding, and every point gets the same bits it would get on its own.
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
 first use, once per (order, nvars).
+
+A Jet also carries `degree`, an upper bound on the total degree of its
+nonzero coefficients, clipped to its order: every coefficient slot of a
+higher total degree holds +0.0 or -0.0. Constants have degree 0 and
+variables degree 1; + and - take the larger degree, a product the sum of the
+two, a quotient by a degree-0 jet the numerator's, and every other
+operation the full order. A product skips the terms a[i] * b[j] in which a
+slot above its factor's degree takes part, so a constant or linear operand
+costs only its live terms. That keeps the bits: each output slot adds its
+remaining terms in the same order, starting from +0.0, and a skipped term is
++0.0 or -0.0 while its other factor is finite; a running sum that starts at
++0.0 is never -0.0, so adding a zero to it changes nothing. (Where the other
+factor is inf or NaN, the skipped term would have been NaN.) Division does
+not skip terms:
+its recurrence starts each slot from the numerator's coefficient, which may
+be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a zero product could flip
+the sign of a zero.
 """
 
 import math
@@ -146,11 +163,9 @@ class _JetSpace:
         pairs = [(i, j, self.position[tuple(a + b for a, b in zip(alpha, beta))])
                  for i, alpha in enumerate(self.multi_indices)
                  for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
-        self._mul_a, self._mul_b, self._mul_sizes, perm = _rounds(pairs, self.size)
-        self._mul_unperm = np.argsort(perm)
-        # output slot of each product, for summing one point's products in
-        # one bincount call
-        self._mul_out = perm[np.concatenate([np.arange(n) for n in self._mul_sizes])]
+        self._degree = degree
+        self._pairs = pairs
+        self._mul_tables = {}
 
         # Division recurrence: output slot k subtracts q[i] * b[j] over the
         # product terms of k with a nonzero multi-index j, in product order.
@@ -165,17 +180,34 @@ class _JetSpace:
 
         self._diff_tables = {}
 
-    def multiply(self, a, b):
+    def _mul_table(self, da, db):
+        """The product terms of factors of degrees da and db: the pairs
+        whose x slot has degree <= da and y slot degree <= db, in rounds
+        (see `_rounds`), with the inverse permutation and, for one point's
+        bincount, the output slot of each product."""
+        table = self._mul_tables.get((da, db))
+        if table is None:
+            degree = self._degree
+            xs, ys, sizes, perm = _rounds([(i, j, k) for i, j, k in self._pairs
+                                           if degree[i] <= da and degree[j] <= db],
+                                          self.size)
+            out = perm[np.concatenate([np.arange(n) for n in sizes])]
+            table = self._mul_tables[(da, db)] = (xs, ys, sizes, np.argsort(perm), out)
+        return table
+
+    def multiply(self, a, b, da, db):
+        """The truncated product of coefficients a and b of degrees at most
+        da and db."""
+        xs, ys, sizes, unperm, slots = self._mul_table(da, db)
         shape = a.shape if a.size >= b.size else b.shape  # a block of one broadcasts
         if a.size == b.size == self.size:
             # one point: numpy's bincount sums sequentially from 0.0, in
             # table order, and costs one call
-            products = a.ravel()[self._mul_a] * b.ravel()[self._mul_b]
-            return np.bincount(self._mul_out, weights=products,
-                               minlength=self.size).reshape(shape)
+            products = a.ravel()[xs] * b.ravel()[ys]
+            return np.bincount(slots, weights=products, minlength=self.size).reshape(shape)
         out = np.zeros(shape)  # sums start from 0.0, as bincount's do
-        _fold(np.add, out, a, self._mul_a, b, self._mul_b, self._mul_sizes)
-        return out[self._mul_unperm]
+        _fold(np.add, out, a, xs, b, ys, sizes)
+        return out[unperm]
 
     def divide(self, a, b):
         zero = first_index(b[0] == 0.0)
@@ -233,12 +265,15 @@ class Jet:
     computation share (order, nvars) and one form, and a block of one
     combines with a block of P. Numbers, and arrays with one entry per
     point, act as per-point constants: + and - shift the value slot, * and
-    / scale every coefficient."""
+    / scale every coefficient.
 
-    __slots__ = ("order", "nvars", "coeffs")
+    `degree` bounds the total degree of the nonzero coefficients (see the
+    module docstring); it defaults to, and is clipped to, `order`."""
+
+    __slots__ = ("order", "nvars", "coeffs", "degree")
     __array_ufunc__ = None  # `array * jet` defers to Jet.__rmul__
 
-    def __init__(self, order, nvars, coeffs):
+    def __init__(self, order, nvars, coeffs, degree=None):
         space = _space(order, nvars)
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim not in (1, 2) or arr.shape[0] != space.size:
@@ -248,6 +283,7 @@ class Jet:
         self.order = order
         self.nvars = nvars
         self.coeffs = arr
+        self.degree = order if degree is None else min(degree, order)
 
     @property
     def value(self):
@@ -268,7 +304,7 @@ class Jet:
 
     def at(self, index):
         """The one-point jet at position `index` of the block."""
-        return Jet(self.order, self.nvars, self.coeffs[:, index])
+        return Jet(self.order, self.nvars, self.coeffs[:, index], self.degree)
 
     def _binary(self, other):
         if isinstance(other, Jet):
@@ -288,8 +324,9 @@ class Jet:
         if rhs is None:
             out = self.coeffs.copy()
             out[0] += other
-            return Jet(self.order, self.nvars, out)
-        return Jet(self.order, self.nvars, self.coeffs + rhs.coeffs)
+            return Jet(self.order, self.nvars, out, self.degree)
+        return Jet(self.order, self.nvars, self.coeffs + rhs.coeffs,
+                   max(self.degree, rhs.degree))
 
     __radd__ = __add__
 
@@ -300,23 +337,26 @@ class Jet:
         if rhs is None:
             out = self.coeffs.copy()
             out[0] -= other
-            return Jet(self.order, self.nvars, out)
-        return Jet(self.order, self.nvars, self.coeffs - rhs.coeffs)
+            return Jet(self.order, self.nvars, out, self.degree)
+        return Jet(self.order, self.nvars, self.coeffs - rhs.coeffs,
+                   max(self.degree, rhs.degree))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.order, self.nvars, -self.coeffs)
+        return Jet(self.order, self.nvars, -self.coeffs, self.degree)
 
     def __mul__(self, other):
         rhs = self._binary(other)
         if rhs is NotImplemented:
             return NotImplemented
         if rhs is None:
-            return Jet(self.order, self.nvars, self.coeffs * other)
+            return Jet(self.order, self.nvars, self.coeffs * other, self.degree)
         space = _space(self.order, self.nvars)
-        return Jet(self.order, self.nvars, space.multiply(self.coeffs, rhs.coeffs))
+        return Jet(self.order, self.nvars,
+                   space.multiply(self.coeffs, rhs.coeffs, self.degree, rhs.degree),
+                   self.degree + rhs.degree)
 
     __rmul__ = __mul__
 
@@ -328,9 +368,10 @@ class Jet:
             zero = first_index(np.equal(other, 0))
             if zero is not None:
                 raise JetDomainError("division by zero", zero)
-            return Jet(self.order, self.nvars, self.coeffs / other)
+            return Jet(self.order, self.nvars, self.coeffs / other, self.degree)
         space = _space(self.order, self.nvars)
-        return Jet(self.order, self.nvars, space.divide(self.coeffs, rhs.coeffs))
+        return Jet(self.order, self.nvars, space.divide(self.coeffs, rhs.coeffs),
+                   self.degree if rhs.degree == 0 else self.order)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):
@@ -338,7 +379,8 @@ class Jet:
         space = _space(self.order, self.nvars)
         num = np.zeros(self.coeffs.shape)
         num[0] = other
-        return Jet(self.order, self.nvars, space.divide(num, self.coeffs))
+        return Jet(self.order, self.nvars, space.divide(num, self.coeffs),
+                   0 if self.degree == 0 else self.order)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -351,7 +393,7 @@ class Jet:
             raise ValueError(f"cannot truncate order {self.order} jet to order {order}")
         size = _space(order, self.nvars).size
         # graded index ordering makes truncation a prefix slice
-        return Jet(order, self.nvars, self.coeffs[:size])
+        return Jet(order, self.nvars, self.coeffs[:size], self.degree)
 
     def extract_derivative(self, direction):
         """Order-(K-1) jet of the partial derivative in one direction."""
@@ -360,7 +402,8 @@ class Jet:
         if not 0 <= direction < self.nvars:
             raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
         src, fac = _space(self.order, self.nvars).diff_table(direction)
-        return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs))
+        return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs),
+                   max(self.degree - 1, 0))
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, coeffs={self.coeffs!r})"
@@ -378,7 +421,7 @@ def variable(index, value, order, nvars):
     if order >= 1:
         unit = tuple(1 if k == index else 0 for k in range(nvars))
         coeffs[space.position[unit]] = 1.0
-    return Jet(order, nvars, coeffs)
+    return Jet(order, nvars, coeffs, 1)
 
 
 def constant(value, order, nvars):
@@ -386,14 +429,14 @@ def constant(value, order, nvars):
     value = np.asarray(value, dtype=float)
     coeffs = np.zeros((_space(order, nvars).size,) + value.shape)
     coeffs[0] = value
-    return Jet(order, nvars, coeffs)
+    return Jet(order, nvars, coeffs, 0)
 
 
 def constant_like(value, jet):
     """Constant jet with the signature and the block of `jet`."""
     coeffs = np.zeros(jet.coeffs.shape)
     coeffs[0] = value
-    return Jet(jet.order, jet.nvars, coeffs)
+    return Jet(jet.order, jet.nvars, coeffs, 0)
 
 
 def _ipow(x, n):
@@ -471,7 +514,7 @@ def _compose(a, derivs):
     taylor = derivs[:a.order + 1] / _rows(_FACTORIALS[:a.order + 1], derivs)
     hat = a.coeffs.copy()
     hat[0] = 0.0
-    hat = Jet(a.order, a.nvars, hat)
+    hat = Jet(a.order, a.nvars, hat, a.degree)
     acc = constant_like(taylor[-1], a)
     for k in range(a.order - 1, -1, -1):
         acc = acc * hat

@@ -229,3 +229,44 @@ def test_leibniz_property(a, b):
         + a.truncated(3) * b.extract_derivative(0)
     scale = max(1.0, np.max(np.abs(lhs.coeffs)))
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12 * scale)
+
+
+# values a live coefficient takes: signed zeros, subnormals, the float range's
+# ends and plain numbers
+_LIVE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+                                   1e308, -1e308]),
+                  st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _degree_pairs(draw):
+    """Two coefficient arrays of one (order, nvars) signature, one point or a
+    block of three, each with its degree: slots above it hold +0.0 or -0.0."""
+    order, nvars = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    space = jets._space(order, nvars)
+    shape = draw(st.sampled_from([(space.size,), (space.size, 3)]))
+    count = int(np.prod(shape))
+    slot_degree = np.array([sum(alpha) for alpha in space.multi_indices])
+    out = []
+    for _ in range(2):
+        degree = draw(st.integers(0, order))
+        live = np.array(draw(st.lists(_LIVE, min_size=count, max_size=count)))
+        zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                       min_size=count, max_size=count)))
+        above = np.broadcast_to((slot_degree > degree).reshape((-1,) + (1,) * (len(shape) - 1)),
+                                shape)
+        out.append((np.where(above, zeros.reshape(shape), live.reshape(shape)), degree))
+    return order, nvars, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degree_pairs())
+def test_degree_filtered_product_equals_the_full_convolution_bit_for_bit(case):
+    # one point takes the bincount path, a block the round fold
+    order, nvars, ((a, da), (b, db)) = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = Jet(order, nvars, a, da) * Jet(order, nvars, b, db)
+        full = Jet(order, nvars, a) * Jet(order, nvars, b)
+    assert full.degree == order and filtered.degree == min(order, da + db)
+    np.testing.assert_array_equal(filtered.coeffs.view(np.int64),
+                                  full.coeffs.view(np.int64))
