@@ -35,7 +35,7 @@ import numpy as np
 
 from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, metric_frame,
                      pushforward)
-from .exprs import eval_jet, parse, variables_of
+from .exprs import eval_jet, intern, parse, variables_of
 from .jets import JetDomainError, first_index
 
 SPHERE_TOL = 1e-10
@@ -73,8 +73,9 @@ class SphereMap:
     def __post_init__(self):
         if self.target not in (TARGET_SPHERE, TARGET_EUCLIDEAN):
             raise ValueError(f"unknown target '{self.target}'")
-        if self.target == TARGET_SPHERE and not self.radius > 0:
-            raise ValueError("sphere radius must be positive")
+        if self.target == TARGET_SPHERE and not (math.isfinite(self.radius)
+                                                 and self.radius > 0):
+            raise ValueError("sphere radius must be finite and positive")
         if not self.components:
             raise ValueError("map needs at least one component")
         names = set(self.chart.params)
@@ -83,6 +84,11 @@ class SphereMap:
             if extra:
                 raise ValueError(
                     f"component {k} uses undeclared variables: {sorted(extra)}")
+        # subtrees equal to the chart's are the chart's objects, so an
+        # induced metric and the map share their jets in one memo
+        metric = self.chart._metric_exprs()
+        object.__setattr__(self, "components",
+                           tuple(intern(metric + list(self.components))[len(metric):]))
 
     @staticmethod
     def build(chart, components, target=TARGET_SPHERE, radius=1.0):
@@ -288,9 +294,10 @@ def _stack(values):
 def _analyze_block(smap, points):
     chart = smap.chart
     m = chart.dim
-    frame = metric_frame(chart, points, 3)
-    env = chart.param_jets(points, 4)
-    phi_jets = [eval_jet(c, env) for c in smap.components]
+    env, memo = chart.param_jets(points, 4), {}
+    frame = metric_frame(chart, points, 3, env, memo)
+    phi_jets = [eval_jet(c, env, memo) for c in smap.components]
+    del memo  # frees the intermediate jets before the Laplacians run
     phi = _stack([j.value for j in phi_jets])
 
     sphere_defect = np.zeros(len(points))
@@ -384,9 +391,10 @@ def _bienergy_block(smap, points):
     """|tau|^2 sqrt|g| at a block of quadrature points, from order-2 field
     jets and an order-1 frame: cheaper than the order-4 analysis."""
     chart = smap.chart
-    frame = metric_frame(chart, points, 1)
-    env = chart.param_jets(points, 2)
-    phi_jets = [eval_jet(c, env) for c in smap.components]
+    env, memo = chart.param_jets(points, 2), {}
+    frame = metric_frame(chart, points, 1, env, memo)
+    phi_jets = [eval_jet(c, env, memo) for c in smap.components]
+    del memo
     phi = _stack([j.value for j in phi_jets])
     lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
     energy = None

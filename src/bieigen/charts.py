@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .exprs import Expr, eval_jet, parse, variables_of
+from .exprs import Expr, eval_jet, intern, parse, variables_of
 from .jets import Jet
 
 MIN_METRIC_EIGENVALUE = 1e-10
@@ -88,6 +88,14 @@ class Chart:
                     f"metric expression uses undeclared variables: {sorted(extra)}")
         if isinstance(self.metric, InducedMetric) and len(self.metric.immersion) < m:
             raise ValueError("immersion needs at least as many components as parameters")
+        # equal subtrees become one object, evaluated once per memo
+        exprs = iter(intern(self._metric_exprs()))
+        if isinstance(self.metric, InducedMetric):
+            metric = InducedMetric(tuple(exprs))
+        else:
+            metric = ExplicitMetric(tuple(tuple(next(exprs) for _ in row)
+                                          for row in self.metric.entries))
+        object.__setattr__(self, "metric", metric)
 
     def _metric_exprs(self):
         if isinstance(self.metric, ExplicitMetric):
@@ -266,14 +274,16 @@ def _values(matrix, count):
     return out
 
 
-def _metric_jets(chart, coords, order):
+def _metric_jets(chart, coords, order, env, memo):
     """g_ij as order-`order` jets at a block of coordinates; symmetric
-    entries are one object."""
+    entries are one object. An induced metric evaluates its immersion in
+    `env` and `memo` when given (see `metric_frame`)."""
     m = chart.dim
     g = [[None] * m for _ in range(m)]
     if isinstance(chart.metric, InducedMetric):
-        env = chart._coordinate_jets(coords, order + 1)
-        x_jets = [eval_jet(e, env) for e in chart.metric.immersion]
+        if env is None:
+            env, memo = chart._coordinate_jets(coords, order + 1), {}
+        x_jets = [eval_jet(e, env, memo) for e in chart.metric.immersion]
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
         for i in range(m):
             for j in range(i, m):
@@ -282,26 +292,32 @@ def _metric_jets(chart, coords, order):
                     acc = acc + dx[i][a] * dx[j][a]
                 g[i][j] = g[j][i] = acc
     else:
-        env = chart._coordinate_jets(coords, order)
+        env, memo = chart._coordinate_jets(coords, order), {}
         for i in range(m):
             for j in range(i, m):
-                g[i][j] = g[j][i] = eval_jet(chart.metric.entries[i][j], env)
+                g[i][j] = g[j][i] = eval_jet(chart.metric.entries[i][j], env, memo)
     return g
 
 
-def metric_frame(chart, points, order=3):
+def metric_frame(chart, points, order=3, env=None, memo=None):
     """Metric data as order-`order` jets (induced mode consumes one extra
     derivative order from the immersion), at one point or at a block of
     points (a sequence of points). A one-point frame is a block of one. A
     constant metric is evaluated at the block's first point only; its jets
-    are a block of one that broadcasts against the block."""
+    are a block of one that broadcasts against the block.
+
+    `env`, the parameter jets of the block at order `order` + 1, and its
+    memo (see `exprs.eval_jet`) are where an induced metric evaluates its
+    immersion, so a caller that evaluates the map in them shares the
+    subtrees the two have in common. An explicit metric evaluates its
+    entries at `order`, in an env of its own."""
     if np.ndim(points) == 1:  # one point: a block of one, returned in the one-point form
-        return metric_frame(chart, [points], order).at(0)
+        return metric_frame(chart, [points], order, env, memo).at(0)
     chart.require_inside(points)
     coords = np.asarray(points, dtype=float)
     if chart.metric_is_constant:
         coords = coords[:1]
-    g = _metric_jets(chart, coords, order)
+    g = _metric_jets(chart, coords, order, env, memo)
     det = _det(g)
     # written so that a NaN fails the checks too
     if isinstance(chart.metric, InducedMetric):

@@ -8,12 +8,16 @@ left-associative and ^ right-associative.
 
 ASTs are immutable and hashable. `eval_jet` evaluates over jet-valued
 environments, `eval_value` over plain floats; at order 0 the two agree
-bit for bit because both sides call the same scalar kernels.
+bit for bit because both sides call the same scalar kernels. `intern` makes
+equal subtrees of several ASTs one object, and `eval_jet` evaluates each
+object once per memo, so a subtree shared by the roots of a map is
+evaluated once per block.
 """
 
 import math
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Mapping, Optional, Union
 
@@ -23,7 +27,8 @@ from .jets import Jet, JetDomainError, scalar_pow
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "UnboundVariableError",
-    "parse", "to_source", "eval_jet", "eval_value", "variables_of", "FUNCTIONS",
+    "parse", "to_source", "intern", "eval_jet", "eval_value", "variables_of",
+    "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
@@ -287,6 +292,34 @@ def variables_of(e: Expr) -> frozenset:
     return frozenset()
 
 
+def intern(roots) -> list:
+    """The roots with every subtree replaced by the first equal subtree met,
+    roots in order and children before parents, so equal subtrees are one
+    object. A node whose children are unchanged is kept, so interning
+    interned roots returns them. Numbers are compared by their float bits:
+    Const(0.0) and Const(-0.0) stay apart, although == merges them."""
+    table = {}
+    return [_intern(e, table) for e in roots]
+
+
+def _intern(e, table):
+    key, children = [type(e)], {}
+    for field in fields(e):
+        value = getattr(e, field.name)
+        if isinstance(value, _NODES):
+            child = _intern(value, table)
+            if child is not value:
+                children[field.name] = child
+            value = id(child)  # the table keeps the child alive
+        elif isinstance(value, float):
+            value = struct.pack("d", value)
+        key.append(value)
+    return table.setdefault(tuple(key), replace(e, **children) if children else e)
+
+
+_NODES = Expr.__args__
+
+
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
@@ -297,39 +330,50 @@ _JET_FUNCS = {
 }
 
 
-def eval_jet(e: Expr, env: Mapping[str, Jet]) -> Jet:
-    """Evaluate over jet-valued variables; all env jets must share (order, nvars)."""
+def eval_jet(e: Expr, env: Mapping[str, Jet], memo: Optional[dict] = None) -> Jet:
+    """Evaluate over jet-valued variables; all env jets must share (order, nvars).
+
+    `memo` keeps the jet of every node evaluated through it, keyed by node
+    identity, so a node met again (in this root or a later one) is not
+    evaluated again. A memo belongs to one env: create it together with the
+    env and pass it with no other. Without one, a memo lives for this call."""
     if not env:
         raise ValueError("jet environment must bind at least one variable")
     probe = next(iter(env.values()))
-    return _eval_jet(e, env, probe)
+    return _eval_jet(e, env, probe, {} if memo is None else memo)
 
 
-def _eval_jet(e, env, probe):
+def _eval_jet(e, env, probe, memo):
+    entry = memo.get(id(e))
+    if entry is not None:
+        return entry[1]
     if isinstance(e, Const):
-        return jets.constant_like(e.value, probe)
-    if isinstance(e, Var):
+        jet = jets.constant_like(e.value, probe)
+    elif isinstance(e, Var):
         jet = env.get(e.name)
         if jet is None:
             raise UnboundVariableError(e.name)
-        return jet
-    if isinstance(e, Neg):
-        return -_eval_jet(e.operand, env, probe)
-    if isinstance(e, BinOp):
-        left = _eval_jet(e.left, env, probe)
-        right = _eval_jet(e.right, env, probe)
+    elif isinstance(e, Neg):
+        jet = -_eval_jet(e.operand, env, probe, memo)
+    elif isinstance(e, BinOp):
+        left = _eval_jet(e.left, env, probe, memo)
+        right = _eval_jet(e.right, env, probe, memo)
         if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, Pow):
-        return jets.power(_eval_jet(e.base, env, probe), e.exponent)
-    if isinstance(e, Call):
-        return _JET_FUNCS[e.func](_eval_jet(e.arg, env, probe))
-    raise TypeError(f"not an expression node: {e!r}")
+            jet = left + right
+        elif e.op == "-":
+            jet = left - right
+        elif e.op == "*":
+            jet = left * right
+        else:
+            jet = left / right
+    elif isinstance(e, Pow):
+        jet = jets.power(_eval_jet(e.base, env, probe, memo), e.exponent)
+    elif isinstance(e, Call):
+        jet = _JET_FUNCS[e.func](_eval_jet(e.arg, env, probe, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = (e, jet)  # the node is kept, so its id is not reused
+    return jet
 
 
 def _scalar_log(x):

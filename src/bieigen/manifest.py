@@ -24,6 +24,7 @@ enough position information to locate bad expressions.
 """
 
 import json
+import math
 from typing import Mapping
 
 from .analysis import SphereMap
@@ -149,8 +150,8 @@ def _build_map(doc, chart):
         if target != "sphere":
             raise ManifestError("map.radius is only valid for sphere targets")
         radius = _bound(doc["radius"], "map.radius")
-        if not radius > 0:
-            raise ManifestError("map.radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ManifestError(f"map.radius must be finite and positive, got {radius}")
     comps = doc["components"]
     if not isinstance(comps, list) or not comps:
         raise ManifestError("map.components must be a non-empty list of expressions")

@@ -19,6 +19,7 @@ from bieigen.exprs import (BinOp, Call, Const, Neg, Pow, Var, eval_jet, eval_val
 
 from _oracles import (explicit_metric_fn, expr_fn, fd_laplace_beltrami, mp_partial,
                       random_point, random_smooth_source)
+from test_curved import sphere_manifest
 
 VARIABLES = ("u", "v")
 
@@ -113,10 +114,52 @@ def test_block_laplacian_matches_blocks_of_one_and_oracle(seed):
         assert block.value[p] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
 
 
-@pytest.mark.parametrize("name", ["clifford_comp_S4", "round_sphere_chart_S2_in_R3"])
+def _zero_above_degree(jet):
+    """Every coefficient slot of a total degree above jet.degree is +-0.0."""
+    space = jets._space(jet.order, jet.nvars)
+    above = np.array([sum(alpha) > jet.degree for alpha in space.multi_indices])
+    assert np.all(jet.coeffs[above] == 0.0), (jet.degree, jet.coeffs[above])
+
+
+@settings(max_examples=60, deadline=None)
+@given(EXPRESSIONS, st.integers(0, 4))
+def test_eval_jet_coefficients_above_the_degree_are_zero(ast, order):
+    coords = np.random.default_rng(order).uniform(0.3, 0.9, size=(5, 2))
+    _zero_above_degree(eval_jet(ast, _block_env(coords, order)))
+
+
+FRAME_CHARTS = {
+    "constant_explicit": Chart.explicit(VARIABLES, [(0.0, 1.2)] * 2, [["2", "0.5"], ["3"]]),
+    "varying_explicit": Chart.explicit(VARIABLES, [(0.0, 1.2)] * 2,
+                                       [["2 + 0.3*sin(u*v)", "0.2*cos(u)"], ["2 + v^2"]]),
+    "induced": Chart.induced(VARIABLES, [(0.3, 1.2)] * 2,
+                             ["sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CHARTS))
+def test_frame_and_laplacian_coefficients_above_the_degree_are_zero(name):
+    chart = FRAME_CHARTS[name]
+    points = np.random.default_rng(3).uniform(0.4, 1.1, size=(7, 2))
+    frame = metric_frame(chart, points, 3)
+    for jet in [*sum(frame.g, []), *sum(frame.g_inv, []), frame.sqrt_det]:
+        _zero_above_degree(jet)
+    if name == "constant_explicit":  # a constant metric's products cost one term
+        assert {j.degree for j in [*sum(frame.g_inv, []), frame.sqrt_det]} == {0}
+    for field in ("u", "u*v - 2*v", "sin(u)*exp(v)"):
+        lap = laplacian_jet(frame, eval_jet(parse(field), chart.param_jets(points, 4)))
+        _zero_above_degree(lap)
+        _zero_above_degree(laplacian_jet(frame, lap))
+
+
+@pytest.mark.parametrize("name", ["clifford_comp_S4", "round_sphere_chart_S2_in_R3",
+                                  "S4_half_in_S5"])
 def test_sample_batch_rows_equal_one_point_analyses(name):
-    _, smap = build_map(catalog_get(name).manifest)
-    points = smap.chart.sample_points(300)  # two blocks
+    # S4_half_in_S5, of test_curved.py, shares its immersion's jets in a memo
+    manifest = (sphere_manifest(4, lifted=True) if name == "S4_half_in_S5"
+                else catalog_get(name).manifest)
+    _, smap = build_map(manifest)
+    points = smap.chart.sample_points(300)  # two blocks or more
     batch = analyze_samples(smap, points)
     assert len(batch) == len(points)
     for i in (0, 1, 255, 256, len(points) - 1):

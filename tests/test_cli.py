@@ -352,6 +352,15 @@ def test_constant_expression_errors_are_manifest_errors_exit_2(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("radius", ["1e400", '"1e300*1e300"'])
+def test_radius_out_of_float_range_exit_2(tmp_path, capsys, radius):
+    doc = {**NEARLY_ISOMETRIC, "map": {**NEARLY_ISOMETRIC["map"], "radius": "RADIUS"}}
+    path = tmp_path / "huge_radius.json"
+    path.write_text(json.dumps(doc).replace('"RADIUS"', radius))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: map.radius must be finite and positive, got inf\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify", "great_circle_S2", "--samples", "1000000000000"],
      "--samples: a grid of at least 1000000000000 sample points exceeds the "

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bieigen import jets
-from bieigen.exprs import (BinOp, Call, Const, Neg, ParseError, Pow,
-                           UnboundVariableError, Var, eval_jet, eval_value,
+from bieigen import build_map, jets
+from bieigen.analysis import SphereMap, analyze_samples
+from bieigen.charts import Chart
+from bieigen.exprs import (BinOp, Call, Const, Expr, Neg, ParseError, Pow,
+                           UnboundVariableError, Var, eval_jet, eval_value, intern,
                            parse, to_source, variables_of)
 
 from _oracles import fd_partial, random_point, random_smooth_source
+from test_curved import sphere_manifest
 
 
 # --------------------------------------------------------------------------
@@ -243,3 +246,45 @@ def test_parser_is_total_on_arbitrary_text(source):
         assert 0 <= err.position <= len(source.encode("utf-8"))
         return
     assert parse(to_source(ast)) == ast
+
+
+# --------------------------------------------------------------------------
+# shared subtrees
+# --------------------------------------------------------------------------
+
+def test_one_memo_gives_the_bits_of_each_root_alone():
+    # S^4(1/sqrt 2) in S^5: the components are the immersion's roots and share
+    # the prefixes sin(a)*sin(b)*...
+    _, smap = build_map(sphere_manifest(4, lifted=True))
+    immersion = smap.chart.metric.immersion
+    assert all(c is x for c, x in zip(smap.components, immersion))
+    roots = [*immersion, *smap.components]
+    points = np.random.default_rng(5).uniform(0.4, 1.2, size=(6, 4))
+    env, memo = smap.chart.param_jets(points, 4), {}
+    shared = [eval_jet(e, env, memo) for e in roots]
+    nodes = set()
+
+    def walk(e):
+        nodes.add(id(e))
+        for child in vars(e).values():
+            if isinstance(child, Expr.__args__):
+                walk(child)
+    for e in roots:
+        walk(e)
+    assert len(memo) == len(nodes)  # each distinct node evaluated once
+    for e, jet in zip(roots, shared):
+        alone = eval_jet(e, smap.chart.param_jets(points, 4))
+        np.testing.assert_array_equal(jet.coeffs.view(np.int64), alone.coeffs.view(np.int64))
+
+
+def test_interning_keeps_signed_zeros_apart():
+    t = Var("t")
+    plus, minus = BinOp("-", Const(0.0), Const(0.0)), BinOp("-", Const(-0.0), Const(0.0))
+    assert plus == minus  # dataclass equality merges them
+    shared = intern([plus, minus, BinOp("-", Const(0.0), Const(0.0))])
+    assert shared[0] is not shared[1] and shared[2] is shared[0]
+    chart = Chart.explicit(["t"], [(0.0, 1.0)], [["1"]])
+    smap = SphereMap.build(chart, [plus, minus, Const(-0.0), t], target="euclidean")
+    assert smap.components[0] is not smap.components[1]
+    phi = analyze_samples(smap, [(0.25,), (0.5,)]).phi
+    assert np.signbit(phi).tolist() == [[False, True, True, False]] * 2

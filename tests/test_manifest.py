@@ -5,6 +5,7 @@ import math
 import pytest
 
 from bieigen import catalog_list
+from bieigen.analysis import SphereMap
 from bieigen.manifest import ManifestError, build_map, load_manifest
 from bieigen.report import to_json
 
@@ -120,6 +121,16 @@ def test_radius_rules():
         build_map(_variant(**{"map.radius": -2.0}))
     with pytest.raises(ManifestError, match=r"^map.radius: cosh\(1000.0\) is out"):
         build_map(_variant(**{"map.radius": "cosh(1000)"}))
+    # a JSON number out of float range reads as inf, a product can overflow
+    huge = json.loads('{"radius": 1e400}')["radius"]
+    for radius, shown in ((huge, "inf"), ("1e300*1e300", "inf"), (math.nan, "nan")):
+        with pytest.raises(ManifestError, match=rf"^map.radius must be finite and "
+                                                rf"positive, got {shown}$"):
+            build_map(_variant(**{"map.radius": radius}))
+    chart = build_map(GOOD)[1].chart
+    for radius in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="sphere radius must be finite and positive"):
+            SphereMap.build(chart, ["cos(t)", "sin(t)", "0"], radius=radius)
     with pytest.raises(ManifestError, match="radius"):
         build_map(_variant(**{"map.target": "euclidean"}))  # radius forbidden
     ok = _variant(**{"map.target": "euclidean", "map.radius": ...})
