@@ -17,7 +17,7 @@ evaluated once per block.
 import math
 import re
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Mapping, Optional, Union
 
@@ -303,21 +303,26 @@ def intern(roots) -> list:
 
 
 def _intern(e, table):
-    key, children = [type(e)], {}
-    for field in fields(e):
-        value = getattr(e, field.name)
+    key, values, changed = [type(e)], [], False
+    for name in _FIELDS[type(e)]:
+        value = getattr(e, name)
         if isinstance(value, _NODES):
             child = _intern(value, table)
-            if child is not value:
-                children[field.name] = child
-            value = id(child)  # the table keeps the child alive
-        elif isinstance(value, float):
-            value = struct.pack("d", value)
-        key.append(value)
-    return table.setdefault(tuple(key), replace(e, **children) if children else e)
+            changed = changed or child is not value
+            values.append(child)
+            key.append(id(child))  # the table keeps the child alive
+        else:
+            values.append(value)
+            key.append(struct.pack("d", value) if isinstance(value, float) else value)
+    key = tuple(key)
+    found = table.get(key)
+    if found is None:
+        found = table[key] = type(e)(*values) if changed else e
+    return found
 
 
 _NODES = Expr.__args__
+_FIELDS = {node: tuple(field.name for field in fields(node)) for node in _NODES}
 
 
 # --------------------------------------------------------------------------
