@@ -35,7 +35,7 @@ import numpy as np
 
 from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, metric_frame,
                      pushforward)
-from .exprs import eval_jet, intern, parse, variables_of
+from .exprs import intern, parse, variables_of
 from .jets import JetDomainError, first_index
 
 SPHERE_TOL = 1e-10
@@ -294,10 +294,8 @@ def _stack(values):
 def _analyze_block(smap, points):
     chart = smap.chart
     m = chart.dim
-    env, memo = chart.param_jets(points, 4), {}
-    frame = metric_frame(chart, points, 3, env, memo)
-    phi_jets = [eval_jet(c, env, memo) for c in smap.components]
-    del memo  # frees the intermediate jets before the Laplacians run
+    frame = metric_frame(chart, points, 3, smap.components)
+    phi_jets = frame.fields
     phi = _stack([j.value for j in phi_jets])
 
     sphere_defect = np.zeros(len(points))
@@ -390,11 +388,8 @@ def _tension(smap, lap, phi, energy):
 def _bienergy_block(smap, points):
     """|tau|^2 sqrt|g| at a block of quadrature points, from order-2 field
     jets and an order-1 frame: cheaper than the order-4 analysis."""
-    chart = smap.chart
-    env, memo = chart.param_jets(points, 2), {}
-    frame = metric_frame(chart, points, 1, env, memo)
-    phi_jets = [eval_jet(c, env, memo) for c in smap.components]
-    del memo
+    frame = metric_frame(smap.chart, points, 1, smap.components)
+    phi_jets = frame.fields
     phi = _stack([j.value for j in phi_jets])
     lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
     energy = None

@@ -12,7 +12,9 @@ is evaluated entirely in exact truncated Taylor arithmetic. The order budget
 is: field jets at order K (up to 4), metric jets at order K-1, lap f at order
 K-2. Iterating the operator on an order-4 field yields the bi-Laplacian value.
 
-`metric_frame` builds the metric data for a block of points; the one-point
+`metric_frame` is where the jets of a block of points are made: it binds the
+coordinates, checks that the points are inside the chart, and evaluates the
+metric and the caller's fields at the orders of that budget. The one-point
 functions (`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
 `gradient_pushforward`) evaluate a block of one. A failing check raises for
 the first offending point of the block and carries its index in `index`.
@@ -25,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .exprs import Expr, eval_jet, intern, parse, variables_of
+from .exprs import eval_jet, intern, parse, variables_of
 from .jets import Jet
 
 MIN_METRIC_EIGENVALUE = 1e-10
@@ -238,10 +240,12 @@ def _adjugate(mat, one):
 
 
 class MetricFrame:
-    """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, and the
-    values of g_ij and g^ij with the points on the first axis."""
+    """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, the values
+    of g_ij and g^ij with the points on the first axis, and the jets of the
+    fields the frame was asked for, one order above the frame."""
 
-    def __init__(self, chart, order, g, g_inv, sqrt_det, g_values, g_inv_values):
+    def __init__(self, chart, order, g, g_inv, sqrt_det, g_values, g_inv_values,
+                 fields=()):
         self.chart = chart
         self.order = order
         self.g = g
@@ -249,6 +253,7 @@ class MetricFrame:
         self.sqrt_det = sqrt_det
         self.g_values = g_values
         self.g_inv_values = g_inv_values
+        self.fields = fields
         # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
         m = chart.dim
         self.flux = [[sqrt_det * g_inv[i][j] for j in range(m)] for i in range(m)]
@@ -260,7 +265,8 @@ class MetricFrame:
             return [[jet.at(index) for jet in row] for row in matrix]
         return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
                            self.sqrt_det.at(index), self.g_values[index],
-                           self.g_inv_values[index])
+                           self.g_inv_values[index],
+                           [jet.at(index) for jet in self.fields])
 
 
 def _values(matrix, count):
@@ -277,12 +283,10 @@ def _values(matrix, count):
 def _metric_jets(chart, coords, order, env, memo):
     """g_ij as order-`order` jets at a block of coordinates; symmetric
     entries are one object. An induced metric evaluates its immersion in
-    `env` and `memo` when given (see `metric_frame`)."""
+    `env` and `memo` (see `metric_frame`)."""
     m = chart.dim
     g = [[None] * m for _ in range(m)]
     if isinstance(chart.metric, InducedMetric):
-        if env is None:
-            env, memo = chart._coordinate_jets(coords, order + 1), {}
         x_jets = [eval_jet(e, env, memo) for e in chart.metric.immersion]
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
         for i in range(m):
@@ -299,21 +303,23 @@ def _metric_jets(chart, coords, order, env, memo):
     return g
 
 
-def metric_frame(chart, points, order=3, env=None, memo=None):
+def metric_frame(chart, points, order=3, fields=()):
     """Metric data as order-`order` jets (induced mode consumes one extra
     derivative order from the immersion), at one point or at a block of
-    points (a sequence of points). A one-point frame is a block of one. A
-    constant metric is evaluated at the block's first point only; its jets
-    are a block of one that broadcasts against the block.
+    points (a sequence of points), and `fields` (expressions or source
+    strings) as order-(`order` + 1) jets in `frame.fields`, the order
+    `laplacian_jet` needs. A one-point frame is a block of one. A constant
+    metric is evaluated at the block's first point only; its jets are a
+    block of one that broadcasts against the block.
 
-    `env`, the parameter jets of the block at order `order` + 1, and its
-    memo (see `exprs.eval_jet`) are where an induced metric evaluates its
-    immersion, so a caller that evaluates the map in them shares the
-    subtrees the two have in common. An explicit metric evaluates its
-    entries at `order`, in an env of its own."""
+    The block's coordinate jets are made once, at order `order` + 1, with
+    one memo (see `exprs.eval_jet`): an induced metric evaluates its
+    immersion in them and the fields follow, so the subtrees the two share
+    are evaluated once. The memo is dropped on return. An explicit metric
+    evaluates its entries at `order`, in an env of its own."""
     if np.ndim(points) == 1:  # one point: a block of one, returned in the one-point form
-        return metric_frame(chart, [points], order, env, memo).at(0)
-    chart.require_inside(points)
+        return metric_frame(chart, [points], order, fields).at(0)
+    env, memo = chart.param_jets(points, order + 1), {}
     coords = np.asarray(points, dtype=float)
     if chart.metric_is_constant:
         coords = coords[:1]
@@ -333,11 +339,12 @@ def metric_frame(chart, points, order=3, env=None, memo=None):
         raise GeometryError(
             f"metric is not positive definite at {tuple(coords[bad].tolist())} "
             f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
+    field_jets = [eval_jet(_as_expr(f), env, memo) for f in fields]
 
     g_inv = [[cofactor / det for cofactor in row]
              for row in _adjugate(g, jets.constant_like(1.0, det))]
     return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), g_values,
-                       _values(g_inv, len(points)))
+                       _values(g_inv, len(points)), field_jets)
 
 
 def laplacian_jet(frame, fjet):
@@ -362,36 +369,20 @@ def laplacian_jet(frame, fjet):
     return div / frame.sqrt_det.truncated(K - 2)
 
 
-FieldLike = Union[Expr, str]
-
-_EXPR_NODES = Expr.__args__
-
-
-def _field_jet(chart, field, points, order):
-    """Field jets from an expression or source string."""
-    env = chart.param_jets(points, order)
-    if isinstance(field, str):
-        return eval_jet(parse(field), env)
-    if isinstance(field, _EXPR_NODES):
-        return eval_jet(field, env)
-    raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
-
-
-def laplace_beltrami(chart, field: FieldLike, point, order=2) -> Jet:
-    """Laplacian of a scalar field at a point, returned as an order-`order`
-    jet (default order 2, enough to apply the operator once more)."""
+def laplace_beltrami(chart, field, point, order=2) -> Jet:
+    """Laplacian of a scalar field (an expression or source string) at a
+    point, returned as an order-`order` jet (default order 2, enough to
+    apply the operator once more)."""
     if not 0 <= order <= 2:
         raise ValueError("result order must be 0, 1 or 2")
-    frame = metric_frame(chart, [point], order + 1)
-    fjet = _field_jet(chart, field, [point], order + 2)
-    return laplacian_jet(frame, fjet).at(0)
+    frame = metric_frame(chart, [point], order + 1, [field])
+    return laplacian_jet(frame, frame.fields[0]).at(0)
 
 
-def bilaplacian(chart, field: FieldLike, point) -> float:
+def bilaplacian(chart, field, point) -> float:
     """Value of the iterated Laplacian at a point (field evaluated at order 4)."""
-    frame = metric_frame(chart, [point], 3)
-    fjet = _field_jet(chart, field, [point], 4)
-    return laplacian_jet(frame, laplacian_jet(frame, fjet)).at(0).value
+    frame = metric_frame(chart, [point], 3, [field])
+    return laplacian_jet(frame, laplacian_jet(frame, frame.fields[0])).at(0).value
 
 
 def pushforward(frame, ds, dphi):
@@ -404,11 +395,10 @@ def pushforward(frame, ds, dphi):
                      for a in range(dphi.shape[-1])], axis=-1)
 
 
-def gradient_pushforward(chart, scalar: FieldLike, target_components, point):
+def gradient_pushforward(chart, scalar, target_components, point):
     """Ambient components of dphi(grad s): g^ij d_i s d_j phi^A at a point."""
-    fjets = [_field_jet(chart, f, [point], 1) for f in (scalar, *target_components)]
-    d = np.stack([np.stack([fj.extract_derivative(i).value for fj in fjets], axis=-1)
-                  for i in range(chart.dim)], axis=1)
-    frame = metric_frame(chart, [point], 1)
+    frame = metric_frame(chart, [point], 0, [scalar, *target_components])
+    d = np.stack([np.stack([fj.extract_derivative(i).value for fj in frame.fields],
+                           axis=-1) for i in range(chart.dim)], axis=1)
     return pushforward(frame, np.ascontiguousarray(d[:, :, 0]),
                        np.ascontiguousarray(d[:, :, 1:]))[0]

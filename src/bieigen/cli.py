@@ -11,11 +11,13 @@ The default tolerance is 1e-8, overridable per run with --tol or globally
 with the BIEIGEN_TOL environment variable.
 
 Exit codes: 0 success or PASS, 1 verdict FAIL, 2 manifest or usage errors
-(bad flag values included, and a --samples or --grid whose grid would exceed
-charts.MAX_POINTS points or cells), 3 evaluation errors (degenerate metric,
-function domain, constraint violation, overflow or a non-finite report value;
-the offending point or quantity is reported), 4 NOT_APPLICABLE with the unmet
-precondition named, 5 residual equation preconditions not satisfied.
+(bad flag values, a manifest file that cannot be read or decoded, an export
+path that cannot be written, and a --samples or --grid whose grid would
+exceed charts.MAX_POINTS points or cells), 3 evaluation errors (degenerate
+metric, function domain, constraint violation, overflow or a non-finite
+report value; the offending point or quantity is reported), 4 NOT_APPLICABLE
+with the unmet precondition named, 5 residual equation preconditions not
+satisfied.
 """
 
 import argparse
@@ -33,7 +35,7 @@ from .classify import (DEFAULT_TOL, NOT_APPLICABLE, PASS, THEOREMS,
                        classify, verify)
 from .exprs import ParseError, UnboundVariableError
 from .jets import JetDomainError
-from .manifest import ManifestError, build_map, load_manifest
+from .manifest import ManifestError, build_map, read_manifest
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,7 +54,7 @@ EQUATIONS = {"eq102": "biharmonic_submanifold", "mf": "biharmonic_full",
 def _load_map(spec):
     """(name, map) from a manifest file path or a catalog entry name."""
     if os.path.exists(spec):
-        return build_map(load_manifest(spec))
+        return build_map(read_manifest(spec))
     try:
         entry = catalog_get(spec)
     except KeyError:
@@ -146,8 +148,12 @@ def cmd_catalog(args):
         print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_MANIFEST
     path = args.out or f"{entry.name}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(rpt.to_json(entry.manifest))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(rpt.to_json(entry.manifest))
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_MANIFEST
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -11,7 +11,9 @@ environments, `eval_value` over plain floats; at order 0 the two agree
 bit for bit because both sides call the same scalar kernels. `intern` makes
 equal subtrees of several ASTs one object, and `eval_jet` evaluates each
 object once per memo, so a subtree shared by the roots of a map is
-evaluated once per block.
+evaluated once per block. The parser refuses an expression that nests
+deeper than MAX_DEPTH, so every recursive walk of a tree it returns fits
+the interpreter's stack.
 """
 
 import math
@@ -28,7 +30,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "UnboundVariableError",
     "parse", "to_source", "intern", "eval_jet", "eval_value", "variables_of",
-    "FUNCTIONS",
+    "FUNCTIONS", "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
@@ -126,11 +128,24 @@ def _tokenize(source):
     return tokens
 
 
+MAX_DEPTH = 100
+"""How deep an expression may nest: at most this many parentheses, function
+calls, unary minuses and exponents open at once, and at most this many
+operator or function nodes on any path from the root of its tree to a leaf.
+The parser recurses six times per open parenthesis and the tree walkers
+(`intern`, `variables_of`, `eval_jet`, `eval_value`, `to_source`) once or
+twice per level, so at this bound a manifest expression needs about 620
+frames below `cli.main`, inside Python's default limit of 1000."""
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, tree depth)."""
+
     def __init__(self, source):
         self.source = source
         self.tokens = _tokenize(source)
         self.k = 0
+        self.open = 0  # parentheses, calls, minuses and exponents now open
 
     def peek(self):
         return self.tokens[self.k]
@@ -143,39 +158,62 @@ class _Parser:
     def fail(self, message, pos, expected=None):
         raise ParseError(message, _byte_offset(self.source, pos), expected)
 
+    def too_deep(self, pos):
+        self.fail(f"expression nests more than {MAX_DEPTH} levels deep", pos)
+
+    def enter(self, pos):
+        """Open a parenthesis, call, unary minus or exponent at `pos`."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(pos)
+
+    def above(self, depth, pos):
+        """The depth of a node made at `pos` over a child `depth` deep."""
+        if depth >= MAX_DEPTH:
+            self.too_deep(pos)
+        return depth + 1
+
     def parse(self):
-        expr = self.expression()
+        expr, _ = self.expression()
         kind, text, pos = self.peek()
         if kind != "end":
             self.fail(f"trailing input {text!r}", pos, expected="end of input")
         return expr
 
     def expression(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            op, _, pos = self.advance()
+            right, right_depth = self.term()
+            node, depth = BinOp(op, node, right), self.above(max(depth, right_depth), pos)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
-        return node
+            op, _, pos = self.advance()
+            right, right_depth = self.unary()
+            node, depth = BinOp(op, node, right), self.above(max(depth, right_depth), pos)
+        return node, depth
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+        kind, _, pos = self.peek()
+        if kind != "-":
+            return self.power()
+        self.advance()
+        self.enter(pos)
+        operand, depth = self.unary()
+        self.open -= 1
+        return Neg(operand), self.above(depth, pos)
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         if self.peek()[0] != "^":
-            return base
+            return base, depth
         _, _, caret_pos = self.advance()
-        exponent_ast = self.unary()
+        self.enter(caret_pos)
+        exponent_ast, _ = self.unary()
+        self.open -= 1
         try:
             exponent = eval_value(exponent_ast, {})
         except UnboundVariableError:
@@ -186,7 +224,19 @@ class _Parser:
         if not math.isfinite(exponent):
             self.fail("constant exponent is not finite", caret_pos,
                       expected="finite constant exponent")
-        return Pow(base, exponent)
+        return Pow(base, exponent), self.above(depth, caret_pos)
+
+    def parenthesized(self, pos):
+        """The expression after an opening parenthesis at `pos`, and its
+        closing parenthesis."""
+        self.enter(pos)
+        expr = self.expression()
+        k2, t2, p2 = self.peek()
+        if k2 != ")":
+            self.fail("unbalanced parentheses", p2, expected="')'")
+        self.advance()
+        self.open -= 1
+        return expr
 
     def atom(self):
         kind, text, pos = self.peek()
@@ -196,31 +246,20 @@ class _Parser:
                 self.fail("numeric literal out of range", pos,
                           expected="a finite number")
             self.advance()
-            return Const(value)
+            return Const(value), 0
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
                     self.fail(f"unknown function '{text}'", pos,
                               expected="one of " + ", ".join(FUNCTIONS))
-                self.advance()
-                arg = self.expression()
-                k2, t2, p2 = self.peek()
-                if k2 != ")":
-                    self.fail("unbalanced parentheses", p2, expected="')'")
-                self.advance()
-                return Call(text, arg)
+                arg, depth = self.parenthesized(self.advance()[2])
+                return Call(text, arg), self.above(depth, pos)
             if text == "pi":
-                return Const(math.pi, "pi")
-            return Var(text)
+                return Const(math.pi, "pi"), 0
+            return Var(text), 0
         if kind == "(":
-            self.advance()
-            expr = self.expression()
-            k2, t2, p2 = self.peek()
-            if k2 != ")":
-                self.fail("unbalanced parentheses", p2, expected="')'")
-            self.advance()
-            return expr
+            return self.parenthesized(self.advance()[2])
         self.fail(f"unexpected token {text!r}" if kind != "end" else "unexpected end of input",
                   pos, expected="operand")
 
@@ -341,7 +380,9 @@ def eval_jet(e: Expr, env: Mapping[str, Jet], memo: Optional[dict] = None) -> Je
     `memo` keeps the jet of every node evaluated through it, keyed by node
     identity, so a node met again (in this root or a later one) is not
     evaluated again. A memo belongs to one env: create it together with the
-    env and pass it with no other. Without one, a memo lives for this call."""
+    env and pass it with no other. In the library only `charts.metric_frame`
+    passes one, for the block it evaluates; without one, a memo lives for
+    this call."""
     if not env:
         raise ValueError("jet environment must bind at least one variable")
     probe = next(iter(env.values()))

@@ -72,6 +72,13 @@ def _bound(value, where):
     raise ManifestError(f"{where} must be a number or constant expression")
 
 
+def _finite_bound(value, where):
+    bound = _bound(value, where)
+    if not math.isfinite(bound):
+        raise ManifestError(f"{where} must be finite, got {bound}")
+    return bound
+
+
 def _ident(name, where):
     if not isinstance(name, str) or not name or name[0].isdigit() \
             or not set(name) <= _IDENT_OK:
@@ -94,8 +101,8 @@ def _build_chart(doc):
     for k, iv in enumerate(domain):
         if not isinstance(iv, list) or len(iv) != 2:
             raise ManifestError(f"chart.domain[{k}] must be a [lo, hi] pair")
-        lo = _bound(iv[0], f"chart.domain[{k}][0]")
-        hi = _bound(iv[1], f"chart.domain[{k}][1]")
+        lo, hi = (_finite_bound(value, f"chart.domain[{k}][{i}]")
+                  for i, value in enumerate(iv))
         if not lo < hi:
             raise ManifestError(f"chart.domain[{k}]: need lo < hi, got [{lo}, {hi}]")
         intervals.append((lo, hi))
@@ -173,14 +180,24 @@ def build_map(doc) -> tuple:
     return name, smap
 
 
-def load_manifest(path) -> dict:
-    """Read and validate a manifest JSON file; returns the raw document."""
+def read_manifest(path) -> dict:
+    """Read a manifest JSON file without validating it (see `build_map`);
+    a file that cannot be read or decoded raises ManifestError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as err:
         raise ManifestError(f"cannot read manifest {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"manifest {path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ManifestError(f"manifest {path} is not valid JSON: {err}") from err
+    except RecursionError:
+        raise ManifestError(f"manifest {path} nests too deeply to decode") from None
+
+
+def load_manifest(path) -> dict:
+    """Read and validate a manifest JSON file; returns the raw document."""
+    doc = read_manifest(path)
     build_map(doc)
     return doc

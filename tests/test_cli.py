@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from bieigen import manifest
+from bieigen.charts import Chart
 from bieigen.cli import main
+from bieigen.exprs import (MAX_DEPTH, eval_jet, eval_value, intern, parse, to_source,
+                           variables_of)
 from bieigen.report import to_json
 
 NEARLY_ISOMETRIC = {
@@ -359,6 +363,108 @@ def test_radius_out_of_float_range_exit_2(tmp_path, capsys, radius):
     path.write_text(json.dumps(doc).replace('"RADIUS"', radius))
     assert main(["classify", str(path)]) == 2
     assert capsys.readouterr().err == "error: map.radius must be finite and positive, got inf\n"
+
+
+@pytest.mark.parametrize("bound", ["1e400", '"1e300*1e300"'])
+def test_domain_bound_out_of_float_range_exit_2(tmp_path, capsys, bound):
+    doc = {**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "BOUND"]]}}
+    path = tmp_path / "infinite_domain.json"
+    path.write_text(json.dumps(doc).replace('"BOUND"', bound))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: chart.domain[0][1] must be finite, got inf\n"
+
+
+# expressions n levels deep, in the three shapes that nest: unary minus,
+# parentheses and a left-associated chain
+DEEP = {"minus": lambda n: "-" * n + "t", "paren": lambda n: "(" * n + "t" + ")" * n,
+        "chain": lambda n: "t" + " + t" * n}
+
+
+def _deep_manifest(source):
+    """A Euclidean map with `source` as its first component and, with t set
+    to 1, as the upper domain bound."""
+    return {"name": "deep",
+            "chart": {"params": ["t"], "domain": [[0, source.replace("t", "1")]],
+                      "metric": {"mode": "explicit", "g": [["1"]]}},
+            "map": {"target": "euclidean", "components": [source, "t"]}}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_expression_at_the_depth_bound_classifies(tmp_path, capsys, shape):
+    path = _write(tmp_path, _deep_manifest(DEEP[shape](MAX_DEPTH)))
+    assert main(["classify", path, "--samples", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "deep"
+
+
+@pytest.mark.parametrize("shape, byte", [("minus", MAX_DEPTH), ("paren", MAX_DEPTH),
+                                         ("chain", 4 * MAX_DEPTH + 2)])
+def test_expression_past_the_depth_bound_exit_2(tmp_path, capsys, shape, byte):
+    path = _write(tmp_path, _deep_manifest(DEEP[shape](MAX_DEPTH + 1)))
+    assert main(["classify", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: chart.domain[0][1]: parse error at byte {byte}: expression nests "
+        f"more than {MAX_DEPTH} levels deep\n")
+    doc = _deep_manifest(DEEP[shape](MAX_DEPTH + 1))
+    doc["chart"]["domain"] = [[0, 1]]
+    assert main(["classify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: map.components[0]: parse error at byte {byte}: ")
+
+
+def test_every_tree_walk_at_the_depth_bound_fits_below_cli_main(monkeypatch):
+    env = Chart.explicit(["t"], [(0, 1)], [["1"]]).param_jets([(0.5,)], 4)
+    walked = []
+
+    def walk(args):
+        for make in DEEP.values():
+            tree = parse(make(MAX_DEPTH))
+            intern([tree])
+            variables_of(tree)
+            eval_jet(tree, env)
+            eval_value(tree, {"t": 0.5})
+            parse(to_source(tree))
+            walked.append(tree)
+        return 0
+    monkeypatch.setattr("bieigen.cli.cmd_bienergy", walk)
+    assert main(["bienergy", "great_circle_S2"]) == 0
+    assert len(walked) == len(DEEP)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                     "position 0: invalid start byte"),
+    (b"[" * 100000, "nests too deeply to decode"),
+], ids=["utf16_bom", "deep_nesting"])
+def test_undecodable_manifest_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: manifest {path} {message}\n"
+    with pytest.raises(manifest.ManifestError, match="undecodable.json"):
+        manifest.load_manifest(path)
+
+
+def test_a_manifest_file_is_decoded_and_built_once(tmp_path, capsys, monkeypatch):
+    calls = {"decode": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(manifest.json, "load", counted("decode", manifest.json.load))
+    monkeypatch.setattr(manifest, "_build_map", counted("build", manifest._build_map))
+    assert main(["bienergy", _write(tmp_path, NEARLY_ISOMETRIC), "--grid", "4"]) == 0
+    assert calls == {"decode": 1, "build": 1}
+
+
+@pytest.mark.parametrize("out, reason", [("a_directory", "Is a directory"),
+                                         ("missing/out.json", "No such file or directory")])
+def test_catalog_export_write_failure_exit_2(tmp_path, capsys, out, reason):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / out
+    assert main(["catalog", "export", "great_circle_S2", "--out", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -6,9 +6,12 @@ entries the benchmark iterates."""
 
 import math
 
+import numpy as np
 import pytest
 
 from bieigen import build_map
+from bieigen.analysis import SphereMap, analyze_point
+from bieigen.charts import Chart, bilaplacian, gradient_pushforward, laplace_beltrami
 from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
 
 ANGLES = ("a", "b", "c", "d")
@@ -98,3 +101,37 @@ def test_s1_times_s2_is_proper_biharmonic_but_not_buckling():
     verdict = verify(report, "t2")
     assert verdict.status == NOT_APPLICABLE
     assert verdict.reason == "map is not a buckling eigenmap"
+
+
+def _explicit_s3():
+    """The identity of S^3 on the hyperspherical chart, with the round metric
+    given explicitly as diag(1, sin^2 a, sin^2 a sin^2 b)."""
+    params, x = _hyperspherical(3)
+    chart = Chart.explicit(params, [POLAR, POLAR, (0.0, 2.0 * math.pi)],
+                           [["1", "0", "0"], ["sin(a)^2", "0"], ["sin(a)^2*sin(b)^2"]],
+                           periodic=[False, False, True])
+    return SphereMap.build(chart, x)
+
+
+@pytest.mark.parametrize("smap", [_sphere_map(3, lifted=False), _sphere_map(4, lifted=False),
+                                  _explicit_s3()], ids=["induced_S3", "induced_S4", "explicit_S3"])
+def test_one_point_operators_on_the_round_sphere(smap):
+    # the coordinate functions x_A of S^m are eigenfunctions: lap x_A = -m x_A,
+    # lap^2 x_A = m^2 x_A, and grad x_A pushes forward to e_A - x_A x
+    chart, m = smap.chart, smap.dim
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        point = tuple(float(rng.uniform(INSET + 0.1, math.pi - INSET - 0.1))
+                      for _ in range(m))
+        analysis = analyze_point(smap, point)
+        x = analysis.phi
+        for a, component in enumerate(smap.components):
+            lap = laplace_beltrami(chart, component, point)
+            bilap = bilaplacian(chart, component, point)
+            assert lap.value == pytest.approx(-m * x[a], abs=1e-10)
+            assert bilap == pytest.approx(m * m * x[a], abs=1e-9)
+            assert lap.value == analysis.lap_phi[a]
+            assert bilap == analysis.bilap_phi[a]
+            np.testing.assert_allclose(
+                gradient_pushforward(chart, component, smap.components, point),
+                np.eye(len(x))[a] - x[a] * x, atol=1e-12)
