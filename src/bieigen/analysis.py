@@ -29,6 +29,8 @@ first point at which a point-by-point loop would fail.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, metric_frame,
                      pushforward)
 from .exprs import intern, parse, variables_of
-from .jets import JetDomainError, first_index
+from .jets import JetDomainError, first_index, first_partials
 
 SPHERE_TOL = 1e-10
 GRAM_TOL = 1e-9
@@ -291,12 +293,22 @@ def _stack(values):
     return np.stack(values, axis=-1)
 
 
+def _phi(phi_jets, points):
+    """phi (shape (P, ambient)) from the component jets; a component that is
+    not finite raises AnalysisError naming it and the point."""
+    phi = _stack([j.value for j in phi_jets])
+    bad = ~np.isfinite(phi)
+    _require(~bad.any(axis=1), points, AnalysisError,
+             lambda i: f"map component {first_index(bad[i])} is {phi[i][bad[i]][0]}")
+    return phi
+
+
 def _analyze_block(smap, points):
     chart = smap.chart
     m = chart.dim
     frame = metric_frame(chart, points, 3, smap.components)
     phi_jets = frame.fields
-    phi = _stack([j.value for j in phi_jets])
+    phi = _phi(phi_jets, points)
 
     sphere_defect = np.zeros(len(points))
     if smap.target == TARGET_SPHERE:
@@ -350,9 +362,7 @@ def _laplacians(frame, phi_jets):
     lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
     lap = _stack([lj.value for lj in lap_jets])
     bilap = _stack([laplacian_jet(frame, lj).value for lj in lap_jets])
-    d_lap = np.stack([_stack([lj.extract_derivative(i).value for lj in lap_jets])
-                      for i in range(frame.chart.dim)], axis=1)
-    return lap, bilap, d_lap
+    return lap, bilap, first_partials(lap_jets)
 
 
 def _energy(frame, phi_jets):
@@ -362,18 +372,14 @@ def _energy(frame, phi_jets):
     block, are dropped on return."""
     m = frame.chart.dim
     dphi_jets = [[pj.extract_derivative(i) for pj in phi_jets] for i in range(m)]
-    dphi = np.stack([_stack([dj.value for dj in row]) for row in dphi_jets], axis=1)
-    energy_jet = None
-    for i in range(m):
-        for j in range(m):
-            dot = None
-            for a in range(len(phi_jets)):
-                term = dphi_jets[i][a] * dphi_jets[j][a]
-                dot = term if dot is None else dot + term
-            term = frame.g_inv[i][j] * dot
-            energy_jet = term if energy_jet is None else energy_jet + term
+
+    def dot(i, j):
+        return reduce(add, (x * y for x, y in zip(dphi_jets[i], dphi_jets[j])))
+    energy_jet = reduce(add, (frame.g_inv[i][j] * dot(i, j)
+                              for i in range(m) for j in range(m)))
     d_energy = _stack([energy_jet.extract_derivative(i).value for i in range(m)])
-    return dphi, energy_jet.value, laplacian_jet(frame, energy_jet).value, d_energy
+    return (first_partials(phi_jets), energy_jet.value,
+            laplacian_jet(frame, energy_jet).value, d_energy)
 
 
 def _tension(smap, lap, phi, energy):
@@ -390,12 +396,11 @@ def _bienergy_block(smap, points):
     jets and an order-1 frame: cheaper than the order-4 analysis."""
     frame = metric_frame(smap.chart, points, 1, smap.components)
     phi_jets = frame.fields
-    phi = _stack([j.value for j in phi_jets])
+    phi = _phi(phi_jets, points)
     lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
     energy = None
     if smap.target == TARGET_SPHERE:
-        dphi = np.stack([_stack([pj.extract_derivative(i).value for pj in phi_jets])
-                         for i in range(smap.dim)], axis=1)
+        dphi = first_partials(phi_jets)
         energy = np.einsum("pij,pia,pja->p", frame.g_inv_values, dphi, dphi)
     tau = _tension(smap, lap, phi, energy)
     density = dots(tau, tau) * frame.sqrt_det.value

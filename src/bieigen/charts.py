@@ -14,14 +14,18 @@ K-2. Iterating the operator on an order-4 field yields the bi-Laplacian value.
 
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
-metric and the caller's fields at the orders of that budget. The one-point
-functions (`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
-`gradient_pushforward`) evaluate a block of one. A failing check raises for
-the first offending point of the block and carries its index in `index`.
+metric and the caller's fields at the orders of that budget; det g and g^ij
+come from one cofactor pass over g, which expands each minor once. The
+one-point functions (`metric_frame` of one point, `laplace_beltrami`,
+`bilaplacian`, `gradient_pushforward`) evaluate a block of one. A failing
+check raises for the first offending point of the block and carries its
+index in `index`.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Union
 
 import numpy as np
@@ -208,35 +212,32 @@ def _periodic_flags(periodic, m):
 # jet linear algebra on small matrices
 # --------------------------------------------------------------------------
 
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = None
-    for j in range(n):
-        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = mat[0][j] * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def _cofactors(mat):
+    """det and adjugate of a square matrix of jets from one cofactor
+    expansion along the first row: each distinct minor, keyed by its (rows,
+    cols), is expanded once, and det, the minor of the whole matrix, reuses
+    the row-0 cofactors. A minor keeps the operands and the order of its own
+    expansion (IEEE a - b is a + (-b)), so the bits are those of expanding it
+    alone."""
+    minors = {}
 
+    def minor(rows, cols):
+        if not rows:  # the cofactor of a 1 x 1 matrix
+            return jets.constant_like(1.0, mat[0][0])
+        if (rows, cols) not in minors:
+            total = mat[rows[0]][cols[0]]  # a 1 x 1 minor
+            if len(rows) > 1:
+                for k, c in enumerate(cols):
+                    term = mat[rows[0]][c] * minor(rows[1:], cols[:k] + cols[k + 1:])
+                    total = term if k == 0 else total + (-term if k % 2 else term)
+            minors[rows, cols] = total
+        return minors[rows, cols]
 
-def _adjugate(mat, one):
-    n = len(mat)
-    if n == 1:
-        return [[one]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            adj[j][i] = cof  # transpose of cofactor matrix
-    return adj
+    full = tuple(range(len(mat)))
+    rest = [full[:k] + full[k + 1:] for k in full]  # the rows or cols other than k
+    adj = [[-minor(rest[i], rest[j]) if (i + j) % 2 else minor(rest[i], rest[j])
+            for i in full] for j in full]  # the transposed cofactors
+    return minor(full, full), adj
 
 
 class MetricFrame:
@@ -255,8 +256,7 @@ class MetricFrame:
         self.g_inv_values = g_inv_values
         self.fields = fields
         # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
-        m = chart.dim
-        self.flux = [[sqrt_det * g_inv[i][j] for j in range(m)] for i in range(m)]
+        self.flux = [[sqrt_det * entry for entry in row] for row in g_inv]
 
     def at(self, index):
         """The frame at position `index` of the block in the one-point form:
@@ -272,12 +272,8 @@ class MetricFrame:
 def _values(matrix, count):
     """Values of a matrix of jets at a block of `count` points, shape
     (count, m, m), C-ordered; a block of one (a constant metric) repeats."""
-    m = len(matrix)
-    out = np.empty((count, m, m))
-    for i in range(m):
-        for j in range(m):
-            out[:, i, j] = matrix[i][j].coeffs[0]
-    return out
+    values = np.array([[jet.value for jet in row] for row in matrix])  # (m, m, P)
+    return np.broadcast_to(values.transpose(2, 0, 1), (count,) + values.shape[:2]).copy()
 
 
 def _metric_jets(chart, coords, order, env, memo):
@@ -291,10 +287,7 @@ def _metric_jets(chart, coords, order, env, memo):
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
         for i in range(m):
             for j in range(i, m):
-                acc = dx[i][0] * dx[j][0]
-                for a in range(1, len(x_jets)):
-                    acc = acc + dx[i][a] * dx[j][a]
-                g[i][j] = g[j][i] = acc
+                g[i][j] = g[j][i] = reduce(add, (x * y for x, y in zip(dx[i], dx[j])))
     else:
         env, memo = chart._coordinate_jets(coords, order), {}
         for i in range(m):
@@ -316,7 +309,8 @@ def metric_frame(chart, points, order=3, fields=()):
     one memo (see `exprs.eval_jet`): an induced metric evaluates its
     immersion in them and the fields follow, so the subtrees the two share
     are evaluated once. The memo is dropped on return. An explicit metric
-    evaluates its entries at `order`, in an env of its own."""
+    evaluates its entries at `order`, in an env of its own. det g and the
+    adjugate behind g^ij come from one cofactor pass (`_cofactors`)."""
     if np.ndim(points) == 1:  # one point: a block of one, returned in the one-point form
         return metric_frame(chart, [points], order, fields).at(0)
     env, memo = chart.param_jets(points, order + 1), {}
@@ -324,7 +318,7 @@ def metric_frame(chart, points, order=3, fields=()):
     if chart.metric_is_constant:
         coords = coords[:1]
     g = _metric_jets(chart, coords, order, env, memo)
-    det = _det(g)
+    det, adj = _cofactors(g)
     # written so that a NaN fails the checks too
     if isinstance(chart.metric, InducedMetric):
         bad = jets.first_index(~(det.coeffs[0] >= MIN_IMMERSION_DET))
@@ -341,8 +335,7 @@ def metric_frame(chart, points, order=3, fields=()):
             f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
     field_jets = [eval_jet(_as_expr(f), env, memo) for f in fields]
 
-    g_inv = [[cofactor / det for cofactor in row]
-             for row in _adjugate(g, jets.constant_like(1.0, det))]
+    g_inv = [[cofactor / det for cofactor in row] for row in adj]
     return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), g_values,
                        _values(g_inv, len(points)), field_jets)
 
@@ -358,14 +351,10 @@ def laplacian_jet(frame, fjet):
             f"metric frame order {frame.order} too low for a field of order {K}")
     m = frame.chart.dim
     df = [fjet.extract_derivative(j) for j in range(m)]
-    div = None
-    for i in range(m):
-        flux = None
-        for j in range(m):
-            term = frame.flux[i][j].truncated(K - 1) * df[j]
-            flux = term if flux is None else flux + term
-        d_flux = flux.extract_derivative(i)
-        div = d_flux if div is None else div + d_flux
+
+    def flux(i):
+        return reduce(add, (frame.flux[i][j].truncated(K - 1) * df[j] for j in range(m)))
+    div = reduce(add, (flux(i).extract_derivative(i) for i in range(m)))
     return div / frame.sqrt_det.truncated(K - 2)
 
 
@@ -398,7 +387,6 @@ def pushforward(frame, ds, dphi):
 def gradient_pushforward(chart, scalar, target_components, point):
     """Ambient components of dphi(grad s): g^ij d_i s d_j phi^A at a point."""
     frame = metric_frame(chart, [point], 0, [scalar, *target_components])
-    d = np.stack([np.stack([fj.extract_derivative(i).value for fj in frame.fields],
-                           axis=-1) for i in range(chart.dim)], axis=1)
+    d = jets.first_partials(frame.fields)
     return pushforward(frame, np.ascontiguousarray(d[:, :, 0]),
                        np.ascontiguousarray(d[:, :, 1:]))[0]

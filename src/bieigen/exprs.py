@@ -17,6 +17,7 @@ the interpreter's stack.
 """
 
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, fields
@@ -368,6 +369,9 @@ _FIELDS = {node: tuple(field.name for field in fields(node)) for node in _NODES}
 # evaluation
 # --------------------------------------------------------------------------
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
 _JET_FUNCS = {
     "sin": jets.sin, "cos": jets.cos, "tan": jets.tan, "exp": jets.exp,
     "log": jets.log, "sqrt": jets.sqrt, "sinh": jets.sinh, "cosh": jets.cosh,
@@ -402,16 +406,8 @@ def _eval_jet(e, env, probe, memo):
     elif isinstance(e, Neg):
         jet = -_eval_jet(e.operand, env, probe, memo)
     elif isinstance(e, BinOp):
-        left = _eval_jet(e.left, env, probe, memo)
-        right = _eval_jet(e.right, env, probe, memo)
-        if e.op == "+":
-            jet = left + right
-        elif e.op == "-":
-            jet = left - right
-        elif e.op == "*":
-            jet = left * right
-        else:
-            jet = left / right
+        jet = _BINARY[e.op](_eval_jet(e.left, env, probe, memo),
+                            _eval_jet(e.right, env, probe, memo))
     elif isinstance(e, Pow):
         jet = jets.power(_eval_jet(e.base, env, probe, memo), e.exponent)
     elif isinstance(e, Call):
@@ -456,15 +452,9 @@ def eval_value(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, BinOp):
         left = eval_value(e.left, env)
         right = eval_value(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0.0:
+        if e.op == "/" and right == 0.0:
             raise JetDomainError("division by zero")
-        return left / right
+        return _BINARY[e.op](left, right)
     if isinstance(e, Pow):
         return scalar_pow(eval_value(e.base, env), e.exponent)
     if isinstance(e, Call):

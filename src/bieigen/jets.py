@@ -439,6 +439,15 @@ def constant_like(value, jet):
     return Jet(jet.order, jet.nvars, coeffs, 0)
 
 
+def first_partials(jet_list):
+    """The first partials d_i of each jet's value at a block of points, shape
+    (P, nvars, len(jet_list)), C-ordered: the unit-index coefficient rows,
+    the bits of `extract_derivative(i).value`, which scales them by 1.0."""
+    m = jet_list[0].nvars
+    rows = np.stack([j.coeffs[1:m + 1] for j in jet_list], axis=-1)  # (m, P, count)
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -2))
+
+
 def _ipow(x, n):
     # identical multiply sequence for floats and jets keeps order-0 jet
     # evaluation bit-for-bit equal to scalar evaluation

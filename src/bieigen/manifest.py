@@ -33,6 +33,7 @@ from .exprs import ParseError, UnboundVariableError, eval_value, parse
 from .jets import JetDomainError
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+MAX_SHOWN = 60  # characters of a manifest value echoed in an error message
 
 
 class ManifestError(ValueError):
@@ -50,9 +51,15 @@ def _require_keys(doc, required, optional, where):
         raise ManifestError(f"{where} is missing keys: {sorted(missing)}")
 
 
+def _shown(value):
+    """repr(value), cut to MAX_SHOWN characters followed by '...'."""
+    text = repr(value)
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
+
+
 def _expr(text, where):
     if not isinstance(text, str):
-        raise ManifestError(f"{where} must be an expression string, got {text!r}")
+        raise ManifestError(f"{where} must be an expression string, got {_shown(text)}")
     try:
         return parse(text)
     except ParseError as err:
@@ -82,7 +89,7 @@ def _finite_bound(value, where):
 def _ident(name, where):
     if not isinstance(name, str) or not name or name[0].isdigit() \
             or not set(name) <= _IDENT_OK:
-        raise ManifestError(f"{where}: invalid identifier {name!r}")
+        raise ManifestError(f"{where}: invalid identifier {_shown(name)}")
     return name
 
 
@@ -144,14 +151,14 @@ def _build_chart(doc):
             return Chart.induced(params, intervals, comps, periodic)
         except ValueError as err:
             raise ManifestError(str(err)) from err
-    raise ManifestError(f"chart.metric.mode must be 'explicit' or 'induced', got {mode!r}")
+    raise ManifestError(f"chart.metric.mode must be 'explicit' or 'induced', got {_shown(mode)}")
 
 
 def _build_map(doc, chart):
     _require_keys(doc, ("target", "components"), ("radius",), "map")
     target = doc["target"]
     if target not in ("sphere", "euclidean"):
-        raise ManifestError(f"map.target must be 'sphere' or 'euclidean', got {target!r}")
+        raise ManifestError(f"map.target must be 'sphere' or 'euclidean', got {_shown(target)}")
     radius = 1.0
     if "radius" in doc:
         if target != "sphere":

@@ -10,7 +10,9 @@ carries no float roundoff, so it serves as a reference to ~1e-25.
 
 The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
-writer, the references for `report.Table`.
+writer, the references for `report.Table`. Before them, `_det` and
+`_adjugate` expand every minor of a matrix of jets on its own, the reference
+for the one cofactor pass of `charts._cofactors`.
 """
 
 import math
@@ -248,6 +250,41 @@ def random_smooth_source(rng, variables):
 
 def random_point(rng, dim):
     return tuple(float(x) for x in rng.uniform(0.3, 0.9, size=dim))
+
+
+# --------------------------------------------------------------------------
+# jet linear algebra on small matrices, each minor expanded on its own
+# --------------------------------------------------------------------------
+
+def _det(mat):
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    total = None
+    for j in range(n):
+        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = mat[0][j] * _det(minor)
+        if j % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _adjugate(mat, one):
+    n = len(mat)
+    if n == 1:
+        return [[one]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = _det(minor)
+            if (i + j) % 2 == 1:
+                cof = -cof
+            adj[j][i] = cof  # transpose of cofactor matrix
+    return adj
 
 
 # --------------------------------------------------------------------------

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bieigen.charts import (Chart, GeometryError, bilaplacian,
+from bieigen import jets
+from bieigen.charts import (Chart, GeometryError, _cofactors, bilaplacian,
                             gradient_pushforward, laplace_beltrami,
                             metric_frame)
+from bieigen.jets import Jet
 
-from _oracles import (expr_fn, explicit_metric_fn, fd_laplace_beltrami,
-                      induced_metric_fn, random_point, random_smooth_source)
+from _oracles import (_adjugate, _det, expr_fn, explicit_metric_fn,
+                      fd_laplace_beltrami, induced_metric_fn, random_point,
+                      random_smooth_source)
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
 FLAT2 = Chart.explicit(["u", "v"], [(0.0, 2.0), (0.0, 2.0)],
@@ -225,3 +230,60 @@ def test_laplacian_output_orders_agree():
         assert jet.value == pytest.approx(-2.0 * math.cos(0.8), abs=1e-10)
     with pytest.raises(ValueError):
         laplace_beltrami(SPHERE, "cos(theta)", (0.8, 1.1), order=3)
+
+
+# signed zeros and subnormals, whose products underflow to a signed zero
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310])
+
+
+def _symmetric_jet_matrix(m, order, points, seed):
+    """A symmetric m x m matrix of order-`order` jets at a block of `points`
+    points, the mirrored entries one object as in a metric frame. Each entry
+    has a random degree (slots above it +0.0 or -0.0); live slots are floats
+    in [-4, 4] or, one in three, a signed zero or a subnormal."""
+    rng = np.random.default_rng(seed)
+    space = jets._space(order, m)
+    slot_degree = np.array([sum(alpha) for alpha in space.multi_indices])[:, None]
+    shape = (space.size, points)
+    mat = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            degree = int(rng.integers(0, order + 1))
+            live = np.where(rng.random(shape) < 1 / 3,
+                            rng.choice(_SPECIAL, shape), rng.uniform(-4.0, 4.0, shape))
+            zeros = rng.choice(_SPECIAL[:2], shape)
+            mat[i][j] = mat[j][i] = Jet(order, m, np.where(slot_degree > degree, zeros, live),
+                                        degree)
+    return mat
+
+
+def _same_bits(a, b):
+    assert a.degree == b.degree
+    np.testing.assert_array_equal(a.coeffs.view(np.int64), b.coeffs.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([1, 3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cofactor_pass_equals_each_minor_expanded_on_its_own(m, order, points, seed):
+    mat = _symmetric_jet_matrix(m, order, points, seed)
+    det, adj = _cofactors(mat)
+    _same_bits(det, _det(mat))
+    for row, ref_row in zip(adj, _adjugate(mat, jets.constant_like(1.0, det))):
+        for entry, ref in zip(row, ref_row):
+            _same_bits(entry, ref)
+
+
+@pytest.mark.parametrize("m, products", [(2, 2), (3, 21), (4, 88)])
+def test_cofactor_pass_expands_each_minor_once(monkeypatch, m, products):
+    # expanding every minor on its own takes 2, 27 and 184 products
+    mat = _symmetric_jet_matrix(m, 1, 1, m)
+    calls = []
+    multiply = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    _cofactors(mat)
+    assert len(calls) == products

@@ -277,6 +277,28 @@ def test_nan_bienergy_density_names_the_quantity_and_cell(tmp_path, capsys, grid
                             f"is nan at ({cell},)\n")
 
 
+@pytest.mark.parametrize("target, components, named", [
+    ("euclidean", ["(1e200)^2"], "map component 0 is inf"),
+    ("euclidean", ["(1e200)^2*t"], "map component 0 is inf"),
+    ("euclidean", ["t", "-(1e200)^2*t"], "map component 1 is -inf"),
+    # checked before the sphere constraint, which would only see |phi|^2
+    ("sphere", ["cos(t)", "sin(t)", "(1e200)^2"], "map component 2 is inf"),
+])
+def test_non_finite_map_component_names_the_component_and_point(tmp_path, capsys, target,
+                                                                components, named):
+    # the error names the component and the point, not a fitted constant; a
+    # non-finite phi is not a bienergy of 0
+    doc = {**OVERFLOW, "name": "huge_constant",
+           "map": {"target": target, "components": components}}
+    path = _write(tmp_path, doc)
+    for argv, point in ((["classify", path, "--samples", "4"], 0.001),
+                        (["bienergy", path, "--grid", "4"], 0.125)):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"evaluation error: {named} at ({point},)\n"
+
+
 @pytest.mark.parametrize("grid", [8, 40])
 def test_bienergy_sum_out_of_float_range_exit_3(tmp_path, capsys, grid):
     # each cell's density, (6e153)^2 = 3.6e307, is finite; their sum is not

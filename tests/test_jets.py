@@ -270,3 +270,19 @@ def test_degree_filtered_product_equals_the_full_convolution_bit_for_bit(case):
     assert full.degree == order and filtered.degree == min(order, da + db)
     np.testing.assert_array_equal(filtered.coeffs.view(np.int64),
                                   full.coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("order, nvars, shape", [(1, 1, (3,)), (2, 3, (4,)), (4, 4, (1,)),
+                                                 (3, 2, ())])
+def test_first_partials_are_the_stacked_extracted_derivatives(order, nvars, shape):
+    rng = np.random.default_rng(order * 10 + nvars)
+    size = jets._space(order, nvars).size
+    values = [rng.uniform(-4.0, 4.0, (size,) + shape) for _ in range(3)]
+    special = np.array([-0.0, 5e-324, -np.inf, np.nan])[:nvars]
+    values[1][1:nvars + 1] = special.reshape((nvars,) + (1,) * len(shape))
+    jet_list = [Jet(order, nvars, v) for v in values]
+    got = jets.first_partials(jet_list)
+    want = np.stack([np.stack([j.extract_derivative(i).value for j in jet_list], axis=-1)
+                     for i in range(nvars)], axis=-2 if shape else 0)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

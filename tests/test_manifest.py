@@ -159,3 +159,31 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ManifestError, match="valid JSON"):
         load_manifest(bad)
+
+
+
+
+def _echo_cases(short):
+    """A short value echoed whole, values whose repr is 60 and 61 characters
+    long, and one of 1800 characters."""
+    return [(short, repr(short)), ("1" + "x" * 57, "'1" + "x" * 57 + "'"),
+            ("1" + "x" * 58, "'1" + "x" * 58 + "..."), ("1" * 1800, "'" + "1" * 59 + "...")]
+
+
+@pytest.mark.parametrize("path, wrap, message, cases", [
+    ("map.components", lambda v: [v, "sin(t)", "0"],
+     "map.components[0] must be an expression string, got ",
+     [(5, "5"), ([[[[[]]]]], "[[[[[]]]]]"), ([0] * 20, "[" + "0, " * 19 + "0]"),
+      ([0] * 21, "[" + "0, " * 19 + "0,..."),
+      (json.loads("[" * 900 + "]" * 900), "[" * 60 + "...")]),
+    ("chart.params", lambda v: [v], "chart.params: invalid identifier ", _echo_cases("1t")),
+    ("map.target", lambda v: v, "map.target must be 'sphere' or 'euclidean', got ",
+     _echo_cases("torus")),
+    ("chart.metric", lambda v: {"mode": v},
+     "chart.metric.mode must be 'explicit' or 'induced', got ", _echo_cases("conformal")),
+])
+def test_echoed_values_are_cut_to_60_characters(path, wrap, message, cases):
+    for value, shown in cases:
+        with pytest.raises(ManifestError) as err:
+            build_map(_variant(**{path: wrap(value)}))
+        assert str(err.value) == message + shown
