@@ -21,10 +21,11 @@ samples (see `constant_density_residual`). A unit-length
 constraint check <lap, phi> + |dphi|^2 = 0 runs on every sphere-target
 analysis as an internal consistency guard.
 
-`analyze_samples` walks the points in blocks of BLOCK_SIZE and returns a
-SampleBatch, one row per point; `analyze_point` is a block of one. Each point
-gets the bits a point-by-point evaluation gives it, and an error names the
-first point at which a point-by-point loop would fail.
+`analyze_samples` walks the points in blocks of `block_points(ANALYSIS_ORDER,
+m)` points and returns a SampleBatch, one row per point; `analyze_point` is a
+block of one. Each point gets the bits a point-by-point evaluation gives it,
+and an error names the first point at which a point-by-point loop would
+fail.
 """
 
 import math
@@ -224,25 +225,39 @@ def constant_density_residual(samples, c):
     return samples.bilap_phi + 2.0 * c * samples.lap_phi + coef * samples.phi
 
 
-BLOCK_SIZE = 256  # points per block; see `_blockwise`
+BLOCK_VALUES = 16384  # coefficients per jet of a block; see `_blockwise`
+ANALYSIS_ORDER = 4  # the order of the analysis's field jets
+BIENERGY_ORDER = 2  # the order of the bienergy's field jets
 
 
-def _blockwise(evaluate, points):
-    """[evaluate(block)] over consecutive blocks of at most BLOCK_SIZE points.
+def block_points(order, dim):
+    """Points per block of an evaluation whose field jets have `order` in
+    `dim` variables: as many as keep one such jet within BLOCK_VALUES
+    coefficients (an order-K jet in m variables has C(K + m, m))."""
+    return BLOCK_VALUES // math.comb(order + dim, dim)
 
-    A fixed block size keeps numpy temporaries small (cache-resident, and
+
+def _blockwise(evaluate, points, order):
+    """[evaluate(block)] over consecutive blocks of `block_points(order, m)`
+    points, for field jets of `order` at points of m coordinates.
+
+    Blocks hold a fixed number of jet coefficients, not of points: short
+    jets take long blocks, which spread numpy's per-call overhead over many
+    points, and every block keeps its temporaries small (cache-resident, and
     reused by the allocator rather than mapped afresh) and bounds the
-    working set. When a block raises for its point i, the block's prefix
-    [0, i) is evaluated again, and so on until a prefix runs clean: the
-    error left is the one a point-by-point loop meets first, and its
-    `index` is set to that point's position in `points`. A JetDomainError
-    is raised as an AnalysisError naming the point. Overflow and invalid
-    operations are not warned about: they leave non-finite values, which
-    the checks and the reports refuse."""
+    working set. A point's bits do not depend on its block. When a block
+    raises for its point i, the block's prefix [0, i) is evaluated again,
+    and so on until a prefix runs clean: the error left is the one a
+    point-by-point loop meets first, and its `index` is set to that point's
+    position in `points`. A JetDomainError is raised as an AnalysisError
+    naming the point. Overflow and invalid operations are not warned about:
+    they leave non-finite values, which the checks and the reports
+    refuse."""
+    step = block_points(order, len(points[0]))
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(points), BLOCK_SIZE):
-            block = points[start:start + BLOCK_SIZE]
+        for start in range(0, len(points), step):
+            block = points[start:start + step]
             try:
                 results.append(evaluate(block))
             except Exception as err:  # re-raised below, possibly an earlier one
@@ -275,7 +290,7 @@ def analyze_samples(smap: SphereMap, points) -> SampleBatch:
     if not points:
         raise ValueError("no sample points")
     return SampleBatch.concatenate(
-        _blockwise(lambda block: _analyze_block(smap, block), points))
+        _blockwise(lambda block: _analyze_block(smap, block), points, ANALYSIS_ORDER))
 
 
 def _require(ok, points, error, defect):
@@ -306,7 +321,7 @@ def _phi(phi_jets, points):
 def _analyze_block(smap, points):
     chart = smap.chart
     m = chart.dim
-    frame = metric_frame(chart, points, 3, smap.components)
+    frame = metric_frame(chart, points, ANALYSIS_ORDER - 1, smap.components)
     phi_jets = frame.fields
     phi = _phi(phi_jets, points)
 
@@ -394,7 +409,7 @@ def _tension(smap, lap, phi, energy):
 def _bienergy_block(smap, points):
     """|tau|^2 sqrt|g| at a block of quadrature points, from order-2 field
     jets and an order-1 frame: cheaper than the order-4 analysis."""
-    frame = metric_frame(smap.chart, points, 1, smap.components)
+    frame = metric_frame(smap.chart, points, BIENERGY_ORDER - 1, smap.components)
     phi_jets = frame.fields
     phi = _phi(phi_jets, points)
     lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
@@ -430,7 +445,8 @@ def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
     total = 0.0
-    for block in _blockwise(lambda block: _bienergy_block(smap, block), points):
+    for block in _blockwise(lambda block: _bienergy_block(smap, block), points,
+                            BIENERGY_ORDER):
         for value in block.tolist():  # a sequential sum, cell by cell
             total += value
     bienergy = 0.5 * total * cell

@@ -218,7 +218,13 @@ def _cofactors(mat):
     cols), is expanded once, and det, the minor of the whole matrix, reuses
     the row-0 cofactors. A minor keeps the operands and the order of its own
     expansion (IEEE a - b is a + (-b)), so the bits are those of expanding it
-    alone."""
+    alone.
+
+    A minor on rows R is read only by the minors on rows (r,) + R, so the
+    minors the cofactors of row i read are on the suffixes of the rows
+    other than i. The cofactors are formed row by row, and a minor that is
+    not on a suffix of the current rows is not read again: it is dropped,
+    so a 4 x 4 matrix holds 6 of its 18 distinct 2 x 2 minors at a time."""
     minors = {}
 
     def minor(rows, cols):
@@ -234,10 +240,17 @@ def _cofactors(mat):
         return minors[rows, cols]
 
     full = tuple(range(len(mat)))
-    rest = [full[:k] + full[k + 1:] for k in full]  # the rows or cols other than k
-    adj = [[-minor(rest[i], rest[j]) if (i + j) % 2 else minor(rest[i], rest[j])
-            for i in full] for j in full]  # the transposed cofactors
-    return minor(full, full), adj
+    det = minor(full, full)
+    adj = [[None] * len(full) for _ in full]  # the transposed cofactors
+    for i in full:
+        rows = full[:i] + full[i + 1:]
+        for key in [key for key in minors if key[0] != rows[-len(key[0]):]]:
+            del minors[key]
+        for j in full:
+            cofactor = minor(rows, full[:j] + full[j + 1:])
+            adj[j][i] = -cofactor if (i + j) % 2 else cofactor
+    minors.clear()  # `minor` refers to itself, so the memo would wait for the cycle collector
+    return det, adj
 
 
 class MetricFrame:

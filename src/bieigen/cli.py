@@ -21,6 +21,7 @@ satisfied.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -186,18 +187,23 @@ def _margin(text):
 
 
 def _add_sampling_flags(sub):
+    """Add --samples, --tol and --margin to `sub`; returns the --tol action."""
     sub.add_argument("--samples", type=_positive_int, default=64,
                      help="number of interior sample points (default 64)")
-    sub.add_argument("--tol", type=_tolerance,
-                     default=os.environ.get(TOL_ENV_VAR, repr(DEFAULT_TOL)),
-                     help="absolute and relative verdict tolerance "
-                          f"(default 1e-8, or ${TOL_ENV_VAR})")
+    tol = sub.add_argument("--tol", type=_tolerance, default=repr(DEFAULT_TOL),
+                           help="absolute and relative verdict tolerance "
+                                f"(default 1e-8, or ${TOL_ENV_VAR})")
     sub.add_argument("--margin", type=_margin, default=DEFAULT_MARGIN,
                      help="interior inset as a fraction of each non-periodic "
                           "interval (default 1e-3)")
+    return tol
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process, and its --tol actions,
+    whose default `main` reads from $BIEIGEN_TOL at every call."""
+    tols = []
     parser = argparse.ArgumentParser(
         prog="bieigen",
         description="Classify parametric sphere maps and check their "
@@ -206,51 +212,50 @@ def build_parser():
 
     p = subs.add_parser("classify", help="full classification report")
     p.add_argument("manifest", help="manifest JSON path or catalog entry name")
-    _add_sampling_flags(p)
+    tols.append(_add_sampling_flags(p))
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("verify", help="run one theorem check")
     p.add_argument("manifest")
     p.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_verify)
+    tols.append(_add_sampling_flags(p))
 
     p = subs.add_parser("residual", help="per-point biharmonicity residuals")
     p.add_argument("manifest")
     p.add_argument("--equation", choices=tuple(EQUATIONS), required=True,
                    help="eq102: isometric submanifold form; mf: general "
                         "sphere-map form; me1: constant-density form")
-    _add_sampling_flags(p)
+    tols.append(_add_sampling_flags(p))
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_residual)
 
     p = subs.add_parser("bienergy", help="chart-domain bienergy quadrature")
     p.add_argument("manifest")
     p.add_argument("--grid", type=_positive_int, default=128,
                    help="midpoint cells per axis (default 128)")
-    p.set_defaults(func=cmd_bienergy)
 
     p = subs.add_parser("catalog", help="list or export built-in fixtures")
     catalog_subs = p.add_subparsers(dest="action", required=True)
-    pl = catalog_subs.add_parser("list")
-    pl.set_defaults(func=cmd_catalog, action="list")
+    catalog_subs.add_parser("list")
     pe = catalog_subs.add_parser("export")
     pe.add_argument("name")
     pe.add_argument("--out", default=None, help="output path (default NAME.json)")
-    pe.set_defaults(func=cmd_catalog, action="export")
 
-    return parser
+    return parser, tols
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, tols = _parser()
+    for action in tols:  # argparse converts, and so checks, a string default
+        action.default = os.environ.get(TOL_ENV_VAR, repr(DEFAULT_TOL))
     args = parser.parse_args(argv)
+    # looked up at each call, not bound into the cached parser
+    command = {"classify": cmd_classify, "verify": cmd_verify, "residual": cmd_residual,
+               "bienergy": cmd_bienergy, "catalog": cmd_catalog}[args.command]
     try:
         # numpy overflow leaves inf/nan values, which the reports refuse with
         # exit 3; its warnings would only add lines ahead of that message
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return command(args)
     except (ManifestError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MANIFEST

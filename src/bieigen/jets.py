@@ -7,6 +7,12 @@ products, quotients and the elementary functions propagate full derivative
 information for the whole block in a few numpy calls, so each partial
 derivative consumed by the geometry layer is exact up to floating-point
 rounding, and every point gets the same bits it would get on its own.
+The derivative towers of sin, cos and sqrt are computed for a whole block
+in numpy too, where every value of the block is valid; numpy's sin, cos and
+sqrt give the bits of the `math` kernels (sqrt is correctly rounded, and
+sin and cos are checked against `math` by the tests), so a point's tower
+does not depend on its block. The other towers, and a block with an invalid
+value, run point by point through the `math` kernels (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
 first use, once per (order, nvars).
@@ -513,6 +519,24 @@ def _per_point(tower, a, *args):
     return np.array(rows).T.reshape((-1,) + values.shape)
 
 
+def _block_or_per_point(block, tower, a, *args):
+    """The rows f^(k)(v), k = 0..a.order, of the derivative tower of f at the
+    value v of each point of `a`. `block` computes them for the whole block
+    in a few numpy calls, with the bits `tower` gives each point. It runs
+    when every value is finite, and returns None for a block at which
+    `tower` would raise (a value out of its domain, a derivative out of
+    float range); then `tower` runs point by point, and raises for the
+    first point that fails."""
+    values = a.coeffs[0]
+    if np.isfinite(values).all():
+        # Python floats under- and overflow silently, and so does `block`
+        with np.errstate(over="ignore", under="ignore"):
+            rows = block(values, a.order)
+        if rows is not None:
+            return rows
+    return _per_point(tower, a, *args)
+
+
 def _compose(a, derivs):
     """Truncated composition f(a) from the derivative tower of f at a.value.
 
@@ -543,6 +567,16 @@ def _cos_tower(v):
     return c, -s, -c, s, c
 
 
+def _sin_block(v, order):
+    s, c = np.sin(v), np.cos(v)
+    return np.stack((s, c, -s, -c, s)[:order + 1])
+
+
+def _cos_block(v, order):
+    s, c = np.sin(v), np.cos(v)
+    return np.stack((c, -s, -c, s, c)[:order + 1])
+
+
 def _tan_tower(v):
     t = _kernel(math.tan, v)
     w = 1.0 + t * t
@@ -570,6 +604,23 @@ def _sqrt_tower(v, order):
             -0.9375 / (s * v * v * v))
 
 
+def _sqrt_block(v, order):
+    if not (v >= 0.0).all():
+        return None
+    denominators = [np.sqrt(v)]
+    if order:
+        # s, s*v, s*v*v and s*v*v*v, which `_sqrt_tower` forms at any order
+        # above 0: one that overflows is inf, and one that is zero (v is
+        # zero, or it underflows; the last one is zero then) makes the tower
+        # raise
+        for _ in range(3):
+            denominators.append(denominators[-1] * v)
+        if not denominators[-1].all():
+            return None
+    return np.stack(denominators[:1] + [c / d for c, d in zip(
+        (0.5, -0.25, 0.375, -0.9375)[:order], denominators)])
+
+
 def _sinh_tower(v):
     s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
     return s, c, s, c, s
@@ -592,11 +643,11 @@ def _power_tower(v, exponent, order):
 
 
 def sin(a):
-    return _compose(a, _per_point(_sin_tower, a))
+    return _compose(a, _block_or_per_point(_sin_block, _sin_tower, a))
 
 
 def cos(a):
-    return _compose(a, _per_point(_cos_tower, a))
+    return _compose(a, _block_or_per_point(_cos_block, _cos_tower, a))
 
 
 def tan(a):
@@ -612,7 +663,7 @@ def log(a):
 
 
 def sqrt(a):
-    return _compose(a, _per_point(_sqrt_tower, a, a.order))
+    return _compose(a, _block_or_per_point(_sqrt_block, _sqrt_tower, a, a.order))
 
 
 def sinh(a):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bieigen import build_map, catalog_get, jets
-from bieigen.analysis import (AnalysisError, SphereMap, analyze_point,
-                              analyze_samples)
+from bieigen import analysis, build_map, catalog_get, jets
+from bieigen.analysis import (ANALYSIS_ORDER, BIENERGY_ORDER, AnalysisError, SphereMap,
+                              analyze_point, analyze_samples, block_points)
 from bieigen.charts import Chart, GeometryError, laplacian_jet, metric_frame
 from bieigen.exprs import (BinOp, Call, Const, Neg, Pow, Var, eval_jet, eval_value,
                            parse)
@@ -152,6 +152,11 @@ def test_frame_and_laplacian_coefficients_above_the_degree_are_zero(name):
         _zero_above_degree(laplacian_jet(frame, lap))
 
 
+def _block_edges(step, count):
+    """The rows on both sides of every boundary between blocks of `step`."""
+    return [i for edge in range(step, count, step) for i in (edge - 1, edge)]
+
+
 @pytest.mark.parametrize("name", ["clifford_comp_S4", "round_sphere_chart_S2_in_R3",
                                   "S4_half_in_S5"])
 def test_sample_batch_rows_equal_one_point_analyses(name):
@@ -159,10 +164,11 @@ def test_sample_batch_rows_equal_one_point_analyses(name):
     manifest = (sphere_manifest(4, lifted=True) if name == "S4_half_in_S5"
                 else catalog_get(name).manifest)
     _, smap = build_map(manifest)
-    points = smap.chart.sample_points(300)  # two blocks or more
+    step = block_points(ANALYSIS_ORDER, smap.dim)
+    points = smap.chart.sample_points(2 * step + 1)  # three blocks or more
     batch = analyze_samples(smap, points)
-    assert len(batch) == len(points)
-    for i in (0, 1, 255, 256, len(points) - 1):
+    assert len(batch) == len(points) > 2 * step
+    for i in (0, 1, *_block_edges(step, len(points)), len(points) - 1):
         row, one = batch.row(i), analyze_point(smap, points[i])
         assert row.point == one.point
         for key, value in vars(one).items():
@@ -215,11 +221,41 @@ def test_error_names_the_point_a_point_by_point_loop_fails_first():
 def test_error_in_a_later_block_is_indexed_in_the_whole_sample():
     chart = Chart.explicit(["t"], [(0.0, 1.0)], [["1"]])
     smap = SphereMap.build(chart, ["log(0.9 - t)"], target="euclidean")
-    points = chart.sample_points(1000)
+    step = block_points(ANALYSIS_ORDER, 1)
+    points = chart.sample_points(3 * step)
     with pytest.raises(AnalysisError) as err:
         analyze_samples(smap, points)
-    first = next(p for p in points if 0.9 - p[0] <= 0.0)
-    assert err.value.point == tuple(first)
+    first = next(i for i, p in enumerate(points) if 0.9 - p[0] <= 0.0)
+    assert first >= 2 * step  # in the third block
+    assert err.value.point == tuple(points[first])
+    assert err.value.index == first
+
+
+def test_bienergy_over_several_blocks_gives_each_cell_its_own_bits(monkeypatch):
+    _, smap = build_map(catalog_get("clifford_torus_S3").manifest)
+    step = block_points(BIENERGY_ORDER, smap.dim)
+    grid = math.isqrt(2 * step) + 1  # three blocks or more
+    blocks, density = [], analysis._bienergy_block
+
+    def recorded(smap, points):
+        blocks.append((np.array(points), density(smap, points)))
+        return blocks[-1][1]
+    monkeypatch.setattr(analysis, "_bienergy_block", recorded)
+    value = analysis.bienergy_quadrature(smap, grid)
+    assert [len(points) for points, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert len(blocks) >= 3
+    points = np.concatenate([points for points, _ in blocks])
+    cells = np.concatenate([cells for _, cells in blocks])
+    assert len(points) == grid ** 2
+    np.testing.assert_array_equal(cells.view(np.int64),
+                                  density(smap, points).view(np.int64))  # one block
+    for i in (0, *_block_edges(step, len(points)), len(points) - 1):
+        assert density(smap, points[i:i + 1])[0] == cells[i]
+    total = 0.0
+    for cell in cells.tolist():
+        total += cell
+    (lo0, hi0), (lo1, hi1) = smap.chart.domain
+    assert value == 0.5 * total * ((hi0 - lo0) / grid * ((hi1 - lo1) / grid))
 
 
 def test_nan_fails_the_analysis_guards():

@@ -558,6 +558,24 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert main(["verify", path, "--theorem", "takahashi"]) == 0
 
 
+def test_cached_parser_reads_the_environment_at_every_call(capsys, monkeypatch):
+    # the parser is built once per process; a bad $BIEIGEN_TOL after a good
+    # one is refused with the bytes a fresh process prints
+    argv = ["verify", "great_circle_S2", "--theorem", "takahashi"]
+    monkeypatch.setenv("BIEIGEN_TOL", "1e-8")
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BIEIGEN_TOL", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    fresh = subprocess.run([sys.executable, "-m", "bieigen.cli", *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 2
+    assert capsys.readouterr().err == fresh.stderr
+    assert "BIEIGEN_TOL), got 'abc'" in fresh.stderr
+
+
 def test_every_exit_code_reachable():
     # 0, 1, 2, 3, 4, 5 are each produced by at least one test in this module;
     # spot-check the mapping constants once more here

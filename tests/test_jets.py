@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,3 +287,112 @@ def test_first_partials_are_the_stacked_extracted_derivatives(order, nvars, shap
                      for i in range(nvars)], axis=-2 if shape else 0)
     assert got.flags.c_contiguous and got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# The sin, cos and sqrt towers of a block whose values are all valid are
+# computed in numpy (`_sin_block`, ...); they must give every point the bits
+# of its per-point tower, and a block with an invalid value falls back to
+# the per-point loop.
+
+BLOCK_TOWERS = {"sin": (jets._sin_block, jets._sin_tower),
+                "cos": (jets._cos_block, jets._cos_tower),
+                "sqrt": (jets._sqrt_block, jets._sqrt_tower)}
+_TOWER_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                   1e-100, 1.0, 1e200, 1e300, -1e300]
+
+
+def _per_point_rows(name, a):
+    """(rows, None) from the per-point loop, or (None, (message, index))."""
+    tower = BLOCK_TOWERS[name][1]
+    try:
+        rows = jets._per_point(tower, a, *((a.order,) if name == "sqrt" else ()))
+    except JetDomainError as err:
+        return None, (str(err), err.index)
+    return rows[:a.order + 1], None
+
+
+@st.composite
+def _tower_values(draw):
+    """Values of mixed scale, from subnormals to 1e300, with some specials:
+    one point's scalar (None) or a block of 1, 7 or 256."""
+    count = draw(st.sampled_from([None, 1, 7, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = count or 1
+    values = 10.0 ** rng.uniform(draw(st.sampled_from([-323.0, -150.0, -3.0])), 300.0, size)
+    if draw(st.booleans()):
+        values *= rng.choice([-1.0, 1.0], size)
+    special = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 1.0]))
+    values = np.where(special, rng.choice(_TOWER_SPECIALS, size), values)
+    return values[0] if count is None else values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BLOCK_TOWERS)), st.integers(0, 4), _tower_values())
+def test_block_towers_give_the_bits_of_the_per_point_towers(name, order, values):
+    a = jets.variable(0, values, order, 1)
+    want, error = _per_point_rows(name, a)
+    with np.errstate(over="ignore", under="ignore"):
+        got = BLOCK_TOWERS[name][0](a.coeffs[0], order)
+    if error is not None:
+        assert got is None, error  # the block falls back, and the loop raises
+    else:
+        assert got is not None and got.shape == want.shape == (order + 1,) + np.shape(values)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        result = getattr(jets, name)(a)
+        np.testing.assert_array_equal(result.coeffs.view(np.int64),
+                                      jets._compose(a, want).coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TOWERS))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, -0.0, 5e-324, 1e-100])
+@pytest.mark.parametrize("size, where", [(1, 0), (7, 0), (7, 4), (256, 255)])
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_invalid_value_in_a_block_meets_the_per_point_outcome(name, bad, size, where, order):
+    values = np.linspace(0.5, 2.0, size)
+    values[where] = bad
+    a = jets.variable(0, values, order, 1)
+    want, error = _per_point_rows(name, a)
+    if error is not None:
+        with pytest.raises(JetDomainError) as info:
+            getattr(jets, name)(a)
+        assert (str(info.value), info.value.index) == error
+    else:  # sin and cos of NaN, sqrt of -0.0 at order 0 and of +-inf or NaN
+        np.testing.assert_array_equal(getattr(jets, name)(a).coeffs.view(np.int64),
+                                      jets._compose(a, want).coeffs.view(np.int64))
+
+
+def test_sqrt_of_a_tiny_block_is_out_of_float_range():
+    t = jets.variable(0, np.linspace(1.0, 2.0, 7), 4, 1)
+    with pytest.raises(JetDomainError) as info:
+        jets.sqrt(1e-100 * t)
+    assert str(info.value).endswith("out of float range") and info.value.index == 0
+
+
+def test_numpy_sin_and_cos_are_the_math_kernels_bit_for_bit():
+    # the block towers of sin and cos rely on it; a platform whose numpy
+    # rounds differently fails here, not in a golden pin
+    rng = np.random.default_rng(0)
+    values = np.concatenate([sign * 10.0 ** rng.uniform(-3.0, 8.0, 25000)
+                             for sign in (1.0, -1.0)])
+    for count in (1, 7, 256, len(values)):
+        for block, kernel in ((np.sin, math.sin), (np.cos, math.cos)):
+            got = block(values[:count])
+            want = np.array([kernel(v) for v in values[:count].tolist()])
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert block(values[0]) == kernel(float(values[0]))
+
+
+@pytest.mark.parametrize("name, values", [
+    ("sqrt", [1e200, 3e250, 1e300]),  # s*v*v overflows to inf
+    ("sqrt", [1e-80, 1e-90]),  # 0.9375 / (s*v*v*v) overflows to inf
+    ("sin", [5e-324, 1e-310]), ("cos", [5e-324, 1e-310]),  # sin underflows
+])
+def test_block_towers_raise_no_numpy_warning(name, values):
+    a = jets.variable(0, values, 4, 1)
+    with np.errstate(all="ignore"):
+        assert BLOCK_TOWERS[name][0](a.coeffs[0], 4) is not None  # no fallback
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jets._block_or_per_point(*BLOCK_TOWERS[name], a,
+                                       *((4,) if name == "sqrt" else ()))
+    np.testing.assert_array_equal(got.view(np.int64), _per_point_rows(name, a)[0].view(np.int64))
