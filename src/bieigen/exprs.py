@@ -7,10 +7,12 @@ cosh. Precedence is ^ above unary minus above * / above + -, with + - * /
 left-associative and ^ right-associative.
 
 ASTs are immutable and hashable. `eval_jet` evaluates over jet-valued
-environments, `eval_value` over plain floats; at order 0 the two agree
-bit for bit because both sides call the same scalar kernels. `intern` makes
-equal subtrees of several ASTs one object, and `eval_jet` evaluates each
-object once per memo, so a subtree shared by the roots of a map is
+environments, `eval_value` over plain floats. At order 0 the two agree bit
+for bit, because `eval_value` evaluates a function call as an order-0 jet
+and a power with the jets' algorithm (`scalar_pow`); only a product that
+is -0.0 in floats is +0.0 in a jet, whose sums start from +0.0. `intern`
+makes equal subtrees of several ASTs one object, and `eval_jet` evaluates
+each object once per memo, so a subtree shared by the roots of a map is
 evaluated once per block. The parser refuses an expression that nests
 deeper than MAX_DEPTH, so every recursive walk of a tree it returns fits
 the interpreter's stack.
@@ -21,7 +23,6 @@ import operator
 import re
 import struct
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Mapping, Optional, Union
 
 from . import jets
@@ -372,10 +373,7 @@ _FIELDS = {node: tuple(field.name for field in fields(node)) for node in _NODES}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 
-_JET_FUNCS = {
-    "sin": jets.sin, "cos": jets.cos, "tan": jets.tan, "exp": jets.exp,
-    "log": jets.log, "sqrt": jets.sqrt, "sinh": jets.sinh, "cosh": jets.cosh,
-}
+_JET_FUNCS = {name: getattr(jets, name) for name in FUNCTIONS}
 
 
 def eval_jet(e: Expr, env: Mapping[str, Jet], memo: Optional[dict] = None) -> Jet:
@@ -418,29 +416,9 @@ def _eval_jet(e, env, probe, memo):
     return jet
 
 
-def _scalar_log(x):
-    if x <= 0.0:
-        raise JetDomainError(f"log of non-positive value {x}")
-    return math.log(x)
-
-
-def _scalar_sqrt(x):
-    if x < 0.0:
-        raise JetDomainError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
-
-
-# guarded like the jet functions: overflow or a non-finite argument raises
-# JetDomainError
-_VALUE_FUNCS = {
-    **{name: partial(jets._kernel, getattr(math, name))
-       for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")},
-    "log": _scalar_log, "sqrt": _scalar_sqrt,
-}
-
-
 def eval_value(e: Expr, env: Mapping[str, float]) -> float:
-    """Plain floating-point evaluation (shares scalar kernels with eval_jet)."""
+    """Plain floating-point evaluation; a function call is evaluated as an
+    order-0 jet, so its value or error is eval_jet's."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -458,5 +436,5 @@ def eval_value(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Pow):
         return scalar_pow(eval_value(e.base, env), e.exponent)
     if isinstance(e, Call):
-        return _VALUE_FUNCS[e.func](eval_value(e.arg, env))
+        return float(_JET_FUNCS[e.func](jets.constant(eval_value(e.arg, env), 0, 1)).value)
     raise TypeError(f"not an expression node: {e!r}")

@@ -7,12 +7,12 @@ products, quotients and the elementary functions propagate full derivative
 information for the whole block in a few numpy calls, so each partial
 derivative consumed by the geometry layer is exact up to floating-point
 rounding, and every point gets the same bits it would get on its own.
-The derivative towers of sin, cos and sqrt are computed for a whole block
-in numpy too, where every value of the block is valid; numpy's sin, cos and
-sqrt give the bits of the `math` kernels (sqrt is correctly rounded, and
-sin and cos are checked against `math` by the tests), so a point's tower
-does not depend on its block. The other towers, and a block with an invalid
-value, run point by point through the `math` kernels (`_per_point`).
+Each elementary function forms its derivative tower once per block, up to
+the jet's order. Its kernel is `math`'s mapped over the values, or numpy's
+where that gives `math`'s bits (`_NUMPY_KERNELS`), and the rest is
+elementwise numpy arithmetic, which rounds like Python floats, so a point's
+tower does not depend on its block. A block holding a value the tower
+refuses is rerun point by point to name the first one (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
 first use, once per (order, nvars).
@@ -37,6 +37,7 @@ the sign of a zero.
 
 import math
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +45,6 @@ MAX_ORDER = 4
 MAX_VARS = 4
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
-_FACTORIALS = np.array(_FACTORIAL)
 
 # Products formed at once at most (128 KB): larger temporaries are freshly
 # mapped pages, which made 4-D order-4 blocks slower (curved_highdim) and
@@ -68,16 +68,6 @@ class JetDomainError(ArithmeticError):
 def first_index(mask):
     """Flat position of the first True entry of a block mask, or None."""
     return int(mask.argmax()) if mask.any() else None
-
-
-def _kernel(fn, *args):
-    """fn(*args), with an overflow or a non-finite argument raised as
-    JetDomainError."""
-    try:
-        return fn(*args)
-    except (OverflowError, ValueError):
-        shown = ", ".join(map(repr, args))
-        raise JetDomainError(f"{fn.__name__}({shown}) is out of float range") from None
 
 
 def _compositions(total, nvars):
@@ -478,7 +468,7 @@ def scalar_pow(x, exponent):
         return _ipow(x, n)
     if x <= 0.0:
         raise JetDomainError(f"fractional power of non-positive value {x}")
-    return _kernel(pow, x, exponent)
+    return float(_kernel(math.pow, x, exponent))
 
 
 def power(a, exponent):
@@ -495,56 +485,14 @@ def power(a, exponent):
                 raise JetDomainError("zero value raised to a negative power", zero)
             return 1.0 / _ipow(a, -n)
         return _ipow(a, n)
-    return _compose(a, _per_point(_power_tower, a, exponent, a.order))
-
-
-def _per_point(tower, a, *args):
-    """tower(v, *args) at the value v of each point of `a`, stacked to shape
-    (len(tower), *block). Towers run on floats through the `math` kernels,
-    which keeps order-0 jets bit-for-bit equal to `exprs.eval_value`; an
-    error carries the index of the point that raised it, and a derivative
-    that under- or overflows a float is raised as JetDomainError."""
-    values = a.coeffs[0]
-    rows = []
-    for index, v in enumerate(np.ravel(values).tolist()):
-        try:
-            rows.append(tower(v, *args))
-        except JetDomainError as err:
-            err.index = index
-            raise
-        except ArithmeticError:
-            name = tower.__name__.strip("_").removesuffix("_tower")
-            raise JetDomainError(f"derivatives of {name} at {v!r} are out of "
-                                 f"float range", index) from None
-    return np.array(rows).T.reshape((-1,) + values.shape)
-
-
-def _block_or_per_point(block, tower, a, *args):
-    """The rows f^(k)(v), k = 0..a.order, of the derivative tower of f at the
-    value v of each point of `a`. `block` computes them for the whole block
-    in a few numpy calls, with the bits `tower` gives each point. It runs
-    when every value is finite, and returns None for a block at which
-    `tower` would raise (a value out of its domain, a derivative out of
-    float range); then `tower` runs point by point, and raises for the
-    first point that fails."""
-    values = a.coeffs[0]
-    if np.isfinite(values).all():
-        # Python floats under- and overflow silently, and so does `block`
-        with np.errstate(over="ignore", under="ignore"):
-            rows = block(values, a.order)
-        if rows is not None:
-            return rows
-    return _per_point(tower, a, *args)
+    return _compose(a, _derivatives(_power_rows, a, exponent))
 
 
 def _compose(a, derivs):
-    """Truncated composition f(a) from the derivative tower of f at a.value.
-
-    derivs[k] must hold f^(k)(a.value) for k = 0..a.order; further entries
-    are ignored. Horner evaluation in the zero-value part of `a` leaves the
-    value slot exactly derivs[0].
-    """
-    taylor = derivs[:a.order + 1] / _rows(_FACTORIALS[:a.order + 1], derivs)
+    """Truncated composition f(a) from the derivative rows derivs[k] =
+    f^(k)(a.value), k = 0..a.order. Horner evaluation in the zero-value part
+    of `a` leaves the value slot exactly derivs[0]."""
+    taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
     hat = a.coeffs.copy()
     hat[0] = 0.0
     hat = Jet(a.order, a.nvars, hat, a.degree)
@@ -555,120 +503,152 @@ def _compose(a, derivs):
     return acc
 
 
-# Derivative towers: a function and its first four derivatives at one float.
-
-def _sin_tower(v):
-    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
-    return s, c, -s, -c, s
-
-
-def _cos_tower(v):
-    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
-    return c, -s, -c, s, c
-
-
-def _sin_block(v, order):
-    s, c = np.sin(v), np.cos(v)
-    return np.stack((s, c, -s, -c, s)[:order + 1])
-
-
-def _cos_block(v, order):
-    s, c = np.sin(v), np.cos(v)
-    return np.stack((c, -s, -c, s, c)[:order + 1])
+def _derivatives(tower, a, *args):
+    """The rows f^(k)(v), k = 0..a.order, of f's derivative tower at the value
+    v of each point of `a`. `tower(values, order, *args)` forms them for the
+    whole block and returns them with a mask of the points it refuses (a
+    derivative out of float range) or None, or raises (a value out of f's
+    domain, a kernel or Python's `**` out of float range); then `_per_point`
+    raises the failure of the first point."""
+    with np.errstate(all="ignore"):  # Python floats under- and overflow silently
+        try:
+            rows, refused = tower(a.coeffs[0], a.order, *args)
+            if refused is None or not refused.any():
+                return rows
+        except ArithmeticError:
+            pass
+        _per_point(tower, a, *args)
 
 
-def _tan_tower(v):
-    t = _kernel(math.tan, v)
+def _per_point(tower, a, *args):
+    """Raise the failure of the first point of `a` at which `tower` fails, run
+    on one point's value after the other, with the index of the point; a
+    derivative it refuses, or that overflows, is out of float range."""
+    values = np.ravel(a.coeffs[0])
+    for index in range(values.size):
+        try:
+            refused = tower(values[index:index + 1], a.order, *args)[1]
+        except JetDomainError as err:
+            err.index = index
+            raise
+        except ArithmeticError:
+            refused = True
+        if np.any(refused):
+            name = tower.__name__[1:].removesuffix("_rows")
+            raise JetDomainError(f"derivatives of {name} at {values[index].item()!r} are "
+                                 f"out of float range", index)
+
+
+# The functions whose numpy kernel gives the bits of the `math` kernel: sqrt
+# is correctly rounded, and the tests check every entry against `math`.
+# numpy's exp, log, tan, sinh, cosh and pow round differently.
+_NUMPY_KERNELS = {math.sin: np.sin, math.cos: np.cos, math.sqrt: np.sqrt}
+
+
+def _mapped(fn, values, *args):
+    """fn(v, *args) at each value, in Python floats."""
+    out = map(fn, np.ravel(values).tolist(), *(repeat(arg) for arg in args))
+    return np.fromiter(out, float, np.size(values)).reshape(np.shape(values))
+
+
+def _kernel(fn, values, *args):
+    """fn(v, *args) at each value, with the bits of the `math` kernel `fn`;
+    the first value at which `fn` overflows or is undefined raises
+    JetDomainError."""
+    try:
+        if fn not in _NUMPY_KERNELS:
+            return _mapped(fn, values, *args)
+        out = _NUMPY_KERNELS[fn](values)
+        # these never overflow; `math` raises where they give NaN from a number
+        if not np.isnan(out).any() or not (np.isnan(out) > np.isnan(values)).any():
+            return out
+    except (OverflowError, ValueError):
+        pass
+    for v in np.ravel(values).tolist():
+        try:
+            fn(v, *args)
+        except (OverflowError, ValueError):
+            shown = ", ".join(map(repr, (v, *args)))
+            raise JetDomainError(f"{fn.__name__}({shown}) is out of float range") from None
+
+
+def _refuse(bad, values, message):
+    """Raise JetDomainError(f"{message} {v}") at the first value v where `bad`
+    holds."""
+    index = first_index(np.ravel(bad))
+    if index is not None:
+        raise JetDomainError(f"{message} {np.ravel(values)[index].item()}")
+
+
+# Derivative towers (see `_derivatives`): each row is formed with the
+# operations Python floats would use at one value.
+
+def _sin_rows(values, order):
+    s, c = _kernel(math.sin, values), _kernel(math.cos, values)
+    return (s, c, -s, -c, s)[:order + 1], None
+
+
+def _cos_rows(values, order):
+    c, s = _kernel(math.cos, values), _kernel(math.sin, values)
+    return (c, -s, -c, s, c)[:order + 1], None
+
+
+def _tan_rows(values, order):
+    t = _kernel(math.tan, values)
     w = 1.0 + t * t
     return (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
-            8.0 * t * w * (2.0 + 3.0 * t * t))
+            8.0 * t * w * (2.0 + 3.0 * t * t))[:order + 1], None
 
 
-def _exp_tower(v):
-    return (_kernel(math.exp, v),) * 5
+def _exp_rows(values, order):
+    return (_kernel(math.exp, values),) * (order + 1), None
 
 
-def _log_tower(v):
-    if v <= 0.0:
-        raise JetDomainError(f"log of non-positive value {v}")
-    return math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4
+def _log_rows(values, order):
+    _refuse(values <= 0.0, values, "log of non-positive value")
+    # v ** k in Python floats, which numpy's power does not always round alike
+    powers = [_mapped(math.pow, values, k) for k in range(2, order + 1)]
+    rows = [_kernel(math.log, values), 1.0 / values]
+    rows += [c / p for c, p in zip((-1.0, 2.0, -6.0), powers)]
+    # where a power underflows to 0, so does the highest
+    return rows[:order + 1], powers[-1] == 0.0 if powers else None
 
 
-def _sqrt_tower(v, order):
-    if v < 0.0 or (v == 0.0 and order >= 1):
-        raise JetDomainError(f"sqrt of non-positive value {v}")
-    s = math.sqrt(v)
-    if order == 0:
-        return (s,)
-    return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v),
-            -0.9375 / (s * v * v * v))
+def _sqrt_rows(values, order):
+    _refuse(values <= 0.0 if order else values < 0.0, values, "sqrt of non-positive value")
+    denominators = [_kernel(math.sqrt, values)]  # s, s*v, s*v*v, s*v*v*v
+    for _ in range(order - 1):
+        denominators.append(denominators[-1] * values)
+    rows = [c / d for c, d in zip((0.5, -0.25, 0.375, -0.9375)[:order], denominators)]
+    return denominators[:1] + rows, denominators[-1] == 0.0 if order else None
 
 
-def _sqrt_block(v, order):
-    if not (v >= 0.0).all():
-        return None
-    denominators = [np.sqrt(v)]
-    if order:
-        # s, s*v, s*v*v and s*v*v*v, which `_sqrt_tower` forms at any order
-        # above 0: one that overflows is inf, and one that is zero (v is
-        # zero, or it underflows; the last one is zero then) makes the tower
-        # raise
-        for _ in range(3):
-            denominators.append(denominators[-1] * v)
-        if not denominators[-1].all():
-            return None
-    return np.stack(denominators[:1] + [c / d for c, d in zip(
-        (0.5, -0.25, 0.375, -0.9375)[:order], denominators)])
+def _sinh_rows(values, order):
+    s, c = _kernel(math.sinh, values), _kernel(math.cosh, values)
+    return (s, c, s, c, s)[:order + 1], None
 
 
-def _sinh_tower(v):
-    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
-    return s, c, s, c, s
+def _cosh_rows(values, order):
+    c, s = _kernel(math.cosh, values), _kernel(math.sinh, values)
+    return (c, s, c, s, c)[:order + 1], None
 
 
-def _cosh_tower(v):
-    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
-    return c, s, c, s, c
-
-
-def _power_tower(v, exponent, order):
-    if v <= 0.0:
-        raise JetDomainError(f"fractional power of non-positive value {v}")
-    derivs = [_kernel(pow, v, exponent)]
-    coef = 1.0
+def _power_rows(values, order, exponent):
+    _refuse(values <= 0.0, values, "fractional power of non-positive value")
+    rows, coef = [_kernel(math.pow, values, exponent)], 1.0
     for k in range(1, order + 1):
         coef *= exponent - (k - 1)
-        derivs.append(coef * _kernel(pow, v, exponent - k))
-    return derivs
+        rows.append(coef * _kernel(math.pow, values, exponent - k))
+    return rows, None
 
 
-def sin(a):
-    return _compose(a, _block_or_per_point(_sin_block, _sin_tower, a))
+def _elementary(tower):
+    """The jet function f(a) whose derivative tower is `tower`."""
+    def f(a):
+        return _compose(a, _derivatives(tower, a))
+    f.__name__ = f.__qualname__ = tower.__name__[1:].removesuffix("_rows")
+    return f
 
 
-def cos(a):
-    return _compose(a, _block_or_per_point(_cos_block, _cos_tower, a))
-
-
-def tan(a):
-    return _compose(a, _per_point(_tan_tower, a))
-
-
-def exp(a):
-    return _compose(a, _per_point(_exp_tower, a))
-
-
-def log(a):
-    return _compose(a, _per_point(_log_tower, a))
-
-
-def sqrt(a):
-    return _compose(a, _block_or_per_point(_sqrt_block, _sqrt_tower, a, a.order))
-
-
-def sinh(a):
-    return _compose(a, _per_point(_sinh_tower, a))
-
-
-def cosh(a):
-    return _compose(a, _per_point(_cosh_tower, a))
+sin, cos, tan, exp, log, sqrt, sinh, cosh = map(_elementary, (
+    _sin_rows, _cos_rows, _tan_rows, _exp_rows, _log_rows, _sqrt_rows, _sinh_rows, _cosh_rows))

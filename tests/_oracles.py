@@ -12,7 +12,10 @@ The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
 writer, the references for `report.Table`. Before them, `_det` and
 `_adjugate` expand every minor of a matrix of jets on its own, the reference
-for the one cofactor pass of `charts._cofactors`.
+for the one cofactor pass of `charts._cofactors`. Before those, the
+derivative towers of the elementary functions, formed one point at a time
+in Python floats and the `math` kernels and only up to the jet's order, are
+the reference for the block towers of `bieigen.jets`.
 """
 
 import math
@@ -21,6 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from bieigen.exprs import BinOp, Call, Const, Neg, Pow, Var, eval_value, parse
+from bieigen.jets import JetDomainError
 
 # offsets and weights of O(h^2) central stencils, one per derivative order
 _STENCILS = {
@@ -250,6 +254,99 @@ def random_smooth_source(rng, variables):
 
 def random_point(rng, dim):
     return tuple(float(x) for x in rng.uniform(0.3, 0.9, size=dim))
+
+
+# --------------------------------------------------------------------------
+# derivative towers, one point at a time in Python floats
+# --------------------------------------------------------------------------
+
+def _kernel(fn, *args):
+    """fn(*args), with an overflow or a non-finite argument raised as
+    JetDomainError."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        shown = ", ".join(map(repr, args))
+        raise JetDomainError(f"{fn.__name__}({shown}) is out of float range") from None
+
+
+def sin_tower(v, order):
+    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
+    return (s, c, -s, -c, s)[:order + 1]
+
+
+def cos_tower(v, order):
+    s, c = _kernel(math.sin, v), _kernel(math.cos, v)
+    return (c, -s, -c, s, c)[:order + 1]
+
+
+def tan_tower(v, order):
+    t = _kernel(math.tan, v)
+    w = 1.0 + t * t
+    return (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
+            8.0 * t * w * (2.0 + 3.0 * t * t))[:order + 1]
+
+
+def exp_tower(v, order):
+    return (_kernel(math.exp, v),) * (order + 1)
+
+
+def log_tower(v, order):
+    if v <= 0.0:
+        raise JetDomainError(f"log of non-positive value {v}")
+    derivs = [math.log(v), 1.0 / v]
+    for k, c in zip(range(2, order + 1), (-1.0, 2.0, -6.0)):
+        derivs.append(c / v ** k)
+    return derivs[:order + 1]
+
+
+def sqrt_tower(v, order):
+    if v < 0.0 or (v == 0.0 and order >= 1):
+        raise JetDomainError(f"sqrt of non-positive value {v}")
+    s = math.sqrt(v)
+    derivs, denominator = [s], s
+    for c in (0.5, -0.25, 0.375, -0.9375)[:order]:
+        derivs.append(c / denominator)  # over s, s*v, s*v*v, s*v*v*v
+        denominator = denominator * v
+    return derivs
+
+
+def sinh_tower(v, order):
+    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
+    return (s, c, s, c, s)[:order + 1]
+
+
+def cosh_tower(v, order):
+    s, c = _kernel(math.sinh, v), _kernel(math.cosh, v)
+    return (c, s, c, s, c)[:order + 1]
+
+
+def power_tower(v, exponent, order):
+    if v <= 0.0:
+        raise JetDomainError(f"fractional power of non-positive value {v}")
+    derivs = [_kernel(pow, v, exponent)]
+    coef = 1.0
+    for k in range(1, order + 1):
+        coef *= exponent - (k - 1)
+        derivs.append(coef * _kernel(pow, v, exponent - k))
+    return derivs
+
+
+def per_point_rows(tower, values, order, *args):
+    """(rows, None): the entries tower(v, *args, order) of each value, stacked
+    to shape (order + 1, *values.shape); or (None, (message, index)) for the
+    first value at which the tower fails, a derivative that under- or
+    overflows a float named as out of float range."""
+    rows = []
+    for index, v in enumerate(np.ravel(values).tolist()):
+        try:
+            rows.append(tower(v, *args, order))
+        except JetDomainError as err:
+            return None, (str(err), index)
+        except ArithmeticError:
+            name = tower.__name__.removesuffix("_tower")
+            return None, (f"derivatives of {name} at {v!r} are out of float range", index)
+    return np.array(rows).T.reshape((order + 1,) + np.shape(values)), None
 
 
 # --------------------------------------------------------------------------

@@ -330,22 +330,49 @@ def test_bienergy_overflow_exit_3(tmp_path, capsys):
     assert "out of float range" in err
 
 
-@pytest.mark.parametrize("command", [["classify", "--samples", "4"],
-                                     ["bienergy", "--grid", "8"]])
+def _tower_range(tmp_path, component):
+    doc = {**OVERFLOW, "name": "tower_range",
+           "chart": {**OVERFLOW["chart"], "domain": [[1, 2]]},
+           "map": {"target": "euclidean", "components": [component]}}
+    return _write(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", [["classify", "--samples", "4"]])
 @pytest.mark.parametrize("component", ["log(1e-100*t)", "log(1e100*t)",
                                        "sqrt(1e-100*t)"])
 def test_derivative_tower_out_of_float_range_exit_3(tmp_path, capsys, command,
                                                     component):
-    doc = {**OVERFLOW, "name": "tower_range",
-           "chart": {**OVERFLOW["chart"], "domain": [[1, 2]]},
-           "map": {"target": "euclidean", "components": [component]}}
-    path = _write(tmp_path, doc)
+    # the analysis forms order-4 jets, whose fourth derivative of log or
+    # sqrt under- or overflows at the first sample point
+    path = _tower_range(tmp_path, component)
     assert main([command[0], path, *command[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("evaluation error: derivatives of "), captured.err
-    assert "out of float range at point (1." in captured.err
-    assert captured.err.count("\n") == 1, captured.err
+    name, value = {"log(1e-100*t)": ("log", "1.0009999999999999e-100"),
+                   "log(1e100*t)": ("log", "1.0009999999999998e+100"),
+                   "sqrt(1e-100*t)": ("sqrt", "1.0009999999999999e-100")}[component]
+    assert captured.err == (f"evaluation error: derivatives of {name} at {value} are "
+                            f"out of float range at point (1.001,)\n")
+
+
+@pytest.mark.parametrize("component, unscaled, factor", [
+    ("log(1e-100*t)", "log(t)", 1.0), ("log(1e100*t)", "log(t)", 1.0),
+    ("sqrt(1e-100*t)", "sqrt(t)", 1e-100)], ids=["log(1e-100*t)", "log(1e100*t)",
+                                                  "sqrt(1e-100*t)"])
+def test_derivative_out_of_float_range_above_the_jet_order_gives_a_report(
+        tmp_path, capsys, component, unscaled, factor):
+    # the bienergy forms order-2 jets, and the derivative out of float
+    # range is the fourth: log(c*t) has the bitension of log(t), and
+    # sqrt(c*t) that of sqrt(t) times sqrt(c)
+    energies = []
+    for source in (component, unscaled):
+        assert main(["bienergy", _tower_range(tmp_path, source), "--grid", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        head, value = captured.out.rsplit(": ", 1)
+        assert head == "chart-domain bienergy of tower_range (grid 8)"
+        energies.append(float(value))
+    assert energies[0] == pytest.approx(factor * energies[1], rel=1e-12)
 
 
 def test_json_string_escapes():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -190,12 +191,36 @@ def test_eval_domain_errors():
         eval_jet(parse("log(t)"), env)
     with pytest.raises(JetDomainError):
         eval_jet(parse("1/(t + 2)"), env)
-    with pytest.raises(JetDomainError):
+    with pytest.raises(JetDomainError, match=r"^sqrt of non-positive value -1.0$"):
         eval_value(parse("sqrt(t)"), {"t": -1.0})
     with pytest.raises(JetDomainError, match=r"exp\(1000.0\) is out of float range"):
         eval_value(parse("exp(1000)"), {})
     with pytest.raises(JetDomainError, match="out of float range"):
         eval_value(parse("sin(t)"), {"t": math.inf})
+
+
+@pytest.mark.parametrize("source", ["sin(t)", "cos(t)", "tan(t)", "exp(t)", "log(t)",
+                                    "sqrt(t)", "sinh(t)", "cosh(t)", "t^1.5",
+                                    "log(1e100*t)", "log(1e-100*t)", "sqrt(1e-100*t)"])
+def test_order0_jets_meet_eval_value_at_every_value(source):
+    # the value, or the error, of eval_value is the order-0 jet's
+    from bieigen.jets import JetDomainError
+    ast = parse(source)
+
+    def outcome(evaluate):
+        try:
+            return struct.pack("d", evaluate()), None
+        except JetDomainError as err:
+            return None, str(err)
+
+    values = [1.5, 1000.0, -1000.0, 1e-310, 0.0, -1.0, math.inf, -math.inf, math.nan]
+    if "*" not in source:  # a jet product sums from +0.0: 1e100 * -0.0 is +0.0
+        values.append(-0.0)
+    for t in values:
+        jet = jets.variable(0, t, 0, 1)
+        assert outcome(lambda: eval_jet(ast, {"t": jet}).value) == \
+            outcome(lambda: eval_value(ast, {"t": t})), t
+    assert eval_value(parse("log(1e100*t)"), {"t": 1.5}) == math.log(1.5e100)
 
 
 def test_order0_evaluation_is_bit_identical():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bieigen import jets
+from bieigen.exprs import eval_jet, parse
 from bieigen.jets import Jet, JetDomainError
 
-from _oracles import fd_partial
+import _oracles
+from _oracles import fd_partial, mp_partial
 
 
 def test_variable_jet_definition():
@@ -158,19 +161,38 @@ def test_domain_errors():
         jets.power(zero, -1)
 
 
-@pytest.mark.parametrize("func, value", [
-    (jets.exp, 1000.0), (jets.sinh, 1000.0), (jets.cosh, -1000.0),
-    (jets.sin, math.inf), (jets.cos, math.inf), (jets.tan, math.inf),
-    (lambda t: jets.power(t, 1.5), 1e300), (lambda t: jets.power(t, -2.5), 1e-300),
-    # the fourth derivative under- or overflows, even for a low-order jet
-    (jets.log, 1e-100), (jets.log, 1e100), (jets.sqrt, 1e-100),
+@pytest.mark.parametrize("func, value, message", [
+    (jets.exp, 1000.0, "exp(1000.0) is"), (jets.sinh, 1000.0, "sinh(1000.0) is"),
+    (jets.cosh, -1000.0, "cosh(-1000.0) is"), (jets.sin, math.inf, "sin(inf) is"),
+    (jets.cos, math.inf, "cos(inf) is"), (jets.tan, math.inf, "tan(inf) is"),
+    (lambda t: jets.power(t, 1.5), 1e300, "pow(1e+300, 1.5) is"),
+    (lambda t: jets.power(t, -2.5), 1e-300, "pow(1e-300, -2.5) is"),
+    # the fourth derivative under- or overflows: refused at order 4 only
+    (jets.log, 1e-100, "derivatives of log at 1e-100 are"),
+    (jets.log, 1e100, "derivatives of log at 1e+100 are"),
+    (jets.sqrt, 1e-100, "derivatives of sqrt at 1e-100 are"),
 ], ids=["exp", "sinh", "cosh", "sin", "cos", "tan", "power_large",
         "power_negative_exponent", "log_tiny", "log_huge", "sqrt_tiny"])
-def test_out_of_float_range_is_a_domain_error(func, value):
-    block = jets.variable(0, [1.0, value], 2, 1)
-    with pytest.raises(JetDomainError, match="out of float range") as info:
+def test_out_of_float_range_is_a_domain_error(func, value, message):
+    block = jets.variable(0, [1.0, value], 4, 1)
+    with pytest.raises(JetDomainError) as info:
         func(block)
+    assert str(info.value) == f"{message} out of float range"
     assert info.value.index == 1  # the point that failed
+
+
+@pytest.mark.parametrize("source", ["log(1e-100*t)", "log(1e100*t)", "sqrt(1e-100*t)"])
+def test_a_derivative_out_of_float_range_refuses_only_the_jets_that_form_it(source):
+    # the fourth derivative of log or sqrt under- or overflows at 1.5e-100
+    # (1.5e100); a jet of a lower order is evaluated
+    ast = parse(source)
+    for order in range(4):
+        jet = eval_jet(ast, {"t": jets.variable(0, [1.5], order, 1)})
+        for k in range(order + 1):
+            assert jet.derivative((k,))[0] == pytest.approx(
+                mp_partial(ast, ("t",), (1.5,), (k,)), rel=1e-13, abs=0.0)
+    with pytest.raises(JetDomainError, match=r"^derivatives of .* are out of float range$"):
+        eval_jet(ast, {"t": jets.variable(0, [1.5], 4, 1)})
 
 
 def test_integer_power_matches_repeated_multiplication():
@@ -289,36 +311,67 @@ def test_first_partials_are_the_stacked_extracted_derivatives(order, nvars, shap
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# The sin, cos and sqrt towers of a block whose values are all valid are
-# computed in numpy (`_sin_block`, ...); they must give every point the bits
-# of its per-point tower, and a block with an invalid value falls back to
-# the per-point loop.
+# Each elementary function forms its derivative tower for a whole block
+# (`jets._derivatives`); every point must get the rows, or the refusal, that
+# the per-point reference in `_oracles` gives it. cos and cosh are refused
+# naming their own kernel, where the reference names sin and sinh first.
 
-BLOCK_TOWERS = {"sin": (jets._sin_block, jets._sin_tower),
-                "cos": (jets._cos_block, jets._cos_tower),
-                "sqrt": (jets._sqrt_block, jets._sqrt_tower)}
+FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
+TOWERS = {name: (getattr(jets, name), getattr(jets, f"_{name}_rows"),
+                 getattr(_oracles, f"{name}_tower"), ())
+          for name in FUNCTIONS}
+TOWERS.update({f"power({shown})": (partial(jets.power, exponent=exponent), jets._power_rows,
+                                   _oracles.power_tower, (exponent,))
+               for shown, exponent in (("0.5", 0.5), ("1.5", 1.5), ("-2.5", -2.5), ("1/3", 1 / 3))})
+_OWN_KERNEL = {"cos": ("sin(", "cos("), "cosh": ("sinh(", "cosh(")}
 _TOWER_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-                   1e-100, 1.0, 1e200, 1e300, -1e300]
+                   1e-100, 1.0, 1e200, 1e300, -1e300, math.inf, -math.inf, math.nan]
 
 
-def _per_point_rows(name, a):
-    """(rows, None) from the per-point loop, or (None, (message, index))."""
-    tower = BLOCK_TOWERS[name][1]
+def _block_outcome(name, a):
+    """(rows, None) from the block tower of `name` at the values of `a`, or
+    (None, (message, index)) for its refusal."""
+    _, tower, _, args = TOWERS[name]
     try:
-        rows = jets._per_point(tower, a, *((a.order,) if name == "sqrt" else ()))
+        return np.array(jets._derivatives(tower, a, *args)), None
     except JetDomainError as err:
         return None, (str(err), err.index)
-    return rows[:a.order + 1], None
+
+
+def _reference_outcome(name, a):
+    """The same from the per-point reference tower."""
+    _, _, tower, args = TOWERS[name]
+    rows, error = _oracles.per_point_rows(tower, a.coeffs[0], a.order, *args)
+    if error is not None and name in _OWN_KERNEL:
+        error = (error[0].replace(*_OWN_KERNEL[name]), error[1])
+    return rows, error
+
+
+def _assert_same_outcome(got, want):
+    assert got[1] == want[1]
+    if want[1] is None:
+        assert got[0].shape == want[0].shape
+        np.testing.assert_array_equal(got[0].view(np.int64), want[0].view(np.int64))
+
+
+def _assert_meets_the_reference(name, a):
+    want = _reference_outcome(name, a)
+    _assert_same_outcome(_block_outcome(name, a), want)
+    if want[1] is None:  # the function composes the rows
+        with np.errstate(all="ignore"):  # a row may be inf
+            np.testing.assert_array_equal(TOWERS[name][0](a).coeffs.view(np.int64),
+                                          jets._compose(a, want[0]).coeffs.view(np.int64))
 
 
 @st.composite
 def _tower_values(draw):
-    """Values of mixed scale, from subnormals to 1e300, with some specials:
-    one point's scalar (None) or a block of 1, 7 or 256."""
+    """Values of mixed scale, from subnormals to 300 or to 1e300, with some
+    specials: one point's scalar (None) or a block of 1, 7 or 256."""
     count = draw(st.sampled_from([None, 1, 7, 256]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = count or 1
-    values = 10.0 ** rng.uniform(draw(st.sampled_from([-323.0, -150.0, -3.0])), 300.0, size)
+    values = 10.0 ** rng.uniform(draw(st.sampled_from([-323.0, -150.0, -3.0])),
+                                 draw(st.sampled_from([2.5, 300.0])), size)
     if draw(st.booleans()):
         values *= rng.choice([-1.0, 1.0], size)
     special = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 1.0]))
@@ -326,39 +379,21 @@ def _tower_values(draw):
     return values[0] if count is None else values
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(BLOCK_TOWERS)), st.integers(0, 4), _tower_values())
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(0, 4), _tower_values())
 def test_block_towers_give_the_bits_of_the_per_point_towers(name, order, values):
-    a = jets.variable(0, values, order, 1)
-    want, error = _per_point_rows(name, a)
-    with np.errstate(over="ignore", under="ignore"):
-        got = BLOCK_TOWERS[name][0](a.coeffs[0], order)
-    if error is not None:
-        assert got is None, error  # the block falls back, and the loop raises
-    else:
-        assert got is not None and got.shape == want.shape == (order + 1,) + np.shape(values)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        result = getattr(jets, name)(a)
-        np.testing.assert_array_equal(result.coeffs.view(np.int64),
-                                      jets._compose(a, want).coeffs.view(np.int64))
+    _assert_meets_the_reference(name, jets.variable(0, values, order, 1))
 
 
-@pytest.mark.parametrize("name", sorted(BLOCK_TOWERS))
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, -0.0, 5e-324, 1e-100])
+@pytest.mark.parametrize("name", [*FUNCTIONS, "power(1.5)"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, -0.0, 5e-324, 1e-100,
+                                 1e300])
 @pytest.mark.parametrize("size, where", [(1, 0), (7, 0), (7, 4), (256, 255)])
 @pytest.mark.parametrize("order", [0, 2, 4])
 def test_invalid_value_in_a_block_meets_the_per_point_outcome(name, bad, size, where, order):
     values = np.linspace(0.5, 2.0, size)
     values[where] = bad
-    a = jets.variable(0, values, order, 1)
-    want, error = _per_point_rows(name, a)
-    if error is not None:
-        with pytest.raises(JetDomainError) as info:
-            getattr(jets, name)(a)
-        assert (str(info.value), info.value.index) == error
-    else:  # sin and cos of NaN, sqrt of -0.0 at order 0 and of +-inf or NaN
-        np.testing.assert_array_equal(getattr(jets, name)(a).coeffs.view(np.int64),
-                                      jets._compose(a, want).coeffs.view(np.int64))
+    _assert_meets_the_reference(name, jets.variable(0, values, order, 1))
 
 
 def test_sqrt_of_a_tiny_block_is_out_of_float_range():
@@ -369,30 +404,53 @@ def test_sqrt_of_a_tiny_block_is_out_of_float_range():
 
 
 def test_numpy_sin_and_cos_are_the_math_kernels_bit_for_bit():
-    # the block towers of sin and cos rely on it; a platform whose numpy
-    # rounds differently fails here, not in a golden pin
+    # every numpy kernel the towers use must give the bits of its `math`
+    # kernel, and fail (NaN from a number) where `math` raises; a platform
+    # whose numpy rounds differently fails here, not in a golden pin
     rng = np.random.default_rng(0)
     values = np.concatenate([sign * 10.0 ** rng.uniform(-3.0, 8.0, 25000)
                              for sign in (1.0, -1.0)])
-    for count in (1, 7, 256, len(values)):
-        for block, kernel in ((np.sin, math.sin), (np.cos, math.cos)):
-            got = block(values[:count])
-            want = np.array([kernel(v) for v in values[:count].tolist()])
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-            assert block(values[0]) == kernel(float(values[0]))
+    values[::1000] = [0.0, -0.0, math.inf, -math.inf, math.nan] * 10
+    for kernel, block in jets._NUMPY_KERNELS.items():
+        want = []
+        for v in values.tolist():
+            try:
+                want.append(kernel(v))
+            except (OverflowError, ValueError):
+                want.append(math.nan)  # numpy's result must be NaN here
+        want = np.array(want)
+        with np.errstate(invalid="ignore"):
+            for count in (1, 7, 256, len(values)):
+                got = block(values[:count])
+                np.testing.assert_array_equal(got, want[:count])  # NaN where `math` raises
+                finite = ~np.isnan(want[:count])
+                np.testing.assert_array_equal(got[finite].view(np.int64),
+                                              want[:count][finite].view(np.int64))
+            assert block(values[1]).view(np.int64) == want[1:2].view(np.int64)[0]
+
+
+def test_log_tower_powers_are_pythons():
+    # numpy's power rounds some squares, cubes and fourth powers apart from
+    # Python's `v ** k`, which the log tower's rows divide by
+    values = 10.0 ** np.random.default_rng(1).uniform(-70.0, 70.0, 40000)
+    rows = jets._derivatives(jets._log_rows, jets.variable(0, values, 4, 1))
+    for k, c in ((2, -1.0), (3, 2.0), (4, -6.0)):
+        want = np.array([c / v ** k for v in values.tolist()])
+        np.testing.assert_array_equal(rows[k].view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("name, values", [
     ("sqrt", [1e200, 3e250, 1e300]),  # s*v*v overflows to inf
     ("sqrt", [1e-80, 1e-90]),  # 0.9375 / (s*v*v*v) overflows to inf
     ("sin", [5e-324, 1e-310]), ("cos", [5e-324, 1e-310]),  # sin underflows
+    ("sin", [math.inf]), ("cos", [math.nan]), ("tan", [1.5707963267948966, 1e300]),
+    ("exp", [1000.0]), ("exp", [-1000.0, 700.0]), ("log", [1e100]), ("log", [5e-324, 1e308]),
+    ("sqrt", [-1.0]), ("sinh", [1000.0]), ("cosh", [-710.0, 5e-324]),
+    ("power(1.5)", [1e300]), ("power(-2.5)", [1e-300]), ("power(1/3)", [5e-324, 1e308]),
 ])
 def test_block_towers_raise_no_numpy_warning(name, values):
     a = jets.variable(0, values, 4, 1)
-    with np.errstate(all="ignore"):
-        assert BLOCK_TOWERS[name][0](a.coeffs[0], 4) is not None  # no fallback
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = jets._block_or_per_point(*BLOCK_TOWERS[name], a,
-                                       *((4,) if name == "sqrt" else ()))
-    np.testing.assert_array_equal(got.view(np.int64), _per_point_rows(name, a)[0].view(np.int64))
+        got = _block_outcome(name, a)
+    _assert_same_outcome(got, _reference_outcome(name, a))
