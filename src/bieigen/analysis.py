@@ -42,7 +42,7 @@ from .exprs import intern, parse, variables_of
 from .jets import JetDomainError, first_index, first_partials
 
 SPHERE_TOL = 1e-10
-GRAM_TOL = 1e-9
+GRAM_TOL = 1e-9  # Gram defect |dphi dphi^T - g| of an isometric point and report
 SELF_CHECK_TOL = 1e-9
 TANGENCY_TOL = 1e-9
 
@@ -286,8 +286,8 @@ def analyze_point(smap: SphereMap, point) -> PointAnalysis:
 def analyze_samples(smap: SphereMap, points) -> SampleBatch:
     """Evaluate every map-level quantity at a sequence of chart points.
     Errors name the first point that fails, as a point-by-point loop would."""
-    points = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
-    if not points:
+    points = np.array(points, dtype=float)
+    if not len(points):
         raise ValueError("no sample points")
     return SampleBatch.concatenate(
         _blockwise(lambda block: _analyze_block(smap, block), points, ANALYSIS_ORDER))

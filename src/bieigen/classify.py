@@ -24,12 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (SampleBatch, SphereMap, analyze_samples,
+from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples,
                        constant_density_residual, dots, inf_norms)
 from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL = 1e-8
-ISOMETRY_TOL = 1e-9
 RHO_DENOMINATOR_FLOOR = 1e-14
 RATIO_FLOOR = 1e-10
 
@@ -234,7 +233,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
         sample_count=len(s), dim=smap.dim, ambient_dim=smap.ambient_dim,
         target=smap.target, radius=smap.radius, unit_sphere=smap.unit_sphere,
         tol=tol, constants=fitted,
-        is_isometric=max_gram_defect <= ISOMETRY_TOL,
+        is_isometric=max_gram_defect <= GRAM_TOL,
         is_constant_density=is_constant_density,
         is_harmonic=is_harmonic,
         is_biharmonic=is_biharmonic,

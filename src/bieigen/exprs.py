@@ -8,9 +8,9 @@ left-associative and ^ right-associative.
 
 ASTs are immutable and hashable. `eval_jet` evaluates over jet-valued
 environments, `eval_value` over plain floats. At order 0 the two agree bit
-for bit, because `eval_value` evaluates a function call as an order-0 jet
-and a power with the jets' algorithm (`scalar_pow`); only a product that
-is -0.0 in floats is +0.0 in a jet, whose sums start from +0.0. `intern`
+for bit, because `eval_value` evaluates a function call and a power as an
+order-0 jet; products are the only exception left: a product that is -0.0
+in floats is +0.0 in a jet, whose sums start from +0.0. `intern`
 makes equal subtrees of several ASTs one object, and `eval_jet` evaluates
 each object once per memo, so a subtree shared by the roots of a map is
 evaluated once per block. The parser refuses an expression that nests
@@ -25,8 +25,10 @@ import struct
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
+import numpy as np
+
 from . import jets
-from .jets import Jet, JetDomainError, scalar_pow
+from .jets import Jet, JetDomainError
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Pow", "Call",
@@ -417,8 +419,8 @@ def _eval_jet(e, env, probe, memo):
 
 
 def eval_value(e: Expr, env: Mapping[str, float]) -> float:
-    """Plain floating-point evaluation; a function call is evaluated as an
-    order-0 jet, so its value or error is eval_jet's."""
+    """Plain floating-point evaluation; a function call and a power are
+    evaluated as order-0 jets, so their value or error is eval_jet's."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -434,7 +436,13 @@ def eval_value(e: Expr, env: Mapping[str, float]) -> float:
             raise JetDomainError("division by zero")
         return _BINARY[e.op](left, right)
     if isinstance(e, Pow):
-        return scalar_pow(eval_value(e.base, env), e.exponent)
+        return _order0(jets.power, eval_value(e.base, env), e.exponent)
     if isinstance(e, Call):
-        return float(_JET_FUNCS[e.func](jets.constant(eval_value(e.arg, env), 0, 1)).value)
+        return _order0(_JET_FUNCS[e.func], eval_value(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _order0(function, value, *args):
+    """function(jet, *args) at an order-0 jet of one value, as a float."""
+    with np.errstate(over="ignore"):  # a float overflows to inf silently
+        return float(function(jets.constant(value, 0, 1), *args).value)

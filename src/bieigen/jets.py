@@ -11,8 +11,9 @@ Each elementary function forms its derivative tower once per block, up to
 the jet's order. Its kernel is `math`'s mapped over the values, or numpy's
 where that gives `math`'s bits (`_NUMPY_KERNELS`), and the rest is
 elementwise numpy arithmetic, which rounds like Python floats, so a point's
-tower does not depend on its block. A block holding a value the tower
-refuses is rerun point by point to name the first one (`_per_point`).
+tower does not depend on its block. A finite value whose tower is not
+finite is refused as out of float range, and a block holding a value the
+tower refuses is rerun point by point to name the first one (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
 first use, once per (order, nvars).
@@ -36,7 +37,7 @@ the sign of a zero.
 """
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -161,7 +162,6 @@ class _JetSpace:
                  for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
         self._degree = degree
         self._pairs = pairs
-        self._mul_tables = {}
 
         # Division recurrence: output slot k subtracts q[i] * b[j] over the
         # product terms of k with a nonzero multi-index j, in product order.
@@ -174,22 +174,17 @@ class _JetSpace:
                                            if lo <= k < hi and degree[j] > 0], hi - lo)
             self._div_degrees.append((lo + perm, qi, bj, sizes))
 
-        self._diff_tables = {}
-
+    @cache
     def _mul_table(self, da, db):
         """The product terms of factors of degrees da and db: the pairs
         whose x slot has degree <= da and y slot degree <= db, in rounds
         (see `_rounds`), with the inverse permutation and, for one point's
         bincount, the output slot of each product."""
-        table = self._mul_tables.get((da, db))
-        if table is None:
-            degree = self._degree
-            xs, ys, sizes, perm = _rounds([(i, j, k) for i, j, k in self._pairs
-                                           if degree[i] <= da and degree[j] <= db],
-                                          self.size)
-            out = perm[np.concatenate([np.arange(n) for n in sizes])]
-            table = self._mul_tables[(da, db)] = (xs, ys, sizes, np.argsort(perm), out)
-        return table
+        degree = self._degree
+        xs, ys, sizes, perm = _rounds([(i, j, k) for i, j, k in self._pairs
+                                       if degree[i] <= da and degree[j] <= db], self.size)
+        out = perm[np.concatenate([np.arange(n) for n in sizes])]
+        return xs, ys, sizes, np.argsort(perm), out
 
     def multiply(self, a, b, da, db):
         """The truncated product of coefficients a and b of degrees at most
@@ -221,24 +216,21 @@ class _JetSpace:
             q[slots] = acc / b0
         return q
 
+    @cache
     def diff_table(self, direction):
         """Positions and de-normalization factors for d/du_direction."""
-        table = self._diff_tables.get(direction)
-        if table is None:
-            lower = _space(self.order - 1, self.nvars)
-            src = np.empty(lower.size, dtype=np.intp)
-            fac = np.empty(lower.size)
-            for k, beta in enumerate(lower.multi_indices):
-                shifted = list(beta)
-                shifted[direction] += 1
-                src[k] = self.position[tuple(shifted)]
-                fac[k] = beta[direction] + 1
-            table = (src, fac)
-            self._diff_tables[direction] = table
-        return table
+        lower = _space(self.order - 1, self.nvars)
+        src = np.empty(lower.size, dtype=np.intp)
+        fac = np.empty(lower.size)
+        for k, beta in enumerate(lower.multi_indices):
+            shifted = list(beta)
+            shifted[direction] += 1
+            src[k] = self.position[tuple(shifted)]
+            fac[k] = beta[direction] + 1
+        return src, fac
 
 
-@lru_cache(maxsize=None)
+@cache
 def _space(order, nvars):
     return _JetSpace(order, nvars)
 
@@ -327,15 +319,7 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._binary(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        if rhs is None:
-            out = self.coeffs.copy()
-            out[0] -= other
-            return Jet(self.order, self.nvars, out, self.degree)
-        return Jet(self.order, self.nvars, self.coeffs - rhs.coeffs,
-                   max(self.degree, rhs.degree))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -372,11 +356,7 @@ class Jet:
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):
             return NotImplemented
-        space = _space(self.order, self.nvars)
-        num = np.zeros(self.coeffs.shape)
-        num[0] = other
-        return Jet(self.order, self.nvars, space.divide(num, self.coeffs),
-                   0 if self.degree == 0 else self.order)
+        return constant_like(other, self) / self
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -444,54 +424,33 @@ def first_partials(jet_list):
     return np.ascontiguousarray(np.moveaxis(rows, 0, -2))
 
 
-def _ipow(x, n):
-    # identical multiply sequence for floats and jets keeps order-0 jet
-    # evaluation bit-for-bit equal to scalar evaluation
-    result = x
-    for bit in bin(n)[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * x
-    return result
-
-
-def scalar_pow(x, exponent):
-    """Float power using the same algorithm as jet power."""
-    if float(exponent).is_integer():
-        n = int(exponent)
-        if n == 0:
-            return 1.0
-        if n < 0:
-            if x == 0.0:
-                raise JetDomainError("zero raised to a negative power")
-            return 1.0 / _ipow(x, -n)
-        return _ipow(x, n)
-    if x <= 0.0:
-        raise JetDomainError(f"fractional power of non-positive value {x}")
-    return float(_kernel(math.pow, x, exponent))
-
-
 def power(a, exponent):
     """Jet raised to a constant integer or fractional exponent."""
     if not isinstance(exponent, (int, float)):
         raise TypeError("jet exponent must be a constant number")
-    if float(exponent).is_integer():
-        n = int(exponent)
-        if n == 0:
-            return constant_like(1.0, a)
-        if n < 0:
-            zero = first_index(a.coeffs[0] == 0.0)
-            if zero is not None:
-                raise JetDomainError("zero value raised to a negative power", zero)
-            return 1.0 / _ipow(a, -n)
-        return _ipow(a, n)
-    return _compose(a, _derivatives(_power_rows, a, exponent))
+    if not float(exponent).is_integer():
+        return _compose(a, _derivatives(_power_rows, a, exponent))
+    n = int(exponent)
+    if n == 0:
+        return constant_like(1.0, a)
+    if n < 0:
+        zero = first_index(a.coeffs[0] == 0.0)
+        if zero is not None:
+            raise JetDomainError("zero value raised to a negative power", zero)
+        return 1.0 / power(a, -n)
+    result = a
+    for bit in bin(n)[3:]:  # square and multiply, after the leading bit
+        result = result * result
+        if bit == "1":
+            result = result * a
+    return result
 
 
 def _compose(a, derivs):
     """Truncated composition f(a) from the derivative rows derivs[k] =
     f^(k)(a.value), k = 0..a.order. Horner evaluation in the zero-value part
-    of `a` leaves the value slot exactly derivs[0]."""
+    of `a` leaves the value slot exactly derivs[0] where the rows are finite,
+    as `_derivatives` makes them at every finite value."""
     taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
     hat = a.coeffs.copy()
     hat[0] = 0.0
@@ -505,35 +464,43 @@ def _compose(a, derivs):
 
 def _derivatives(tower, a, *args):
     """The rows f^(k)(v), k = 0..a.order, of f's derivative tower at the value
-    v of each point of `a`. `tower(values, order, *args)` forms them for the
-    whole block and returns them with a mask of the points it refuses (a
-    derivative out of float range) or None, or raises (a value out of f's
-    domain, a kernel or Python's `**` out of float range); then `_per_point`
-    raises the failure of the first point."""
+    v of each point of `a`, formed for the whole block by `tower(values,
+    order, *args)`. The tower raises for a value out of f's domain, or a
+    kernel or Python's `**` out of float range. A finite value at which a
+    row is not finite (a derivative out of float range) is refused here,
+    for every tower alike (`_out_of_range`). Either way `_per_point` raises
+    the failure of the first point."""
     with np.errstate(all="ignore"):  # Python floats under- and overflow silently
         try:
-            rows, refused = tower(a.coeffs[0], a.order, *args)
-            if refused is None or not refused.any():
+            rows = tower(a.coeffs[0], a.order, *args)
+            if not _out_of_range(a.coeffs[0], rows).any():
                 return rows
         except ArithmeticError:
             pass
         _per_point(tower, a, *args)
 
 
+def _out_of_range(values, rows):
+    """Where a finite value has a derivative row that is not finite."""
+    return np.isfinite(values) & ~np.isfinite(rows).all(axis=0)
+
+
 def _per_point(tower, a, *args):
     """Raise the failure of the first point of `a` at which `tower` fails, run
-    on one point's value after the other, with the index of the point; a
-    derivative it refuses, or that overflows, is out of float range."""
+    on one point's value after the other, with the index of the point; rows
+    that `_out_of_range` refuses, or an overflow of Python's `**`, are out of
+    float range."""
     values = np.ravel(a.coeffs[0])
     for index in range(values.size):
+        value = values[index:index + 1]
         try:
-            refused = tower(values[index:index + 1], a.order, *args)[1]
+            refused = _out_of_range(value, tower(value, a.order, *args)).any()
         except JetDomainError as err:
             err.index = index
             raise
         except ArithmeticError:
             refused = True
-        if np.any(refused):
+        if refused:
             name = tower.__name__[1:].removesuffix("_rows")
             raise JetDomainError(f"derivatives of {name} at {values[index].item()!r} are "
                                  f"out of float range", index)
@@ -585,33 +552,35 @@ def _refuse(bad, values, message):
 
 def _sin_rows(values, order):
     s, c = _kernel(math.sin, values), _kernel(math.cos, values)
-    return (s, c, -s, -c, s)[:order + 1], None
+    return (s, c, -s, -c, s)[:order + 1]
 
 
 def _cos_rows(values, order):
     c, s = _kernel(math.cos, values), _kernel(math.sin, values)
-    return (c, -s, -c, s, c)[:order + 1], None
+    return (c, -s, -c, s, c)[:order + 1]
 
 
 def _tan_rows(values, order):
     t = _kernel(math.tan, values)
     w = 1.0 + t * t
     return (t, w, 2.0 * t * w, 2.0 * w * (1.0 + 3.0 * t * t),
-            8.0 * t * w * (2.0 + 3.0 * t * t))[:order + 1], None
+            8.0 * t * w * (2.0 + 3.0 * t * t))[:order + 1]
 
 
 def _exp_rows(values, order):
-    return (_kernel(math.exp, values),) * (order + 1), None
+    return (_kernel(math.exp, values),) * (order + 1)
 
 
 def _log_rows(values, order):
+    """log v, 1/v and c / v ** k. A power v ** k that overflows raises, as
+    Python's does; one that underflows leaves an infinite row, as 1/v is
+    for v below about 5.6e-309, which `_derivatives` refuses."""
     _refuse(values <= 0.0, values, "log of non-positive value")
     # v ** k in Python floats, which numpy's power does not always round alike
     powers = [_mapped(math.pow, values, k) for k in range(2, order + 1)]
     rows = [_kernel(math.log, values), 1.0 / values]
     rows += [c / p for c, p in zip((-1.0, 2.0, -6.0), powers)]
-    # where a power underflows to 0, so does the highest
-    return rows[:order + 1], powers[-1] == 0.0 if powers else None
+    return rows[:order + 1]
 
 
 def _sqrt_rows(values, order):
@@ -620,17 +589,17 @@ def _sqrt_rows(values, order):
     for _ in range(order - 1):
         denominators.append(denominators[-1] * values)
     rows = [c / d for c, d in zip((0.5, -0.25, 0.375, -0.9375)[:order], denominators)]
-    return denominators[:1] + rows, denominators[-1] == 0.0 if order else None
+    return denominators[:1] + rows
 
 
 def _sinh_rows(values, order):
     s, c = _kernel(math.sinh, values), _kernel(math.cosh, values)
-    return (s, c, s, c, s)[:order + 1], None
+    return (s, c, s, c, s)[:order + 1]
 
 
 def _cosh_rows(values, order):
     c, s = _kernel(math.cosh, values), _kernel(math.sinh, values)
-    return (c, s, c, s, c)[:order + 1], None
+    return (c, s, c, s, c)[:order + 1]
 
 
 def _power_rows(values, order, exponent):
@@ -639,7 +608,7 @@ def _power_rows(values, order, exponent):
     for k in range(1, order + 1):
         coef *= exponent - (k - 1)
         rows.append(coef * _kernel(math.pow, values, exponent - k))
-    return rows, None
+    return rows
 
 
 def _elementary(tower):

@@ -336,16 +336,20 @@ def per_point_rows(tower, values, order, *args):
     """(rows, None): the entries tower(v, *args, order) of each value, stacked
     to shape (order + 1, *values.shape); or (None, (message, index)) for the
     first value at which the tower fails, a derivative that under- or
-    overflows a float named as out of float range."""
+    overflows a float named as out of float range: an entry that raises, or
+    one that is not finite at a finite value."""
     rows = []
     for index, v in enumerate(np.ravel(values).tolist()):
         try:
-            rows.append(tower(v, *args, order))
+            entries = tower(v, *args, order)
         except JetDomainError as err:
             return None, (str(err), index)
         except ArithmeticError:
+            entries = None
+        if entries is None or (math.isfinite(v) and not all(map(math.isfinite, entries))):
             name = tower.__name__.removesuffix("_tower")
             return None, (f"derivatives of {name} at {v!r} are out of float range", index)
+        rows.append(entries)
     return np.array(rows).T.reshape((order + 1,) + np.shape(values)), None
 
 

@@ -1,5 +1,5 @@
-"""Smoke tests of the benchmark's drivers: one quick cli_catalog pass must
-check out with no failed operation, so that a change to the public API that
+"""Smoke tests of the benchmark's drivers: one quick pass of each workload
+must check out with no failed operation, so that a change to the public API that
 breaks the benchmark shows up in the test suite, and a traced quick pass must
 count a call of every layer the per-layer metrics read. Timing is not
 checked."""
@@ -9,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cli_catalog_quick_pass_checks_out():
+@pytest.mark.parametrize("workload", ["cli_catalog", "dense_flat", "curved_highdim"])
+def test_quick_pass_checks_out(workload):
+    # bench/run.py exits 0 with wrong outputs too: `correct` is the check
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "cli_catalog",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--quick"], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     info, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])

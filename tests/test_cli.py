@@ -86,6 +86,16 @@ def test_classify_constant_map_null_rho(capsys):
     assert doc["verdicts"]["is_buckling"] is None
 
 
+def test_classify_zero_map_fits_zero_constants(tmp_path, capsys):
+    # sum |phi|^2 is 0: lambda_hat and mu_hat are set to 0.0, not fitted
+    doc = {**OVERFLOW, "name": "zero_map",
+           "map": {"target": "euclidean", "components": ["0", "0"]}}
+    assert main(["classify", _write(tmp_path, doc), "--format", "json"]) == 0
+    constants = json.loads(capsys.readouterr().out)["constants"]
+    assert (constants["lambda_hat"], constants["mu_hat"]) == (0.0, 0.0)
+    assert constants["rho_hat"] is None
+
+
 def test_classify_csv_and_text(capsys):
     assert main(["classify", "great_circle_S2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -339,18 +349,21 @@ def _tower_range(tmp_path, component):
 
 @pytest.mark.parametrize("command", [["classify", "--samples", "4"]])
 @pytest.mark.parametrize("component", ["log(1e-100*t)", "log(1e100*t)",
-                                       "sqrt(1e-100*t)"])
+                                       "sqrt(1e-100*t)", "sqrt(1e-90*t)", "log(1e-80*t)"])
 def test_derivative_tower_out_of_float_range_exit_3(tmp_path, capsys, command,
                                                     component):
     # the analysis forms order-4 jets, whose fourth derivative of log or
-    # sqrt under- or overflows at the first sample point
+    # sqrt under- or overflows at the first sample point; at 1e-90 and
+    # 1e-80 its denominator is subnormal, not zero, and the derivative inf
     path = _tower_range(tmp_path, component)
     assert main([command[0], path, *command[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     name, value = {"log(1e-100*t)": ("log", "1.0009999999999999e-100"),
                    "log(1e100*t)": ("log", "1.0009999999999998e+100"),
-                   "sqrt(1e-100*t)": ("sqrt", "1.0009999999999999e-100")}[component]
+                   "sqrt(1e-100*t)": ("sqrt", "1.0009999999999999e-100"),
+                   "sqrt(1e-90*t)": ("sqrt", "1.001e-90"),
+                   "log(1e-80*t)": ("log", "1.001e-80")}[component]
     assert captured.err == (f"evaluation error: derivatives of {name} at {value} are "
                             f"out of float range at point (1.001,)\n")
 
@@ -375,6 +388,17 @@ def test_derivative_out_of_float_range_above_the_jet_order_gives_a_report(
     assert energies[0] == pytest.approx(factor * energies[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("component, bienergy", [
+    ("sqrt(1e-90*t)", "1.1662067838150157e-92"), ("log(1e-80*t)", "0.14458920719355708")])
+def test_subnormal_denominator_above_the_jet_order_gives_a_report(tmp_path, capsys,
+                                                                 component, bienergy):
+    # classify refuses these maps (above); the order-2 bienergy jets never
+    # form the fourth derivative
+    assert main(["bienergy", _tower_range(tmp_path, component), "--grid", "8"]) == 0
+    assert capsys.readouterr() == (
+        f"chart-domain bienergy of tower_range (grid 8): {bienergy}\n", "")
+
+
 def test_json_string_escapes():
     text = '"\\\n\t\r\b\f\x00\x1f\x7f\u00e9'
     assert to_json(text) == ('"\\"\\\\\\n\\t\\u000d\\u0008\\u000c'
@@ -396,9 +420,14 @@ def test_control_character_in_name_is_escaped_in_the_json_report(tmp_path, capsy
      "chart.domain[0][1]: exp(1000.0) is out of float range"),
     ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [["1/0", 1]]}},
      "chart.domain[0][0]: division by zero"),
+    ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "1 + 0^-1"]]}},
+     "chart.domain[0][1]: zero value raised to a negative power"),
+    ({**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "1e-200^-2"]]}},
+     "chart.domain[0][1]: division by a jet with zero value"),
     ({**NEARLY_ISOMETRIC, "map": {**NEARLY_ISOMETRIC["map"], "radius": "exp(1000)"}},
      "map.radius: exp(1000.0) is out of float range"),
-], ids=["bound_overflow", "bound_division_by_zero", "radius_overflow"])
+], ids=["bound_overflow", "bound_division_by_zero", "bound_zero_to_a_negative_power",
+        "bound_power_underflow", "radius_overflow"])
 def test_constant_expression_errors_are_manifest_errors_exit_2(tmp_path, capsys,
                                                                 doc, message):
     assert main(["classify", _write(tmp_path, doc)]) == 2

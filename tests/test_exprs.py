@@ -201,6 +201,7 @@ def test_eval_domain_errors():
 
 @pytest.mark.parametrize("source", ["sin(t)", "cos(t)", "tan(t)", "exp(t)", "log(t)",
                                     "sqrt(t)", "sinh(t)", "cosh(t)", "t^1.5",
+                                    "t^3", "t^-1", "t^-2",
                                     "log(1e100*t)", "log(1e-100*t)", "sqrt(1e-100*t)"])
 def test_order0_jets_meet_eval_value_at_every_value(source):
     # the value, or the error, of eval_value is the order-0 jet's
@@ -218,8 +219,9 @@ def test_order0_jets_meet_eval_value_at_every_value(source):
         values.append(-0.0)
     for t in values:
         jet = jets.variable(0, t, 0, 1)
-        assert outcome(lambda: eval_jet(ast, {"t": jet}).value) == \
-            outcome(lambda: eval_value(ast, {"t": t})), t
+        with np.errstate(over="ignore"):  # as the CLI and the analysis run: 1/1e-310 is inf
+            got = outcome(lambda: eval_jet(ast, {"t": jet}).value)
+        assert got == outcome(lambda: eval_value(ast, {"t": t})), t
     assert eval_value(parse("log(1e100*t)"), {"t": 1.5}) == math.log(1.5e100)
 
 

@@ -69,6 +69,53 @@ def test_division_value_slot_is_exact():
     assert q.value == 0.7234 / math.cos(0.7234)
 
 
+def _bits(jet):
+    return jet.coeffs.view(np.int64)
+
+
+def _block_denominator(size):
+    """An order-3 jet in 2 variables at `size` points, of full degree."""
+    rng = np.random.default_rng(size)
+    u, v = (jets.variable(i, rng.uniform(0.2, 0.9, size), 3, 2) for i in range(2))
+    return 2.0 + jets.sin(u) * v
+
+
+def _block_of_one(jet, index):
+    return Jet(jet.order, jet.nvars, jet.coeffs[:, index:index + 1], jet.degree)
+
+
+@pytest.mark.parametrize("numerator", [
+    jets.constant([2.0], 3, 2),
+    jets.sin(jets.variable(0, [0.4], 3, 2) * jets.variable(1, [-0.3], 3, 2))],
+    ids=["constant", "varying"])
+def test_block_of_one_numerator_over_a_block_is_each_points_quotient(numerator):
+    # the numerator's rows are broadcast over the block before the recurrence
+    b = _block_denominator(7)
+    q = numerator / b
+    assert q.coeffs.shape == b.coeffs.shape
+    for i in range(7):
+        np.testing.assert_array_equal(_bits(q.at(i)), _bits(numerator.at(0) / b.at(i)))
+
+
+def test_subtraction_and_reflected_division_keep_their_bits_and_degree():
+    b = _block_denominator(5)
+    a = jets.variable(1, [0.0, -0.0, 0.5, -1.5, 0.0], 3, 2)  # signed zeros in slot 0
+    for x, y in ((a, b), (b, a), (a, -a), (a, _block_of_one(a, 1)), (_block_of_one(b, 2), a)):
+        d = x - y
+        np.testing.assert_array_equal(_bits(d), (x.coeffs - y.coeffs).view(np.int64))
+        assert d.degree == max(x.degree, y.degree)
+    for number in (1.5, -0.0, np.array([0.0, -0.0, 1.0, 2.0, -3.0])):
+        want = a.coeffs.copy()
+        want[0] -= number
+        np.testing.assert_array_equal(_bits(a - number), want.view(np.int64))
+    for den in (b, jets.constant_like(-0.5, b)):
+        q = 2 / den
+        assert q.degree == (0 if den.degree == 0 else den.order)
+        for i in range(5):
+            np.testing.assert_array_equal(_bits(q.at(i)),
+                                          _bits(jets.constant(2.0, 3, 2) / den.at(i)))
+
+
 def test_extract_derivative_basic():
     t = jets.variable(0, 3.0, 2, 1)
     d = (t * t).extract_derivative(0)
@@ -394,6 +441,22 @@ def test_invalid_value_in_a_block_meets_the_per_point_outcome(name, bad, size, w
     values = np.linspace(0.5, 2.0, size)
     values[where] = bad
     _assert_meets_the_reference(name, jets.variable(0, values, order, 1))
+
+
+def test_a_middle_derivative_out_of_float_range_is_refused():
+    # t^143.5 near t = 140.6: the third derivative overflows, the fourth is
+    # smaller and finite; a check of the highest row alone would accept it,
+    # and the composition would turn the inf into a NaN value
+    v, exponent = 140.60315, 143.5
+    rows = _oracles.power_tower(v, exponent, 4)
+    assert math.isfinite(rows[0]) and math.isinf(rows[3]) and math.isfinite(rows[4])
+    a = jets.variable(0, [2.0, v], 4, 1)
+    for order in (3, 4):
+        with pytest.raises(JetDomainError) as info:
+            jets.power(a.truncated(order), exponent)
+        assert (str(info.value), info.value.index) == (
+            f"derivatives of power at {v!r} are out of float range", 1)
+    assert jets.power(a.truncated(2), exponent).coeffs[2, 1] == rows[2] / 2.0
 
 
 def test_sqrt_of_a_tiny_block_is_out_of_float_range():
