@@ -8,18 +8,20 @@ Laplacian and gradient pushforward, the tension field, the mean curvature
 vector, and the residual vectors of the three biharmonicity
 characterizations:
 
+  tension           lap + (e / r^2) phi                  (lap in R^n)
   submanifold       lap2 + 2m lap + (2 m^2 - |lap|^2) phi        (isometric)
   full              lap2 + 2e lap + (lap e + 2 div theta - |lap|^2 + 2 e^2) phi
                          + 2 dphi(grad e)                        (any map)
   constant density  lap2 + 2c lap + (2 c^2 - <lap2, phi>) phi    (|dphi|^2 = c)
 
-with e = |dphi|^2 and div theta = |lap|^2 + <grad lap, grad phi>. Each is zero
-exactly when the map is biharmonic under the stated hypothesis. The
-per-point constant-density residual takes c = e, the density at that point;
-the classification verdict takes c = c_hat, the mean density over the
-samples (see `constant_density_residual`). A unit-length
-constraint check <lap, phi> + |dphi|^2 = 0 runs on every sphere-target
-analysis as an internal consistency guard.
+with e = |dphi|^2 and div theta = |lap|^2 + <grad lap, grad phi>, each
+written once, in `residual_terms`. Each biharmonicity residual is zero exactly
+when the map is biharmonic under the stated hypothesis. The per-point
+constant-density residual takes c = e, the density at that point; the
+classification verdict takes c = c_hat, the mean density over the samples
+(see `constant_density_residual`). A unit-length constraint check
+<lap, phi> + |dphi|^2 = 0 runs on every sphere-target analysis as an internal
+consistency guard.
 
 `analyze_samples` walks the points in blocks of `block_points(ANALYSIS_ORDER,
 m)` points and returns a SampleBatch, one row per point; `analyze_point` is a
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -213,6 +216,35 @@ def inf_norms(x):
     return np.max(np.abs(x), axis=-1)
 
 
+def residual_terms(s, c, target, radius):
+    """(name, terms) of the tension field of the analysis `s` (a SampleBatch,
+    a PointAnalysis or any object with its arrays) into R^n or a sphere of
+    `radius`, then of its unit-sphere biharmonicity residuals, `c` the density
+    of the constant-density form. Terms are (coefficient, vector) pairs, the
+    coefficient a number or one per point; each pair is formed when asked for."""
+    phi, lap, e = s.phi, s.lap_phi, s.energy_density
+    if target != TARGET_SPHERE:
+        yield "harmonic", ((1.0, lap),)
+        return
+    yield "harmonic", ((1.0, lap), (e / radius ** 2, phi))
+    m, bilap, lap_sq = s.dphi.shape[-2], s.bilap_phi, dots(lap, lap)  # dphi is (m, ambient)
+    yield "biharmonic_submanifold", ((1.0, bilap), (2.0 * m, lap), (2.0 * m * m - lap_sq, phi))
+    yield "biharmonic_full", (
+        (1.0, bilap), (2.0 * e, lap),
+        (s.lap_energy_density + 2.0 * s.div_theta - lap_sq + 2.0 * e * e, phi),
+        (2.0, s.grad_energy_pushforward))
+    c = np.asarray(c, dtype=float)
+    yield "biharmonic_constant_density", (
+        (1.0, bilap), (2.0 * c, lap), (2.0 * c * c - dots(bilap, phi), phi))
+
+
+def sum_terms(terms):
+    """The residual of (coefficient, vector) terms: each coefficient times its
+    vector, summed in order. Its threshold scale is the largest |coefficient|
+    times max-norm of a vector (see `classify.verdicts`)."""
+    return reduce(add, (np.asarray(coef)[..., None] * vec for coef, vec in terms))
+
+
 def constant_density_residual(samples, c):
     """Biharmonicity residual under the constant-energy-density hypothesis,
     evaluated with an externally supplied density constant, for a
@@ -220,9 +252,8 @@ def constant_density_residual(samples, c):
     constant per row). The analysis fills `residual_constant_density` with
     c = e, the pointwise density; the classification verdict and `residual
     --equation me1` use c = c_hat, the fitted mean density."""
-    c = np.asarray(c, dtype=float)[..., None]
-    coef = 2.0 * c * c - dots(samples.bilap_phi, samples.phi)[..., None]
-    return samples.bilap_phi + 2.0 * c * samples.lap_phi + coef * samples.phi
+    *_, (_, terms) = residual_terms(samples, c, TARGET_SPHERE, 1.0)
+    return sum_terms(terms)
 
 
 BLOCK_VALUES = 16384  # coefficients per jet of a block; see `_blockwise`
@@ -347,27 +378,23 @@ def _analyze_block(smap, points):
     batch = SampleBatch(
         points=np.asarray(points, dtype=float), phi=phi, dphi=dphi, lap_phi=lap_phi,
         bilap_phi=bilap_phi, energy_density=energy, lap_energy_density=lap_energy,
-        grad_energy_pushforward=grad_push, div_theta=div_theta,
-        tension=_tension(smap, lap_phi, phi, energy), gram_defect=gram_defect,
-        sphere_defect=sphere_defect, constraint_defect=constraint_defect,
-        isometric=np.zeros(len(points), dtype=bool), mean_curvature=None,
-        residual_submanifold=None, residual_full=None,
+        grad_energy_pushforward=grad_push, div_theta=div_theta, tension=None,
+        gram_defect=gram_defect, sphere_defect=sphere_defect,
+        constraint_defect=constraint_defect, isometric=np.zeros(len(points), dtype=bool),
+        mean_curvature=None, residual_submanifold=None, residual_full=None,
         residual_constant_density=None)
+    residuals = residual_terms(batch, energy, smap.target, smap.radius)
+    batch.tension = sum_terms(next(residuals)[1])
     if not smap.unit_sphere:
         return batch
 
-    lap_sq = dots(lap_phi, lap_phi)
     batch.isometric = gram_defect <= GRAM_TOL
     batch.mean_curvature = (lap_phi + m * phi) / m
     tangency = np.abs(dots(batch.mean_curvature, phi))
     _require(~batch.isometric | (tangency <= TANGENCY_TOL), points, AnalysisError,
              lambda i: f"mean curvature tangency check failed ({tangency[i]:.3e})")
-    batch.residual_submanifold = (bilap_phi + 2.0 * m * lap_phi
-                                  + (2.0 * m * m - lap_sq)[:, None] * phi)
-    coef = lap_energy + 2.0 * div_theta - lap_sq + 2.0 * energy * energy
-    batch.residual_full = (bilap_phi + (2.0 * energy)[:, None] * lap_phi
-                           + coef[:, None] * phi + 2.0 * grad_push)
-    batch.residual_constant_density = constant_density_residual(batch, energy)
+    (batch.residual_submanifold, batch.residual_full,
+     batch.residual_constant_density) = (sum_terms(terms) for _, terms in residuals)
     return batch
 
 
@@ -397,15 +424,6 @@ def _energy(frame, phi_jets):
             laplacian_jet(frame, energy_jet).value, d_energy)
 
 
-def _tension(smap, lap, phi, energy):
-    """tau(phi) = lap phi + (|dphi|^2 / r^2) phi for sphere targets, lap phi
-    for Euclidean targets, per point; shared by the analysis and the
-    bienergy quadrature."""
-    if smap.target != TARGET_SPHERE:
-        return lap.copy()
-    return lap + (energy / smap.radius ** 2)[:, None] * phi
-
-
 def _bienergy_block(smap, points):
     """|tau|^2 sqrt|g| at a block of quadrature points, from order-2 field
     jets and an order-1 frame: cheaper than the order-4 analysis."""
@@ -417,7 +435,8 @@ def _bienergy_block(smap, points):
     if smap.target == TARGET_SPHERE:
         dphi = first_partials(phi_jets)
         energy = np.einsum("pij,pia,pja->p", frame.g_inv_values, dphi, dphi)
-    tau = _tension(smap, lap, phi, energy)
+    fields = SimpleNamespace(phi=phi, lap_phi=lap, energy_density=energy)
+    tau = sum_terms(next(residual_terms(fields, None, smap.target, smap.radius))[1])
     density = dots(tau, tau) * frame.sqrt_det.value
     _require(np.isfinite(density), points, AnalysisError,
              lambda i: f"bienergy density |tau|^2 sqrt|g| is {float(density[i])}")

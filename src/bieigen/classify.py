@@ -9,8 +9,9 @@ Constants are least-squares fits over all samples and ambient components:
 
 rho_hat is not applicable when lap phi vanishes identically (constant maps).
 Verdicts compare pointwise residual max-norms against one tolerance, applied
-absolutely and relatively: tol plus tol times the magnitude of the dominant
-term, so they are stable across scales.
+absolutely and relatively: tol plus tol times the dominant term, the largest
+|coefficient| times max-norm of the residual's (coefficient, vector) terms
+(`analysis.residual_terms`), so they are stable across scales.
 The isometry verdict uses a fixed gate on the Gram defect, independent of the
 user tolerance.
 
@@ -24,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples,
-                       constant_density_residual, dots, inf_norms)
+from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples, dots,
+                       inf_norms, residual_terms, sum_terms)
 from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL = 1e-8
@@ -141,53 +142,32 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
              tol=DEFAULT_TOL) -> ClassificationReport:
     """Assemble the full classification report from the per-point analyses.
 
-    The constant-density verdict evaluates its residual with c = c_hat, the
-    mean density, not with the pointwise density of the per-point
-    `residual_constant_density` column."""
+    Each residual is a row of (coefficient, vector) terms; its threshold
+    scale is the largest |coefficient| times max-norm of a vector over the
+    rows where it is defined. The constant-density verdict evaluates its
+    residual with c = c_hat, the mean density, not with the pointwise density
+    of the per-point `residual_constant_density` column."""
     if not len(samples):
         raise ValueError("empty sample set")
     s = samples
-    m = smap.dim
     lam, mu, rho, c = (fitted.lambda_hat, fitted.mu_hat, fitted.rho_hat,
                        fitted.c_hat)
     every = np.ones(len(s), dtype=bool)
-    phi_inf = inf_norms(s.phi)
-    lap_inf = inf_norms(s.lap_phi)
-    bilap_inf = inf_norms(s.bilap_phi)
-    lap_sq = dots(s.lap_phi, s.lap_phi)
-    energy = s.energy_density
-    # Python's float power, as the reference values were made (it differs
-    # from energy * energy in the last bit now and then)
-    energy_sq = np.array([e ** 2 for e in energy.tolist()])
-    full_coef = s.lap_energy_density + 2 * s.div_theta - lap_sq + 2 * energy_sq
-    # one row per residual: its name, its per-point vectors (None where it
-    # does not apply), the rows where they are defined, and the terms whose
-    # max over those rows scales its threshold
-    table = (
-        ("eigen", s.lap_phi + lam * s.phi, every, (lap_inf, abs(lam) * phi_inf)),
-        ("bieigen", s.bilap_phi - mu * s.phi, every, (bilap_inf, abs(mu) * phi_inf)),
-        ("harmonic", s.tension, every,
-         (lap_inf, energy * phi_inf / smap.radius ** 2
-          if smap.target == "sphere" else lap_inf)),
-        ("buckling", None, every, ()) if rho is None else
-        ("buckling", s.bilap_phi + rho * s.lap_phi, every,
-         (bilap_inf, abs(rho) * lap_inf)),
-        ("biharmonic_submanifold", s.residual_submanifold, s.isometric,
-         (bilap_inf, 2 * m * lap_inf, abs(2 * m * m - lap_sq) * phi_inf)),
-        ("biharmonic_full", s.residual_full, every,
-         (bilap_inf, 2 * energy * lap_inf, abs(full_coef) * phi_inf,
-          2 * inf_norms(s.grad_energy_pushforward))),
-        ("biharmonic_constant_density",
-         None if s.residual_constant_density is None
-         else constant_density_residual(s, c), every,
-         (bilap_inf, 2 * abs(c) * lap_inf,
-          abs(2 * c * c - dots(s.bilap_phi, s.phi)) * phi_inf)),
-    )
+    # the max-norms of each vector a term may hold, by identity, taken once
+    norms = {id(v): inf_norms(v)
+             for v in (s.phi, s.lap_phi, s.bilap_phi, s.grad_energy_pushforward)}
+    forms = residual_terms(s, c, smap.target, smap.radius)
+    table = (("eigen", ((1.0, s.lap_phi), (lam, s.phi))),
+             ("bieigen", ((1.0, s.bilap_phi), (-mu, s.phi))),
+             ("buckling", None if rho is None else ((1.0, s.bilap_phi), (rho, s.lap_phi))),
+             next(forms), *(forms if smap.unit_sphere else ()))
+    rows = {"biharmonic_submanifold": s.isometric}
     residuals, scales = {}, {}
-    for name, vec, rows, terms in table:
-        if vec is not None and rows.any():
-            residuals[name] = _norms(inf_norms(vec), rows)
-            scales[name] = _scale(terms, rows)
+    for name, terms in table:
+        defined = rows.get(name, every)
+        if terms is not None and defined.any():
+            residuals[name] = _norms(inf_norms(sum_terms(terms)), defined)
+            scales[name] = _scale([abs(k) * norms[id(vec)] for k, vec in terms], defined)
 
     def holds(name):
         if name not in residuals:
@@ -196,10 +176,11 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
 
     p2 = dots(s.phi, s.phi)
     ratio_rows = p2 > RATIO_FLOOR
+    lap_sq = dots(s.lap_phi, s.lap_phi)
     rho_rows = lap_sq > RATIO_FLOOR
     rho_ratios = -dots(s.bilap_phi, s.lap_phi)[rho_rows] / lap_sq[rho_rows]
     spreads = {
-        "density": _spread(energy, c),
+        "density": _spread(s.energy_density, c),
         "lambda_pointwise": _spread(-dots(s.lap_phi, s.phi)[ratio_rows] / p2[ratio_rows],
                                     lam),
         "mu_pointwise": _spread(dots(s.bilap_phi, s.phi)[ratio_rows] / p2[ratio_rows], mu),
@@ -222,7 +203,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
         is_biharmonic = holds("biharmonic_full")
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
-        bilap_max = max(bilap_inf.tolist())
+        bilap_max = max(norms[id(s.bilap_phi)].tolist())
         is_biharmonic = bilap_max < _threshold(tol, max(1.0, scales["bieigen"]))
     else:
         # sphere of radius != 1: the residual formulas are stated for the

@@ -8,12 +8,14 @@ information for the whole block in a few numpy calls, so each partial
 derivative consumed by the geometry layer is exact up to floating-point
 rounding, and every point gets the same bits it would get on its own.
 Each elementary function forms its derivative tower once per block, up to
-the jet's order. Its kernel is `math`'s mapped over the values, or numpy's
-where that gives `math`'s bits (`_NUMPY_KERNELS`), and the rest is
-elementwise numpy arithmetic, which rounds like Python floats, so a point's
-tower does not depend on its block. A finite value whose tower is not
-finite is refused as out of float range, and a block holding a value the
-tower refuses is rerun point by point to name the first one (`_per_point`).
+the jet's order (a constant's only to its value). Its kernel is `math`'s
+mapped over the values, or numpy's where that gives `math`'s bits
+(`_NUMPY_KERNELS`), and the rest is elementwise numpy arithmetic, which
+rounds like Python floats, so a point's tower does not depend on its block.
+A finite value whose tower is not finite is refused as out of float range,
+and so is an underflowed zero derivative of sqrt or of a fractional power,
+which never vanishes; a block holding a value the tower refuses is rerun
+point by point to name the first one (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
 first use, once per (order, nvars).
@@ -235,6 +237,11 @@ def _space(order, nvars):
     return _JetSpace(order, nvars)
 
 
+def _form(coeffs):
+    """The form of a jet's coefficients, as contract messages name it."""
+    return f"{'one point' if coeffs.ndim == 1 else 'a block'} {coeffs.shape}"
+
+
 def _rows(factors, coeffs):
     """One factor per coefficient row, shaped to scale every point of
     `coeffs` (coefficient axis first, then the block's shape)."""
@@ -300,6 +307,9 @@ class Jet:
                 raise ValueError(
                     f"jet shape mismatch: ({self.order},{self.nvars}) vs "
                     f"({other.order},{other.nvars})")
+            if other.coeffs.ndim != self.coeffs.ndim:
+                raise ValueError(
+                    f"jet form mismatch: {_form(self.coeffs)} vs {_form(other.coeffs)}")
             return other
         if isinstance(other, (int, float, np.ndarray)):
             return None
@@ -448,36 +458,39 @@ def power(a, exponent):
 
 def _compose(a, derivs):
     """Truncated composition f(a) from the derivative rows derivs[k] =
-    f^(k)(a.value), k = 0..a.order. Horner evaluation in the zero-value part
-    of `a` leaves the value slot exactly derivs[0] where the rows are finite,
-    as `_derivatives` makes them at every finite value."""
+    f^(k)(a.value), k = 0..K, K the order of `a`, or 0 when `a` is a
+    constant (degree 0). Horner evaluation in the zero-value part of `a`
+    leaves the value slot exactly derivs[0] where the rows are finite, as
+    `_derivatives` makes them at every finite value."""
     taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
     hat = a.coeffs.copy()
     hat[0] = 0.0
     hat = Jet(a.order, a.nvars, hat, a.degree)
     acc = constant_like(taylor[-1], a)
-    for k in range(a.order - 1, -1, -1):
+    for k in range(len(derivs) - 2, -1, -1):
         acc = acc * hat
         acc.coeffs[0] += taylor[k]  # acc * hat + taylor[k], on the fresh product
     return acc
 
 
 def _derivatives(tower, a, *args):
-    """The rows f^(k)(v), k = 0..a.order, of f's derivative tower at the value
-    v of each point of `a`, formed for the whole block by `tower(values,
-    order, *args)`. The tower raises for a value out of f's domain, or a
-    kernel or Python's `**` out of float range. A finite value at which a
-    row is not finite (a derivative out of float range) is refused here,
-    for every tower alike (`_out_of_range`). Either way `_per_point` raises
-    the failure of the first point."""
+    """The rows f^(k)(v), k = 0..K, of f's derivative tower at the value v of
+    each point of `a`, formed for the whole block by `tower(values, K,
+    *args)`: K is the order of `a`, or 0 when `a` is a constant (degree 0),
+    which reads no derivative. The tower raises for a value out of f's
+    domain, or a kernel or Python's `**` out of float range. A finite value
+    at which a row is not finite (a derivative out of float range) is
+    refused here, for every tower alike (`_out_of_range`). Either way
+    `_per_point` raises the failure of the first point."""
+    order = a.order if a.degree else 0
     with np.errstate(all="ignore"):  # Python floats under- and overflow silently
         try:
-            rows = tower(a.coeffs[0], a.order, *args)
+            rows = tower(a.coeffs[0], order, *args)
             if not _out_of_range(a.coeffs[0], rows).any():
                 return rows
         except ArithmeticError:
             pass
-        _per_point(tower, a, *args)
+        _per_point(tower, a.coeffs[0], order, *args)
 
 
 def _out_of_range(values, rows):
@@ -485,16 +498,16 @@ def _out_of_range(values, rows):
     return np.isfinite(values) & ~np.isfinite(rows).all(axis=0)
 
 
-def _per_point(tower, a, *args):
-    """Raise the failure of the first point of `a` at which `tower` fails, run
-    on one point's value after the other, with the index of the point; rows
-    that `_out_of_range` refuses, or an overflow of Python's `**`, are out of
+def _per_point(tower, values, order, *args):
+    """Raise the failure of the first of `values` at which `tower` fails, run
+    on one value after the other, with the index of its point; rows that
+    `_out_of_range` refuses, or an overflow of Python's `**`, are out of
     float range."""
-    values = np.ravel(a.coeffs[0])
+    values = np.ravel(values)
     for index in range(values.size):
         value = values[index:index + 1]
         try:
-            refused = _out_of_range(value, tower(value, a.order, *args)).any()
+            refused = _out_of_range(value, tower(value, order, *args)).any()
         except JetDomainError as err:
             err.index = index
             raise
@@ -583,13 +596,22 @@ def _log_rows(values, order):
     return rows[:order + 1]
 
 
+def _nonvanishing(rows, values):
+    """Derivative rows of a function whose derivatives never vanish, as sqrt's
+    and a fractional power's: a zero at a finite value has underflowed (a
+    denominator overflowed, or a power underflowed), and becomes NaN, which
+    `_derivatives` refuses."""
+    finite = np.isfinite(values)
+    return [np.where((row == 0.0) & finite, np.nan, row) for row in rows]
+
+
 def _sqrt_rows(values, order):
     _refuse(values <= 0.0 if order else values < 0.0, values, "sqrt of non-positive value")
     denominators = [_kernel(math.sqrt, values)]  # s, s*v, s*v*v, s*v*v*v
     for _ in range(order - 1):
         denominators.append(denominators[-1] * values)
     rows = [c / d for c, d in zip((0.5, -0.25, 0.375, -0.9375)[:order], denominators)]
-    return denominators[:1] + rows
+    return denominators[:1] + _nonvanishing(rows, values)
 
 
 def _sinh_rows(values, order):
@@ -608,7 +630,7 @@ def _power_rows(values, order, exponent):
     for k in range(1, order + 1):
         coef *= exponent - (k - 1)
         rows.append(coef * _kernel(math.pow, values, exponent - k))
-    return rows
+    return rows[:1] + _nonvanishing(rows[1:], values)
 
 
 def _elementary(tower):

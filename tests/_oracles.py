@@ -12,10 +12,12 @@ The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
 writer, the references for `report.Table`. Before them, `_det` and
 `_adjugate` expand every minor of a matrix of jets on its own, the reference
-for the one cofactor pass of `charts._cofactors`. Before those, the
-derivative towers of the elementary functions, formed one point at a time
-in Python floats and the `math` kernels and only up to the jet's order, are
-the reference for the block towers of `bieigen.jets`.
+for the one cofactor pass of `charts._cofactors`. Before those, the tension
+and the three biharmonicity residuals are each written out as one
+expression, the reference for the term table of `analysis.residual_terms`.
+Before those, the derivative towers of the elementary functions, formed one
+point at a time in Python floats and the `math` kernels and only up to the
+jet's order, are the reference for the block towers of `bieigen.jets`.
 """
 
 import math
@@ -300,6 +302,15 @@ def log_tower(v, order):
     return derivs[:order + 1]
 
 
+def _nonvanishing(v, derivs):
+    """The tower derivs of sqrt or of a fractional power at v, whose
+    derivatives never vanish: a zero derivative at a finite value is an
+    underflow, raised as ArithmeticError."""
+    if math.isfinite(v) and 0.0 in derivs[1:]:
+        raise ArithmeticError(f"a derivative underflows at {v!r}")
+    return derivs
+
+
 def sqrt_tower(v, order):
     if v < 0.0 or (v == 0.0 and order >= 1):
         raise JetDomainError(f"sqrt of non-positive value {v}")
@@ -308,7 +319,7 @@ def sqrt_tower(v, order):
     for c in (0.5, -0.25, 0.375, -0.9375)[:order]:
         derivs.append(c / denominator)  # over s, s*v, s*v*v, s*v*v*v
         denominator = denominator * v
-    return derivs
+    return _nonvanishing(v, derivs)
 
 
 def sinh_tower(v, order):
@@ -329,7 +340,7 @@ def power_tower(v, exponent, order):
     for k in range(1, order + 1):
         coef *= exponent - (k - 1)
         derivs.append(coef * _kernel(pow, v, exponent - k))
-    return derivs
+    return _nonvanishing(v, derivs)
 
 
 def per_point_rows(tower, values, order, *args):
@@ -351,6 +362,47 @@ def per_point_rows(tower, values, order, *args):
             return None, (f"derivatives of {name} at {v!r} are out of float range", index)
         rows.append(entries)
     return np.array(rows).T.reshape((order + 1,) + np.shape(values)), None
+
+
+# --------------------------------------------------------------------------
+# residual formulas, each written out as one expression
+# --------------------------------------------------------------------------
+
+def _dots(x, y):
+    """<x, y> over the last axis, per point, as one stacked matrix product."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def tension(s, target, radius):
+    """tau = lap phi + (|dphi|^2 / r^2) phi into a sphere of radius r, lap phi
+    into R^n, at each row of a sample batch."""
+    if target != "sphere":
+        return s.lap_phi.copy()
+    return s.lap_phi + (s.energy_density / radius ** 2)[:, None] * s.phi
+
+
+def submanifold_residual(s, m):
+    """lap2 phi + 2m lap phi + (2 m^2 - |lap phi|^2) phi."""
+    lap_sq = _dots(s.lap_phi, s.lap_phi)
+    return s.bilap_phi + 2.0 * m * s.lap_phi + (2.0 * m * m - lap_sq)[:, None] * s.phi
+
+
+def full_residual(s):
+    """lap2 phi + 2e lap phi + (lap e + 2 div theta - |lap phi|^2 + 2 e^2) phi
+    + 2 dphi(grad e)."""
+    e = s.energy_density
+    coef = (s.lap_energy_density + 2.0 * s.div_theta - _dots(s.lap_phi, s.lap_phi)
+            + 2.0 * e * e)
+    return (s.bilap_phi + (2.0 * e)[:, None] * s.lap_phi + coef[:, None] * s.phi
+            + 2.0 * s.grad_energy_pushforward)
+
+
+def constant_density_residual(s, c):
+    """lap2 phi + 2c lap phi + (2 c^2 - <lap2 phi, phi>) phi, for a density c
+    per row or one for all rows."""
+    c = np.asarray(c, dtype=float)[..., None]
+    coef = 2.0 * c * c - _dots(s.bilap_phi, s.phi)[:, None]
+    return s.bilap_phi + 2.0 * c * s.lap_phi + coef * s.phi
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from bieigen import build_map, catalog_get
-from bieigen.analysis import SphereMap, analyze_samples
+from bieigen.analysis import SphereMap, analyze_samples, constant_density_residual
+from bieigen.catalog import catalog_names
 from bieigen.charts import Chart
 from bieigen.classify import (FAIL, NOT_APPLICABLE, PASS, classify,
                               fit_constants, verdicts, verify)
+
+import _oracles
+from test_curved import sphere_manifest
 
 
 def _report(name, samples=64, tol=1e-8):
@@ -247,3 +252,49 @@ def test_three_dimensional_product_torus():
     assert verify(report, "takahashi").status == PASS
     assert verify(report, "t1").status == PASS
     assert report.eta_max_norm < 1e-10
+
+
+# the induced-metric hyperspheres of the golden pins: (m, lifted, samples)
+CURVED = {"identity_S3": (3, False, 125), "S3_half_in_S4": (3, True, 125),
+          "S4_half_in_S5": (4, True, 81)}
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *CURVED])
+def test_residuals_are_the_written_out_formulas_bit_for_bit(name):
+    if name in CURVED:
+        m, lifted, samples = CURVED[name]
+        _, smap = build_map(sphere_manifest(m, lifted))
+    else:
+        _, smap = build_map(catalog_get(name).manifest)
+        samples = 64
+    report = classify(smap, samples)
+    s, c = report.samples, report.constants
+    want = {"harmonic": _oracles.tension(s, smap.target, smap.radius),
+            "eigen": s.lap_phi + c.lambda_hat * s.phi,
+            "bieigen": s.bilap_phi - c.mu_hat * s.phi}
+    if c.rho_hat is not None:
+        want["buckling"] = s.bilap_phi + c.rho_hat * s.lap_phi
+    _assert_bits(s.tension, want["harmonic"])
+    if smap.unit_sphere:
+        batch = {"residual_submanifold": _oracles.submanifold_residual(s, smap.dim),
+                 "residual_full": _oracles.full_residual(s),
+                 "residual_constant_density":
+                     _oracles.constant_density_residual(s, s.energy_density)}
+        for field, vectors in batch.items():
+            _assert_bits(getattr(s, field), vectors)
+        want["biharmonic_full"] = batch["residual_full"]
+        want["biharmonic_constant_density"] = _oracles.constant_density_residual(s, c.c_hat)
+        _assert_bits(constant_density_residual(s, c.c_hat),
+                     want["biharmonic_constant_density"])
+        if s.isometric.any():
+            want["biharmonic_submanifold"] = batch["residual_submanifold"]
+    else:
+        assert s.residual_submanifold is s.residual_full is s.residual_constant_density is None
+    assert sorted(report.residuals) == sorted(want)
+    for key, vectors in want.items():
+        _assert_bits(report.residuals[key].per_point, np.max(np.abs(vectors), axis=-1))

@@ -349,12 +349,15 @@ def _tower_range(tmp_path, component):
 
 @pytest.mark.parametrize("command", [["classify", "--samples", "4"]])
 @pytest.mark.parametrize("component", ["log(1e-100*t)", "log(1e100*t)",
-                                       "sqrt(1e-100*t)", "sqrt(1e-90*t)", "log(1e-80*t)"])
+                                       "sqrt(1e-100*t)", "sqrt(1e-90*t)", "log(1e-80*t)",
+                                       "sqrt(1e300*t)", "(1e300*t)^0.5"])
 def test_derivative_tower_out_of_float_range_exit_3(tmp_path, capsys, command,
                                                     component):
     # the analysis forms order-4 jets, whose fourth derivative of log or
     # sqrt under- or overflows at the first sample point; at 1e-90 and
-    # 1e-80 its denominator is subnormal, not zero, and the derivative inf
+    # 1e-80 its denominator is subnormal, not zero, and the derivative inf;
+    # at 1e300 the second derivative of sqrt or of the power underflows to
+    # zero, which it never is
     path = _tower_range(tmp_path, component)
     assert main([command[0], path, *command[1:]]) == 3
     captured = capsys.readouterr()
@@ -363,9 +366,50 @@ def test_derivative_tower_out_of_float_range_exit_3(tmp_path, capsys, command,
                    "log(1e100*t)": ("log", "1.0009999999999998e+100"),
                    "sqrt(1e-100*t)": ("sqrt", "1.0009999999999999e-100"),
                    "sqrt(1e-90*t)": ("sqrt", "1.001e-90"),
-                   "log(1e-80*t)": ("log", "1.001e-80")}[component]
+                   "log(1e-80*t)": ("log", "1.001e-80"),
+                   "sqrt(1e300*t)": ("sqrt", "1.001e+300"),
+                   "(1e300*t)^0.5": ("power", "1.001e+300")}[component]
     assert captured.err == (f"evaluation error: derivatives of {name} at {value} are "
                             f"out of float range at point (1.001,)\n")
+
+
+@pytest.mark.parametrize("component, name", [("sqrt(1e300*t)", "sqrt"),
+                                             ("(1e300*t)^0.5", "power")])
+def test_underflowed_derivative_refuses_the_bienergy_exit_3(tmp_path, capsys, component,
+                                                            name):
+    # the second derivative of sqrt at 1e300 underflows to zero, and the
+    # chain rule scales it by 1e600: it used to print a bienergy of 0
+    assert main(["bienergy", _tower_range(tmp_path, component), "--grid", "4"]) == 3
+    assert capsys.readouterr() == (
+        "", f"evaluation error: derivatives of {name} at 1.1250000000000001e+300 are out "
+            f"of float range at point (1.125,)\n")
+
+
+def test_a_constant_reads_only_the_value_of_its_tower(tmp_path, capsys):
+    # a constant's derivatives are never read, so they may leave the float
+    # range: sqrt(1e300) has the bitension of sqrt(1e300*t), and the
+    # order-4 analysis takes log(1e100), sqrt(1e-100) and sqrt(0)
+    assert main(["bienergy", _tower_range(tmp_path, "sqrt(1e300)*sqrt(t)"),
+                 "--grid", "4"]) == 0
+    assert capsys.readouterr() == (
+        "chart-domain bienergy of tower_range (grid 4): 1.1498077381280945e+298\n", "")
+    for component, c_hat in (("log(1e100)*t", "53018.9811048"),
+                             ("sqrt(1e-100)*t", "1e-100"), ("sqrt(0)*t", "0")):
+        assert main(["classify", _tower_range(tmp_path, component), "--samples", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and f"c_hat {c_hat}\n" in captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_density_past_the_square_root_of_the_float_range_classifies(tmp_path, capsys,
+                                                                       fmt):
+    # |dphi|^2 = 1e200 has no float square, which no Euclidean verdict reads
+    path = _tower_range(tmp_path, "1e100*t")
+    assert main(["classify", path, "--samples", "4", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "text":
+        assert "c_hat 1e+200" in captured.out
 
 
 @pytest.mark.parametrize("component, unscaled, factor", [

@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 from functools import partial
 
@@ -95,6 +96,22 @@ def test_block_of_one_numerator_over_a_block_is_each_points_quotient(numerator):
     assert q.coeffs.shape == b.coeffs.shape
     for i in range(7):
         np.testing.assert_array_equal(_bits(q.at(i)), _bits(numerator.at(0) / b.at(i)))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_one_point_and_a_block_do_not_combine(op):
+    # a block of one, (size, 1), broadcasts over a block; the one-point
+    # form, (size,), is refused naming both forms, in either order
+    point, block = jets.constant(2.0, 3, 2), _block_denominator(3)
+    combine = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}[op]
+    for x, y in ((point, block), (block, point)):
+        with pytest.raises(ValueError) as info:
+            combine(x, y)
+        forms = [f"{'one point' if j is point else 'a block'} {j.coeffs.shape}" for j in (x, y)]
+        assert str(info.value) == f"jet form mismatch: {forms[0]} vs {forms[1]}"
+    one = jets.constant([2.0], 3, 2)
+    assert combine(one, block).coeffs.shape == block.coeffs.shape
 
 
 def test_subtraction_and_reflected_division_keep_their_bits_and_degree():
@@ -369,7 +386,8 @@ TOWERS = {name: (getattr(jets, name), getattr(jets, f"_{name}_rows"),
           for name in FUNCTIONS}
 TOWERS.update({f"power({shown})": (partial(jets.power, exponent=exponent), jets._power_rows,
                                    _oracles.power_tower, (exponent,))
-               for shown, exponent in (("0.5", 0.5), ("1.5", 1.5), ("-2.5", -2.5), ("1/3", 1 / 3))})
+               for shown, exponent in (("0.5", 0.5), ("1.5", 1.5), ("2.5", 2.5), ("-2.5", -2.5),
+                                       ("1/3", 1 / 3))})
 _OWN_KERNEL = {"cos": ("sin(", "cos("), "cosh": ("sinh(", "cosh(")}
 _TOWER_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                    1e-100, 1.0, 1e200, 1e300, -1e300, math.inf, -math.inf, math.nan]
@@ -459,6 +477,25 @@ def test_a_middle_derivative_out_of_float_range_is_refused():
     assert jets.power(a.truncated(2), exponent).coeffs[2, 1] == rows[2] / 2.0
 
 
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@pytest.mark.parametrize("value", [2.0, 1e-100, 1e100, 1e300, 0.0, -0.0])
+def test_a_constant_reads_only_the_value_of_its_tower(name, value):
+    # a constant's derivatives are never read: it composes to the order-0
+    # value, signed zeros included, wherever that value is defined
+    function = TOWERS[name][0]
+    with np.errstate(all="ignore"):
+        try:
+            want = function(jets.constant([value], 0, 2)).coeffs[0]
+        except JetDomainError as err:
+            with pytest.raises(JetDomainError) as info:
+                function(jets.constant([value], 4, 2))
+            assert str(info.value) == str(err)
+            return
+        got = function(jets.constant([value], 4, 2))
+    assert got.degree == 0
+    np.testing.assert_array_equal(_bits(got), _bits(jets.constant(want, 4, 2)))
+
+
 def test_sqrt_of_a_tiny_block_is_out_of_float_range():
     t = jets.variable(0, np.linspace(1.0, 2.0, 7), 4, 1)
     with pytest.raises(JetDomainError) as info:
@@ -510,6 +547,8 @@ def test_log_tower_powers_are_pythons():
     ("exp", [1000.0]), ("exp", [-1000.0, 700.0]), ("log", [1e100]), ("log", [5e-324, 1e308]),
     ("sqrt", [-1.0]), ("sinh", [1000.0]), ("cosh", [-710.0, 5e-324]),
     ("power(1.5)", [1e300]), ("power(-2.5)", [1e-300]), ("power(1/3)", [5e-324, 1e308]),
+    ("power(0.5)", [1e300]),  # the second derivative underflows to zero
+    ("power(2.5)", [1e-250]),  # the first underflows, then pow overflows
 ])
 def test_block_towers_raise_no_numpy_warning(name, values):
     a = jets.variable(0, values, 4, 1)
