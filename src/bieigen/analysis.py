@@ -3,9 +3,10 @@
 Everything here is pointwise, evaluated for a block of points at once: the
 map components are evaluated as order-4 jets, the chart supplies order-3
 metric jets, and from those we obtain the component Laplacian (order 2, with
-one derivative order to spare), the bi-Laplacian, the energy density and its
-Laplacian and gradient pushforward, the tension field, the mean curvature
-vector, and the residual vectors of the three biharmonicity
+one derivative order to spare), the bi-Laplacian, the energy density (an
+order-2 jet, of which only the value, the gradient and the Laplacian are
+read) with its Laplacian and gradient pushforward, the tension field, the
+mean curvature vector, and the residual vectors of the three biharmonicity
 characterizations:
 
   tension           lap + (e / r^2) phi                  (lap in R^n)
@@ -409,15 +410,16 @@ def _laplacians(frame, phi_jets):
 
 def _energy(frame, phi_jets):
     """d_i phi^A (shape (P, m, ambient)), and the energy density e = |dphi|^2
-    with lap e and d_i e, from the density as an order-3 jet
-    g^ij sum_A d_i phi^A d_j phi^A. The derivative jets, the largest of a
-    block, are dropped on return."""
+    with lap e and d_i e, from the density as an order-2 jet
+    g^ij sum_A d_i phi^A d_j phi^A: lap e, e and d_i e read no slot above
+    order 2, and the truncated factors form the same bits in those slots.
+    The derivative jets, the largest of a block, are dropped on return."""
     m = frame.chart.dim
-    dphi_jets = [[pj.extract_derivative(i) for pj in phi_jets] for i in range(m)]
+    dphi_jets = [[pj.extract_derivative(i).truncated(2) for pj in phi_jets] for i in range(m)]
 
     def dot(i, j):
         return reduce(add, (x * y for x, y in zip(dphi_jets[i], dphi_jets[j])))
-    energy_jet = reduce(add, (frame.g_inv[i][j] * dot(i, j)
+    energy_jet = reduce(add, (frame.g_inv[i][j].truncated(2) * dot(i, j)
                               for i in range(m) for j in range(m)))
     d_energy = _stack([energy_jet.extract_derivative(i).value for i in range(m)])
     return (first_partials(phi_jets), energy_jet.value,

@@ -9,8 +9,11 @@ point, so the divergence form
     lap f = (1/sqrt|g|) d_i ( sqrt|g| g^ij d_j f )
 
 is evaluated entirely in exact truncated Taylor arithmetic. The order budget
-is: field jets at order K (up to 4), metric jets at order K-1, lap f at order
-K-2. Iterating the operator on an order-4 field yields the bi-Laplacian value.
+is: field jets at order K (up to 4), metric jets at order K-1, the flux
+sqrt|g| g^ij d_j f at order K-1, lap f at order K-2. The flux is read only
+through d_i, so only its slots with alpha_i >= 1 are formed
+(`jets.dot_derivative`). Iterating the operator on an order-4 field yields
+the bi-Laplacian value.
 
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
@@ -364,10 +367,9 @@ def laplacian_jet(frame, fjet):
             f"metric frame order {frame.order} too low for a field of order {K}")
     m = frame.chart.dim
     df = [fjet.extract_derivative(j) for j in range(m)]
-
-    def flux(i):
-        return reduce(add, (frame.flux[i][j].truncated(K - 1) * df[j] for j in range(m)))
-    div = reduce(add, (flux(i).extract_derivative(i) for i in range(m)))
+    # d_i of the flux sqrt|g| g^ij d_j f, which reads only its slots with alpha_i >= 1
+    div = reduce(add, (jets.dot_derivative([entry.truncated(K - 1) for entry in frame.flux[i]],
+                                           df, i) for i in range(m)))
     return div / frame.sqrt_det.truncated(K - 2)
 
 

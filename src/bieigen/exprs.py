@@ -9,8 +9,8 @@ left-associative and ^ right-associative.
 ASTs are immutable and hashable. `eval_jet` evaluates over jet-valued
 environments, `eval_value` over plain floats. At order 0 the two agree bit
 for bit, because `eval_value` evaluates a function call and a power as an
-order-0 jet; products are the only exception left: a product that is -0.0
-in floats is +0.0 in a jet, whose sums start from +0.0. `intern`
+order-0 jet, and the value slot of a jet product is the product of the two
+values, a signed zero included. `intern`
 makes equal subtrees of several ASTs one object, and `eval_jet` evaluates
 each object once per memo, so a subtree shared by the roots of a map is
 evaluated once per block. The parser refuses an expression that nests

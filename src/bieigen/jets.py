@@ -18,24 +18,35 @@ which never vanishes; a block holding a value the tower refuses is rerun
 point by point to name the first one (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
-first use, once per (order, nvars).
+first use, once per (order, nvars), and the product tables once per pair
+of factor bounds.
 
-A Jet also carries `degree`, an upper bound on the total degree of its
-nonzero coefficients, clipped to its order: every coefficient slot of a
-higher total degree holds +0.0 or -0.0. Constants have degree 0 and
-variables degree 1; + and - take the larger degree, a product the sum of the
-two, a quotient by a degree-0 jet the numerator's, and every other
-operation the full order. A product skips the terms a[i] * b[j] in which a
-slot above its factor's degree takes part, so a constant or linear operand
-costs only its live terms. That keeps the bits: each output slot adds its
-remaining terms in the same order, starting from +0.0, and a skipped term is
-+0.0 or -0.0 while its other factor is finite; a running sum that starts at
-+0.0 is never -0.0, so adding a zero to it changes nothing. (Where the other
-factor is inf or NaN, the skipped term would have been NaN.) Division does
-not skip terms:
-its recurrence starts each slot from the numerator's coefficient, which may
-be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a zero product could flip
-the sign of a zero.
+A Jet also carries two bounds on where its nonzero coefficients lie; every
+other coefficient slot holds +0.0 or -0.0. `degree` bounds their total
+degree, clipped to the order: constants have degree 0 and variables degree
+1; + and - take the larger degree, a product the sum of the two, a quotient
+by a degree-0 jet the numerator's, and every other operation the full
+order. `support`, a bit mask, holds the variables their monomials may
+involve: variable i has {i} and a constant none, and +, -, *, / and the
+elementary functions take the union of their operands' supports, which
+truncation, differentiation and `at` keep. A jet that either bound shows to
+be constant has degree 0 and support 0. A product skips the terms a[i] *
+b[j] in which a slot above its factor's degree, or one that involves a
+variable outside its factor's support, takes part, so a constant, a linear
+operand or a factor in a few of the variables (sin(a)*sin(b)*cos(c) on a
+4-D chart) costs only its live terms. That keeps the bits: each output
+slot adds its remaining terms in the same order, starting from +0.0, and a
+skipped term is +0.0 or -0.0 while its other factor is finite; a running
+sum that starts at +0.0 is never -0.0, so adding a zero to it changes
+nothing. (Where the other factor is inf or NaN, the skipped term would have
+been NaN.) The value slot is not a sum: it is its one term a[0] * b[0],
+so the value of a product is the product of the values, the sign of a zero
+included. `dot_derivative` forms d/du_i of a sum of products, reading only
+the product slots the derivative reads (alpha_i >= 1), with the bits of
+summing the full products and differentiating. Division does not skip
+terms: its recurrence starts each slot from the numerator's coefficient,
+which may be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a zero product
+could flip the sign of a zero.
 """
 
 import math
@@ -87,28 +98,27 @@ def _graded_indices(order, nvars):
         yield from _compositions(total, nvars)
 
 
-def _rounds(terms, count):
-    """Regroup (x slot, y slot, output slot) terms, output slots in
+def _rounds(xs, ys, outs, count):
+    """Regroup the terms x[xs[t]] * y[ys[t]] of output slots outs[t], in
     range(count), into rounds: round r holds the r-th term of every output
     slot that has one, so adding round after round sums each slot's terms
     in their listed order, and one round is one numpy call over a block.
 
     Output slots are permuted by decreasing term count, which makes every
     round a prefix of the permuted slots: rounds add into slices, not
-    scattered rows. Returns the x and y slots sorted by round, the size of
-    each round, and the permutation (permuted position -> slot)."""
-    terms_of = [0] * count
-    keyed = []
-    for x, y, out in terms:
-        keyed.append((terms_of[out], out, x, y))
-        terms_of[out] += 1
-    perm = sorted(range(count), key=lambda k: (-terms_of[k], k))
-    rank = {k: n for n, k in enumerate(perm)}
-    keyed.sort(key=lambda key: (key[0], rank[key[1]]))
-    sizes = tuple(sum(1 for n in terms_of if n > r) for r in range(max(terms_of)))
-    xs = np.asarray([key[2] for key in keyed], dtype=np.intp)
-    ys = np.asarray([key[3] for key in keyed], dtype=np.intp)
-    return xs, ys, sizes, np.asarray(perm, dtype=np.intp)
+    scattered rows. Returns the x, y and output slots sorted by round, the
+    size of each round, and the permutation (permuted position -> slot)."""
+    terms_of = np.bincount(outs, minlength=count)
+    # each term's place among its slot's terms: a stable sort keeps them in order
+    by_slot = np.argsort(outs, kind="stable")
+    nth = np.empty_like(outs)
+    nth[by_slot] = np.arange(len(outs)) - np.repeat(np.cumsum(terms_of) - terms_of, terms_of)
+    perm = np.lexsort((np.arange(count), -terms_of))
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(count)
+    key = np.lexsort((rank[outs], nth))
+    sizes = tuple(int(np.count_nonzero(terms_of > r)) for r in range(terms_of.max(initial=0)))
+    return xs[key], ys[key], outs[key], sizes, perm
 
 
 @lru_cache(maxsize=4096)
@@ -162,8 +172,11 @@ class _JetSpace:
         pairs = [(i, j, self.position[tuple(a + b for a, b in zip(alpha, beta))])
                  for i, alpha in enumerate(self.multi_indices)
                  for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
-        self._degree = degree
-        self._pairs = pairs
+        self._pairs = xs, ys, ks = np.array(pairs, dtype=np.intp).T
+        self._degree = degree = np.array(degree)
+        # the variables each slot's monomial involves, as a bit mask
+        self._uses = np.array([sum(1 << v for v, power in enumerate(alpha) if power)
+                               for alpha in self.multi_indices])
 
         # Division recurrence: output slot k subtracts q[i] * b[j] over the
         # product terms of k with a nonzero multi-index j, in product order.
@@ -172,35 +185,56 @@ class _JetSpace:
         self._div_degrees = []
         for d in range(1, order + 1):
             lo, hi = prefix[d - 1], prefix[d]
-            qi, bj, sizes, perm = _rounds([(i, j, k - lo) for i, j, k in pairs
-                                           if lo <= k < hi and degree[j] > 0], hi - lo)
+            keep = (lo <= ks) & (ks < hi) & (degree[ys] > 0)
+            qi, bj, _, sizes, perm = _rounds(xs[keep], ys[keep], ks[keep] - lo, hi - lo)
             self._div_degrees.append((lo + perm, qi, bj, sizes))
 
     @cache
-    def _mul_table(self, da, db):
-        """The product terms of factors of degrees da and db: the pairs
-        whose x slot has degree <= da and y slot degree <= db, in rounds
-        (see `_rounds`), with the inverse permutation and, for one point's
-        bincount, the output slot of each product."""
-        degree = self._degree
-        xs, ys, sizes, perm = _rounds([(i, j, k) for i, j, k in self._pairs
-                                       if degree[i] <= da and degree[j] <= db], self.size)
-        out = perm[np.concatenate([np.arange(n) for n in sizes])]
-        return xs, ys, sizes, np.argsort(perm), out
+    def _mul_table(self, da, db, sa, sb, direction):
+        """The product terms of factors of degrees da and db and supports sa
+        and sb: the pairs whose x slot has degree <= da and involves only
+        variables of sa, and whose y slot has degree <= db and involves
+        only variables of sb, in rounds (see `_rounds`), with the inverse
+        permutation and, for one point's bincount, the output slot of each
+        product. The value slot's one term is left out (see `multiply`).
+        With a direction, only the output slots with alpha[direction] >= 1
+        are formed, numbered as the rows of `diff_table(direction)`."""
+        degree, uses, (xs, ys, ks) = self._degree, self._uses, self._pairs
+        if direction is None:
+            slot, count = np.arange(self.size), self.size
+            slot[0] = -1
+        else:
+            src = self.diff_table(direction)[0]
+            slot, count = np.full(self.size, -1), len(src)
+            slot[src] = np.arange(count)
+        keep = ((slot[ks] >= 0) & (degree[xs] <= da) & (degree[ys] <= db)
+                & ((uses[xs] & ~sa) == 0) & ((uses[ys] & ~sb) == 0))
+        xs, ys, outs, sizes, perm = _rounds(xs[keep], ys[keep], slot[ks[keep]], count)
+        return xs, ys, sizes, np.argsort(perm), outs
 
-    def multiply(self, a, b, da, db):
-        """The truncated product of coefficients a and b of degrees at most
-        da and db."""
-        xs, ys, sizes, unperm, slots = self._mul_table(da, db)
-        shape = a.shape if a.size >= b.size else b.shape  # a block of one broadcasts
-        if a.size == b.size == self.size:
+    def multiply(self, a, b, direction=None):
+        """The coefficients of the truncated product of jets a and b, with
+        the terms their degrees and supports show to be zero skipped; with a
+        direction, only the slots with alpha[direction] >= 1, in the order
+        of `diff_table(direction)`."""
+        xs, ys, sizes, unperm, slots = self._mul_table(a.degree, b.degree, a.support,
+                                                       b.support, direction)
+        x, y = a.coeffs, b.coeffs
+        # a block of one broadcasts
+        shape = (len(unperm),) + (x if x.size >= y.size else y).shape[1:]
+        if x.size == y.size == self.size:
             # one point: numpy's bincount sums sequentially from 0.0, in
-            # table order, and costs one call
-            products = a.ravel()[xs] * b.ravel()[ys]
-            return np.bincount(slots, weights=products, minlength=self.size).reshape(shape)
-        out = np.zeros(shape)  # sums start from 0.0, as bincount's do
-        _fold(np.add, out, a, xs, b, ys, sizes)
-        return out[unperm]
+            # table order, and costs one call (its sums of no terms are ints)
+            products = x.ravel()[xs] * y.ravel()[ys]
+            out = np.bincount(slots, weights=products, minlength=shape[0])
+            out = out.astype(float, copy=False).reshape(shape)
+        else:
+            out = np.zeros(shape)  # sums start from 0.0, as bincount's do
+            _fold(np.add, out, x, xs, y, ys, sizes)
+            out = out[unperm]
+        if direction is None:
+            out[0] = x[0] * y[0]  # the value slot's one term, not added to +0.0
+        return out
 
     def divide(self, a, b):
         zero = first_index(b[0] == 0.0)
@@ -262,13 +296,16 @@ class Jet:
     point, act as per-point constants: + and - shift the value slot, * and
     / scale every coefficient.
 
-    `degree` bounds the total degree of the nonzero coefficients (see the
-    module docstring); it defaults to, and is clipped to, `order`."""
+    `degree` bounds the total degree of the nonzero coefficients, and
+    `support`, a bit mask of the variables, holds every variable they may
+    involve (see the module docstring). `degree` defaults to, and is clipped
+    to, `order`, and `support` defaults to all variables; a jet that one of
+    them shows to be constant has both 0."""
 
-    __slots__ = ("order", "nvars", "coeffs", "degree")
+    __slots__ = ("order", "nvars", "coeffs", "degree", "support")
     __array_ufunc__ = None  # `array * jet` defers to Jet.__rmul__
 
-    def __init__(self, order, nvars, coeffs, degree=None):
+    def __init__(self, order, nvars, coeffs, degree=None, support=None):
         space = _space(order, nvars)
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim not in (1, 2) or arr.shape[0] != space.size:
@@ -279,6 +316,9 @@ class Jet:
         self.nvars = nvars
         self.coeffs = arr
         self.degree = order if degree is None else min(degree, order)
+        self.support = (1 << nvars) - 1 if support is None else support
+        if not (self.degree and self.support):  # a constant
+            self.degree = self.support = 0
 
     @property
     def value(self):
@@ -299,7 +339,7 @@ class Jet:
 
     def at(self, index):
         """The one-point jet at position `index` of the block."""
-        return Jet(self.order, self.nvars, self.coeffs[:, index], self.degree)
+        return Jet(self.order, self.nvars, self.coeffs[:, index], self.degree, self.support)
 
     def _binary(self, other):
         if isinstance(other, Jet):
@@ -322,9 +362,9 @@ class Jet:
         if rhs is None:
             out = self.coeffs.copy()
             out[0] += other
-            return Jet(self.order, self.nvars, out, self.degree)
+            return Jet(self.order, self.nvars, out, self.degree, self.support)
         return Jet(self.order, self.nvars, self.coeffs + rhs.coeffs,
-                   max(self.degree, rhs.degree))
+                   max(self.degree, rhs.degree), self.support | rhs.support)
 
     __radd__ = __add__
 
@@ -335,18 +375,16 @@ class Jet:
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.order, self.nvars, -self.coeffs, self.degree)
+        return Jet(self.order, self.nvars, -self.coeffs, self.degree, self.support)
 
     def __mul__(self, other):
         rhs = self._binary(other)
         if rhs is NotImplemented:
             return NotImplemented
         if rhs is None:
-            return Jet(self.order, self.nvars, self.coeffs * other, self.degree)
-        space = _space(self.order, self.nvars)
-        return Jet(self.order, self.nvars,
-                   space.multiply(self.coeffs, rhs.coeffs, self.degree, rhs.degree),
-                   self.degree + rhs.degree)
+            return Jet(self.order, self.nvars, self.coeffs * other, self.degree, self.support)
+        return Jet(self.order, self.nvars, _space(self.order, self.nvars).multiply(self, rhs),
+                   self.degree + rhs.degree, self.support | rhs.support)
 
     __rmul__ = __mul__
 
@@ -358,10 +396,10 @@ class Jet:
             zero = first_index(np.equal(other, 0))
             if zero is not None:
                 raise JetDomainError("division by zero", zero)
-            return Jet(self.order, self.nvars, self.coeffs / other, self.degree)
+            return Jet(self.order, self.nvars, self.coeffs / other, self.degree, self.support)
         space = _space(self.order, self.nvars)
         return Jet(self.order, self.nvars, space.divide(self.coeffs, rhs.coeffs),
-                   self.degree if rhs.degree == 0 else self.order)
+                   self.degree if rhs.degree == 0 else self.order, self.support | rhs.support)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):
@@ -379,7 +417,7 @@ class Jet:
             raise ValueError(f"cannot truncate order {self.order} jet to order {order}")
         size = _space(order, self.nvars).size
         # graded index ordering makes truncation a prefix slice
-        return Jet(order, self.nvars, self.coeffs[:size], self.degree)
+        return Jet(order, self.nvars, self.coeffs[:size], self.degree, self.support)
 
     def extract_derivative(self, direction):
         """Order-(K-1) jet of the partial derivative in one direction."""
@@ -389,7 +427,7 @@ class Jet:
             raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
         src, fac = _space(self.order, self.nvars).diff_table(direction)
         return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs),
-                   max(self.degree - 1, 0))
+                   max(self.degree - 1, 0), self.support)
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, coeffs={self.coeffs!r})"
@@ -407,7 +445,7 @@ def variable(index, value, order, nvars):
     if order >= 1:
         unit = tuple(1 if k == index else 0 for k in range(nvars))
         coeffs[space.position[unit]] = 1.0
-    return Jet(order, nvars, coeffs, 1)
+    return Jet(order, nvars, coeffs, 1, 1 << index)
 
 
 def constant(value, order, nvars):
@@ -432,6 +470,28 @@ def first_partials(jet_list):
     m = jet_list[0].nvars
     rows = np.stack([j.coeffs[1:m + 1] for j in jet_list], axis=-1)  # (m, P, count)
     return np.ascontiguousarray(np.moveaxis(rows, 0, -2))
+
+
+def dot_derivative(xs, ys, direction):
+    """The order-(K-1) jet of d/du_direction of sum_j xs[j] * ys[j], for
+    order-K jets, with the bits of `reduce(add, (x * y for x, y in zip(xs,
+    ys))).extract_derivative(direction)`: each product forms only the slots
+    the derivative reads, and they are added in the same order."""
+    head = xs[0]
+    if head.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    if not 0 <= direction < head.nvars:
+        raise ValueError(f"direction {direction} out of range for {head.nvars} variables")
+    space = _space(head.order, head.nvars)
+    total, degree, support = None, 0, 0
+    for x, y in zip(xs, ys, strict=True):
+        head._binary(x)._binary(y)  # one signature and one form, as `*` and `+` require
+        product = space.multiply(x, y, direction)
+        total = product if total is None else total + product
+        degree, support = max(degree, x.degree + y.degree), support | x.support | y.support
+    _, fac = space.diff_table(direction)
+    return Jet(head.order - 1, head.nvars, total * _rows(fac, total), max(degree - 1, 0),
+               support)
 
 
 def power(a, exponent):
@@ -465,7 +525,7 @@ def _compose(a, derivs):
     taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
     hat = a.coeffs.copy()
     hat[0] = 0.0
-    hat = Jet(a.order, a.nvars, hat, a.degree)
+    hat = Jet(a.order, a.nvars, hat, a.degree, a.support)
     acc = constant_like(taylor[-1], a)
     for k in range(len(derivs) - 2, -1, -1):
         acc = acc * hat

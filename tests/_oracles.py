@@ -7,6 +7,8 @@ accuracy; step sizes grow with the derivative order to balance truncation
 against roundoff amplification. `mp_partial` is the exception: it evaluates
 an expression tree in 30-digit mpmath arithmetic, where a finite difference
 carries no float roundoff, so it serves as a reference to ~1e-25.
+`mp_laplace_beltrami` builds the divergence form of the Laplacian the same
+way, from nested mpmath derivatives of an immersion and a field.
 
 The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
@@ -178,6 +180,44 @@ def mp_partial(ast, params, point, alpha):
     with mp.workdps(30):
         return float(mp.diff(lambda *x: _mp_value(ast, dict(zip(names, x))),
                              tuple(mp.mpf(x) for x in point), tuple(alpha)))
+
+
+def _mp_partial1(fn, x, i):
+    """d/dx_i of fn(*x) by mpmath's finite differences at the working
+    precision."""
+    return mp.diff(fn, x, tuple(int(k == i) for k in range(len(x))))
+
+
+def mp_laplace_beltrami(immersion, params, f, point):
+    """The Laplace-Beltrami operator of the expression f at a float point of
+    the chart whose metric the immersion induces, g = J^T J from the
+    immersion's Jacobian J: the divergence form (1/sqrt g) d_i (sqrt g g^ij
+    d_j f), each derivative a nested `mp.diff` in 30-digit arithmetic,
+    rounded to a float. Independent of jets and of the metric frame."""
+    names = list(params)
+    comps = [parse(e) if isinstance(e, str) else e for e in immersion]
+    field = parse(f) if isinstance(f, str) else f
+
+    def function(ast):
+        return lambda *x: _mp_value(ast, dict(zip(names, x)))
+
+    def metric(x):
+        jac = mp.matrix([[_mp_partial1(function(c), x, i) for i in range(len(x))]
+                         for c in comps])
+        return jac.T * jac
+
+    def flux(i):
+        def at(*x):
+            g = metric(x)
+            inverse = g ** -1
+            grad = [_mp_partial1(function(field), x, j) for j in range(len(x))]
+            return mp.sqrt(mp.det(g)) * mp.fsum(inverse[i, j] * d for j, d in enumerate(grad))
+        return at
+
+    with mp.workdps(30):
+        x = tuple(mp.mpf(c) for c in point)
+        div = mp.fsum(_mp_partial1(flux(i), x, i) for i in range(len(x)))
+        return float(div / mp.sqrt(mp.det(metric(x))))
 
 
 def induced_metric_fn(immersion_sources, params, h=1e-3):

@@ -2,7 +2,9 @@
 with the induced metric, whose frames go through the 3x3 and 4x4 cofactor
 determinants and adjugates with 35- and 70-coefficient jets on a metric that
 varies from point to point. They live here rather than in the catalog, whose
-entries the benchmark iterates."""
+entries the benchmark iterates. The Laplacian on such charts, and on a random
+non-diagonal induced 3-D metric, is also checked against the 30-digit
+divergence form of `_oracles.mp_laplace_beltrami`."""
 
 import math
 
@@ -10,9 +12,12 @@ import numpy as np
 import pytest
 
 from bieigen import build_map
-from bieigen.analysis import SphereMap, analyze_point
+from bieigen.analysis import SphereMap, analyze_point, analyze_samples
 from bieigen.charts import Chart, bilaplacian, gradient_pushforward, laplace_beltrami
 from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
+from bieigen.exprs import parse
+
+from _oracles import mp_laplace_beltrami, random_point, random_smooth_source
 
 ANGLES = ("a", "b", "c", "d")
 INSET = 0.3  # polar angles stay this far from the poles, where the chart degenerates
@@ -135,3 +140,42 @@ def test_one_point_operators_on_the_round_sphere(smap):
             np.testing.assert_allclose(
                 gradient_pushforward(chart, component, smap.components, point),
                 np.eye(len(x))[a] - x[a] * x, atol=1e-12)
+
+
+def _random_induced_3d():
+    """A 3-D graph chart (u, v, w) -> (u, v, w, h1, h2) with random smooth
+    heights, so g = I + dh^T dh varies and has off-diagonal entries, and a
+    Euclidean map of random smooth components."""
+    rng = np.random.default_rng(5)
+    params = ("u", "v", "w")
+    immersion = list(params) + [random_smooth_source(rng, params) for _ in range(2)]
+    chart = Chart.induced(params, [(0.2, 1.0)] * 3, immersion)
+    components = [random_smooth_source(rng, params) for _ in range(3)]
+    points = [random_point(rng, 3) for _ in range(3)]
+    return params, immersion, components, SphereMap.build(chart, components, "euclidean"), points
+
+
+def _half_s4_in_s5():
+    doc = sphere_manifest(4, lifted=True)
+    rng = np.random.default_rng(7)
+    points = [tuple(rng.uniform(INSET + 0.1, math.pi - INSET - 0.1, 4).tolist())
+              for _ in range(3)]
+    components = doc["map"]["components"]
+    # a component of one variable, one of two and the product of all four sines
+    return (doc["chart"]["params"], doc["chart"]["metric"]["immersion"],
+            [components[k] for k in (0, 1, 4)], build_map(doc)[1], points)
+
+
+@pytest.mark.parametrize("case", [_random_induced_3d, _half_s4_in_s5],
+                         ids=["random_induced_3d", "S4_half_in_S5"])
+def test_laplacian_meets_the_high_precision_divergence_form(case):
+    # an oracle free of jets and of the metric frame: nested mpmath
+    # derivatives of the immersion and the field at 30 digits
+    params, immersion, components, smap, points = case()
+    batch = analyze_samples(smap, points)
+    index = [smap.components.index(parse(c)) for c in components]
+    for p, point in enumerate(points):
+        for a, component in zip(index, components):
+            want = mp_laplace_beltrami(immersion, params, component, point)
+            assert batch.lap_phi[p, a] == pytest.approx(want, rel=1e-9, abs=1e-12), \
+                (point, component)

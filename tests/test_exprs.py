@@ -214,10 +214,7 @@ def test_order0_jets_meet_eval_value_at_every_value(source):
         except JetDomainError as err:
             return None, str(err)
 
-    values = [1.5, 1000.0, -1000.0, 1e-310, 0.0, -1.0, math.inf, -math.inf, math.nan]
-    if "*" not in source:  # a jet product sums from +0.0: 1e100 * -0.0 is +0.0
-        values.append(-0.0)
-    for t in values:
+    for t in [1.5, 1000.0, -1000.0, 1e-310, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]:
         jet = jets.variable(0, t, 0, 1)
         with np.errstate(over="ignore"):  # as the CLI and the analysis run: 1/1e-310 is inf
             got = outcome(lambda: eval_jet(ast, {"t": jet}).value)

@@ -1,7 +1,8 @@
 import math
 import operator
 import warnings
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -326,37 +327,140 @@ _LIVE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-3
 
 
 @st.composite
-def _degree_pairs(draw):
-    """Two coefficient arrays of one (order, nvars) signature, one point or a
-    block of three, each with its degree: slots above it hold +0.0 or -0.0."""
-    order, nvars = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+def _filtered_factors(draw, count, min_order=0):
+    """`count` coefficient arrays of one (order, nvars) signature, one point
+    or a block of three, each with a degree and a support: slots above the
+    degree or involving a variable outside the support hold +0.0 or -0.0."""
+    order, nvars = draw(st.integers(min_order, 4)), draw(st.integers(1, 4))
     space = jets._space(order, nvars)
     shape = draw(st.sampled_from([(space.size,), (space.size, 3)]))
-    count = int(np.prod(shape))
+    size = int(np.prod(shape))
     slot_degree = np.array([sum(alpha) for alpha in space.multi_indices])
+    uses = np.array([sum(1 << v for v, power in enumerate(alpha) if power)
+                     for alpha in space.multi_indices])  # each slot's variables
     out = []
-    for _ in range(2):
-        degree = draw(st.integers(0, order))
-        live = np.array(draw(st.lists(_LIVE, min_size=count, max_size=count)))
+    for _ in range(count):
+        degree, support = draw(st.integers(0, order)), draw(st.integers(0, 2 ** nvars - 1))
+        live = np.array(draw(st.lists(_LIVE, min_size=size, max_size=size)))
         zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
-                                       min_size=count, max_size=count)))
-        above = np.broadcast_to((slot_degree > degree).reshape((-1,) + (1,) * (len(shape) - 1)),
-                                shape)
-        out.append((np.where(above, zeros.reshape(shape), live.reshape(shape)), degree))
+                                       min_size=size, max_size=size)))
+        dead = (slot_degree > degree) | ((uses & ~support) != 0)
+        dead = np.broadcast_to(dead.reshape((-1,) + (1,) * (len(shape) - 1)), shape)
+        out.append(Jet(order, nvars, np.where(dead, zeros.reshape(shape), live.reshape(shape)),
+                       degree, support))
     return order, nvars, out
 
 
+def _convolution(a, b):
+    """The truncated product of two jets' coefficients, each output slot
+    summing its terms a[i] * b[j] in ascending (i, j) from +0.0, but the
+    value slot, which is its one term a[0] * b[0]."""
+    space = jets._space(a.order, a.nvars)
+    out = np.zeros(np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape))
+    for i, alpha in enumerate(space.multi_indices):
+        for j, beta in enumerate(space.multi_indices):
+            k = space.position.get(tuple(x + y for x, y in zip(alpha, beta)))
+            if k is not None:
+                out[k] += a.coeffs[i] * b.coeffs[j]
+    out[0] = a.coeffs[0] * b.coeffs[0]
+    return out
+
+
 @settings(max_examples=150, deadline=None)
-@given(_degree_pairs())
+@given(_filtered_factors(2))
 def test_degree_filtered_product_equals_the_full_convolution_bit_for_bit(case):
-    # one point takes the bincount path, a block the round fold
-    order, nvars, ((a, da), (b, db)) = case
+    # one point takes the bincount path, a block the round fold; the terms
+    # skipped for degree or support are +-0.0, and so is a value slot
+    order, nvars, (a, b) = case
     with np.errstate(over="ignore", invalid="ignore"):
-        filtered = Jet(order, nvars, a, da) * Jet(order, nvars, b, db)
-        full = Jet(order, nvars, a) * Jet(order, nvars, b)
-    assert full.degree == order and filtered.degree == min(order, da + db)
-    np.testing.assert_array_equal(filtered.coeffs.view(np.int64),
-                                  full.coeffs.view(np.int64))
+        filtered = a * b
+        full = _convolution(a, b)
+    assert filtered.degree == min(order, a.degree + b.degree)
+    assert filtered.support == a.support | b.support
+    np.testing.assert_array_equal(filtered.coeffs.view(np.int64), full.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_factors(2))
+def test_quotient_equals_the_recurrence_bit_for_bit(case):
+    # q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0]
+    order, nvars, (a, b) = case
+    value = b.coeffs[:1]
+    b = Jet(order, nvars, np.concatenate([np.where(value == 0.0, 1.5, value), b.coeffs[1:]]),
+            b.degree, b.support)
+    space = jets._space(order, nvars)
+    terms = [[] for _ in range(space.size)]
+    for i, alpha in enumerate(space.multi_indices):
+        for j, beta in enumerate(space.multi_indices):
+            k = space.position.get(tuple(x + y for x, y in zip(alpha, beta)))
+            if j and k is not None:
+                terms[k].append((i, j))
+    want = np.zeros(np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape))
+    with np.errstate(all="ignore"):
+        got = a / b
+        for k in range(space.size):
+            acc = a.coeffs[k]
+            for i, j in terms[k]:
+                acc = acc - want[i] * b.coeffs[j]
+            want[k] = acc / b.coeffs[0]
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filtered_factors(6, min_order=1), st.integers(1, 3), st.integers(0, 3))
+def test_directional_products_are_the_derivative_of_their_sum_bit_for_bit(case, count, direction):
+    order, nvars, factors = case
+    xs, ys, direction = factors[:count], factors[3:3 + count], direction % nvars
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = jets.dot_derivative(xs, ys, direction)
+        want = reduce(add, (x * y for x, y in zip(xs, ys))).extract_derivative(direction)
+    assert (got.order, got.degree, got.support) == (want.order, want.degree, want.support)
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("order, nvars, shape", [(2, 2, (5,)), (3, 3, ()), (4, 4, (5,))])
+def test_directional_products_add_in_the_order_of_the_sum(order, nvars, shape):
+    # full jets of random values, whose sums round differently in another order
+    rng = np.random.default_rng(order)
+    size = jets._space(order, nvars).size
+    xs, ys = ([Jet(order, nvars, rng.uniform(-4.0, 4.0, (size,) + shape)) for _ in range(3)]
+              for _ in range(2))
+    for direction in range(nvars):
+        got = jets.dot_derivative(xs, ys, direction)
+        want = reduce(add, (x * y for x, y in zip(xs, ys))).extract_derivative(direction)
+        np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("points", [None, 1, 4])
+def test_a_directional_product_with_no_terms_is_zero(points):
+    # a constant flux times the derivative of a linear field reads no term
+    value = 0.5 if points is None else np.linspace(0.1, 0.9, points)
+    df = (2.0 * jets.variable(0, value, 3, 2) - 1.0).extract_derivative(0)
+    flux = jets.constant_like(-3.0, df)
+    assert jets._space(2, 2)._mul_table(0, 0, 0, 0, 0)[0].size == 0
+    got = jets.dot_derivative([flux], [df], 0)
+    want = (flux * df).extract_derivative(0)
+    assert got.coeffs.shape == want.coeffs.shape and got.degree == got.support == 0
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+    assert not got.coeffs.any()
+
+
+def test_support_is_the_union_of_the_operands():
+    u, v, w = (jets.variable(i, 0.4 + 0.1 * i, 3, 3) for i in range(3))
+    c = jets.constant(2.0, 3, 3)
+    assert (u.support, v.support, w.support, c.support) == (0b001, 0b010, 0b100, 0)
+    assert (u + w).support == (u - w).support == (u * w).support == (u / w).support == 0b101
+    assert (c + v).support == (c * v).support == (c / v).support == (2.0 / v).support == 0b010
+    assert (u * 2.0).support == (u + 1.0).support == (-u).support == 0b001
+    assert jets.sin(u * v).support == (jets.sqrt(v + 1.0) * u ** 3).support == 0b011
+    assert jets.exp(c).support == (c * c).support == (v ** 0).support == 0
+    assert (u * v).extract_derivative(1).support == (u * v).truncated(2).support == 0b011
+    block = [jets.variable(i, [0.2, 0.7], 3, 3) for i in range(3)]
+    assert (block[0] * block[2]).at(1).support == 0b101
+    # a jet of degree 0 is constant, whatever it was derived from
+    assert u.extract_derivative(0).support == u.truncated(0).support == 0
+    assert jets.variable(1, 0.5, 0, 3).support == 0
+    assert Jet(3, 3, (u * w).coeffs).support == 0b111
 
 
 @pytest.mark.parametrize("order, nvars, shape", [(1, 1, (3,)), (2, 3, (4,)), (4, 4, (1,)),
