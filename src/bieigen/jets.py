@@ -43,10 +43,17 @@ been NaN.) The value slot is not a sum: it is its one term a[0] * b[0],
 so the value of a product is the product of the values, the sign of a zero
 included. `dot_derivative` forms d/du_i of a sum of products, reading only
 the product slots the derivative reads (alpha_i >= 1), with the bits of
-summing the full products and differentiating. Division does not skip
-terms: its recurrence starts each slot from the numerator's coefficient,
-which may be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a zero product
-could flip the sign of a zero.
+summing the full products and differentiating. With a degree-0 factor
+each output slot has at most one term, so such a product is one
+elementwise multiplication of the other factor's live slots by the
+constant's value, each term above the value added to +0.0. Division does
+not skip terms: its recurrence starts each slot from the numerator's
+coefficient, which may be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a
+zero product could flip the sign of a zero. By a degree-0 divisor every
+term is a zero while the quotient is finite, so the quotient is one
+elementwise division by the divisor's value, with the recurrence's bits,
+unless it is not finite or a numerator slot above the value holds -0.0;
+then the recurrence runs.
 """
 
 import math
@@ -212,16 +219,44 @@ class _JetSpace:
         xs, ys, outs, sizes, perm = _rounds(xs[keep], ys[keep], slot[ks[keep]], count)
         return xs, ys, sizes, np.argsort(perm), outs
 
+    @cache
+    def _scale_table(self, degree, support, direction):
+        """The terms of a product of a degree-0 factor and a factor of this
+        degree and support, one per output slot, the value slot included
+        (see `_mul_table`): the second factor's slots; the output slots they
+        fill, or None where that is every output slot; and the output slot
+        count. Consecutive slots are a slice."""
+        _, src, _, unperm, dst = self._mul_table(0, degree, 0, support, direction)
+        if direction is None:
+            src, dst = np.append(0, src), np.append(0, dst)
+        return (_consecutive(src), None if dst.size == unperm.size else _consecutive(dst),
+                unperm.size)
+
     def multiply(self, a, b, direction=None):
         """The coefficients of the truncated product of jets a and b, with
         the terms their degrees and supports show to be zero skipped; with a
         direction, only the slots with alpha[direction] >= 1, in the order
         of `diff_table(direction)`."""
+        x, y = a.coeffs, b.coeffs
+        points = (x if x.size >= y.size else y).shape[1:]  # a block of one broadcasts
+        if not (a.degree and b.degree):
+            # a constant factor leaves each output slot at most one term, so
+            # the product is one elementwise multiplication over the live
+            # slots; each slot but the value adds its term to +0.0, as the
+            # table's sums do
+            other = b if a.degree == 0 else a
+            src, dst, count = self._scale_table(other.degree, other.support, direction)
+            terms = x[0] * y[src] if other is b else x[src] * y[0]
+            if dst is None:
+                out = terms
+            else:
+                out = np.zeros((count,) + points)
+                out[dst] = terms
+            out[1 if direction is None else 0:] += 0.0
+            return out
         xs, ys, sizes, unperm, slots = self._mul_table(a.degree, b.degree, a.support,
                                                        b.support, direction)
-        x, y = a.coeffs, b.coeffs
-        # a block of one broadcasts
-        shape = (len(unperm),) + (x if x.size >= y.size else y).shape[1:]
+        shape = (len(unperm),) + points
         if x.size == y.size == self.size:
             # one point: numpy's bincount sums sequentially from 0.0, in
             # table order, and costs one call (its sums of no terms are ints)
@@ -237,9 +272,8 @@ class _JetSpace:
         return out
 
     def divide(self, a, b):
-        zero = first_index(b[0] == 0.0)
-        if zero is not None:
-            raise JetDomainError("division by a jet with zero value", zero)
+        """The coefficients of the truncated quotient a / b, by the Taylor
+        division recurrence; b's value has no zero."""
         b0 = b[0]
         q0 = a[0] / b0
         q = np.empty((self.size,) + q0.shape)
@@ -266,6 +300,13 @@ class _JetSpace:
         return src, fac
 
 
+def _consecutive(slots):
+    """A sorted array of slots as a slice where they are consecutive."""
+    if slots.size and slots[-1] - slots[0] + 1 == slots.size:
+        return slice(int(slots[0]), int(slots[-1]) + 1)
+    return slots
+
+
 @cache
 def _space(order, nvars):
     return _JetSpace(order, nvars)
@@ -280,6 +321,23 @@ def _rows(factors, coeffs):
     """One factor per coefficient row, shaped to scale every point of
     `coeffs` (coefficient axis first, then the block's shape)."""
     return factors.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+
+
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def _quotient_by_constant(a, b0):
+    """a / b0 in one elementwise division, for a divisor of degree 0 with
+    value b0, where that gives the bits of the division recurrence; None
+    where it may not. Above the value the recurrence subtracts terms q[i] *
+    b[j] whose b[j] is +0.0 or -0.0, so each term is a zero while the
+    quotient is finite, and subtracting a zero changes a slot only when it
+    holds -0.0: -0.0 - (-0.0) is +0.0."""
+    q = a / b0
+    # -0.0 is the least int64, so a[1:] holds none where its least bits are greater
+    if len(a) == 1 or (np.isfinite(q).all() and a[1:].view(np.int64).min() != _NEGATIVE_ZERO):
+        return q
+    return None
 
 
 class Jet:
@@ -397,9 +455,15 @@ class Jet:
             if zero is not None:
                 raise JetDomainError("division by zero", zero)
             return Jet(self.order, self.nvars, self.coeffs / other, self.degree, self.support)
-        space = _space(self.order, self.nvars)
-        return Jet(self.order, self.nvars, space.divide(self.coeffs, rhs.coeffs),
-                   self.degree if rhs.degree == 0 else self.order, self.support | rhs.support)
+        a, b = self.coeffs, rhs.coeffs
+        zero = first_index(b[0] == 0.0)
+        if zero is not None:
+            raise JetDomainError("division by a jet with zero value", zero)
+        q = _quotient_by_constant(a, b[0]) if rhs.degree == 0 else None
+        if q is None:
+            q = _space(self.order, self.nvars).divide(a, b)
+        return Jet(self.order, self.nvars, q, self.degree if rhs.degree == 0 else self.order,
+                   self.support | rhs.support)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):
@@ -519,9 +583,8 @@ def power(a, exponent):
 def _compose(a, derivs):
     """Truncated composition f(a) from the derivative rows derivs[k] =
     f^(k)(a.value), k = 0..K, K the order of `a`, or 0 when `a` is a
-    constant (degree 0). Horner evaluation in the zero-value part of `a`
-    leaves the value slot exactly derivs[0] where the rows are finite, as
-    `_derivatives` makes them at every finite value."""
+    constant (degree 0), by Horner evaluation in the zero-value part of
+    `a`; the value slot is derivs[0]."""
     taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
     hat = a.coeffs.copy()
     hat[0] = 0.0
@@ -529,7 +592,10 @@ def _compose(a, derivs):
     acc = constant_like(taylor[-1], a)
     for k in range(len(derivs) - 2, -1, -1):
         acc = acc * hat
-        acc.coeffs[0] += taylor[k]  # acc * hat + taylor[k], on the fresh product
+        # acc * hat + taylor[k], on the fresh product; the value is derivs[0]
+        # itself, which adding to acc[0] * 0.0 would turn from -0.0 to +0.0,
+        # or from inf to NaN
+        acc.coeffs[0] = acc.coeffs[0] + taylor[k] if k else derivs[0]
     return acc
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from bieigen import build_map, catalog_get, catalog_list, catalog_names
+from bieigen import build_map, catalog_get, catalog_list, catalog_names, jets
 from bieigen.analysis import bienergy_quadrature
 from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
 
@@ -126,3 +126,20 @@ def test_entries_have_notes_and_names_match_manifest():
     for entry in catalog_list():
         assert entry.note
         assert entry.manifest["name"] == entry.name
+
+
+def test_a_scaled_map_divides_by_its_constants_elementwise(monkeypatch):
+    # cos(sqrt(2)*t)/sqrt(2) on a flat chart: every divisor, in the map and in
+    # the metric frame, is a constant, and none needs the division recurrence
+    entry = catalog_get("small_circle_S2")
+    assert "/sqrt(2)" in entry.manifest["map"]["components"][0]
+    quotients, recurrences = [], []
+    by_constant, divide = jets._quotient_by_constant, jets._JetSpace.divide
+    monkeypatch.setattr(jets, "_quotient_by_constant",
+                        lambda a, b0: quotients.append(by_constant(a, b0)) or quotients[-1])
+    monkeypatch.setattr(jets._JetSpace, "divide",
+                        lambda self, a, b: recurrences.append(b) or divide(self, a, b))
+    _, smap = build_map(entry.manifest)
+    classify(smap, 64)
+    assert len(quotients) >= 10 and all(q is not None for q in quotients)
+    assert recurrences == []

@@ -293,6 +293,8 @@ def test_nan_bienergy_density_names_the_quantity_and_cell(tmp_path, capsys, grid
     ("euclidean", ["t", "-(1e200)^2*t"], "map component 1 is -inf"),
     # checked before the sphere constraint, which would only see |phi|^2
     ("sphere", ["cos(t)", "sin(t)", "(1e200)^2"], "map component 2 is inf"),
+    # an elementary function's value is its own above order 0 too, not nan
+    ("euclidean", ["exp(1e200*t*1e200)"], "map component 0 is inf"),
 ])
 def test_non_finite_map_component_names_the_component_and_point(tmp_path, capsys, target,
                                                                 components, named):

@@ -199,27 +199,47 @@ def test_eval_domain_errors():
         eval_value(parse("sin(t)"), {"t": math.inf})
 
 
-@pytest.mark.parametrize("source", ["sin(t)", "cos(t)", "tan(t)", "exp(t)", "log(t)",
-                                    "sqrt(t)", "sinh(t)", "cosh(t)", "t^1.5",
-                                    "t^3", "t^-1", "t^-2",
-                                    "log(1e100*t)", "log(1e-100*t)", "sqrt(1e-100*t)"])
+_ONE_VARIABLE_SOURCES = ["sin(t)", "cos(t)", "tan(t)", "exp(t)", "log(t)", "sqrt(t)", "sinh(t)",
+                         "cosh(t)", "t^1.5", "t^3", "t^-1", "t^-2",
+                         "log(1e100*t)", "log(1e-100*t)", "sqrt(1e-100*t)"]
+_EVERY_VALUE = [1.5, 1000.0, -1000.0, 1e-310, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+def _outcome(evaluate):
+    """(the bits of the value, None), or (None, the message of the refusal)."""
+    from bieigen.jets import JetDomainError
+    try:
+        return struct.pack("d", evaluate()), None
+    except JetDomainError as err:
+        return None, str(err)
+
+
+@pytest.mark.parametrize("source", _ONE_VARIABLE_SOURCES)
 def test_order0_jets_meet_eval_value_at_every_value(source):
     # the value, or the error, of eval_value is the order-0 jet's
-    from bieigen.jets import JetDomainError
     ast = parse(source)
-
-    def outcome(evaluate):
-        try:
-            return struct.pack("d", evaluate()), None
-        except JetDomainError as err:
-            return None, str(err)
-
-    for t in [1.5, 1000.0, -1000.0, 1e-310, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]:
+    for t in _EVERY_VALUE:
         jet = jets.variable(0, t, 0, 1)
         with np.errstate(over="ignore"):  # as the CLI and the analysis run: 1/1e-310 is inf
-            got = outcome(lambda: eval_jet(ast, {"t": jet}).value)
-        assert got == outcome(lambda: eval_value(ast, {"t": t})), t
+            got = _outcome(lambda: eval_jet(ast, {"t": jet}).value)
+        assert got == _outcome(lambda: eval_value(ast, {"t": t})), t
     assert eval_value(parse("log(1e100*t)"), {"t": 1.5}) == math.log(1.5e100)
+
+
+@pytest.mark.parametrize("source", _ONE_VARIABLE_SOURCES)
+def test_jets_of_every_order_keep_the_value_of_eval_value(source):
+    # a jet that is formed has eval_value's value, the sign of a zero and an
+    # inf included; above order 0 a jet may also be refused for a derivative
+    # that is undefined or out of float range where the value is not
+    ast = parse(source)
+    for t in _EVERY_VALUE:
+        want = _outcome(lambda: eval_value(ast, {"t": t}))
+        for order in range(5):
+            jet = jets.variable(0, t, order, 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs
+                got = _outcome(lambda: eval_jet(ast, {"t": jet}).value)
+            if order == 0 or got[1] is None or want[1] is not None:
+                assert got == want, (t, order)
 
 
 def test_order0_evaluation_is_bit_identical():

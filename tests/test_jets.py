@@ -327,20 +327,24 @@ _LIVE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-3
 
 
 @st.composite
-def _filtered_factors(draw, count, min_order=0):
-    """`count` coefficient arrays of one (order, nvars) signature, one point
-    or a block of three, each with a degree and a support: slots above the
-    degree or involving a variable outside the support hold +0.0 or -0.0."""
+def _filtered_factors(draw, count, min_order=0, constant=False):
+    """`count` jets of one (order, nvars) signature, at one point or at
+    blocks of three points or of one, each with a degree and a support:
+    slots above the degree or involving a variable outside the support hold
+    +0.0 or -0.0. With `constant`, at least one of them has degree 0."""
     order, nvars = draw(st.integers(min_order, 4)), draw(st.integers(1, 4))
     space = jets._space(order, nvars)
-    shape = draw(st.sampled_from([(space.size,), (space.size, 3)]))
-    size = int(np.prod(shape))
+    block = draw(st.booleans())
+    forced = draw(st.sets(st.integers(0, count - 1), min_size=1)) if constant else set()
     slot_degree = np.array([sum(alpha) for alpha in space.multi_indices])
     uses = np.array([sum(1 << v for v, power in enumerate(alpha) if power)
                      for alpha in space.multi_indices])  # each slot's variables
     out = []
-    for _ in range(count):
-        degree, support = draw(st.integers(0, order)), draw(st.integers(0, 2 ** nvars - 1))
+    for index in range(count):
+        shape = (space.size, draw(st.sampled_from([3, 1]))) if block else (space.size,)
+        size = int(np.prod(shape))
+        degree = 0 if index in forced else draw(st.integers(0, order))
+        support = draw(st.integers(0, 2 ** nvars - 1))
         live = np.array(draw(st.lists(_LIVE, min_size=size, max_size=size)))
         zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
                                        min_size=size, max_size=size)))
@@ -366,29 +370,41 @@ def _convolution(a, b):
     return out
 
 
+def _assert_product_is_the_convolution(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = a * b
+        full = _convolution(a, b)
+    assert filtered.degree == min(a.order, a.degree + b.degree)
+    assert filtered.support == a.support | b.support
+    np.testing.assert_array_equal(filtered.coeffs.view(np.int64), full.view(np.int64))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_filtered_factors(2))
 def test_degree_filtered_product_equals_the_full_convolution_bit_for_bit(case):
     # one point takes the bincount path, a block the round fold; the terms
     # skipped for degree or support are +-0.0, and so is a value slot
-    order, nvars, (a, b) = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        filtered = a * b
-        full = _convolution(a, b)
-    assert filtered.degree == min(order, a.degree + b.degree)
-    assert filtered.support == a.support | b.support
-    np.testing.assert_array_equal(filtered.coeffs.view(np.int64), full.view(np.int64))
+    _assert_product_is_the_convolution(*case[2])
 
 
-@settings(max_examples=100, deadline=None)
-@given(_filtered_factors(2))
-def test_quotient_equals_the_recurrence_bit_for_bit(case):
-    # q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0]
-    order, nvars, (a, b) = case
-    value = b.coeffs[:1]
-    b = Jet(order, nvars, np.concatenate([np.where(value == 0.0, 1.5, value), b.coeffs[1:]]),
-            b.degree, b.support)
-    space = jets._space(order, nvars)
+@settings(max_examples=150, deadline=None)
+@given(_filtered_factors(2, constant=True))
+def test_a_product_with_a_constant_equals_the_full_convolution_bit_for_bit(case):
+    # one elementwise product: each slot's one term, added to +0.0
+    _assert_product_is_the_convolution(*case[2])
+
+
+def test_a_product_with_an_infinite_constant_forms_only_the_live_slots():
+    # inf * 0.0 in a slot above the degree would be NaN, and warn
+    t = jets.variable(0, [0.5, -2.0], 2, 1)
+    for got in (jets.constant_like(math.inf, t) * t, t * jets.constant_like(math.inf, t)):
+        want = np.array([[math.inf, -math.inf], [math.inf, math.inf], [0.0, 0.0]])
+        np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
+
+
+def _recurrence(a, b):
+    """q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0]."""
+    space = jets._space(a.order, a.nvars)
     terms = [[] for _ in range(space.size)]
     for i, alpha in enumerate(space.multi_indices):
         for j, beta in enumerate(space.multi_indices):
@@ -397,18 +413,62 @@ def test_quotient_equals_the_recurrence_bit_for_bit(case):
                 terms[k].append((i, j))
     want = np.zeros(np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape))
     with np.errstate(all="ignore"):
-        got = a / b
         for k in range(space.size):
             acc = a.coeffs[k]
             for i, j in terms[k]:
                 acc = acc - want[i] * b.coeffs[j]
             want[k] = acc / b.coeffs[0]
-    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
+    return want
+
+
+def _assert_quotient_is_the_recurrence(a, b):
+    value = b.coeffs[:1]  # a zero divisor value is refused
+    b = Jet(b.order, b.nvars, np.concatenate([np.where(value == 0.0, 1.5, value), b.coeffs[1:]]),
+            b.degree, b.support)
+    with np.errstate(all="ignore"):
+        got = a / b
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), _recurrence(a, b).view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_factors(2))
+def test_quotient_equals_the_recurrence_bit_for_bit(case):
+    _assert_quotient_is_the_recurrence(*case[2])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_filtered_factors(6, min_order=1), st.integers(1, 3), st.integers(0, 3))
-def test_directional_products_are_the_derivative_of_their_sum_bit_for_bit(case, count, direction):
+@given(_filtered_factors(2, constant=True))
+def test_a_quotient_with_a_constant_equals_the_recurrence_bit_for_bit(case):
+    # a constant divisor divides elementwise where that keeps the bits
+    _assert_quotient_is_the_recurrence(*case[2])
+
+
+@pytest.mark.parametrize("numerator, divisor, fast", [
+    ([1.0, 0.5, 3.0], [2.0, -0.0, 0.0], True),
+    ([1.0, -0.0, 3.0], [2.0, -0.0, 0.0], False),  # -0.0 - (-0.0) is +0.0
+    ([1e308, 1e308, 1.0], [1e-10, 0.0, 0.0], False),  # a / b0 overflows to inf
+    ([math.inf, 0.0, 0.0], [2.0, 0.0, 0.0], False),  # inf * 0.0 in a term is NaN
+    ([1.0, 0.5, 3.0], [math.inf, 0.0, 0.0], True),
+], ids=["elementwise", "negative-zero", "overflow", "infinite-constant", "infinite-divisor"])
+def test_a_constant_divisor_runs_the_recurrence_only_where_its_bits_differ(
+        numerator, divisor, fast, monkeypatch):
+    calls = []
+    divide = jets._JetSpace.divide
+    monkeypatch.setattr(jets._JetSpace, "divide",
+                        lambda self, a, b: calls.append(1) or divide(self, a, b))
+    a = Jet(2, 1, numerator, 0 if numerator[1:] == [0.0, 0.0] else 2)
+    b = Jet(2, 1, divisor, 0)
+    with np.errstate(all="ignore"):
+        got = a / b
+    want = _recurrence(a, b)
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
+    assert calls == ([] if fast else [1])
+    if not fast:  # one division would not have given these bits
+        with np.errstate(all="ignore"):
+            assert not np.array_equal((a.coeffs / b.value).view(np.int64), want.view(np.int64))
+
+
+def _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction):
     order, nvars, factors = case
     xs, ys, direction = factors[:count], factors[3:3 + count], direction % nvars
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,6 +476,19 @@ def test_directional_products_are_the_derivative_of_their_sum_bit_for_bit(case, 
         want = reduce(add, (x * y for x, y in zip(xs, ys))).extract_derivative(direction)
     assert (got.order, got.degree, got.support) == (want.order, want.degree, want.support)
     np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filtered_factors(6, min_order=1), st.integers(1, 3), st.integers(0, 3))
+def test_directional_products_are_the_derivative_of_their_sum_bit_for_bit(case, count, direction):
+    _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_factors(6, min_order=1, constant=True), st.integers(1, 3), st.integers(0, 3))
+def test_directional_products_with_constants_are_the_derivative_of_their_sum(
+        case, count, direction):
+    _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction)
 
 
 @pytest.mark.parametrize("order, nvars, shape", [(2, 2, (5,)), (3, 3, ()), (4, 4, (5,))])
