@@ -340,14 +340,20 @@ def _stack(values):
     return np.stack(values, axis=-1)
 
 
-def _phi(phi_jets, points):
-    """phi (shape (P, ambient)) from the component jets; a component that is
-    not finite raises AnalysisError naming it and the point."""
+def _phi(smap, phi_jets, points):
+    """phi (shape (P, ambient)) from the component jets, and ||phi|^2 - r^2|
+    per point (zero into R^n); a component that is not finite, or a point
+    off the target sphere, raises AnalysisError naming the point."""
     phi = _stack([j.value for j in phi_jets])
     bad = ~np.isfinite(phi)
     _require(~bad.any(axis=1), points, AnalysisError,
              lambda i: f"map component {first_index(bad[i])} is {phi[i][bad[i]][0]}")
-    return phi
+    sphere_defect = np.zeros(len(points))
+    if smap.target == TARGET_SPHERE:
+        sphere_defect = np.abs(dots(phi, phi) - smap.radius ** 2)
+        _require(sphere_defect <= SPHERE_TOL, points, SphereConstraintError,
+                 lambda i: f"|phi|^2 deviates from r^2 by {sphere_defect[i]:.3e}")
+    return phi, sphere_defect
 
 
 def _analyze_block(smap, points):
@@ -355,14 +361,7 @@ def _analyze_block(smap, points):
     m = chart.dim
     frame = metric_frame(chart, points, ANALYSIS_ORDER - 1, smap.components)
     phi_jets = frame.fields
-    phi = _phi(phi_jets, points)
-
-    sphere_defect = np.zeros(len(points))
-    if smap.target == TARGET_SPHERE:
-        sphere_defect = np.abs(dots(phi, phi) - smap.radius ** 2)
-        _require(sphere_defect <= SPHERE_TOL, points, SphereConstraintError,
-                 lambda i: f"|phi|^2 deviates from r^2 by {sphere_defect[i]:.3e}")
-
+    phi, sphere_defect = _phi(smap, phi_jets, points)
     lap_phi, bilap_phi, d_lap = _laplacians(frame, phi_jets)
     dphi, energy, lap_energy, d_energy = _energy(frame, phi_jets)
     gram = np.matmul(dphi, dphi.transpose(0, 2, 1))
@@ -431,7 +430,7 @@ def _bienergy_block(smap, points):
     jets and an order-1 frame: cheaper than the order-4 analysis."""
     frame = metric_frame(smap.chart, points, BIENERGY_ORDER - 1, smap.components)
     phi_jets = frame.fields
-    phi = _phi(phi_jets, points)
+    phi, _ = _phi(smap, phi_jets, points)
     lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
     energy = None
     if smap.target == TARGET_SPHERE:

@@ -18,8 +18,8 @@ which never vanishes; a block holding a value the tower refuses is rerun
 point by point to name the first one (`_per_point`).
 Orders are capped at 4 and variable counts at 4, which keeps every
 coefficient table at 70 entries or fewer; tables are dense and built on
-first use, once per (order, nvars), and the product tables once per pair
-of factor bounds.
+first use, once per (order, nvars), and the product and quotient tables
+once per set of operand bounds.
 
 A Jet also carries two bounds on where its nonzero coefficients lie; every
 other coefficient slot holds +0.0 or -0.0. `degree` bounds their total
@@ -46,14 +46,15 @@ the product slots the derivative reads (alpha_i >= 1), with the bits of
 summing the full products and differentiating. With a degree-0 factor
 each output slot has at most one term, so such a product is one
 elementwise multiplication of the other factor's live slots by the
-constant's value, each term above the value added to +0.0. Division does
-not skip terms: its recurrence starts each slot from the numerator's
-coefficient, which may be -0.0, and -0.0 - (-0.0) is +0.0, so dropping a
-zero product could flip the sign of a zero. By a degree-0 divisor every
-term is a zero while the quotient is finite, so the quotient is one
-elementwise division by the divisor's value, with the recurrence's bits,
-unless it is not finite or a numerator slot above the value holds -0.0;
-then the recurrence runs.
+constant's value, each term above the value added to +0.0. A quotient
+skips terms by the same rule: its recurrence subtracts q[i] * b[j] from
+a[k] only where the divisor slot j lies within b's bounds and the output
+slot k within the quotient's support, so a degree-0 divisor has no terms
+and its quotient is one elementwise division a / b[0]. Each skipped term
+is a zero while the quotient is finite, so a quotient differs from the
+full recurrence only in the sign of a zero slot (-0.0 - (-0.0) is +0.0),
+and where a skipped term would have been inf * 0.0 = NaN in a slot that
+the bounds show to be zero.
 """
 
 import math
@@ -179,34 +180,28 @@ class _JetSpace:
         pairs = [(i, j, self.position[tuple(a + b for a, b in zip(alpha, beta))])
                  for i, alpha in enumerate(self.multi_indices)
                  for j, beta in enumerate(self.multi_indices[:prefix[order - degree[i]]])]
-        self._pairs = xs, ys, ks = np.array(pairs, dtype=np.intp).T
-        self._degree = degree = np.array(degree)
+        self._pairs = np.array(pairs, dtype=np.intp).T
+        self._degree = np.array(degree)
         # the variables each slot's monomial involves, as a bit mask
         self._uses = np.array([sum(1 << v for v, power in enumerate(alpha) if power)
                                for alpha in self.multi_indices])
 
-        # Division recurrence: output slot k subtracts q[i] * b[j] over the
-        # product terms of k with a nonzero multi-index j, in product order.
-        # Those q slots have lower total degree than k, so the slots of one
-        # degree (contiguous in graded order) are solved together.
-        self._div_degrees = []
-        for d in range(1, order + 1):
-            lo, hi = prefix[d - 1], prefix[d]
-            keep = (lo <= ks) & (ks < hi) & (degree[ys] > 0)
-            qi, bj, _, sizes, perm = _rounds(xs[keep], ys[keep], ks[keep] - lo, hi - lo)
-            self._div_degrees.append((lo + perm, qi, bj, sizes))
+    def _live(self, slots, degree, support):
+        """Where `slots` may hold a nonzero coefficient of a jet of this
+        degree and support: their total degree is at most `degree`, and
+        they involve only variables of `support`."""
+        return (self._degree[slots] <= degree) & ((self._uses[slots] & ~support) == 0)
 
     @cache
     def _mul_table(self, da, db, sa, sb, direction):
         """The product terms of factors of degrees da and db and supports sa
-        and sb: the pairs whose x slot has degree <= da and involves only
-        variables of sa, and whose y slot has degree <= db and involves
-        only variables of sb, in rounds (see `_rounds`), with the inverse
-        permutation and, for one point's bincount, the output slot of each
-        product. The value slot's one term is left out (see `multiply`).
+        and sb: the pairs whose x slot is live in the first factor and whose
+        y slot is live in the second (`_live`), in rounds (see `_rounds`),
+        with the inverse permutation and, for one point's bincount, the
+        output slot of each product. The value slot's one term is left out.
         With a direction, only the output slots with alpha[direction] >= 1
         are formed, numbered as the rows of `diff_table(direction)`."""
-        degree, uses, (xs, ys, ks) = self._degree, self._uses, self._pairs
+        xs, ys, ks = self._pairs
         if direction is None:
             slot, count = np.arange(self.size), self.size
             slot[0] = -1
@@ -214,8 +209,7 @@ class _JetSpace:
             src = self.diff_table(direction)[0]
             slot, count = np.full(self.size, -1), len(src)
             slot[src] = np.arange(count)
-        keep = ((slot[ks] >= 0) & (degree[xs] <= da) & (degree[ys] <= db)
-                & ((uses[xs] & ~sa) == 0) & ((uses[ys] & ~sb) == 0))
+        keep = (slot[ks] >= 0) & self._live(xs, da, sa) & self._live(ys, db, sb)
         xs, ys, outs, sizes, perm = _rounds(xs[keep], ys[keep], slot[ks[keep]], count)
         return xs, ys, sizes, np.argsort(perm), outs
 
@@ -271,18 +265,42 @@ class _JetSpace:
             out[0] = x[0] * y[0]  # the value slot's one term, not added to +0.0
         return out
 
+    @cache
+    def _div_table(self, degree, support, quotient_support):
+        """The division recurrence's terms for a divisor of this degree and
+        support: output slot k, live in a quotient of `quotient_support`,
+        subtracts q[i] * b[j] over its product terms whose j is live in the
+        divisor and not its value, in product order. Those q slots have lower
+        total degree than k, so the slots of one degree (contiguous in graded
+        order) are solved together: per degree, the slots with terms in the
+        order of their rounds, and the q slots, b slots and round sizes (see
+        `_rounds`). A degree-0 divisor has no terms."""
+        xs, ys, ks = self._pairs
+        keep = (ys > 0) & self._live(ys, degree, support) & self._live(ks, self.order,
+                                                                         quotient_support)
+        levels = []
+        for d in range(1, self.order + 1):
+            lo, hi = np.searchsorted(self._degree, (d, d + 1))
+            at = keep & (lo <= ks) & (ks < hi)
+            if at.any():
+                qi, bj, _, sizes, perm = _rounds(xs[at], ys[at], ks[at] - lo, hi - lo)
+                levels.append((lo + perm[:sizes[0]], qi, bj, sizes))
+        return tuple(levels)
+
     def divide(self, a, b):
-        """The coefficients of the truncated quotient a / b, by the Taylor
-        division recurrence; b's value has no zero."""
-        b0 = b[0]
-        q0 = a[0] / b0
-        q = np.empty((self.size,) + q0.shape)
-        q[0] = q0
-        for slots, qi, bj, sizes in self._div_degrees:
-            acc = a[slots]  # a copy, in the permuted slot order of the rounds
-            if acc.shape[1:] != q0.shape:
-                acc = np.array(np.broadcast_to(acc, acc.shape[:1] + q0.shape))
-            _fold(np.subtract, acc, q, qi, b, bj, sizes)
+        """The coefficients of the truncated quotient of jets a and b, by the
+        Taylor division recurrence with the terms their bounds show to be
+        zero skipped (see `_div_table`); b's value has no zero. Each slot
+        starts as a[k] / b[0], which is its quotient where it has no term,
+        so a degree-0 divisor divides elementwise."""
+        x, y = a.coeffs, b.coeffs
+        b0 = y[0]
+        q = x / b0  # broadcast over the block, as the quotient is
+        for slots, qi, bj, sizes in self._div_table(b.degree, b.support,
+                                                    a.support | b.support):
+            # a copy over the whole block, in the permuted slot order of the rounds
+            acc = np.broadcast_to(x, q.shape)[slots]
+            _fold(np.subtract, acc, q, qi, y, bj, sizes)
             q[slots] = acc / b0
         return q
 
@@ -321,23 +339,6 @@ def _rows(factors, coeffs):
     """One factor per coefficient row, shaped to scale every point of
     `coeffs` (coefficient axis first, then the block's shape)."""
     return factors.reshape((-1,) + (1,) * (coeffs.ndim - 1))
-
-
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
-
-
-def _quotient_by_constant(a, b0):
-    """a / b0 in one elementwise division, for a divisor of degree 0 with
-    value b0, where that gives the bits of the division recurrence; None
-    where it may not. Above the value the recurrence subtracts terms q[i] *
-    b[j] whose b[j] is +0.0 or -0.0, so each term is a zero while the
-    quotient is finite, and subtracting a zero changes a slot only when it
-    holds -0.0: -0.0 - (-0.0) is +0.0."""
-    q = a / b0
-    # -0.0 is the least int64, so a[1:] holds none where its least bits are greater
-    if len(a) == 1 or (np.isfinite(q).all() and a[1:].view(np.int64).min() != _NEGATIVE_ZERO):
-        return q
-    return None
 
 
 class Jet:
@@ -455,15 +456,11 @@ class Jet:
             if zero is not None:
                 raise JetDomainError("division by zero", zero)
             return Jet(self.order, self.nvars, self.coeffs / other, self.degree, self.support)
-        a, b = self.coeffs, rhs.coeffs
-        zero = first_index(b[0] == 0.0)
+        zero = first_index(rhs.coeffs[0] == 0.0)
         if zero is not None:
             raise JetDomainError("division by a jet with zero value", zero)
-        q = _quotient_by_constant(a, b[0]) if rhs.degree == 0 else None
-        if q is None:
-            q = _space(self.order, self.nvars).divide(a, b)
-        return Jet(self.order, self.nvars, q, self.degree if rhs.degree == 0 else self.order,
-                   self.support | rhs.support)
+        return Jet(self.order, self.nvars, _space(self.order, self.nvars).divide(self, rhs),
+                   self.degree if rhs.degree == 0 else self.order, self.support | rhs.support)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):

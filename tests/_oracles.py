@@ -8,7 +8,8 @@ against roundoff amplification. `mp_partial` is the exception: it evaluates
 an expression tree in 30-digit mpmath arithmetic, where a finite difference
 carries no float roundoff, so it serves as a reference to ~1e-25.
 `mp_laplace_beltrami` builds the divergence form of the Laplacian the same
-way, from nested mpmath derivatives of an immersion and a field.
+way, from nested mpmath derivatives of a field and of an immersion or the
+entries of an explicit metric.
 
 The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
@@ -188,36 +189,48 @@ def _mp_partial1(fn, x, i):
     return mp.diff(fn, x, tuple(int(k == i) for k in range(len(x))))
 
 
-def mp_laplace_beltrami(immersion, params, f, point):
+def mp_laplace_beltrami(metric, params, f, point):
     """The Laplace-Beltrami operator of the expression f at a float point of
-    the chart whose metric the immersion induces, g = J^T J from the
-    immersion's Jacobian J: the divergence form (1/sqrt g) d_i (sqrt g g^ij
-    d_j f), each derivative a nested `mp.diff` in 30-digit arithmetic,
-    rounded to a float. Independent of jets and of the metric frame."""
+    a chart whose metric is given as a manifest's `chart.metric`: induced,
+    {"mode": "induced", "immersion": [...]}, g = J^T J from the immersion's
+    Jacobian J, or explicit, {"mode": "explicit", "g": [...]}, the entries of
+    its upper triangle. The divergence form (1/sqrt g) d_i (sqrt g g^ij d_j
+    f), each derivative a nested `mp.diff` in 30-digit arithmetic, g^ij by
+    mpmath's matrix inverse, rounded to a float. Independent of jets and of
+    the metric frame."""
     names = list(params)
-    comps = [parse(e) if isinstance(e, str) else e for e in immersion]
-    field = parse(f) if isinstance(f, str) else f
 
-    def function(ast):
+    def function(e):
+        ast = parse(e) if isinstance(e, str) else e
         return lambda *x: _mp_value(ast, dict(zip(names, x)))
 
-    def metric(x):
-        jac = mp.matrix([[_mp_partial1(function(c), x, i) for i in range(len(x))]
-                         for c in comps])
-        return jac.T * jac
+    if metric["mode"] == "induced":
+        comps = [function(e) for e in metric["immersion"]]
+
+        def metric_at(x):
+            jac = mp.matrix([[_mp_partial1(c, x, i) for i in range(len(x))] for c in comps])
+            return jac.T * jac
+    else:
+        entry = {(i, i + k): function(e) for i, row in enumerate(metric["g"])
+                 for k, e in enumerate(row)}
+
+        def metric_at(x):
+            return mp.matrix([[entry[min(i, j), max(i, j)](*x) for j in range(len(x))]
+                              for i in range(len(x))])
+    field = function(f)
 
     def flux(i):
         def at(*x):
-            g = metric(x)
+            g = metric_at(x)
             inverse = g ** -1
-            grad = [_mp_partial1(function(field), x, j) for j in range(len(x))]
+            grad = [_mp_partial1(field, x, j) for j in range(len(x))]
             return mp.sqrt(mp.det(g)) * mp.fsum(inverse[i, j] * d for j, d in enumerate(grad))
         return at
 
     with mp.workdps(30):
         x = tuple(mp.mpf(c) for c in point)
         div = mp.fsum(_mp_partial1(flux(i), x, i) for i in range(len(x)))
-        return float(div / mp.sqrt(mp.det(metric(x))))
+        return float(div / mp.sqrt(mp.det(metric_at(x))))
 
 
 def induced_metric_fn(immersion_sources, params, h=1e-3):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bieigen import build_map, catalog_get, catalog_list, catalog_names, jets
@@ -130,16 +131,18 @@ def test_entries_have_notes_and_names_match_manifest():
 
 def test_a_scaled_map_divides_by_its_constants_elementwise(monkeypatch):
     # cos(sqrt(2)*t)/sqrt(2) on a flat chart: every divisor, in the map and in
-    # the metric frame, is a constant, and none needs the division recurrence
+    # the metric frame, is a constant, so every quotient is one division
     entry = catalog_get("small_circle_S2")
     assert "/sqrt(2)" in entry.manifest["map"]["components"][0]
-    quotients, recurrences = [], []
-    by_constant, divide = jets._quotient_by_constant, jets._JetSpace.divide
-    monkeypatch.setattr(jets, "_quotient_by_constant",
-                        lambda a, b0: quotients.append(by_constant(a, b0)) or quotients[-1])
-    monkeypatch.setattr(jets._JetSpace, "divide",
-                        lambda self, a, b: recurrences.append(b) or divide(self, a, b))
+    quotients, divide = [], jets._JetSpace.divide
+
+    def record(self, a, b):
+        quotients.append((b.degree, divide(self, a, b), a.coeffs / b.coeffs[0]))
+        return quotients[-1][1]
+    monkeypatch.setattr(jets._JetSpace, "divide", record)
     _, smap = build_map(entry.manifest)
     classify(smap, 64)
-    assert len(quotients) >= 10 and all(q is not None for q in quotients)
-    assert recurrences == []
+    assert len(quotients) >= 10
+    for degree, got, elementwise in quotients:
+        assert degree == 0
+        np.testing.assert_array_equal(got.view(np.int64), elementwise.view(np.int64))

@@ -287,6 +287,20 @@ def test_nan_bienergy_density_names_the_quantity_and_cell(tmp_path, capsys, grid
                             f"is nan at ({cell},)\n")
 
 
+def test_bienergy_refuses_a_map_off_its_sphere_as_classify_does(tmp_path, capsys):
+    # a circle of radius 2 declared on the unit sphere
+    doc = {**VARYING_DENSITY, "name": "off_sphere",
+           "map": {"target": "sphere", "components": ["2*cos(t)", "2*sin(t)"]}}
+    path = _write(tmp_path, doc)
+    for argv, point in ((["classify", path], 0.04908738521234052),
+                        (["bienergy", path, "--grid", "8"], 0.39269908169872414)):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"evaluation error: |phi|^2 deviates from r^2 by "
+                                f"3.000e+00 at ({point},)\n")
+
+
 @pytest.mark.parametrize("target, components, named", [
     ("euclidean", ["(1e200)^2"], "map component 0 is inf"),
     ("euclidean", ["(1e200)^2*t"], "map component 0 is inf"),

@@ -2,9 +2,10 @@
 with the induced metric, whose frames go through the 3x3 and 4x4 cofactor
 determinants and adjugates with 35- and 70-coefficient jets on a metric that
 varies from point to point. They live here rather than in the catalog, whose
-entries the benchmark iterates. The Laplacian on such charts, and on a random
-non-diagonal induced 3-D metric, is also checked against the 30-digit
-divergence form of `_oracles.mp_laplace_beltrami`."""
+entries the benchmark iterates. The Laplacian on such charts, on a random
+non-diagonal induced 3-D metric and on random non-diagonal explicit 3-D and
+4-D metrics, is also checked against the 30-digit divergence form of
+`_oracles.mp_laplace_beltrami`."""
 
 import math
 
@@ -152,7 +153,26 @@ def _random_induced_3d():
     chart = Chart.induced(params, [(0.2, 1.0)] * 3, immersion)
     components = [random_smooth_source(rng, params) for _ in range(3)]
     points = [random_point(rng, 3) for _ in range(3)]
-    return params, immersion, components, SphereMap.build(chart, components, "euclidean"), points
+    return (params, {"mode": "induced", "immersion": immersion}, components,
+            SphereMap.build(chart, components, "euclidean"), points)
+
+
+def _random_explicit(m):
+    """An m-D chart with an explicit metric whose entries vary and are all
+    nonzero: 2 + sin(h)^2 on the diagonal and 0.2 sin(h) off it, for random
+    smooth h, so g is diagonally dominant, hence positive definite; g^ij is
+    a cofactor over det g of jets that vary from point to point. A Euclidean
+    map of random smooth components."""
+    rng = np.random.default_rng(20 + m)
+    params = ("u", "v", "w", "x")[:m]
+    triangle = [[(f"2 + sin({random_smooth_source(rng, params)})^2" if k == 0 else
+                  f"0.2*sin({random_smooth_source(rng, params)})") for k in range(m - i)]
+                for i in range(m)]
+    chart = Chart.explicit(params, [(0.2, 1.0)] * m, triangle)
+    components = [random_smooth_source(rng, params) for _ in range(2)]
+    points = [random_point(rng, m) for _ in range(3)]
+    return (params, {"mode": "explicit", "g": triangle}, components,
+            SphereMap.build(chart, components, "euclidean"), points)
 
 
 def _half_s4_in_s5():
@@ -162,20 +182,22 @@ def _half_s4_in_s5():
               for _ in range(3)]
     components = doc["map"]["components"]
     # a component of one variable, one of two and the product of all four sines
-    return (doc["chart"]["params"], doc["chart"]["metric"]["immersion"],
+    return (doc["chart"]["params"], doc["chart"]["metric"],
             [components[k] for k in (0, 1, 4)], build_map(doc)[1], points)
 
 
-@pytest.mark.parametrize("case", [_random_induced_3d, _half_s4_in_s5],
-                         ids=["random_induced_3d", "S4_half_in_S5"])
+@pytest.mark.parametrize("case", [_random_induced_3d, _half_s4_in_s5,
+                                  lambda: _random_explicit(3), lambda: _random_explicit(4)],
+                         ids=["random_induced_3d", "S4_half_in_S5", "random_explicit_3d",
+                              "random_explicit_4d"])
 def test_laplacian_meets_the_high_precision_divergence_form(case):
     # an oracle free of jets and of the metric frame: nested mpmath
-    # derivatives of the immersion and the field at 30 digits
-    params, immersion, components, smap, points = case()
+    # derivatives of the metric and the field at 30 digits
+    params, metric, components, smap, points = case()
     batch = analyze_samples(smap, points)
     index = [smap.components.index(parse(c)) for c in components]
     for p, point in enumerate(points):
         for a, component in zip(index, components):
-            want = mp_laplace_beltrami(immersion, params, component, point)
+            want = mp_laplace_beltrami(metric, params, component, point)
             assert batch.lap_phi[p, a] == pytest.approx(want, rel=1e-9, abs=1e-12), \
                 (point, component)

@@ -326,6 +326,14 @@ _LIVE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-3
                   st.floats(-4.0, 4.0))
 
 
+def _dead_slots(space, degree, support):
+    """Where a jet of this degree and support holds +0.0 or -0.0: the slots
+    above the degree, and those involving a variable outside the support."""
+    return np.array([sum(alpha) > degree or any(power and not support >> v & 1
+                                                for v, power in enumerate(alpha))
+                     for alpha in space.multi_indices])
+
+
 @st.composite
 def _filtered_factors(draw, count, min_order=0, constant=False):
     """`count` jets of one (order, nvars) signature, at one point or at
@@ -336,9 +344,6 @@ def _filtered_factors(draw, count, min_order=0, constant=False):
     space = jets._space(order, nvars)
     block = draw(st.booleans())
     forced = draw(st.sets(st.integers(0, count - 1), min_size=1)) if constant else set()
-    slot_degree = np.array([sum(alpha) for alpha in space.multi_indices])
-    uses = np.array([sum(1 << v for v, power in enumerate(alpha) if power)
-                     for alpha in space.multi_indices])  # each slot's variables
     out = []
     for index in range(count):
         shape = (space.size, draw(st.sampled_from([3, 1]))) if block else (space.size,)
@@ -348,8 +353,7 @@ def _filtered_factors(draw, count, min_order=0, constant=False):
         live = np.array(draw(st.lists(_LIVE, min_size=size, max_size=size)))
         zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
                                        min_size=size, max_size=size)))
-        dead = (slot_degree > degree) | ((uses & ~support) != 0)
-        dead = np.broadcast_to(dead.reshape((-1,) + (1,) * (len(shape) - 1)), shape)
+        dead = _dead_slots(space, degree, support).reshape((-1,) + (1,) * (len(shape) - 1))
         out.append(Jet(order, nvars, np.where(dead, zeros.reshape(shape), live.reshape(shape)),
                        degree, support))
     return order, nvars, out
@@ -402,14 +406,18 @@ def test_a_product_with_an_infinite_constant_forms_only_the_live_slots():
         np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
 
 
-def _recurrence(a, b):
-    """q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0]."""
+def _recurrence(a, b, bounded=True):
+    """q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0].
+    `bounded` skips the terms whose slot j lies outside b's degree or support,
+    or whose output slot k outside the quotient's support, a.support | b.support."""
     space = jets._space(a.order, a.nvars)
+    dead_in_b = _dead_slots(space, b.degree, b.support)
+    dead_in_q = _dead_slots(space, a.order, a.support | b.support)
     terms = [[] for _ in range(space.size)]
     for i, alpha in enumerate(space.multi_indices):
         for j, beta in enumerate(space.multi_indices):
             k = space.position.get(tuple(x + y for x, y in zip(alpha, beta)))
-            if j and k is not None:
+            if j and k is not None and not (bounded and (dead_in_b[j] or dead_in_q[k])):
                 terms[k].append((i, j))
     want = np.zeros(np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape))
     with np.errstate(all="ignore"):
@@ -421,10 +429,15 @@ def _recurrence(a, b):
     return want
 
 
+def _nonzero_value(b):
+    """b with 1.5 in place of a zero value, which division refuses."""
+    value = b.coeffs[:1]
+    return Jet(b.order, b.nvars, np.concatenate([np.where(value == 0.0, 1.5, value),
+                                                 b.coeffs[1:]]), b.degree, b.support)
+
+
 def _assert_quotient_is_the_recurrence(a, b):
-    value = b.coeffs[:1]  # a zero divisor value is refused
-    b = Jet(b.order, b.nvars, np.concatenate([np.where(value == 0.0, 1.5, value), b.coeffs[1:]]),
-            b.degree, b.support)
+    b = _nonzero_value(b)
     with np.errstate(all="ignore"):
         got = a / b
     np.testing.assert_array_equal(got.coeffs.view(np.int64), _recurrence(a, b).view(np.int64))
@@ -439,33 +452,69 @@ def test_quotient_equals_the_recurrence_bit_for_bit(case):
 @settings(max_examples=150, deadline=None)
 @given(_filtered_factors(2, constant=True))
 def test_a_quotient_with_a_constant_equals_the_recurrence_bit_for_bit(case):
-    # a constant divisor divides elementwise where that keeps the bits
+    # a constant divisor has no terms: one elementwise division
     _assert_quotient_is_the_recurrence(*case[2])
 
 
-@pytest.mark.parametrize("numerator, divisor, fast", [
-    ([1.0, 0.5, 3.0], [2.0, -0.0, 0.0], True),
-    ([1.0, -0.0, 3.0], [2.0, -0.0, 0.0], False),  # -0.0 - (-0.0) is +0.0
-    ([1e308, 1e308, 1.0], [1e-10, 0.0, 0.0], False),  # a / b0 overflows to inf
-    ([math.inf, 0.0, 0.0], [2.0, 0.0, 0.0], False),  # inf * 0.0 in a term is NaN
-    ([1.0, 0.5, 3.0], [math.inf, 0.0, 0.0], True),
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_filtered_factors(2), _filtered_factors(2, constant=True)))
+def test_a_quotient_is_the_full_recurrence_wherever_that_holds_a_number(case):
+    # a skipped term is a zero unless the full recurrence forms inf * 0.0 =
+    # NaN, so only NaN slots and the sign of a zero may differ
+    a, b = case[2][0], _nonzero_value(case[2][1])
+    with np.errstate(all="ignore"):
+        got = (a / b).coeffs
+    full = _recurrence(a, b, bounded=False)
+    number = ~np.isnan(full)
+    np.testing.assert_array_equal(got[number], full[number])  # -0.0 == 0.0
+    nonzero = number & (full != 0.0)
+    np.testing.assert_array_equal(got[nonzero].view(np.int64), full[nonzero].view(np.int64))
+
+
+@pytest.mark.parametrize("numerator, divisor, want", [
+    ([1.0, 0.5, 3.0], [2.0, -0.0, 0.0], [0.5, 0.25, 1.5]),
+    ([1.0, -0.0, 3.0], [2.0, -0.0, 0.0], [0.5, -0.0, 1.5]),  # the full recurrence: +0.0
+    ([1e308, 1e308, 1.0], [1e-10, 0.0, 0.0], [math.inf, math.inf, 1.0 / 1e-10]),  # and NaN
+    ([math.inf, 0.0, 0.0], [2.0, 0.0, 0.0], [math.inf, 0.0, 0.0]),  # and NaN
+    ([1.0, 0.5, 3.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
 ], ids=["elementwise", "negative-zero", "overflow", "infinite-constant", "infinite-divisor"])
-def test_a_constant_divisor_runs_the_recurrence_only_where_its_bits_differ(
-        numerator, divisor, fast, monkeypatch):
-    calls = []
-    divide = jets._JetSpace.divide
-    monkeypatch.setattr(jets._JetSpace, "divide",
-                        lambda self, a, b: calls.append(1) or divide(self, a, b))
+def test_a_constant_divisor_divides_every_slot_elementwise(numerator, divisor, want):
     a = Jet(2, 1, numerator, 0 if numerator[1:] == [0.0, 0.0] else 2)
     b = Jet(2, 1, divisor, 0)
+    assert not jets._space(2, 1)._div_table(0, 0, a.support)  # no recurrence term
     with np.errstate(all="ignore"):
         got = a / b
-    want = _recurrence(a, b)
-    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.view(np.int64))
-    assert calls == ([] if fast else [1])
-    if not fast:  # one division would not have given these bits
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), np.array(want).view(np.int64))
+    assert (got.degree, got.support) == (a.degree, a.support)
+
+
+def _assert_within_bounds(jet):
+    dead = _dead_slots(jets._space(jet.order, jet.nvars), jet.degree, jet.support)
+    np.testing.assert_array_equal(jet.coeffs[dead], 0.0)  # +0.0 or -0.0, not NaN
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_filtered_factors(2), _filtered_factors(2, constant=True)))
+def test_every_operation_keeps_its_degree_and_support_bounds(case):
+    # later products skip the slots the bounds show to be zero
+    a, b = case[2]
+    with np.errstate(all="ignore"):
+        for result in (a * b, a / _nonzero_value(b), a + b, a - b, -a):
+            _assert_within_bounds(result)
+
+
+def test_a_quotient_forms_no_nan_where_its_bounds_show_a_zero():
+    # the full recurrence forms inf * 0.0 = NaN in the slots above the value
+    # (degree 0) and in slot (1, 1), which involves u_0 outside the support
+    for a, b, want in (
+            (jets.constant(math.inf, 2, 1), jets.constant(2.0, 2, 1), [math.inf, 0.0, 0.0]),
+            (Jet(2, 2, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 1, 0b10),
+             Jet(2, 2, [1.0, 0.0, math.inf, 0.0, 0.0, 0.0], 2, 0b10),
+             [1.0, 0.0, -math.inf, 0.0, 0.0, math.inf])):
         with np.errstate(all="ignore"):
-            assert not np.array_equal((a.coeffs / b.value).view(np.int64), want.view(np.int64))
+            got = a / b
+        np.testing.assert_array_equal(got.coeffs.view(np.int64), np.array(want).view(np.int64))
+        _assert_within_bounds(got)
 
 
 def _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction):
