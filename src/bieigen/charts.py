@@ -18,11 +18,13 @@ the bi-Laplacian value.
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
 metric and the caller's fields at the orders of that budget; det g and g^ij
-come from one cofactor pass over g, which expands each minor once. The
-one-point functions (`metric_frame` of one point, `laplace_beltrami`,
-`bilaplacian`, `gradient_pushforward`) evaluate a block of one. A failing
-check raises for the first offending point of the block and carries its
-index in `index`.
+come from one cofactor pass over g, which expands each minor once. g, its
+adjugate, g^ij and the flux coefficients sqrt|g| g^ij are symmetric: each
+entry is formed once per unordered pair (i, j), from the cofactor C(i, j)
+with j >= i, and its mirror is the same jet. The one-point functions
+(`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
+`gradient_pushforward`) evaluate a block of one. A failing check raises for
+the first offending point of the block and carries its index in `index`.
 """
 
 import math
@@ -215,19 +217,31 @@ def _periodic_flags(periodic, m):
 # jet linear algebra on small matrices
 # --------------------------------------------------------------------------
 
+def _symmetric(m, entry):
+    """The m x m matrix of entry(i, j) for j >= i: each is formed once, and
+    its mirror [j][i] is the same object."""
+    matrix = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            matrix[i][j] = matrix[j][i] = entry(i, j)
+    return matrix
+
+
 def _cofactors(mat):
-    """det and adjugate of a square matrix of jets from one cofactor
+    """det and adjugate of a symmetric matrix of jets from one cofactor
     expansion along the first row: each distinct minor, keyed by its (rows,
     cols), is expanded once, and det, the minor of the whole matrix, reuses
     the row-0 cofactors. A minor keeps the operands and the order of its own
     expansion (IEEE a - b is a + (-b)), so the bits are those of expanding it
-    alone.
+    alone. The adjugate of a symmetric matrix is symmetric, so only the
+    cofactors C(i, j) with j >= i are expanded, and adj[i][j] is adj[j][i].
 
     A minor on rows R is read only by the minors on rows (r,) + R, so the
     minors the cofactors of row i read are on the suffixes of the rows
     other than i. The cofactors are formed row by row, and a minor that is
     not on a suffix of the current rows is not read again: it is dropped,
-    so a 4 x 4 matrix holds 6 of its 18 distinct 2 x 2 minors at a time."""
+    so a 4 x 4 matrix holds 6 of the 14 distinct 2 x 2 minors it expands at
+    a time."""
     minors = {}
 
     def minor(rows, cols):
@@ -249,9 +263,9 @@ def _cofactors(mat):
         rows = full[:i] + full[i + 1:]
         for key in [key for key in minors if key[0] != rows[-len(key[0]):]]:
             del minors[key]
-        for j in full:
+        for j in full[i:]:
             cofactor = minor(rows, full[:j] + full[j + 1:])
-            adj[j][i] = -cofactor if (i + j) % 2 else cofactor
+            adj[j][i] = adj[i][j] = -cofactor if (i + j) % 2 else cofactor
     minors.clear()  # `minor` refers to itself, so the memo would wait for the cycle collector
     return det, adj
 
@@ -259,7 +273,8 @@ def _cofactors(mat):
 class MetricFrame:
     """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, the values
     of g_ij and g^ij with the points on the first axis, and the jets of the
-    fields the frame was asked for, one order above the frame."""
+    fields the frame was asked for, one order above the frame. The matrices
+    of jets are symmetric: each mirrored entry is the same object."""
 
     def __init__(self, chart, order, g, g_inv, sqrt_det, g_values, g_inv_values,
                  fields=()):
@@ -272,13 +287,13 @@ class MetricFrame:
         self.g_inv_values = g_inv_values
         self.fields = fields
         # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
-        self.flux = [[sqrt_det * entry for entry in row] for row in g_inv]
+        self.flux = _symmetric(len(g_inv), lambda i, j: sqrt_det * g_inv[i][j])
 
     def at(self, index):
         """The frame at position `index` of the block in the one-point form:
         one-point jets and (m, m) values."""
         def pick(matrix):
-            return [[jet.at(index) for jet in row] for row in matrix]
+            return _symmetric(len(matrix), lambda i, j: matrix[i][j].at(index))
         return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
                            self.sqrt_det.at(index), self.g_values[index],
                            self.g_inv_values[index],
@@ -297,19 +312,12 @@ def _metric_jets(chart, coords, order, env, memo):
     entries are one object. An induced metric evaluates its immersion in
     `env` and `memo` (see `metric_frame`)."""
     m = chart.dim
-    g = [[None] * m for _ in range(m)]
     if isinstance(chart.metric, InducedMetric):
         x_jets = [eval_jet(e, env, memo) for e in chart.metric.immersion]
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                g[i][j] = g[j][i] = reduce(add, (x * y for x, y in zip(dx[i], dx[j])))
-    else:
-        env, memo = chart._coordinate_jets(coords, order), {}
-        for i in range(m):
-            for j in range(i, m):
-                g[i][j] = g[j][i] = eval_jet(chart.metric.entries[i][j], env, memo)
-    return g
+        return _symmetric(m, lambda i, j: reduce(add, (x * y for x, y in zip(dx[i], dx[j]))))
+    env, memo = chart._coordinate_jets(coords, order), {}
+    return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j], env, memo))
 
 
 def metric_frame(chart, points, order=3, fields=()):
@@ -351,7 +359,7 @@ def metric_frame(chart, points, order=3, fields=()):
             f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
     field_jets = [eval_jet(_as_expr(f), env, memo) for f in fields]
 
-    g_inv = [[cofactor / det for cofactor in row] for row in adj]
+    g_inv = _symmetric(len(adj), lambda i, j: adj[i][j] / det)
     return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), g_values,
                        _values(g_inv, len(points)), field_jets)
 

@@ -29,8 +29,12 @@ by a degree-0 jet the numerator's, and every other operation the full
 order. `support`, a bit mask, holds the variables their monomials may
 involve: variable i has {i} and a constant none, and +, -, *, / and the
 elementary functions take the union of their operands' supports, which
-truncation, differentiation and `at` keep. A jet that either bound shows to
-be constant has degree 0 and support 0. A product skips the terms a[i] *
+truncation and `at` keep. A derivative d/du_i keeps the support and is one
+degree lower, but one in a direction outside the support is zero in every
+slot (`_derivative_bounds`, for `extract_derivative` and `dot_derivative`
+alike). A jet that either bound shows to be constant has degree 0 and
+support 0, so a product with such a derivative, d_j phi^A of a component
+that does not involve u_j, is elementwise. A product skips the terms a[i] *
 b[j] in which a slot above its factor's degree, or one that involves a
 variable outside its factor's support, takes part, so a constant, a linear
 operand or a factor in a few of the variables (sin(a)*sin(b)*cos(c) on a
@@ -50,11 +54,13 @@ constant's value, each term above the value added to +0.0. A quotient
 skips terms by the same rule: its recurrence subtracts q[i] * b[j] from
 a[k] only where the divisor slot j lies within b's bounds and the output
 slot k within the quotient's support, so a degree-0 divisor has no terms
-and its quotient is one elementwise division a / b[0]. Each skipped term
-is a zero while the quotient is finite, so a quotient differs from the
-full recurrence only in the sign of a zero slot (-0.0 - (-0.0) is +0.0),
-and where a skipped term would have been inf * 0.0 = NaN in a slot that
-the bounds show to be zero.
+and its quotient is one elementwise division a / b[0]. It forms only the
+slots its own bounds leave live, and every other slot is +0.0, as in a
+product, whatever the divisor's value, NaN and inf included. Each skipped
+term is a zero while the quotient is finite, so a quotient differs from
+the full recurrence only in the sign of a zero slot (-0.0 - (-0.0) is
++0.0), and where the full recurrence would have formed inf * 0.0 = NaN,
+or a NaN divisor a NaN, in a slot that the bounds show to be zero.
 """
 
 import math
@@ -219,7 +225,9 @@ class _JetSpace:
         degree and support, one per output slot, the value slot included
         (see `_mul_table`): the second factor's slots; the output slots they
         fill, or None where that is every output slot; and the output slot
-        count. Consecutive slots are a slice."""
+        count. Consecutive slots are a slice. Without a direction, both are
+        the slots live in a jet of this degree and support, which `divide`
+        forms."""
         _, src, _, unperm, dst = self._mul_table(0, degree, 0, support, direction)
         if direction is None:
             src, dst = np.append(0, src), np.append(0, dst)
@@ -290,16 +298,26 @@ class _JetSpace:
     def divide(self, a, b):
         """The coefficients of the truncated quotient of jets a and b, by the
         Taylor division recurrence with the terms their bounds show to be
-        zero skipped (see `_div_table`); b's value has no zero. Each slot
-        starts as a[k] / b[0], which is its quotient where it has no term,
-        so a degree-0 divisor divides elementwise."""
+        zero skipped (see `_div_table`); b's value has no zero. Only the
+        slots live in the quotient (`_quotient_bounds`) are formed, those a
+        product with a constant scales (`_scale_table`), and every other
+        slot is +0.0, as in a product. Each live slot starts as a[k] / b[0],
+        which is its quotient where it has no term, so a degree-0 divisor
+        divides elementwise."""
         x, y = a.coeffs, b.coeffs
         b0 = y[0]
-        q = x / b0  # broadcast over the block, as the quotient is
+        src, dst, count = self._scale_table(*_quotient_bounds(a, b), None)
+        if dst is None:
+            q = x / b0  # broadcast over the block, as the quotient is
+        else:
+            q = np.zeros((count,) + (x if x.size >= y.size else y).shape[1:])
+            q[dst] = x[src] / b0
         for slots, qi, bj, sizes in self._div_table(b.degree, b.support,
                                                     a.support | b.support):
-            # a copy over the whole block, in the permuted slot order of the rounds
-            acc = np.broadcast_to(x, q.shape)[slots]
+            # the numerator's slots over the whole block, in the permuted slot
+            # order of the rounds
+            acc = np.empty((len(slots),) + q.shape[1:])
+            acc[...] = x[slots]
             _fold(np.subtract, acc, q, qi, y, bj, sizes)
             q[slots] = acc / b0
         return q
@@ -460,7 +478,7 @@ class Jet:
         if zero is not None:
             raise JetDomainError("division by a jet with zero value", zero)
         return Jet(self.order, self.nvars, _space(self.order, self.nvars).divide(self, rhs),
-                   self.degree if rhs.degree == 0 else self.order, self.support | rhs.support)
+                   *_quotient_bounds(self, rhs))
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, float)):
@@ -488,10 +506,24 @@ class Jet:
             raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
         src, fac = _space(self.order, self.nvars).diff_table(direction)
         return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs),
-                   max(self.degree - 1, 0), self.support)
+                   *_derivative_bounds(self.degree, self.support, direction))
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, coeffs={self.coeffs!r})"
+
+
+def _quotient_bounds(a, b):
+    """The degree and support of the quotient a / b of two jets: a's degree
+    where b is constant, else the full order, and the union of the
+    supports."""
+    return a.degree if b.degree == 0 else a.order, a.support | b.support
+
+
+def _derivative_bounds(degree, support, direction):
+    """The degree and support of d/du_direction of a jet with these bounds:
+    one degree lower, or degree 0 and support 0 where the support does not
+    hold the direction, since every slot that involves it is then a zero."""
+    return (max(degree - 1, 0), support) if support >> direction & 1 else (0, 0)
 
 
 def variable(index, value, order, nvars):
@@ -551,8 +583,8 @@ def dot_derivative(xs, ys, direction):
         total = product if total is None else total + product
         degree, support = max(degree, x.degree + y.degree), support | x.support | y.support
     _, fac = space.diff_table(direction)
-    return Jet(head.order - 1, head.nvars, total * _rows(fac, total), max(degree - 1, 0),
-               support)
+    return Jet(head.order - 1, head.nvars, total * _rows(fac, total),
+               *_derivative_bounds(degree, support, direction))
 
 
 def power(a, exponent):

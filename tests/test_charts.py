@@ -262,21 +262,42 @@ def _same_bits(a, b):
     np.testing.assert_array_equal(a.coeffs.view(np.int64), b.coeffs.view(np.int64))
 
 
+# explicit charts whose metric entries all vary, diagonally dominant on the box
+_PARAMS = ("u", "v", "w", "x")
+_VARYING = {m: Chart.explicit(_PARAMS[:m], [(0.2, 1.0)] * m,
+                              [[(f"2 + {_PARAMS[i]}^2" if k == 0 else
+                                 f"0.1*{_PARAMS[i]}*{_PARAMS[i + k]}") for k in range(m - i)]
+                               for i in range(m)])
+            for m in range(1, 5)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([1, 3]),
        st.integers(0, 2 ** 32 - 1))
 def test_cofactor_pass_equals_each_minor_expanded_on_its_own(m, order, points, seed):
+    # each formed cofactor C(i, j), j >= i, is adj[j][i]; adj[i][j] is its mirror
     mat = _symmetric_jet_matrix(m, order, points, seed)
     det, adj = _cofactors(mat)
     _same_bits(det, _det(mat))
-    for row, ref_row in zip(adj, _adjugate(mat, jets.constant_like(1.0, det))):
-        for entry, ref in zip(row, ref_row):
-            _same_bits(entry, ref)
+    ref = _adjugate(mat, jets.constant_like(1.0, det))
+    for i in range(m):
+        for j in range(i, m):
+            _same_bits(adj[j][i], ref[j][i])
+            assert adj[i][j] is adj[j][i]
+    # and g^ij and sqrt|g| g^ij of a metric frame, at a block and at one point
+    block = np.random.default_rng(seed).uniform(0.3, 0.9, (points, m))
+    for where in (block, block[0]):
+        frame = metric_frame(_VARYING[m], where, order)
+        for i in range(m):
+            for j in range(i, m):
+                assert frame.g_inv[i][j] is frame.g_inv[j][i]
+                assert frame.flux[i][j] is frame.flux[j][i]
 
 
-@pytest.mark.parametrize("m, products", [(2, 2), (3, 21), (4, 88)])
+@pytest.mark.parametrize("m, products", [(2, 2), (3, 15), (4, 62)])
 def test_cofactor_pass_expands_each_minor_once(monkeypatch, m, products):
-    # expanding every minor on its own takes 2, 27 and 184 products
+    # expanding every minor on its own takes 2, 27 and 184 products, and all
+    # m^2 cofactors of one pass 2, 21 and 88
     mat = _symmetric_jet_matrix(m, 1, 1, m)
     calls = []
     multiply = Jet.__mul__

@@ -143,36 +143,44 @@ def test_one_point_operators_on_the_round_sphere(smap):
                 np.eye(len(x))[a] - x[a] * x, atol=1e-12)
 
 
-def _random_induced_3d():
+def _euclidean_manifest(name, params, metric, components):
+    """A Euclidean map on the chart (params, metric) over the box [0.2, 1]^m."""
+    return {"name": name,
+            "chart": {"params": list(params), "domain": [[0.2, 1.0]] * len(params),
+                      "metric": metric},
+            "map": {"target": "euclidean", "components": components}}
+
+
+def random_induced_3d():
     """A 3-D graph chart (u, v, w) -> (u, v, w, h1, h2) with random smooth
     heights, so g = I + dh^T dh varies and has off-diagonal entries, and a
-    Euclidean map of random smooth components."""
+    Euclidean map of random smooth components: the manifest, its components
+    and three points."""
     rng = np.random.default_rng(5)
     params = ("u", "v", "w")
     immersion = list(params) + [random_smooth_source(rng, params) for _ in range(2)]
-    chart = Chart.induced(params, [(0.2, 1.0)] * 3, immersion)
     components = [random_smooth_source(rng, params) for _ in range(3)]
-    points = [random_point(rng, 3) for _ in range(3)]
-    return (params, {"mode": "induced", "immersion": immersion}, components,
-            SphereMap.build(chart, components, "euclidean"), points)
+    doc = _euclidean_manifest("random_induced_3d", params,
+                              {"mode": "induced", "immersion": immersion}, components)
+    return doc, components, [random_point(rng, 3) for _ in range(3)]
 
 
-def _random_explicit(m):
+def random_explicit(m):
     """An m-D chart with an explicit metric whose entries vary and are all
     nonzero: 2 + sin(h)^2 on the diagonal and 0.2 sin(h) off it, for random
     smooth h, so g is diagonally dominant, hence positive definite; g^ij is
     a cofactor over det g of jets that vary from point to point. A Euclidean
-    map of random smooth components."""
+    map of random smooth components: the manifest, its components and three
+    points."""
     rng = np.random.default_rng(20 + m)
     params = ("u", "v", "w", "x")[:m]
     triangle = [[(f"2 + sin({random_smooth_source(rng, params)})^2" if k == 0 else
                   f"0.2*sin({random_smooth_source(rng, params)})") for k in range(m - i)]
                 for i in range(m)]
-    chart = Chart.explicit(params, [(0.2, 1.0)] * m, triangle)
     components = [random_smooth_source(rng, params) for _ in range(2)]
-    points = [random_point(rng, m) for _ in range(3)]
-    return (params, {"mode": "explicit", "g": triangle}, components,
-            SphereMap.build(chart, components, "euclidean"), points)
+    doc = _euclidean_manifest(f"random_explicit_{m}d", params,
+                              {"mode": "explicit", "g": triangle}, components)
+    return doc, components, [random_point(rng, m) for _ in range(3)]
 
 
 def _half_s4_in_s5():
@@ -182,18 +190,19 @@ def _half_s4_in_s5():
               for _ in range(3)]
     components = doc["map"]["components"]
     # a component of one variable, one of two and the product of all four sines
-    return (doc["chart"]["params"], doc["chart"]["metric"],
-            [components[k] for k in (0, 1, 4)], build_map(doc)[1], points)
+    return doc, [components[k] for k in (0, 1, 4)], points
 
 
-@pytest.mark.parametrize("case", [_random_induced_3d, _half_s4_in_s5,
-                                  lambda: _random_explicit(3), lambda: _random_explicit(4)],
+@pytest.mark.parametrize("case", [random_induced_3d, _half_s4_in_s5,
+                                  lambda: random_explicit(3), lambda: random_explicit(4)],
                          ids=["random_induced_3d", "S4_half_in_S5", "random_explicit_3d",
                               "random_explicit_4d"])
 def test_laplacian_meets_the_high_precision_divergence_form(case):
     # an oracle free of jets and of the metric frame: nested mpmath
     # derivatives of the metric and the field at 30 digits
-    params, metric, components, smap, points = case()
+    doc, components, points = case()
+    params, metric = doc["chart"]["params"], doc["chart"]["metric"]
+    smap = build_map(doc)[1]
     batch = analyze_samples(smap, points)
     index = [smap.components.index(parse(c)) for c in components]
     for p, point in enumerate(points):

@@ -9,7 +9,8 @@ and CSV, so the per-point table is covered at a size past one analysis block;
 `kfold_equator_S2` has empty CSV cells and JSON nulls. The induced-metric
 hyperspheres of `test_curved.py` in dimensions 3 and 4 are pinned in JSON,
 CSV and bienergy, so the 35- and 70-coefficient jets of a varying metric are
-covered too.
+covered too, and so are its random induced 3-D and explicit 4-D charts, whose
+metrics have off-diagonal entries.
 The catalog values were captured when the jet engine still evaluated one
 point at a time, the 1024-sample ones while reports were still written row
 by row; a change to any of them is a change to the reports and has to be
@@ -31,7 +32,7 @@ import pytest
 from bieigen.catalog import catalog_get, catalog_list
 from bieigen.cli import main
 
-from test_curved import sphere_manifest
+from test_curved import random_explicit, random_induced_3d, sphere_manifest
 
 THEOREMS = ("takahashi", "t1", "t2", "t3", "t4")
 EQUATIONS = ("eq102", "mf", "me1")
@@ -103,16 +104,19 @@ def entry_commands(name):
     return commands
 
 
-# the induced-metric hyperspheres of tests/test_curved.py: (dimension,
-# lifted, samples, bienergy grid)
-CURVED = {"identity_S3": (3, False, 125, 6), "S3_half_in_S4": (3, True, 125, 6),
-          "S4_half_in_S5": (4, True, 81, 4)}
+# the curved charts of tests/test_curved.py, the induced-metric hyperspheres
+# and two random non-diagonal metrics: (manifest, samples, bienergy grid)
+CURVED = {"identity_S3": (lambda: sphere_manifest(3, False), 125, 6),
+          "S3_half_in_S4": (lambda: sphere_manifest(3, True), 125, 6),
+          "S4_half_in_S5": (lambda: sphere_manifest(4, True), 81, 4),
+          "random_induced_3d": (lambda: random_induced_3d()[0], 125, 6),
+          "random_explicit_4d": (lambda: random_explicit(4)[0], 81, 4)}
 
 
 def curved_pins(name, directory):
-    m, lifted, samples, grid = CURVED[name]
+    manifest, samples, grid = CURVED[name]
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(sphere_manifest(m, lifted)), encoding="utf-8")
+    path.write_text(json.dumps(manifest()), encoding="utf-8")
     commands = {f"classify_{fmt}": ["classify", str(path), "--samples", str(samples),
                                     "--format", fmt] for fmt in ("json", "csv")}
     commands["bienergy"] = ["bienergy", str(path), "--grid", str(grid)]

@@ -409,7 +409,9 @@ def test_a_product_with_an_infinite_constant_forms_only_the_live_slots():
 def _recurrence(a, b, bounded=True):
     """q[k] = (a[k] - the terms q[i] * b[j] with j != 0, in ascending (i, j)) / b[0].
     `bounded` skips the terms whose slot j lies outside b's degree or support,
-    or whose output slot k outside the quotient's support, a.support | b.support."""
+    or whose output slot k outside the quotient's support, a.support | b.support,
+    and leaves +0.0 in each slot outside the quotient's bounds: its degree is
+    a's where b's is 0, else the order."""
     space = jets._space(a.order, a.nvars)
     dead_in_b = _dead_slots(space, b.degree, b.support)
     dead_in_q = _dead_slots(space, a.order, a.support | b.support)
@@ -426,6 +428,9 @@ def _recurrence(a, b, bounded=True):
             for i, j in terms[k]:
                 acc = acc - want[i] * b.coeffs[j]
             want[k] = acc / b.coeffs[0]
+    if bounded:
+        want[_dead_slots(space, a.degree if b.degree == 0 else a.order,
+                         a.support | b.support)] = 0.0
     return want
 
 
@@ -493,21 +498,40 @@ def _assert_within_bounds(jet):
     np.testing.assert_array_equal(jet.coeffs[dead], 0.0)  # +0.0 or -0.0, not NaN
 
 
+def _with_value(jet, value):
+    """`jet` with `value` in its value slot at every point."""
+    coeffs = jet.coeffs.copy()
+    coeffs[0] = value
+    return Jet(jet.order, jet.nvars, coeffs, jet.degree, jet.support)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_filtered_factors(2), _filtered_factors(2, constant=True)))
-def test_every_operation_keeps_its_degree_and_support_bounds(case):
-    # later products skip the slots the bounds show to be zero
+@given(st.one_of(_filtered_factors(2), _filtered_factors(2, constant=True)),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 3))
+def test_every_operation_keeps_its_degree_and_support_bounds(case, divisor_value, direction):
+    # later products skip the slots the bounds show to be zero, and a
+    # derivative outside the support is a constant, so the bounds must hold
+    # whatever the divisor's value
     a, b = case[2]
+    b = _nonzero_value(b) if divisor_value is None else _with_value(b, divisor_value)
     with np.errstate(all="ignore"):
-        for result in (a * b, a / _nonzero_value(b), a + b, a - b, -a):
+        results = [a * b, a / b, a + b, a - b, -a]
+        if a.order:
+            direction %= a.nvars
+            results += [a.extract_derivative(direction),
+                        jets.dot_derivative([a], [b], direction)]
+        for result in results:
             _assert_within_bounds(result)
 
 
 def test_a_quotient_forms_no_nan_where_its_bounds_show_a_zero():
     # the full recurrence forms inf * 0.0 = NaN in the slots above the value
-    # (degree 0) and in slot (1, 1), which involves u_0 outside the support
+    # (degree 0) and in slot (1, 1), which involves u_0 outside the support,
+    # and a NaN divisor NaN in slot 2, above the numerator's degree 1
     for a, b, want in (
             (jets.constant(math.inf, 2, 1), jets.constant(2.0, 2, 1), [math.inf, 0.0, 0.0]),
+            (jets.variable(0, 0.5, 2, 1), jets.constant(math.nan, 2, 1),
+             [math.nan, math.nan, 0.0]),
             (Jet(2, 2, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 1, 0b10),
              Jet(2, 2, [1.0, 0.0, math.inf, 0.0, 0.0, 0.0], 2, 0b10),
              [1.0, 0.0, -math.inf, 0.0, 0.0, math.inf])):
@@ -515,6 +539,30 @@ def test_a_quotient_forms_no_nan_where_its_bounds_show_a_zero():
             got = a / b
         np.testing.assert_array_equal(got.coeffs.view(np.int64), np.array(want).view(np.int64))
         _assert_within_bounds(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filtered_factors(2, min_order=1), st.integers(0, 3))
+def test_a_derivative_outside_the_support_is_a_zero_constant(case, direction):
+    # d/du_i of a jet that does not involve u_i: degree 0, support 0 and
+    # only +-0.0 slots, so a product with it is the elementwise one, and has
+    # the bits of the table product at the bounds d/du_i would otherwise take
+    order, nvars, (a, b) = case
+    direction %= nvars
+    outside = _dead_slots(jets._space(order, nvars), order, ~(1 << direction))
+    a = Jet(order, nvars, np.where(outside.reshape((-1,) + (1,) * (a.coeffs.ndim - 1)),
+                                   np.copysign(0.0, a.coeffs), a.coeffs),
+            a.degree, a.support & ~(1 << direction))
+    got = a.extract_derivative(direction)
+    assert (got.order, got.degree, got.support) == (order - 1, 0, 0)
+    assert not got.coeffs.any()
+    table = Jet(order - 1, nvars, got.coeffs, max(a.degree - 1, 0), a.support)
+    b = b.truncated(order - 1)
+    for product, want in ((got * b, table * b), (b * got, b * table)):
+        np.testing.assert_array_equal(product.coeffs.view(np.int64), want.coeffs.view(np.int64))
+    # and so is d/du_i of a product that does not involve u_i
+    dot = jets.dot_derivative([a], [a], direction)
+    assert (dot.degree, dot.support) == (0, 0) and not dot.coeffs.any()
 
 
 def _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction):
