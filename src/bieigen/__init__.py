@@ -16,7 +16,8 @@ from .analysis import (AnalysisError, PointAnalysis, SampleBatch,
 from .catalog import CatalogEntry, catalog_get, catalog_list, catalog_names
 from .charts import (Chart, ExplicitMetric, GeometryError, InducedMetric,
                      MetricFrame, bilaplacian, gradient_pushforward,
-                     laplace_beltrami, laplacian_jet, metric_frame)
+                     laplace_beltrami, laplacian_jet, laplacian_values,
+                     metric_frame)
 from .classify import (ClassificationReport, FittedConstants, TheoremVerdict,
                        classify, fit_constants, verdicts, verify)
 from .exprs import (Expr, ParseError, UnboundVariableError, eval_jet,

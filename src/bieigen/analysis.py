@@ -7,7 +7,10 @@ one derivative order to spare), the bi-Laplacian, the energy density (an
 order-2 jet, of which only the value, the gradient and the Laplacian are
 read) with its Laplacian and gradient pushforward, the tension field, the
 mean curvature vector, and the residual vectors of the three biharmonicity
-characterizations:
+characterizations. The component Laplacians are jets (`charts.laplacian_jet`),
+since grad lap phi and the bi-Laplacian read them; the Laplacians read for
+their value alone, the bi-Laplacian of every component, lap e and the
+bienergy's lap phi, are one `charts.laplacian_values` call each:
 
   tension           lap + (e / r^2) phi                  (lap in R^n)
   submanifold       lap2 + 2m lap + (2 m^2 - |lap|^2) phi        (isometric)
@@ -40,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, metric_frame,
-                     pushforward)
+from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, laplacian_values,
+                     metric_frame, pushforward)
 from .exprs import intern, parse, variables_of
 from .jets import JetDomainError, first_index, first_partials
 
@@ -403,8 +406,7 @@ def _laplacians(frame, phi_jets):
     ambient)) from order-4 component jets."""
     lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
     lap = _stack([lj.value for lj in lap_jets])
-    bilap = _stack([laplacian_jet(frame, lj).value for lj in lap_jets])
-    return lap, bilap, first_partials(lap_jets)
+    return lap, laplacian_values(frame, lap_jets), first_partials(lap_jets)
 
 
 def _energy(frame, phi_jets):
@@ -422,7 +424,7 @@ def _energy(frame, phi_jets):
                               for i in range(m) for j in range(m)))
     d_energy = _stack([energy_jet.extract_derivative(i).value for i in range(m)])
     return (first_partials(phi_jets), energy_jet.value,
-            laplacian_jet(frame, energy_jet).value, d_energy)
+            laplacian_values(frame, [energy_jet])[:, 0], d_energy)
 
 
 def _bienergy_block(smap, points):
@@ -431,7 +433,7 @@ def _bienergy_block(smap, points):
     frame = metric_frame(smap.chart, points, BIENERGY_ORDER - 1, smap.components)
     phi_jets = frame.fields
     phi, _ = _phi(smap, phi_jets, points)
-    lap = _stack([laplacian_jet(frame, pj).value for pj in phi_jets])
+    lap = laplacian_values(frame, phi_jets)
     energy = None
     if smap.target == TARGET_SPHERE:
         dphi = first_partials(phi_jets)

@@ -10,10 +10,14 @@ point, so the divergence form
 
 is evaluated entirely in exact truncated Taylor arithmetic. The order budget
 is: field jets at order K (up to 4), metric jets at order K-1, the flux
-sqrt|g| g^ij d_j f at order K-1, lap f at order K-2. The flux is read only
-through d_i, so only its slots with alpha_i >= 1 are formed
-(`jets.dot_derivative`). Iterating the operator on an order-4 field yields
-the bi-Laplacian value.
+sqrt|g| g^ij d_j f at order K-1, lap f at order K-2 (`laplacian_jet`). The
+flux is read only through d_i, so only its slots with alpha_i >= 1 are
+formed (`jets.dot_derivative`). A reader of the value alone, such as the
+bi-Laplacian, the Laplacian of an order-4 field's order-2 Laplacian, takes
+`laplacian_values`: the value of d_i of the flux reads sqrt|g| g^ij only at
+slots 0 and e_i and the field only at slots e_j and e_i + e_j, so the values
+of many fields are a few stacked numpy operations, with the bits of the jet
+operator's value slot.
 
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
@@ -29,7 +33,7 @@ the first offending point of the block and carries its index in `index`.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import Union
 
@@ -364,21 +368,82 @@ def metric_frame(chart, points, order=3, fields=()):
                        _values(g_inv, len(points)), field_jets)
 
 
-def laplacian_jet(frame, fjet):
-    """Order-(K-2) jet of the Laplace-Beltrami operator applied to an
-    order-K field jet (divergence of the metric gradient)."""
-    K = fjet.order
+def _require_order(frame, K):
     if K < 2:
         raise ValueError("Laplacian needs a field jet of order >= 2")
     if frame.order < K - 1:
         raise ValueError(
             f"metric frame order {frame.order} too low for a field of order {K}")
+
+
+def laplacian_jet(frame, fjet):
+    """Order-(K-2) jet of the Laplace-Beltrami operator applied to an
+    order-K field jet (divergence of the metric gradient)."""
+    K = fjet.order
+    _require_order(frame, K)
     m = frame.chart.dim
     df = [fjet.extract_derivative(j) for j in range(m)]
     # d_i of the flux sqrt|g| g^ij d_j f, which reads only its slots with alpha_i >= 1
     div = reduce(add, (jets.dot_derivative([entry.truncated(K - 1) for entry in frame.flux[i]],
                                            df, i) for i in range(m)))
     return div / frame.sqrt_det.truncated(K - 2)
+
+
+@cache
+def _value_slots(order, m):
+    """The slots e_i + e_j (i, j in order) and e_j of an order-`order` jet
+    in m variables, and the factors 1 + delta_ij and 1 by which
+    `extract_derivative` de-normalizes them into slots e_i and 0 of d_j."""
+    position = jets._space(order, m).position
+    units = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+    pairs = [tuple(a + b for a, b in zip(ei, ej)) for ei in units for ej in units]
+    factors = [1.0 + (i == j) for i in range(m) for j in range(m)] + [1.0] * m
+    return np.array([position[alpha] for alpha in pairs + units]), np.array(factors)
+
+
+def laplacian_values(frame, fields):
+    """The values of the Laplacians of order-K field jets (K >= 2, one
+    signature and one block) as a (P, len(fields)) array, with the bits of
+    `[laplacian_jet(frame, f).value for f in fields]`, all fields at once.
+
+    The value of d_i (F^ij d_j f), F^ij = sqrt|g| g^ij, reads F^ij only at
+    slots 0 and e_i: it is the product slot e_i, (0.0 + F^ij_0 H_ij) +
+    F^ij_{e_i} D_j with H_ij = c[e_i + e_j] (1 + delta_ij) and D_j =
+    c[e_j], summed over j and then over i as `jets.dot_derivative` and the
+    jet sum do, and divided by the value of sqrt|g|. A term is formed only
+    where the product table would form it: F^ij_0 H_ij where slot e_i is
+    live in d_j f (`jets._derivative_bounds`), F^ij_{e_i} D_j where it is
+    live in F^ij. A skipped term leaves +0.0, and adding +0.0 to a sum that
+    started at +0.0 changes no bit, also where the other factor is inf or
+    NaN. A zero value of sqrt|g| raises the jet quotient's JetDomainError."""
+    K, m = fields[0].order, frame.chart.dim
+    _require_order(frame, K)
+    if any(f.order != K or f.nvars != m or f.coeffs.shape != fields[0].coeffs.shape
+           for f in fields):
+        raise ValueError(f"fields must be order-{K} jets in {m} variables at one block")
+    slots, factors = _value_slots(K, m)
+    rows = np.stack([f.coeffs[slots] for f in fields], axis=1)  # (slot, field, point)
+    rows = rows * factors.reshape((-1,) + (1,) * (rows.ndim - 1))
+    h, d = rows[:m * m].reshape((m, m) + rows.shape[1:]), rows[m * m:]
+    flux, units = frame.flux, slots[m * m:]  # e_i is the same slot in the flux
+    f0 = np.array([[entry.coeffs[0] for entry in row] for row in flux])
+    fe = np.array([[entry.coeffs[units[i]] for entry in row] for i, row in enumerate(flux)])
+    # live[i, j, field]: slot e_i of d_j f; live_fe[i, j]: slot e_i of F^ij
+    reach = np.array([[support if degree else 0 for degree, support in (
+        jets._derivative_bounds(f.degree, f.support, j) for f in fields)] for j in range(m)])
+    live = (reach >> np.arange(m)[:, None, None] & 1).astype(bool)
+    live_fe = np.array([[entry.support >> i & 1 for entry in row] for i, row in enumerate(flux)],
+                       dtype=bool)
+    terms = np.zeros(h.shape)  # [i, j, field, point]
+    for factor, values, where in ((f0, h, live), (fe, d, live_fe)):
+        if where.any():
+            product = np.zeros(h.shape)
+            np.multiply(factor[:, :, None], values, out=product,
+                        where=where.reshape(where.shape + (1,) * (h.ndim - where.ndim)))
+            terms += product
+    div = reduce(add, reduce(add, terms.swapaxes(0, 1)))  # over j in each row, then over i
+    jets.require_nonzero(frame.sqrt_det)
+    return np.ascontiguousarray((div / frame.sqrt_det.value).T)
 
 
 def laplace_beltrami(chart, field, point, order=2) -> Jet:
@@ -394,7 +459,7 @@ def laplace_beltrami(chart, field, point, order=2) -> Jet:
 def bilaplacian(chart, field, point) -> float:
     """Value of the iterated Laplacian at a point (field evaluated at order 4)."""
     frame = metric_frame(chart, [point], 3, [field])
-    return laplacian_jet(frame, laplacian_jet(frame, frame.fields[0])).at(0).value
+    return laplacian_values(frame, [laplacian_jet(frame, frame.fields[0])])[0, 0]
 
 
 def pushforward(frame, ds, dphi):

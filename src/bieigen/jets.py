@@ -474,9 +474,7 @@ class Jet:
             if zero is not None:
                 raise JetDomainError("division by zero", zero)
             return Jet(self.order, self.nvars, self.coeffs / other, self.degree, self.support)
-        zero = first_index(rhs.coeffs[0] == 0.0)
-        if zero is not None:
-            raise JetDomainError("division by a jet with zero value", zero)
+        require_nonzero(rhs)
         return Jet(self.order, self.nvars, _space(self.order, self.nvars).divide(self, rhs),
                    *_quotient_bounds(self, rhs))
 
@@ -554,6 +552,14 @@ def constant_like(value, jet):
     coeffs = np.zeros(jet.coeffs.shape)
     coeffs[0] = value
     return Jet(jet.order, jet.nvars, coeffs, 0)
+
+
+def require_nonzero(divisor):
+    """JetDomainError for the first point at which the divisor jet's value
+    is zero."""
+    zero = first_index(divisor.coeffs[0] == 0.0)
+    if zero is not None:
+        raise JetDomainError("division by a jet with zero value", zero)
 
 
 def first_partials(jet_list):

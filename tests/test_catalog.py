@@ -142,7 +142,10 @@ def test_a_scaled_map_divides_by_its_constants_elementwise(monkeypatch):
     monkeypatch.setattr(jets._JetSpace, "divide", record)
     _, smap = build_map(entry.manifest)
     classify(smap, 64)
-    assert len(quotients) >= 10
+    # the three component quotients /sqrt(2), g^00 = adj / det, and the three
+    # first Laplacians' division by sqrt|g|; the bi-Laplacians and lap e divide
+    # their values by the value of sqrt|g| (`charts.laplacian_values`)
+    assert len(quotients) == 7
     for degree, got, elementwise in quotients:
         assert degree == 0
         np.testing.assert_array_equal(got.view(np.int64), elementwise.view(np.int64))

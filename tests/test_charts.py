@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bieigen import jets
+from bieigen import build_map, jets
 from bieigen.charts import (Chart, GeometryError, _cofactors, bilaplacian,
                             gradient_pushforward, laplace_beltrami,
-                            metric_frame)
-from bieigen.jets import Jet
+                            laplacian_jet, laplacian_values, metric_frame)
+from bieigen.jets import Jet, JetDomainError
 
 from _oracles import (_adjugate, _det, expr_fn, explicit_metric_fn,
                       fd_laplace_beltrami, induced_metric_fn, random_point,
                       random_smooth_source)
+from test_curved import random_explicit, random_induced_3d
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
 FLAT2 = Chart.explicit(["u", "v"], [(0.0, 2.0), (0.0, 2.0)],
@@ -308,3 +309,91 @@ def test_cofactor_pass_expands_each_minor_once(monkeypatch, m, products):
     monkeypatch.setattr(Jet, "__mul__", counted)
     _cofactors(mat)
     assert len(calls) == products
+
+
+# the varying non-diagonal charts of test_curved, and constant metrics,
+# whose frames are a block of one that broadcasts against the fields
+_VALUE_CHARTS = {
+    **{f"explicit_{m}d": build_map(random_explicit(m)[0])[1].chart for m in (2, 3, 4)},
+    "induced_3d": build_map(random_induced_3d()[0])[1].chart,
+    "constant_1d": Chart.explicit(("u",), [(0.2, 1.0)], [["2.5"]]),
+    "constant_3d": Chart.explicit(("u", "v", "w"), [(0.2, 1.0)] * 3,
+                                  [["2", "0.3", "-0.1"], ["1.5", "0.2"], ["1"]]),
+}
+
+
+def _value_fields(chart, rng):
+    """A constant, a linear field, one with a -0.0 in every slot (so a term
+    that is -0.0 must still be added to +0.0), one in one variable, one in
+    a random subset of the variables and one in all of them."""
+    params = chart.params
+    subset = [p for p in params if rng.random() < 0.5] or [params[-1]]
+    signed_zero = "-(0.0*(" + " + ".join(f"{p}^2" for p in params) + "))"
+    return ["0.7", f"0.5*{params[0]}", signed_zero] + [
+        random_smooth_source(rng, variables) for variables in ([params[0]], subset, params)]
+
+
+def _poisoned(frame, fields, poison):
+    """The fields with `poison` in every slot whose term the value of their
+    Laplacian skips: c[e_i + e_j] where slot e_i of d_j f is not live, and
+    c[e_j] where slot e_i of F^ij is not live for any i."""
+    m = frame.chart.dim
+    position = jets._space(fields[0].order, m).position
+    unit = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+    out = []
+    for f in fields:
+        coeffs = f.coeffs.copy()
+        for j in range(m):
+            d = f.extract_derivative(j)
+            for i in range(m):
+                if not (d.degree and d.support >> i & 1):
+                    coeffs[position[tuple(a + b for a, b in zip(unit[i], unit[j]))]] = poison
+            if not any(frame.flux[i][j].support >> i & 1 for i in range(m)):
+                coeffs[position[unit[j]]] = poison
+        out.append(Jet(f.order, f.nvars, coeffs, f.degree, f.support))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_VALUE_CHARTS)), st.sampled_from(["order 2", "order 4", "lap"]),
+       st.integers(0, 2), st.booleans(), st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       st.integers(0, 2 ** 32 - 1))
+def test_laplacian_values_have_the_bits_of_the_laplacian_jets(name, kind, extra, one_point,
+                                                             poison, seed):
+    chart = _VALUE_CHARTS[name]
+    rng = np.random.default_rng(seed)
+    order = 2 if kind == "order 2" else 4
+    frame_order = 3 if kind == "lap" else min(order - 1 + extra, 3)
+    points = rng.uniform(0.3, 0.9, (3, chart.dim))
+    frame = metric_frame(chart, points, frame_order, _value_fields(chart, rng))
+    fields = [f.truncated(order) for f in frame.fields]
+    if kind == "lap":  # the order-2 Laplacians the bi-Laplacian reads
+        fields = [laplacian_jet(frame, f) for f in fields]
+    if one_point:
+        frame, fields = frame.at(0), [f.at(0) for f in fields]
+    if poison is not None:
+        fields = _poisoned(frame, fields, poison)
+    want = np.stack([laplacian_jet(frame, f).value for f in fields], axis=-1)
+    got = laplacian_values(frame, fields)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if poison is not None:
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("name, index", [("explicit_3d", 2), ("induced_3d", 1),
+                                         ("constant_3d", 0)])
+def test_laplacian_values_refuse_a_zero_sqrt_det_as_the_jet_quotient_does(name, index):
+    chart = _VALUE_CHARTS[name]
+    frame = metric_frame(chart, np.full((4, chart.dim), 0.5) + 0.1 * np.arange(4)[:, None], 1,
+                         ["u*v + w^2", "sin(u)"])
+    coeffs = frame.sqrt_det.coeffs.copy()
+    coeffs[0, index] = 0.0
+    frame.sqrt_det = Jet(frame.order, chart.dim, coeffs, frame.sqrt_det.degree,
+                         frame.sqrt_det.support)
+    with pytest.raises(JetDomainError) as want:
+        laplacian_jet(frame, frame.fields[0])
+    with pytest.raises(JetDomainError) as got:
+        laplacian_values(frame, frame.fields)
+    assert str(got.value) == str(want.value) == "division by a jet with zero value"
+    assert got.value.index == want.value.index == index
