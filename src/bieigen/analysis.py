@@ -178,25 +178,16 @@ class SampleBatch:
         return (self.row(i) for i in range(len(self)))
 
     def row(self, i) -> PointAnalysis:
-        """The analysis of point i."""
-        iso = bool(self.isometric[i])
-
-        def pick(arr, defined=True):
-            return arr[i] if arr is not None and defined else None
-        return PointAnalysis(
-            point=tuple(self.points[i].tolist()), phi=self.phi[i], dphi=self.dphi[i],
-            lap_phi=self.lap_phi[i], bilap_phi=self.bilap_phi[i],
-            energy_density=float(self.energy_density[i]),
-            lap_energy_density=float(self.lap_energy_density[i]),
-            grad_energy_pushforward=self.grad_energy_pushforward[i],
-            div_theta=float(self.div_theta[i]), tension=self.tension[i],
-            mean_curvature=pick(self.mean_curvature, iso),
-            gram_defect=float(self.gram_defect[i]),
-            sphere_defect=float(self.sphere_defect[i]),
-            constraint_defect=float(self.constraint_defect[i]),
-            residual_submanifold=pick(self.residual_submanifold, iso),
-            residual_full=pick(self.residual_full),
-            residual_constant_density=pick(self.residual_constant_density))
+        """The analysis of point i: a (P,) column gives a float, and mean
+        curvature and the submanifold residual are None off the isometric
+        rows."""
+        undefined = () if self.isometric[i] else ("mean_curvature", "residual_submanifold")
+        fields = {}
+        for name in PointAnalysis.__dataclass_fields__.keys() - {"point"}:
+            column = getattr(self, name)
+            fields[name] = (None if column is None or name in undefined else
+                            float(column[i]) if column.ndim == 1 else column[i])
+        return PointAnalysis(point=tuple(self.points[i].tolist()), **fields)
 
     @staticmethod
     def concatenate(batches):
@@ -422,9 +413,9 @@ def _energy(frame, phi_jets):
         return reduce(add, (x * y for x, y in zip(dphi_jets[i], dphi_jets[j])))
     energy_jet = reduce(add, (frame.g_inv[i][j].truncated(2) * dot(i, j)
                               for i in range(m) for j in range(m)))
-    d_energy = _stack([energy_jet.extract_derivative(i).value for i in range(m)])
     return (first_partials(phi_jets), energy_jet.value,
-            laplacian_values(frame, [energy_jet])[:, 0], d_energy)
+            laplacian_values(frame, [energy_jet])[:, 0],
+            first_partials([energy_jet])[:, :, 0])
 
 
 def _bienergy_block(smap, points):

@@ -295,11 +295,15 @@ class MetricFrame:
 
     def at(self, index):
         """The frame at position `index` of the block in the one-point form:
-        one-point jets and (m, m) values."""
+        one-point jets and (m, m) values. The metric jets of a constant
+        metric, a block of one that broadcasts, give their one column."""
+        def column(jet):
+            return jet.at(index if jet.coeffs.shape[1] > 1 else 0)
+
         def pick(matrix):
-            return _symmetric(len(matrix), lambda i, j: matrix[i][j].at(index))
+            return _symmetric(len(matrix), lambda i, j: column(matrix[i][j]))
         return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
-                           self.sqrt_det.at(index), self.g_values[index],
+                           column(self.sqrt_det), self.g_values[index],
                            self.g_inv_values[index],
                            [jet.at(index) for jet in self.fields])
 

@@ -1,15 +1,16 @@
-"""Finite-difference oracles for validating jet derivatives and Laplacians.
+"""Reference implementations that the tests check the program against.
 
-Everything here works from plain floating-point evaluations only, so the
-oracles are independent of the truncated-Taylor code paths they check.
-Central O(h^2) stencils combined with one Richardson halving give O(h^4)
-accuracy; step sizes grow with the derivative order to balance truncation
-against roundoff amplification. `mp_partial` is the exception: it evaluates
-an expression tree in 30-digit mpmath arithmetic, where a finite difference
-carries no float roundoff, so it serves as a reference to ~1e-25.
-`mp_laplace_beltrami` builds the divergence form of the Laplacian the same
-way, from nested mpmath derivatives of a field and of an immersion or the
-entries of an explicit metric.
+mpmath is the one derivative reference. `mp_partial` evaluates an expression
+tree in 30-digit arithmetic and differentiates it there with `mp.diff`, whose
+finite differences carry no float roundoff at that precision, so a partial
+is good to ~1e-25 before it is rounded to a float. `mp_laplace_beltrami` builds the
+divergence form of the Laplacian the same way, from nested mpmath
+derivatives of a field and of an immersion or the entries of an explicit
+metric. Both evaluate every node themselves (`_mp_value`): no jet, tower or
+metric frame of `bieigen` runs inside them, so they are independent of the
+code they check, and strict enough to check it at relative 1e-9, where a
+float finite difference, caught between truncation and roundoff, can check
+no better than about 1e-6.
 
 The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, and a row-by-row CSV
@@ -28,130 +29,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from bieigen.exprs import BinOp, Call, Const, Neg, Pow, Var, eval_value, parse
+from bieigen.exprs import BinOp, Call, Const, Neg, Pow, Var, parse
 from bieigen.jets import JetDomainError
-
-# offsets and weights of O(h^2) central stencils, one per derivative order
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-}
-
-STEP_BY_ORDER = {1: 1e-3, 2: 1e-3, 3: 6e-3, 4: 2e-2}
-
-
-def _apply_stencil(f, point, alpha, h, var):
-    if var == len(alpha):
-        return f(tuple(point))
-    k = alpha[var]
-    if k == 0:
-        return _apply_stencil(f, point, alpha, h, var + 1)
-    offsets, weights = _STENCILS[k]
-    total = 0.0
-    for off, w in zip(offsets, weights):
-        shifted = list(point)
-        shifted[var] += off * h
-        total += w * _apply_stencil(f, shifted, alpha, h, var + 1)
-    return total / h ** k
-
-
-def fd_partial(f, point, alpha):
-    """Richardson-extrapolated central difference for the partial d^alpha f."""
-    order = sum(alpha)
-    if order == 0:
-        return f(tuple(point))
-    if order > 4:
-        raise ValueError("stencils stop at total order 4")
-    h = STEP_BY_ORDER[order]
-    coarse = _apply_stencil(f, list(point), tuple(alpha), h, 0)
-    fine = _apply_stencil(f, list(point), tuple(alpha), h / 2.0, 0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-# --------------------------------------------------------------------------
-# 5-point (4th-order) stencils for the Laplace-Beltrami cross-check
-# --------------------------------------------------------------------------
-
-_D1_5PT = ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12))
-_D2_5PT = ((-2, -1, 0, 1, 2),
-           (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12))
-
-
-def _d1(f, point, i, h):
-    offsets, weights = _D1_5PT
-    total = 0.0
-    for off, w in zip(offsets, weights):
-        shifted = list(point)
-        shifted[i] += off * h
-        total += w * f(tuple(shifted))
-    return total / h
-
-
-def _d2(f, point, i, h):
-    offsets, weights = _D2_5PT
-    total = 0.0
-    for off, w in zip(offsets, weights):
-        shifted = list(point)
-        shifted[i] += off * h
-        total += w * f(tuple(shifted))
-    return total / (h * h)
-
-
-def _dij(f, point, i, j, h):
-    if i == j:
-        return _d2(f, point, i, h)
-    return _d1(lambda p: _d1(f, p, j, h), point, i, h)
-
-
-def _d1_matrix(matrix_fn, point, i, h):
-    offsets, weights = _D1_5PT
-    total = None
-    for off, w in zip(offsets, weights):
-        shifted = list(point)
-        shifted[i] += off * h
-        term = w * matrix_fn(tuple(shifted))
-        total = term if total is None else total + term
-    return total / h
-
-
-def fd_laplace_beltrami(metric_fn, f, point, h=5e-3):
-    """Divergence-form Laplacian from finite differences of f and the metric.
-
-    metric_fn(point) must return the (m, m) metric matrix; the flux
-    coefficient sqrt|g| g^ij is differentiated numerically as well, so no
-    derivative information flows in from the code under test.
-    """
-    m = len(point)
-
-    def flux(pt):
-        g = metric_fn(pt)
-        return math.sqrt(np.linalg.det(g)) * np.linalg.inv(g)
-
-    g0 = metric_fn(tuple(point))
-    sqrt_det0 = math.sqrt(np.linalg.det(g0))
-    flux0 = flux(tuple(point))
-    df = np.array([_d1(f, point, j, h) for j in range(m)])
-    total = 0.0
-    for i in range(m):
-        d_flux = _d1_matrix(flux, point, i, h)
-        total += float(d_flux[i] @ df)
-        for j in range(m):
-            total += flux0[i, j] * _dij(f, point, i, j, h)
-    return total / sqrt_det0
-
-
-def expr_fn(source_or_ast, params):
-    """Plain-evaluation closure point -> float for an expression."""
-    ast = parse(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
-    names = list(params)
-
-    def call(point):
-        return eval_value(ast, dict(zip(names, point)))
-
-    return call
-
 
 _MP_FUNCS = {name: getattr(mp, name)
              for name in ("sin", "cos", "tan", "exp", "sinh", "cosh", "log", "sqrt")}
@@ -231,33 +110,6 @@ def mp_laplace_beltrami(metric, params, f, point):
         x = tuple(mp.mpf(c) for c in point)
         div = mp.fsum(_mp_partial1(flux(i), x, i) for i in range(len(x)))
         return float(div / mp.sqrt(mp.det(metric_at(x))))
-
-
-def induced_metric_fn(immersion_sources, params, h=1e-3):
-    """Gram-matrix metric from finite differences of the immersion."""
-    comps = [expr_fn(src, params) for src in immersion_sources]
-    m = len(params)
-
-    def call(point):
-        dx = np.array([[_d1(c, point, i, h) for c in comps] for i in range(m)])
-        return dx @ dx.T
-
-    return call
-
-
-def explicit_metric_fn(upper_triangle_sources, params):
-    m = len(params)
-    entries = [[None] * m for _ in range(m)]
-    for i, row in enumerate(upper_triangle_sources):
-        for k, src in enumerate(row):
-            fn = expr_fn(src, params)
-            entries[i][i + k] = fn
-            entries[i + k][i] = fn
-
-    def call(point):
-        return np.array([[entries[i][j](point) for j in range(m)] for i in range(m)])
-
-    return call
 
 
 # --------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from bieigen.cli import main
 from bieigen.exprs import eval_jet, parse
 from bieigen import jets
 
-from _oracles import (expr_fn, fd_laplace_beltrami, fd_partial,
-                      random_point, random_smooth_source)
+from _oracles import mp_laplace_beltrami, mp_partial, random_point, random_smooth_source
 
-from test_charts import EXPLICIT_TEST, EXPLICIT_TEST_FN, INDUCED_TEST, INDUCED_TEST_FN
+from test_curved import METRICS_2D, PLANE, chart_2d
 
 
 def _ok(criterion, summary):
@@ -144,30 +143,26 @@ def test_criterion_7_derivative_engine_validation():
         env = {name: jets.variable(i, point[i], 4, len(variables))
                for i, name in enumerate(variables)}
         jet = eval_jet(ast, env)
-        plain = expr_fn(ast, variables)
         space_indices = [alpha for alpha in _all_alphas(len(variables))
                          if 0 < sum(alpha) <= 4]
         for alpha in space_indices:
-            fd = fd_partial(plain, point, alpha)
-            got = jet.derivative(alpha)
-            assert got == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd))), \
+            want = mp_partial(ast, variables, point, alpha)
+            assert jet.derivative(alpha) == pytest.approx(want, rel=1e-9, abs=1e-12), \
                 (source, alpha)
             checked += 1
 
     lap_checked = 0
-    for chart, metric_fn in ((EXPLICIT_TEST, EXPLICIT_TEST_FN),
-                             (INDUCED_TEST, INDUCED_TEST_FN)):
+    for name, metric in METRICS_2D.items():
+        chart = chart_2d(name)
         for _ in range(10):
-            source = random_smooth_source(rng, ("u", "v"))
+            source = random_smooth_source(rng, PLANE)
             point = random_point(rng, 2)
-            jet_value = laplace_beltrami(chart, source, point).value
-            fd_value = fd_laplace_beltrami(metric_fn, expr_fn(source, ("u", "v")),
-                                           point)
-            assert jet_value == pytest.approx(
-                fd_value, abs=1e-6 * max(1.0, abs(fd_value))), source
+            want = mp_laplace_beltrami(metric, PLANE, source, point)
+            assert laplace_beltrami(chart, source, point).value == pytest.approx(
+                want, rel=1e-9, abs=1e-12), source
             lap_checked += 1
     _ok(7, f"{checked} jet coefficients and {lap_checked} Laplacian values "
-           f"against finite differences, relative 1e-6")
+           f"against 30-digit mpmath, relative 1e-9")
 
 
 def _all_alphas(nvars):

@@ -1,7 +1,7 @@
 """Block evaluation: a block of P points gives each point the bits a block of
-one gives it, derivatives agree with high-precision and finite-difference
-oracles, and an error
-names the point a point-by-point loop would fail at first."""
+one gives it, derivatives and Laplacians agree with the 30-digit mpmath
+oracles, and an error names the point a point-by-point loop would fail at
+first."""
 
 import math
 
@@ -17,8 +17,7 @@ from bieigen.charts import Chart, GeometryError, laplacian_jet, metric_frame
 from bieigen.exprs import (BinOp, Call, Const, Neg, Pow, Var, eval_jet, eval_value,
                            parse)
 
-from _oracles import (explicit_metric_fn, expr_fn, fd_laplace_beltrami, mp_partial,
-                      random_point, random_smooth_source)
+from _oracles import mp_laplace_beltrami, mp_partial, random_point, random_smooth_source
 from test_curved import sphere_manifest
 
 VARIABLES = ("u", "v")
@@ -108,10 +107,10 @@ def test_block_laplacian_matches_blocks_of_one_and_oracle(seed):
     for p, point in enumerate(points):
         np.testing.assert_array_equal(block.coeffs[:, p:p + 1],
                                       laplacians([point]).coeffs)
+    metric = {"mode": "explicit", "g": upper}
     for p, point in enumerate(points[:5]):
-        fd = fd_laplace_beltrami(explicit_metric_fn(upper, VARIABLES),
-                                 expr_fn(field, VARIABLES), point)
-        assert block.value[p] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
+        want = mp_laplace_beltrami(metric, VARIABLES, field, point)
+        assert block.value[p] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def _zero_outside_bounds(jet):

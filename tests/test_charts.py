@@ -9,11 +9,10 @@ from bieigen import build_map, jets
 from bieigen.charts import (Chart, GeometryError, _cofactors, bilaplacian,
                             gradient_pushforward, laplace_beltrami,
                             laplacian_jet, laplacian_values, metric_frame)
+from bieigen.exprs import eval_value, parse
 from bieigen.jets import Jet, JetDomainError
 
-from _oracles import (_adjugate, _det, expr_fn, explicit_metric_fn,
-                      fd_laplace_beltrami, induced_metric_fn, random_point,
-                      random_smooth_source)
+from _oracles import _adjugate, _det, random_smooth_source
 from test_curved import random_explicit, random_induced_3d
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
@@ -100,7 +99,7 @@ def test_sign_convention_eigenvalues_nonnegative():
     ]
     for chart, field, point, lam in cases:
         lap = laplace_beltrami(chart, field, point).value
-        f = expr_fn(field, chart.params)(point)
+        f = eval_value(parse(field), dict(zip(chart.params, point)))
         assert lap == pytest.approx(-lam * f, abs=1e-9)
         assert lam >= 0.0
 
@@ -126,32 +125,6 @@ def test_linearity():
         combo = f"{a!r}*({f}) + {b!r}*({g})"
         lc = laplace_beltrami(FLAT2, combo, pt).value
         assert lc == pytest.approx(a * lf + b * lg, abs=1e-12 * max(1, abs(lc)))
-
-
-EXPLICIT_TEST = Chart.explicit(
-    ["u", "v"], [(0.1, 1.3), (0.2, 1.4)],
-    [["2 + 0.3*sin(u + v)", "0.2*cos(u - v)"], ["2 + 0.25*cos(0.7*u)"]])
-EXPLICIT_TEST_FN = explicit_metric_fn(
-    [["2 + 0.3*sin(u + v)", "0.2*cos(u - v)"], ["2 + 0.25*cos(0.7*u)"]],
-    ("u", "v"))
-INDUCED_TEST = Chart.induced(
-    ["u", "v"], [(0.1, 1.3), (0.2, 1.4)],
-    ["u", "v", "0.4*sin(u)*cos(v)"])
-INDUCED_TEST_FN = induced_metric_fn(["u", "v", "0.4*sin(u)*cos(v)"], ("u", "v"))
-
-
-@pytest.mark.parametrize("chart,metric_fn", [
-    (EXPLICIT_TEST, EXPLICIT_TEST_FN),
-    (INDUCED_TEST, INDUCED_TEST_FN),
-])
-def test_laplacian_matches_finite_differences(chart, metric_fn):
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        source = random_smooth_source(rng, ("u", "v"))
-        point = random_point(rng, 2)
-        jet_value = laplace_beltrami(chart, source, point).value
-        fd_value = fd_laplace_beltrami(metric_fn, expr_fn(source, ("u", "v")), point)
-        assert jet_value == pytest.approx(fd_value, abs=1e-6 * max(1.0, abs(fd_value)))
 
 
 def test_gradient_pushforward_constant_scalar():
@@ -320,6 +293,31 @@ _VALUE_CHARTS = {
     "constant_3d": Chart.explicit(("u", "v", "w"), [(0.2, 1.0)] * 3,
                                   [["2", "0.3", "-0.1"], ["1.5", "0.2"], ["1"]]),
 }
+
+
+def _frame_jets(frame):
+    """Every jet of a frame: g, g^ij, sqrt|g|, the flux and the fields."""
+    return [*(jet for matrix in (frame.g, frame.g_inv, frame.flux) for row in matrix
+              for jet in row), frame.sqrt_det, *frame.fields]
+
+
+@pytest.mark.parametrize("chart", [
+    Chart.explicit(("u", "v"), [(0.2, 1.0)] * 2, [["2", "0.5"], ["3"]]),
+    _VALUE_CHARTS["constant_3d"]], ids=["constant_2d", "constant_3d"])
+def test_a_block_frame_at_an_index_is_the_frame_of_that_point(chart):
+    # a constant metric's jets are a block of one that broadcasts against
+    # the block's fields; at(k) gives the one-point frame of point k
+    points = np.random.default_rng(13).uniform(0.3, 0.9, (3, chart.dim))
+    fields = [chart.params[0], "sin(" + "*".join(chart.params) + ")"]
+    frame = metric_frame(chart, points, 2, fields)
+    for k, point in enumerate(points):
+        got, want = frame.at(k), metric_frame(chart, point, 2, fields)
+        for a, b in zip(_frame_jets(got), _frame_jets(want), strict=True):
+            _same_bits(a, b)
+            assert a.support == b.support
+        for a, b in ((got.g_values, want.g_values), (got.g_inv_values, want.g_inv_values)):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _value_fields(chart, rng):

@@ -3,8 +3,9 @@ with the induced metric, whose frames go through the 3x3 and 4x4 cofactor
 determinants and adjugates with 35- and 70-coefficient jets on a metric that
 varies from point to point. They live here rather than in the catalog, whose
 entries the benchmark iterates. The Laplacian on such charts, on a random
-non-diagonal induced 3-D metric and on random non-diagonal explicit 3-D and
-4-D metrics, is also checked against the 30-digit divergence form of
+non-diagonal induced 3-D metric, on random non-diagonal explicit 3-D and
+4-D metrics and on the two 2-D metrics of acceptance criterion 7, is also
+checked against the 30-digit divergence form of
 `_oracles.mp_laplace_beltrami`."""
 
 import math
@@ -183,6 +184,30 @@ def random_explicit(m):
     return doc, components, [random_point(rng, m) for _ in range(3)]
 
 
+# acceptance criterion 7's Laplacian charts: a varying non-diagonal explicit
+# metric and the graph of 0.4 sin(u) cos(v)
+PLANE = ("u", "v")
+METRICS_2D = {
+    "explicit_2d": {"mode": "explicit",
+                    "g": [["2 + 0.3*sin(u + v)", "0.2*cos(u - v)"], ["2 + 0.25*cos(0.7*u)"]]},
+    "induced_2d": {"mode": "induced", "immersion": ["u", "v", "0.4*sin(u)*cos(v)"]},
+}
+
+
+def chart_2d(name):
+    """The chart of METRICS_2D[name] on the box [0.2, 1]^2."""
+    return build_map(_euclidean_manifest(name, PLANE, METRICS_2D[name], list(PLANE)))[1].chart
+
+
+def random_2d(name):
+    """A Euclidean map of four random smooth components on the chart of
+    METRICS_2D[name]: the manifest, its components and three points."""
+    rng = np.random.default_rng(29)
+    components = [random_smooth_source(rng, PLANE) for _ in range(4)]
+    doc = _euclidean_manifest(name, PLANE, METRICS_2D[name], components)
+    return doc, components, [random_point(rng, 2) for _ in range(3)]
+
+
 def _half_s4_in_s5():
     doc = sphere_manifest(4, lifted=True)
     rng = np.random.default_rng(7)
@@ -194,9 +219,11 @@ def _half_s4_in_s5():
 
 
 @pytest.mark.parametrize("case", [random_induced_3d, _half_s4_in_s5,
-                                  lambda: random_explicit(3), lambda: random_explicit(4)],
+                                  lambda: random_explicit(3), lambda: random_explicit(4),
+                                  lambda: random_2d("explicit_2d"),
+                                  lambda: random_2d("induced_2d")],
                          ids=["random_induced_3d", "S4_half_in_S5", "random_explicit_3d",
-                              "random_explicit_4d"])
+                              "random_explicit_4d", "explicit_2d", "induced_2d"])
 def test_laplacian_meets_the_high_precision_divergence_form(case):
     # an oracle free of jets and of the metric frame: nested mpmath
     # derivatives of the metric and the field at 30 digits

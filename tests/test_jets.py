@@ -14,7 +14,7 @@ from bieigen.exprs import eval_jet, parse
 from bieigen.jets import Jet, JetDomainError
 
 import _oracles
-from _oracles import fd_partial, mp_partial
+from _oracles import mp_partial
 
 
 def test_variable_jet_definition():
@@ -149,12 +149,18 @@ def test_extract_derivative_product_at_origin():
 
 
 def test_double_extraction_matches_oracle():
-    t = jets.variable(0, 0.4, 4, 1)
-    f = jets.exp(2.0 * t)
-    d2 = f.extract_derivative(0).extract_derivative(0)
-    expected = fd_partial(lambda p: math.exp(2.0 * p[0]), (0.4,), (2,))
-    assert d2.value == pytest.approx(expected, abs=1e-8)
-    assert d2.value == pytest.approx(4.0 * math.exp(0.8), abs=1e-12)
+    # extracting d/dt k times leaves the k-th derivative as the value
+    ast = parse("exp(2*t)")
+    f = jets.exp(2.0 * jets.variable(0, 0.4, 4, 1))
+    extracted = f
+    for k in range(5):
+        want = mp_partial(ast, ("t",), (0.4,), (k,))
+        assert extracted.value == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert f.derivative((k,)) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        if k < 4:
+            extracted = extracted.extract_derivative(0)
+    assert f.extract_derivative(0).extract_derivative(0).value == pytest.approx(
+        4.0 * math.exp(0.8), abs=1e-12)
 
 
 def test_leibniz_rule():
@@ -169,18 +175,14 @@ def test_leibniz_rule():
 
 def test_chain_rule_against_oracle():
     rng = np.random.default_rng(7)
+    ast = parse("sin(exp(0.4*t) + t*t)")
     for _ in range(10):
         x0 = float(rng.uniform(0.2, 1.0))
         t = jets.variable(0, x0, 4, 1)
         f = jets.sin(jets.exp(0.4 * t) + t * t)
-
-        def plain(p):
-            return math.sin(math.exp(0.4 * p[0]) + p[0] * p[0])
-
         for k in range(5):
-            fd = fd_partial(plain, (x0,), (k,))
-            jet_val = f.derivative((k,))
-            assert jet_val == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            assert f.derivative((k,)) == pytest.approx(
+                mp_partial(ast, ("t",), (x0,), (k,)), rel=1e-9, abs=1e-12), (x0, k)
 
 
 def test_shape_mismatch_is_contract_failure():
@@ -273,13 +275,10 @@ def test_fractional_power_against_oracle():
     x0 = 0.61
     t = jets.variable(0, x0, 4, 1)
     f = (t * t + 1.0) ** 1.5
-
-    def plain(p):
-        return (p[0] * p[0] + 1.0) ** 1.5
-
+    ast = parse("(t*t + 1)^1.5")
     for k in range(5):
         assert f.derivative((k,)) == pytest.approx(
-            fd_partial(plain, (x0,), (k,)), rel=1e-6, abs=1e-6)
+            mp_partial(ast, ("t",), (x0,), (k,)), rel=1e-9, abs=1e-12), k
 
 
 _finite = st.floats(min_value=-2.0, max_value=2.0,
