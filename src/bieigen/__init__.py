@@ -9,10 +9,9 @@ machine precision. Derivatives come from exact truncated Taylor arithmetic,
 never from finite differences.
 """
 
-from .analysis import (AnalysisError, PointAnalysis, SampleBatch,
-                       SphereConstraintError, SphereMap, analyze_point,
-                       analyze_samples, bienergy_quadrature,
-                       constant_density_residual)
+from .analysis import (AnalysisError, SampleBatch, SphereConstraintError,
+                       SphereMap, analyze_point, analyze_samples,
+                       bienergy_quadrature, constant_density_residual)
 from .catalog import CatalogEntry, catalog_get, catalog_list, catalog_names
 from .charts import (Chart, ExplicitMetric, GeometryError, InducedMetric,
                      MetricFrame, bilaplacian, gradient_pushforward,

@@ -28,10 +28,10 @@ classification verdict takes c = c_hat, the mean density over the samples
 consistency guard.
 
 `analyze_samples` walks the points in blocks of `block_points(ANALYSIS_ORDER,
-m)` points and returns a SampleBatch, one row per point; `analyze_point` is a
-block of one. Each point gets the bits a point-by-point evaluation gives it,
-and an error names the first point at which a point-by-point loop would
-fail.
+m)` points and returns a SampleBatch, one row per point; `analyze_point` is
+the row of a block of one. Each point gets the bits a point-by-point
+evaluation gives it, and an error names the first point at which a
+point-by-point loop would fail.
 """
 
 import math
@@ -46,12 +46,11 @@ import numpy as np
 from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, laplacian_values,
                      metric_frame, pushforward)
 from .exprs import intern, parse, variables_of
-from .jets import JetDomainError, first_index, first_partials
+from .jets import BLOCK_VALUES, JetDomainError, first_index, first_partials
 
 SPHERE_TOL = 1e-10
 GRAM_TOL = 1e-9  # Gram defect |dphi dphi^T - g| of an isometric point and report
-SELF_CHECK_TOL = 1e-9
-TANGENCY_TOL = 1e-9
+SELF_CHECK_TOL = 1e-9  # the sphere identity and the tangency of the mean curvature
 
 TARGET_SPHERE = "sphere"
 TARGET_EUCLIDEAN = "euclidean"
@@ -119,42 +118,15 @@ class SphereMap:
 
 
 @dataclass
-class PointAnalysis:
-    """All pointwise quantities of one map at one chart point."""
-
-    point: tuple
-    phi: np.ndarray
-    dphi: np.ndarray            # shape (m, ambient): d_i phi^A values
-    lap_phi: np.ndarray
-    bilap_phi: np.ndarray
-    energy_density: float
-    lap_energy_density: float
-    grad_energy_pushforward: np.ndarray
-    div_theta: float
-    tension: np.ndarray
-    mean_curvature: Optional[np.ndarray]
-    gram_defect: float
-    sphere_defect: float
-    constraint_defect: float    # |<lap phi, phi> + |dphi|^2|, zero on a round sphere
-    residual_submanifold: Optional[np.ndarray]
-    residual_full: Optional[np.ndarray]
-    residual_constant_density: Optional[np.ndarray]
-
-    @property
-    def dim(self):
-        return len(self.point)
-
-
-@dataclass
 class SampleBatch:
-    """The PointAnalysis quantities of P points, stacked on a first axis of
-    length P. The residual arrays are None unless the target is the unit
+    """All pointwise quantities of a map at P points, stacked on a first axis
+    of length P. The residual arrays are None unless the target is the unit
     sphere; mean curvature and the submanifold residual are defined on the
     rows where `isometric` (Gram defect within GRAM_TOL) holds."""
 
     points: np.ndarray          # (P, m)
     phi: np.ndarray             # (P, ambient)
-    dphi: np.ndarray            # (P, m, ambient)
+    dphi: np.ndarray            # (P, m, ambient): d_i phi^A values
     lap_phi: np.ndarray
     bilap_phi: np.ndarray
     energy_density: np.ndarray  # (P,)
@@ -164,7 +136,7 @@ class SampleBatch:
     tension: np.ndarray
     gram_defect: np.ndarray
     sphere_defect: np.ndarray
-    constraint_defect: np.ndarray
+    constraint_defect: np.ndarray  # |<lap phi, phi> + |dphi|^2|, zero on a round sphere
     isometric: np.ndarray       # (P,) bool
     mean_curvature: Optional[np.ndarray]
     residual_submanifold: Optional[np.ndarray]
@@ -177,17 +149,18 @@ class SampleBatch:
     def __iter__(self):
         return (self.row(i) for i in range(len(self)))
 
-    def row(self, i) -> PointAnalysis:
-        """The analysis of point i: a (P,) column gives a float, and mean
-        curvature and the submanifold residual are None off the isometric
-        rows."""
+    def row(self, i) -> SimpleNamespace:
+        """The analysis of point i as a namespace: `point` a tuple, a (P,)
+        column a float, and mean curvature and the submanifold residual None
+        off the isometric rows."""
         undefined = () if self.isometric[i] else ("mean_curvature", "residual_submanifold")
         fields = {}
-        for name in PointAnalysis.__dataclass_fields__.keys() - {"point"}:
+        for name in self.__dataclass_fields__:
             column = getattr(self, name)
-            fields[name] = (None if column is None or name in undefined else
-                            float(column[i]) if column.ndim == 1 else column[i])
-        return PointAnalysis(point=tuple(self.points[i].tolist()), **fields)
+            if name not in ("points", "isometric"):
+                fields[name] = (None if column is None or name in undefined else
+                                float(column[i]) if column.ndim == 1 else column[i])
+        return SimpleNamespace(point=tuple(self.points[i].tolist()), **fields)
 
     @staticmethod
     def concatenate(batches):
@@ -213,7 +186,7 @@ def inf_norms(x):
 
 def residual_terms(s, c, target, radius):
     """(name, terms) of the tension field of the analysis `s` (a SampleBatch,
-    a PointAnalysis or any object with its arrays) into R^n or a sphere of
+    one of its rows or any object with its arrays) into R^n or a sphere of
     `radius`, then of its unit-sphere biharmonicity residuals, `c` the density
     of the constant-density form. Terms are (coefficient, vector) pairs, the
     coefficient a number or one per point; each pair is formed when asked for."""
@@ -242,8 +215,8 @@ def sum_terms(terms):
 
 def constant_density_residual(samples, c):
     """Biharmonicity residual under the constant-energy-density hypothesis,
-    evaluated with an externally supplied density constant, for a
-    PointAnalysis or each row of a SampleBatch (`c` a number, or one
+    evaluated with an externally supplied density constant, for one row of
+    a SampleBatch or each of its rows (`c` a number, or one
     constant per row). The analysis fills `residual_constant_density` with
     c = e, the pointwise density; the classification verdict and `residual
     --equation me1` use c = c_hat, the fitted mean density."""
@@ -251,7 +224,6 @@ def constant_density_residual(samples, c):
     return sum_terms(terms)
 
 
-BLOCK_VALUES = 16384  # coefficients per jet of a block; see `_blockwise`
 ANALYSIS_ORDER = 4  # the order of the analysis's field jets
 BIENERGY_ORDER = 2  # the order of the bienergy's field jets
 
@@ -304,7 +276,7 @@ def _blockwise(evaluate, points, order):
     return results
 
 
-def analyze_point(smap: SphereMap, point) -> PointAnalysis:
+def analyze_point(smap: SphereMap, point) -> SimpleNamespace:
     """Evaluate every map-level quantity at one interior chart point."""
     return analyze_samples(smap, [point]).row(0)
 
@@ -385,7 +357,7 @@ def _analyze_block(smap, points):
     batch.isometric = gram_defect <= GRAM_TOL
     batch.mean_curvature = (lap_phi + m * phi) / m
     tangency = np.abs(dots(batch.mean_curvature, phi))
-    _require(~batch.isometric | (tangency <= TANGENCY_TOL), points, AnalysisError,
+    _require(~batch.isometric | (tangency <= SELF_CHECK_TOL), points, AnalysisError,
              lambda i: f"mean curvature tangency check failed ({tangency[i]:.3e})")
     (batch.residual_submanifold, batch.residual_full,
      batch.residual_constant_density) = (sum_terms(terms) for _, terms in residuals)

@@ -22,13 +22,14 @@ operator's value slot.
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
 metric and the caller's fields at the orders of that budget; det g and g^ij
-come from one cofactor pass over g, which expands each minor once. g, its
-adjugate, g^ij and the flux coefficients sqrt|g| g^ij are symmetric: each
-entry is formed once per unordered pair (i, j), from the cofactor C(i, j)
-with j >= i, and its mirror is the same jet. The one-point functions
-(`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
-`gradient_pushforward`) evaluate a block of one. A failing check raises for
-the first offending point of the block and carries its index in `index`.
+come from one cofactor pass over g, which expands each minor once, and the
+flux coefficients sqrt|g| g^ij are formed next to them. g, its adjugate,
+g^ij and the flux are symmetric: each entry is formed once per unordered
+pair (i, j), from the cofactor C(i, j) with j >= i, and its mirror is the
+same jet. The one-point functions (`metric_frame` of one point,
+`laplace_beltrami`, `bilaplacian`, `gradient_pushforward`) pick their point
+from a block of one. A failing check raises for the first offending point
+of the block and carries its index in `index`.
 """
 
 import math
@@ -40,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .exprs import eval_jet, intern, parse, variables_of
+from .exprs import eval_jet, intern, is_variable, parse, variables_of
 from .jets import Jet
 
 MIN_METRIC_EIGENVALUE = 1e-10
@@ -88,6 +89,9 @@ class Chart:
         m = len(self.params)
         if not 1 <= m <= 4:
             raise ValueError(f"chart dimension must be 1..4, got {m}")
+        for name in self.params:
+            if not is_variable(name):
+                raise ValueError(f"chart parameter {name!r} is not a variable name")
         if len(set(self.params)) != m:
             raise ValueError("chart parameter names must be distinct")
         if len(self.domain) != m or len(self.periodic) != m:
@@ -274,24 +278,23 @@ def _cofactors(mat):
     return det, adj
 
 
+@dataclass(eq=False)
 class MetricFrame:
-    """Jets of g_ij, g^ij and sqrt|g| at a block of chart points, the values
-    of g_ij and g^ij with the points on the first axis, and the jets of the
-    fields the frame was asked for, one order above the frame. The matrices
-    of jets are symmetric: each mirrored entry is the same object."""
+    """Jets of g_ij, g^ij, sqrt|g| and the flux sqrt|g| g^ij at a block of
+    chart points, as `metric_frame` makes them, the values of g_ij and g^ij
+    with the points on the first axis, and the jets of the fields the frame
+    was asked for, one order above the frame. The matrices of jets are
+    symmetric: each mirrored entry is the same object."""
 
-    def __init__(self, chart, order, g, g_inv, sqrt_det, g_values, g_inv_values,
-                 fields=()):
-        self.chart = chart
-        self.order = order
-        self.g = g
-        self.g_inv = g_inv
-        self.sqrt_det = sqrt_det
-        self.g_values = g_values
-        self.g_inv_values = g_inv_values
-        self.fields = fields
-        # flux coefficients sqrt|g| g^ij, shared by every Laplacian evaluation
-        self.flux = _symmetric(len(g_inv), lambda i, j: sqrt_det * g_inv[i][j])
+    chart: Chart
+    order: int
+    g: list
+    g_inv: list
+    sqrt_det: Jet
+    flux: list
+    g_values: np.ndarray
+    g_inv_values: np.ndarray
+    fields: list
 
     def at(self, index):
         """The frame at position `index` of the block in the one-point form:
@@ -303,9 +306,8 @@ class MetricFrame:
         def pick(matrix):
             return _symmetric(len(matrix), lambda i, j: column(matrix[i][j]))
         return MetricFrame(self.chart, self.order, pick(self.g), pick(self.g_inv),
-                           column(self.sqrt_det), self.g_values[index],
-                           self.g_inv_values[index],
-                           [jet.at(index) for jet in self.fields])
+                           column(self.sqrt_det), pick(self.flux), self.g_values[index],
+                           self.g_inv_values[index], [jet.at(index) for jet in self.fields])
 
 
 def _values(matrix, count):
@@ -368,7 +370,9 @@ def metric_frame(chart, points, order=3, fields=()):
     field_jets = [eval_jet(_as_expr(f), env, memo) for f in fields]
 
     g_inv = _symmetric(len(adj), lambda i, j: adj[i][j] / det)
-    return MetricFrame(chart, order, g, g_inv, jets.sqrt(det), g_values,
+    sqrt_det = jets.sqrt(det)
+    flux = _symmetric(len(adj), lambda i, j: sqrt_det * g_inv[i][j])
+    return MetricFrame(chart, order, g, g_inv, sqrt_det, flux, g_values,
                        _values(g_inv, len(points)), field_jets)
 
 
@@ -446,7 +450,7 @@ def laplacian_values(frame, fields):
                         where=where.reshape(where.shape + (1,) * (h.ndim - where.ndim)))
             terms += product
     div = reduce(add, reduce(add, terms.swapaxes(0, 1)))  # over j in each row, then over i
-    jets.require_nonzero(frame.sqrt_det)
+    jets.require_nonzero(frame.sqrt_det.value)
     return np.ascontiguousarray((div / frame.sqrt_det.value).T)
 
 

@@ -33,7 +33,8 @@ from .jets import Jet, JetDomainError
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "UnboundVariableError",
-    "parse", "to_source", "intern", "eval_jet", "eval_value", "variables_of",
+    "parse", "is_variable", "to_source", "intern", "eval_jet", "eval_value",
+    "variables_of",
     "FUNCTIONS", "MAX_DEPTH",
 ]
 
@@ -271,6 +272,14 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse source text into an AST. Raises ParseError on malformed input."""
     return _Parser(source).parse()
+
+
+def is_variable(name) -> bool:
+    """Whether the parser reads `name` as that variable (`pi` is a constant)."""
+    try:
+        return isinstance(name, str) and parse(name) == Var(name)
+    except ParseError:
+        return False
 
 
 # --------------------------------------------------------------------------

@@ -74,10 +74,10 @@ MAX_VARS = 4
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 
-# Products formed at once at most (128 KB): larger temporaries are freshly
-# mapped pages, which made 4-D order-4 blocks slower (curved_highdim) and
-# raise the peak memory.
-_GROUP_MAX = 16384
+# Float64 values one temporary holds at most (128 KB): `_fold`'s products
+# at once, and a jet of a block (`analysis.block_points`). Larger ones are
+# freshly mapped pages, which made 4-D blocks slower and raise peak memory.
+BLOCK_VALUES = 16384
 
 
 class JetDomainError(ArithmeticError):
@@ -122,9 +122,9 @@ def _rounds(xs, ys, outs, count):
     round a prefix of the permuted slots: rounds add into slices, not
     scattered rows. Returns the x, y and output slots sorted by round, the
     size of each round, and the permutation (permuted position -> slot)."""
-    terms_of = np.bincount(outs, minlength=count)
     # each term's place among its slot's terms: a stable sort keeps them in order
     by_slot = np.argsort(outs, kind="stable")
+    terms_of = np.diff(np.searchsorted(outs[by_slot], np.arange(count + 1)))
     nth = np.empty_like(outs)
     nth[by_slot] = np.arange(len(outs)) - np.repeat(np.cumsum(terms_of) - terms_of, terms_of)
     perm = np.lexsort((np.arange(count), -terms_of))
@@ -138,11 +138,11 @@ def _rounds(xs, ys, outs, count):
 @lru_cache(maxsize=4096)
 def _groups(sizes, points):
     """Consecutive rounds of the given sizes, grouped so that the products
-    of one group at `points` points stay within _GROUP_MAX values: (first
+    of one group at `points` points stay within BLOCK_VALUES values: (first
     term, end term, round sizes) per group."""
     groups, start, group = [], 0, []
     for size in sizes:
-        if group and (sum(group) + size) * points > _GROUP_MAX:
+        if group and (sum(group) + size) * points > BLOCK_VALUES:
             groups.append((start, start + sum(group), group))
             start, group = start + sum(group), []
         group.append(size)
@@ -154,7 +154,7 @@ def _fold(ufunc, acc, x, xs, y, ys, sizes):
     """acc[:size] = ufunc(acc[:size], x[xs] * y[ys]) for one round after the
     other (see `_rounds`), so each slot of acc takes its terms in order."""
     points = acc[0].size
-    groups = ([(0, len(xs), sizes)] if len(xs) * points <= _GROUP_MAX
+    groups = ([(0, len(xs), sizes)] if len(xs) * points <= BLOCK_VALUES
               else _groups(sizes, points))
     for start, stop, group in groups:
         products = x[xs[start:stop]] * y[ys[start:stop]]
@@ -203,8 +203,8 @@ class _JetSpace:
         """The product terms of factors of degrees da and db and supports sa
         and sb: the pairs whose x slot is live in the first factor and whose
         y slot is live in the second (`_live`), in rounds (see `_rounds`),
-        with the inverse permutation and, for one point's bincount, the
-        output slot of each product. The value slot's one term is left out.
+        with the inverse permutation and the output slot of each product
+        (see `_scale_table`). The value slot's one term is left out.
         With a direction, only the output slots with alpha[direction] >= 1
         are formed, numbered as the rows of `diff_table(direction)`."""
         xs, ys, ks = self._pairs
@@ -256,19 +256,11 @@ class _JetSpace:
                 out[dst] = terms
             out[1 if direction is None else 0:] += 0.0
             return out
-        xs, ys, sizes, unperm, slots = self._mul_table(a.degree, b.degree, a.support,
-                                                       b.support, direction)
-        shape = (len(unperm),) + points
-        if x.size == y.size == self.size:
-            # one point: numpy's bincount sums sequentially from 0.0, in
-            # table order, and costs one call (its sums of no terms are ints)
-            products = x.ravel()[xs] * y.ravel()[ys]
-            out = np.bincount(slots, weights=products, minlength=shape[0])
-            out = out.astype(float, copy=False).reshape(shape)
-        else:
-            out = np.zeros(shape)  # sums start from 0.0, as bincount's do
-            _fold(np.add, out, x, xs, y, ys, sizes)
-            out = out[unperm]
+        xs, ys, sizes, unperm, _ = self._mul_table(a.degree, b.degree, a.support,
+                                                   b.support, direction)
+        out = np.zeros((len(unperm),) + points)  # each slot's sum starts from +0.0
+        _fold(np.add, out, x, xs, y, ys, sizes)
+        out = out[unperm]
         if direction is None:
             out[0] = x[0] * y[0]  # the value slot's one term, not added to +0.0
         return out
@@ -470,11 +462,9 @@ class Jet:
         if rhs is NotImplemented:
             return NotImplemented
         if rhs is None:
-            zero = first_index(np.equal(other, 0))
-            if zero is not None:
-                raise JetDomainError("division by zero", zero)
+            require_nonzero(other, "division by zero")
             return Jet(self.order, self.nvars, self.coeffs / other, self.degree, self.support)
-        require_nonzero(rhs)
+        require_nonzero(rhs.value)
         return Jet(self.order, self.nvars, _space(self.order, self.nvars).divide(self, rhs),
                    *_quotient_bounds(self, rhs))
 
@@ -554,12 +544,12 @@ def constant_like(value, jet):
     return Jet(jet.order, jet.nvars, coeffs, 0)
 
 
-def require_nonzero(divisor):
-    """JetDomainError for the first point at which the divisor jet's value
-    is zero."""
-    zero = first_index(divisor.coeffs[0] == 0.0)
+def require_nonzero(values, message="division by a jet with zero value"):
+    """JetDomainError(message) for the first point at which `values`, a
+    jet's values or a number per point, are zero."""
+    zero = first_index(np.equal(values, 0.0))
     if zero is not None:
-        raise JetDomainError("division by a jet with zero value", zero)
+        raise JetDomainError(message, zero)
 
 
 def first_partials(jet_list):
@@ -603,9 +593,7 @@ def power(a, exponent):
     if n == 0:
         return constant_like(1.0, a)
     if n < 0:
-        zero = first_index(a.coeffs[0] == 0.0)
-        if zero is not None:
-            raise JetDomainError("zero value raised to a negative power", zero)
+        require_nonzero(a.value, "zero value raised to a negative power")
         return 1.0 / power(a, -n)
     result = a
     for bit in bin(n)[3:]:  # square and multiply, after the leading bit

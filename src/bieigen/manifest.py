@@ -6,7 +6,7 @@ bounds may be numbers or constant expressions such as "2*pi/sqrt(2)"):
     {
       "name": str,
       "chart": {
-        "params":   [str, ...],            # 1 to 4 identifiers
+        "params":   [str, ...],            # 1 to 4 variable names, not pi
         "domain":   [[lo, hi], ...],       # one closed interval per param
         "periodic": [bool, ...],           # optional, defaults to all false
         "metric":   {"mode": "explicit", "g": [[expr, ...], ...]}   # upper triangle
@@ -29,10 +29,9 @@ from typing import Mapping
 
 from .analysis import SphereMap
 from .charts import Chart
-from .exprs import ParseError, UnboundVariableError, eval_value, parse
+from .exprs import ParseError, UnboundVariableError, eval_value, is_variable, parse
 from .jets import JetDomainError
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 MAX_SHOWN = 60  # characters of a manifest value echoed in an error message
 
 
@@ -87,8 +86,7 @@ def _finite_bound(value, where):
 
 
 def _ident(name, where):
-    if not isinstance(name, str) or not name or name[0].isdigit() \
-            or not set(name) <= _IDENT_OK:
+    if not is_variable(name):
         raise ManifestError(f"{where}: invalid identifier {_shown(name)}")
     return name
 

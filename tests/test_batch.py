@@ -67,8 +67,8 @@ def _alphas(order):
 @example(Call("sqrt", BinOp("+", Const(2.0), _bounded(BinOp(
     "*", Call("cosh", _bounded(Var("u"))), Call("cosh", _bounded(Var("u"))))))), 4096)
 def test_block_eval_jet_matches_blocks_of_one_and_oracle(ast, seed):
-    # products of a block take the round-by-round path, those of a block of
-    # one and of the one-point form (a scalar variable) the bincount path
+    # a block, a block of one and the one-point form (a scalar variable)
+    # fold their products round by round alike
     coords = np.random.default_rng(seed).uniform(0.3, 0.9, size=(40, 2))
     block = eval_jet(ast, _block_env(coords, 4))
     assert block.coeffs.shape == (15, 40)

@@ -196,6 +196,14 @@ def test_chart_validation():
         Chart.induced(["u", "v"], [(0, 1), (0, 1)], ["u"])  # too few components
 
 
+@pytest.mark.parametrize("name", ["pi", "1t", " t", "t t", "", "sin(t)"])
+def test_a_chart_parameter_is_a_name_the_parser_reads_as_that_variable(name):
+    # `pi` parses as the constant, so a parameter named pi would be ignored
+    with pytest.raises(ValueError) as err:
+        Chart.explicit((name,), [(0.1, 1.0)], [["1"]])
+    assert str(err.value) == f"chart parameter {name!r} is not a variable name"
+
+
 def test_laplacian_output_orders_agree():
     # requesting a lower-order result changes the budget, not the value
     for order in (0, 1, 2):

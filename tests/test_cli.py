@@ -636,6 +636,75 @@ def test_bad_tolerance_and_margin_exit_2(capsys, monkeypatch, flags, env, named)
     assert named in capsys.readouterr().err
 
 
+LINE = {"name": "line", "chart": {"params": ["t"], "domain": [[0, 1]],
+                                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "euclidean", "components": ["t", "0"]}}
+
+
+def _line(chart=None, **changes):
+    """LINE with `changes` to its top-level keys and `chart` to its chart's."""
+    return {**LINE, "chart": {**LINE["chart"], **(chart or {})}, **changes}
+
+
+_PLANE = {"params": ["u", "v"], "domain": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc, argv, line", [
+    ({**LINE, "chart": []}, [], "error: chart must be a JSON object"),
+    (_line({"domain": [[0, None]]}), [],
+     "error: chart.domain[0][1] must be a number or constant expression"),
+    (_line({"params": "t"}), [], "error: chart.params must list 1 to 4 parameter names"),
+    (_line({"params": list("abcde")}), [],
+     "error: chart.params must list 1 to 4 parameter names"),
+    (_line({"params": ["pi"]}), [], "error: chart.params: invalid identifier 'pi'"),
+    (_line({"domain": [[0, 1, 2]]}), [], "error: chart.domain[0] must be a [lo, hi] pair"),
+    (_line({"metric": {"g": [["1"]]}}), [],
+     "error: chart.metric must be an object with a 'mode' key"),
+    (_line({**_PLANE, "metric": {"mode": "explicit", "g": [["1"], ["1"]]}}), [],
+     "error: chart.metric.g[0] must list the upper triangle (2 entries expected)"),
+    (_line({**_PLANE, "params": ["t", "t"],
+            "metric": {"mode": "explicit", "g": [["1", "0"], ["1"]]}}), [],
+     "error: chart parameter names must be distinct"),
+    (_line({**_PLANE, "params": ["t", "t"],
+            "metric": {"mode": "induced", "immersion": ["t", "t"]}}), [],
+     "error: chart parameter names must be distinct"),
+    (_line({**_PLANE, "metric": {"mode": "induced", "immersion": ["u"]}}), [],
+     "error: chart.metric.immersion needs at least as many components as parameters"),
+    (_line(map={"target": "euclidean", "components": []}), [],
+     "error: map.components must be a non-empty list of expressions"),
+    (_line(name=""), [], "error: manifest.name must be a non-empty string"),
+    (LINE, ["--samples", "0"],
+     "bieigen classify: error: argument --samples: must be a positive integer"),
+    (LINE, ["--grid", "0"],
+     "bieigen bienergy: error: argument --grid: must be a positive integer"),
+], ids=["section_not_an_object", "bound_not_a_number", "params_not_a_list", "five_params",
+        "param_pi", "interval_not_a_pair", "metric_without_mode", "triangle_row_length",
+        "duplicate_params_explicit", "duplicate_params_induced", "short_immersion",
+        "no_components", "empty_name", "samples_zero", "grid_zero"])
+def test_malformed_manifests_and_flags_exit_2(tmp_path, capsys, doc, argv, line):
+    command = "bienergy" if "--grid" in argv else "classify"
+    try:
+        code = main([command, _write(tmp_path, doc), *argv])
+    except SystemExit as exit_info:  # argparse refuses a flag by exiting
+        code = exit_info.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
+def test_a_parameter_named_like_a_function_classifies(tmp_path, capsys):
+    # |dphi|^2 = cos(s)^2 + 1 of phi = (sin(s), s): the parameter is read as one
+    doc = _line({"params": ["sin"]}, map={"target": "euclidean",
+                                          "components": ["sin(sin)", "sin"]})
+    assert main(["classify", _write(tmp_path, doc), "--samples", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["c_hat"] > 1.0
+
+
+def test_a_valid_margin_reaches_the_report_settings(capsys):
+    argv = ["classify", "great_circle_S2", "--samples", "4", "--format", "json"]
+    assert main([*argv, "--margin", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["settings"]["margin"] == 0.01
+
+
 def test_bienergy_command(capsys):
     assert main(["bienergy", "small_circle_S2", "--grid", "256"]) == 0
     out = capsys.readouterr().out

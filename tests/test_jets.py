@@ -228,6 +228,14 @@ def test_domain_errors():
         jets.power(zero, -1)
 
 
+@pytest.mark.parametrize("divisor, index", [(0.0, 0), (np.array([1.0, -2.0, 0.0]), 2)])
+def test_division_by_a_zero_number_names_its_point(divisor, index):
+    with pytest.raises(JetDomainError) as info:
+        jets.variable(0, [0.5, 1.0, 2.0], 2, 1) / divisor
+    assert str(info.value) == "division by zero"
+    assert info.value.index == index
+
+
 @pytest.mark.parametrize("func, value, message", [
     (jets.exp, 1000.0, "exp(1000.0) is"), (jets.sinh, 1000.0, "sinh(1000.0) is"),
     (jets.cosh, -1000.0, "cosh(-1000.0) is"), (jets.sin, math.inf, "sin(inf) is"),
@@ -385,8 +393,8 @@ def _assert_product_is_the_convolution(a, b):
 @settings(max_examples=150, deadline=None)
 @given(_filtered_factors(2))
 def test_degree_filtered_product_equals_the_full_convolution_bit_for_bit(case):
-    # one point takes the bincount path, a block the round fold; the terms
-    # skipped for degree or support are +-0.0, and so is a value slot
+    # one point and a block fold their rounds alike; the terms skipped for
+    # degree or support are +-0.0, and so is a value slot
     _assert_product_is_the_convolution(*case[2])
 
 
