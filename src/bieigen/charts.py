@@ -51,8 +51,9 @@ MAX_POINTS = 2 ** 20  # sample points or quadrature cells in one grid
 
 
 class GeometryError(RuntimeError):
-    """Degenerate geometry at an evaluation point (metric not positive
-    definite, rank-deficient immersion, point outside the chart); `index`
+    """Degenerate geometry at an evaluation point (metric value not finite,
+    metric not positive definite, rank-deficient immersion, point outside
+    the chart); `index`
     is the point's position in the evaluated block."""
 
     def __init__(self, message, index=0):
@@ -330,6 +331,24 @@ def _metric_jets(chart, coords, order, env, memo):
     return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j], env, memo))
 
 
+def _require_finite_metric(chart, g_values, coords):
+    """Raise GeometryError naming the first point whose metric values are
+    not all finite (eigvalsh may fail to converge on them), and its first
+    such entry in upper-triangle order: the manifest key
+    chart.metric.g[i][k] of an explicit metric, g_ij (0-based) of an
+    induced one."""
+    finite = np.isfinite(g_values)
+    if finite.all():
+        return
+    bad = jets.first_index(~finite.all(axis=(1, 2)))
+    m = chart.dim
+    i, j = next((i, j) for i in range(m) for j in range(i, m) if not finite[bad, i, j])
+    entry = f"g_{i}{j}" if isinstance(chart.metric, InducedMetric) \
+        else f"chart.metric.g[{i}][{j - i}]"
+    raise GeometryError(f"metric is not finite at {tuple(coords[bad].tolist())} "
+                        f"({entry} is {g_values[bad, i, j]})", bad)
+
+
 def metric_frame(chart, points, order=3, fields=()):
     """Metric data as order-`order` jets (induced mode consumes one extra
     derivative order from the immersion), at one point or at a block of
@@ -361,6 +380,7 @@ def metric_frame(chart, points, order=3, fields=()):
                 f"immersion is rank-deficient at {tuple(coords[bad].tolist())} "
                 f"(det {det.coeffs[0][bad]:.3e})", bad)
     g_values = _values(g, len(points))
+    _require_finite_metric(chart, g_values[:len(coords)], coords)
     smallest = np.linalg.eigvalsh(g_values[:len(coords)])[:, 0]
     bad = jets.first_index(~(smallest > MIN_METRIC_EIGENVALUE))
     if bad is not None:

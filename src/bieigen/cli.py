@@ -14,8 +14,9 @@ Exit codes: 0 success or PASS, 1 verdict FAIL, 2 manifest or usage errors
 (bad flag values, a manifest file that cannot be read or decoded, an export
 path that cannot be written, and a --samples or --grid whose grid would
 exceed charts.MAX_POINTS points or cells), 3 evaluation errors (degenerate
-metric, function domain, constraint violation, overflow or a non-finite
-report value; the offending point or quantity is reported), 4 NOT_APPLICABLE
+metric, a metric value that is not finite, function domain, constraint
+violation, overflow or a non-finite report value; the offending point or
+quantity, and for a metric value its entry, is reported), 4 NOT_APPLICABLE
 with the unmet precondition named, 5 residual equation preconditions not
 satisfied.
 """

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bieigen import build_map, catalog_get
 from bieigen.analysis import (SphereConstraintError, SphereMap, analyze_point,
                               analyze_samples, bienergy_quadrature,
-                              constant_density_residual)
+                              constant_density_residual, inf_norms)
 from bieigen.charts import MAX_POINTS, Chart, SizeError
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
@@ -263,3 +266,33 @@ def test_div_theta_closed_form_on_varying_density_curve():
         fpp = -0.3 * math.sin(t)
         fppp = -0.3 * math.cos(t)
         assert pa.div_theta == pytest.approx(fpp * fpp + fp * fppp, abs=1e-10)
+
+
+# values a max-norm must carry through: NaN, +-inf, -0.0 and subnormals
+EDGE_FLOATS = st.one_of(st.sampled_from((np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                                         -5e-324, 2.2250738585072009e-308)),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _same_bits(got, expected):
+    """NaN at the same positions, the same bits everywhere else (which NaN
+    payload a reduction keeps is not specified)."""
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(0, 12), st.integers(1, 6)),
+                  elements=EDGE_FLOATS))
+def test_inf_norms_fold_equals_the_max_reduction(x):
+    _same_bits(inf_norms(x), np.max(np.abs(x), axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: hnp.arrays(
+    float, st.tuples(st.integers(1, 12), st.just(m), st.just(m)), elements=EDGE_FLOATS)))
+def test_gram_defect_fold_equals_the_max_over_the_matrix(d):
+    p, m, _ = d.shape
+    _same_bits(inf_norms(d.reshape(p, m * m)), np.max(np.abs(d), axis=(1, 2)))

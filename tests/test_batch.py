@@ -273,10 +273,26 @@ def test_nan_metric_fails_the_metric_guard():
     nan_metric = Chart.explicit(["t"], [(0.0, 1.0)], [["1 + 0*exp(1e3*sin(t))^2"]])
     nan_immersion = Chart.induced(["t"], [(0.0, 1.0)], ["t", "0*exp(1e3*sin(t))^2"])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(GeometryError, match=r"smallest eigenvalue nan"):
+        with pytest.raises(GeometryError, match=r"metric is not finite at \(0.5,\) "
+                                                r"\(chart.metric.g\[0\]\[0\] is nan\)"):
             metric_frame(nan_metric, [(0.5,)], 1)
         with pytest.raises(GeometryError, match=r"rank-deficient at \(0.5,\) \(det nan\)"):
             metric_frame(nan_immersion, [(0.5,)], 1)
+
+
+def test_infinite_metric_fails_the_finite_metric_guard_at_its_first_point():
+    # eigvalsh may not converge on an inf entry; the guard names the entry:
+    # an explicit metric's manifest key, an induced metric's g_ij
+    explicit = Chart.explicit(["u", "v", "w"], [(-1.0, 1.0)] * 3,
+                              [["1", "0", "1e300*u*1e300"], ["2", "0"], ["1"]])
+    induced = Chart.induced(["t"], [(-1.0, 1.0)], ["t", "1e200*t^2*1e200"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GeometryError, match=r"not finite at \(0.5, 0.0, 0.0\) "
+                                                r"\(chart.metric.g\[0\]\[2\] is inf\)") as e:
+            metric_frame(explicit, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.7, 0.0, 0.0)], 1)
+        assert e.value.index == 1
+        with pytest.raises(GeometryError, match=r"not finite at \(-0.5,\) \(g_00 is inf\)"):
+            metric_frame(induced, [(0.0,), (-0.5,)], 1)
 
 
 def test_sqrt_tower_bits_match_math():

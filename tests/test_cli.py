@@ -276,6 +276,33 @@ def test_nan_from_overflow_fails_the_sphere_identity_exit_3(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("params, g, entry", [
+    # eigvalsh raised LinAlgError on the inf entry, a traceback with exit 1
+    (["u", "v", "w"], [["1", "0", "1e300*u*1e300"], ["2", "0"], ["1"]], "chart.metric.g[0][2]"),
+    # refused only as a NaN fitted constant or density, naming neither entry nor point
+    (["u"], [["1e300*u*1e300"]], "chart.metric.g[0][0]"),
+], ids=["3d", "1d"])
+def test_a_non_finite_metric_value_exits_3_naming_the_entry_and_point(tmp_path, capsys,
+                                                                      params, g, entry):
+    chart = {"params": params, "domain": [[0.1, 1]] * len(params),
+             "metric": {"mode": "explicit", "g": g}}
+    flat = {"name": "r", "chart": chart, "map": {"target": "euclidean", "components": ["u"]}}
+    circle = {"name": "r_circle", "chart": chart,
+              "map": {"target": "sphere", "components": ["cos(u)", "sin(u)"]}}
+    commands = ((["classify", "--samples", "8"], 0.1009),
+                (["verify", "--theorem", "t3", "--samples", "8"], 0.1009),
+                (["bienergy", "--grid", "8"], 0.15625))
+    runs = [(doc, argv, x) for doc in (flat, circle) for argv, x in commands]
+    # residual refuses a Euclidean target before any point (exit 5)
+    runs.append((circle, ["residual", "--equation", "mf", "--samples", "8"], 0.1009))
+    for doc, argv, x in runs:
+        assert main([argv[0], _write(tmp_path, doc), *argv[1:]]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"evaluation error: metric is not finite at "
+                                f"{(x,) * len(params)} ({entry} is inf)\n"), argv
+
+
 @pytest.mark.parametrize("grid, cell", [(8, 0.0625), (40, 0.0125)])
 def test_nan_bienergy_density_names_the_quantity_and_cell(tmp_path, capsys, grid, cell):
     doc = {**OVERFLOW, "name": "fast_circle",

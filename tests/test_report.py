@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import csv_rows, require_finite_walk
@@ -25,17 +25,19 @@ SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
            -1.7976931348623157e308)
 FLOATS = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_infinity=False))
-# classification columns, and keys that need JSON escapes or a literal `%`
+# classification columns, and keys that need JSON escapes (a control
+# character and a NUL among them), or hold a literal `%`
 KEYS = ("energy_density", "mean_curvature_norm", "residual_full", "gram_defect",
-        "100% max", 'say "hi"', "back\\slash")
+        "100% max", 'say "hi"', "back\\slash", "tab\there", "nul\x00byte")
 
 
 @st.composite
 def tables(draw):
-    """(columns, defined) of a random table: a classification-like one, with
-    None columns and None cells on random rows, or a residual one."""
+    """(columns, defined) of a random table, of 0 rows or more: a
+    classification-like one, with None columns and None cells on random
+    rows, or a residual one."""
     dim = draw(st.integers(1, 4))
-    rows = draw(st.integers(1, 12))
+    rows = draw(st.integers(0, 12))
 
     def values(width):
         cells = draw(st.lists(FLOATS, min_size=rows * width, max_size=rows * width))
@@ -50,7 +52,7 @@ def tables(draw):
         columns[key] = None if kind == "none" else values(1)[:, 0]
         if kind == "masked":
             defined[key] = np.array(draw(st.lists(st.booleans(), min_size=rows,
-                                                  max_size=rows)))
+                                                  max_size=rows)), dtype=bool)
     return columns, defined
 
 
@@ -72,6 +74,15 @@ def row_dicts(columns, defined):
 
 @settings(max_examples=200, deadline=None)
 @given(tables(), st.integers(0, 2))
+# no rows: JSON `[]`, CSV a header line only
+@example(({"point": np.zeros((0, 2)), "residual": np.zeros(0)}, {}), 1)
+# one key besides `point`, sorted before it: each row ends with the point's `]`
+@example(({"point": np.array([[0.5, -0.0], [1e-300, 2.0]]),
+           "energy_density": np.array([1.0, 0.25])}, {}), 1)
+# escaped keys, one of them a NUL, around the point
+@example(({"point": np.array([[0.5], [2.0]]), "nul\x00byte": np.array([1.0, 0.25]),
+           "tab\there": None, "residual_full": np.array([3.0, 4.0])},
+          {"residual_full": np.array([False, True])}), 0)
 def test_table_json_and_csv_match_the_row_writers(table, depth):
     columns, defined = table
 
