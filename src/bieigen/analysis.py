@@ -122,7 +122,10 @@ class SampleBatch:
     """All pointwise quantities of a map at P points, stacked on a first axis
     of length P. The residual arrays are None unless the target is the unit
     sphere; mean curvature and the submanifold residual are defined on the
-    rows where `isometric` (Gram defect within GRAM_TOL) holds."""
+    rows where `isometric` (Gram defect within GRAM_TOL) holds.
+    `classify.verdicts` reads `tension`, `residual_submanifold` and
+    `residual_full` as the harmonic, submanifold and full residual vectors
+    instead of summing their terms again."""
 
     points: np.ndarray          # (P, m)
     phi: np.ndarray             # (P, ambient)

@@ -144,9 +144,13 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
 
     Each residual is a row of (coefficient, vector) terms; its threshold
     scale is the largest |coefficient| times max-norm of a vector over the
-    rows where it is defined. The constant-density verdict evaluates its
-    residual with c = c_hat, the mean density, not with the pointwise density
-    of the per-point `residual_constant_density` column."""
+    rows where it is defined. The harmonic, submanifold and full residuals
+    are read from the analysis (`samples.tension`, `residual_submanifold`,
+    `residual_full`), which formed them from the same terms; the eigen,
+    bi-eigen and buckling residuals are summed here, and so is the
+    constant-density one, which is evaluated with c = c_hat, the mean
+    density, not with the pointwise density of the per-point
+    `residual_constant_density` column."""
     if not len(samples):
         raise ValueError("empty sample set")
     s = samples
@@ -162,11 +166,14 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
              ("buckling", None if rho is None else ((1.0, s.bilap_phi), (rho, s.lap_phi))),
              next(forms), *(forms if smap.unit_sphere else ()))
     rows = {"biharmonic_submanifold": s.isometric}
+    formed = {"harmonic": s.tension, "biharmonic_submanifold": s.residual_submanifold,
+              "biharmonic_full": s.residual_full}
     residuals, scales = {}, {}
     for name, terms in table:
         defined = rows.get(name, every)
         if terms is not None and defined.any():
-            residuals[name] = _norms(inf_norms(sum_terms(terms)), defined)
+            vector = formed[name] if name in formed else sum_terms(terms)
+            residuals[name] = _norms(inf_norms(vector), defined)
             scales[name] = _scale([abs(k) * norms[id(vec)] for k, vec in terms], defined)
 
     def holds(name):

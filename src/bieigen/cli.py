@@ -106,8 +106,10 @@ def cmd_verify(args):
 def cmd_residual(args):
     name, smap = _load_map(args.manifest)
     if not smap.unit_sphere:
+        target = smap.target if smap.target != "sphere" \
+            else f"a sphere of radius {smap.radius:g}"
         print(f"error: residual equations require a unit-sphere target "
-              f"({name} targets {smap.target})", file=sys.stderr)
+              f"({name} targets {target})", file=sys.stderr)
         return EXIT_PRECONDITION
     report = classify(smap, args.samples, args.tol, margin=args.margin)
     if args.equation == "eq102" and not report.is_isometric:

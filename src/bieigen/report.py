@@ -4,16 +4,22 @@ JSON output is key-sorted, floats are rendered with 17 significant digits
 (enough to round-trip any double exactly), and no environment-dependent state
 enters the stream, so identical inputs produce byte-identical reports.
 
+Each document is written once: `to_json` appends its pieces (a value, or
+the brackets, keys and separators of a container) to one list and joins
+that list once, so no part of the text is copied into a larger string
+before the final join. The CSV is one join of its lines.
+
 The per-point rows of a report are a `Table`, held by column: it checks its
 columns for non-finite values when it is built, formats each column once,
-and renders its JSON and its CSV from the same cell strings. The JSON is one
-join of those cells and the text between them (between two cells of a row,
+and renders its JSON and its CSV from the same cell strings. Its JSON pieces
+are its cells and the text between them (between two cells of a row,
 between two rows, before the first and after the last), each piece of text
 built once per table, not once per row; a CSV line is one `",".join`.
 """
 
 import math
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -34,13 +40,44 @@ def format_float(x) -> str:
 
 
 def to_json(obj) -> str:
-    """Render nested dicts/lists with sorted keys and fixed float formatting."""
-    return _json(obj, "\n") + "\n"
+    """Render nested dicts/lists with sorted keys and fixed float formatting:
+    the pieces of the document and its final newline, joined once."""
+    out = []
+    _json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json(obj, newline):
-    """obj as JSON text; `newline` is a line break and the indent of the line
-    on which obj starts."""
+def _json(obj, newline, out):
+    """Append the JSON text of obj to the list `out` as pieces: a scalar as
+    one, a container as its opening, its items with the separators and keys
+    before them, and its closing. `newline` is a line break and the indent
+    of the line on which obj starts."""
+    if isinstance(obj, Table):
+        obj.json(newline, out)
+        return
+    if isinstance(obj, dict):
+        items = [(_key(key) + ": ", obj[key]) for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [("", item) for item in obj]
+        brackets = "[]"
+    else:
+        out.append(_scalar(obj))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    before = brackets[0] + inner
+    for key, value in items:
+        out.append(before + key)
+        _json(value, inner, out)
+        before = "," + inner
+    out.append(newline + brackets[1])
+
+
+def _scalar(obj):
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if obj is None:
@@ -51,20 +88,7 @@ def _json(obj, newline):
         return str(int(obj))
     if isinstance(obj, str):
         return _escape(obj)
-    if isinstance(obj, Table):
-        return obj.json(newline)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        items = [f"{_key(key)}: {_json(obj[key], inner)}" for key in sorted(obj)]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_json(item, inner) for item in obj]
-        brackets = "[]"
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _key(key):
@@ -179,14 +203,16 @@ class Table:
                 cells[key] = [column]
         return cells
 
-    def json(self, newline):
-        """The rows as `_json` writes a list of objects that starts on the
-        line `newline` ends, as one join of the cells and the text between
-        them: the text before each cell of a row (escaped, sorted keys and
-        the point's brackets) and the text that ends one row and starts the
-        next are built once, and placed by strided slice assignment."""
+    def json(self, newline, out):
+        """Append the rows, as `_json` writes a list of objects that starts
+        on the line `newline` ends, to the pieces `out`: the cells and the
+        text between them. The text before each cell of a row (escaped,
+        sorted keys and the point's brackets) and the text that ends one row
+        and starts the next are built once, and placed by strided slice
+        assignment."""
         if not self.rows:
-            return "[]"
+            out.append("[]")
+            return
         cells = self._cells
         outer = newline + "  "
         inner = outer + "  "
@@ -204,19 +230,19 @@ class Table:
         end = text + outer + "}"
         first = "[" + outer + gaps[0]
         gaps[0] = end + "," + outer + gaps[0]  # ends one row, starts the next
-        n, rows = len(columns), self.rows
-        pieces = [None] * (2 * n * rows)
+        n, rows, start = len(columns), self.rows, len(out)
+        out += repeat(None, 2 * n * rows)
         for k, (gap, column) in enumerate(zip(gaps, columns)):
-            pieces[2 * k::2 * n] = [gap] * rows
-            pieces[2 * k + 1::2 * n] = column
-        pieces[0] = first
-        pieces.append(end + newline + "]")
-        return "".join(pieces)
+            out[start + 2 * k::2 * n] = [gap] * rows
+            out[start + 2 * k + 1::2 * n] = column
+        out[start] = first
+        out.append(end + newline + "]")
 
     def csv(self) -> str:
-        """A header line, then one line per row, each one `",".join`: with
-        one separator throughout, that costs less than the JSON's placed
-        separators. A None cell is empty."""
+        """A header line, then one line per row, each one `",".join`, and
+        the final line break, joined once: with one separator throughout,
+        that costs less than the JSON's placed separators. A None cell is
+        empty."""
         cells = self._cells
         header = [name for key in cells for name in (
             [f"u{k + 1}" for k in range(len(cells[key]))] if key == "point" else [key])]
@@ -225,7 +251,7 @@ class Table:
             if self.columns[key] is None or key in self.defined:
                 column = [["" if cell == "null" else cell for cell in column[0]]]
             columns += column
-        return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+        return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,10 @@ float finite difference, caught between truncation and roundoff, can check
 no better than about 1e-6.
 
 The report oracles at the end work on report documents of plain dicts and
-lists: a recursive walk for the first non-finite value, and a row-by-row CSV
-writer, the references for `report.Table`. Before them, `_det` and
+lists: a recursive walk for the first non-finite value, a row-by-row CSV
+writer, the references for `report.Table`, and a recursive JSON writer that
+returns each value's text as one string, the reference for the one-join
+`report.to_json`. Before them, `_det` and
 `_adjugate` expand every minor of a matrix of jets on its own, the reference
 for the one cofactor pass of `charts._cofactors`. Before those, the tension
 and the three biharmonicity residuals are each written out as one
@@ -371,3 +373,40 @@ def csv_rows(header, rows):
     lines += [",".join(["" if x is None else format(float(x), ".17g") for x in row])
               for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_text(obj, newline="\n"):
+    """obj as the JSON text of `report.to_json`, less its final line break,
+    one string per value: keys sorted, two spaces of indent per level,
+    floats with 17 significant digits; `newline` is a line break and the
+    indent of the line on which obj starts."""
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{_json_string(key)}: {json_text(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
+    else:
+        items = [json_text(item, inner) for item in obj]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+
+
+def _json_string(s):
+    """`"`, `\\`, newline and tab by their short escapes, any other character
+    below U+0020 as `\\u00XX`, the rest as it is."""
+    return '"' + "".join(_SHORT_ESCAPES.get(ch, f"\\u{ord(ch):04x}" if ch < " " else ch)
+                         for ch in s) + '"'

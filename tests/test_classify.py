@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from bieigen import build_map, catalog_get
-from bieigen.analysis import SphereMap, analyze_samples, constant_density_residual
+from bieigen.analysis import (SphereMap, analyze_samples, constant_density_residual,
+                              inf_norms, residual_terms, sum_terms)
 from bieigen.catalog import catalog_names
 from bieigen.charts import Chart
 from bieigen.classify import (FAIL, NOT_APPLICABLE, PASS, classify,
                               fit_constants, verdicts, verify)
 
 import _oracles
-from test_curved import sphere_manifest
+from test_curved import random_induced_3d, sphere_manifest
 
 
 def _report(name, samples=64, tol=1e-8):
@@ -298,3 +299,32 @@ def test_residuals_are_the_written_out_formulas_bit_for_bit(name):
     assert sorted(report.residuals) == sorted(want)
     for key, vectors in want.items():
         _assert_bits(report.residuals[key].per_point, np.max(np.abs(vectors), axis=-1))
+
+
+# maps off the unit sphere: into R^5 on a curved 3-D chart, and onto the
+# sphere of radius 2 with a varying density
+OFF_UNIT = {
+    "random_induced_3d": lambda: random_induced_3d()[0],
+    "circle_radius_2": lambda: {
+        "name": "circle_radius_2",
+        "chart": {"params": ["t"], "domain": [[0, "2*pi"]], "periodic": [True],
+                  "metric": {"mode": "explicit", "g": [["1"]]}},
+        "map": {"target": "sphere", "radius": 2.0,
+                "components": ["2*cos(t + 0.3*sin(t))", "2*sin(t + 0.3*sin(t))", "0"]}},
+}
+READ_FROM_THE_ANALYSIS = ("harmonic", "biharmonic_submanifold", "biharmonic_full")
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *OFF_UNIT])
+def test_verdicts_read_the_residual_vectors_of_the_analysis(name):
+    # verdicts takes the harmonic, submanifold and full residuals from the
+    # SampleBatch; they must be the ones its own terms sum to, bit for bit
+    doc = OFF_UNIT[name]() if name in OFF_UNIT else catalog_get(name).manifest
+    _, smap = build_map(doc)
+    report = classify(smap, 27)
+    forms = dict(residual_terms(report.samples, report.constants.c_hat, smap.target,
+                                smap.radius))
+    read = [key for key in READ_FROM_THE_ANALYSIS if key in report.residuals]
+    assert read[:1] == ["harmonic"] and ("biharmonic_full" in read) == smap.unit_sphere
+    for key in read:
+        _assert_bits(report.residuals[key].per_point, inf_norms(sum_terms(forms[key])))

@@ -224,8 +224,28 @@ def test_residual_eq102_requires_isometry_exit_5(capsys):
     assert "isometric" in capsys.readouterr().err
 
 
+def _residual_refusal(capsys, manifest):
+    """The stderr line of `residual --equation mf` refusing a map, which
+    exits 5 and writes nothing to stdout."""
+    assert main(["residual", manifest, "--equation", "mf"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 def test_residual_requires_unit_sphere_exit_5(capsys):
-    assert main(["residual", "circle_S1_sqrt_half", "--equation", "mf"]) == 5
+    assert _residual_refusal(capsys, "circle_S1_sqrt_half") == (
+        "error: residual equations require a unit-sphere target "
+        "(circle_S1_sqrt_half targets a sphere of radius 0.707107)\n")
+
+
+def test_residual_refuses_a_euclidean_target_exit_5(tmp_path, capsys):
+    line = {"name": "line",
+            "chart": {"params": ["t"], "domain": [[0, 1]], "periodic": [False],
+                      "metric": {"mode": "explicit", "g": [["1"]]}},
+            "map": {"target": "euclidean", "components": ["t", "0"]}}
+    assert _residual_refusal(capsys, _write(tmp_path, line)) == (
+        "error: residual equations require a unit-sphere target (line targets euclidean)\n")
 
 
 def test_residual_checks_unit_sphere_before_any_point(capsys, monkeypatch):

@@ -8,7 +8,9 @@ non-diagonal induced 3-D metric, on random non-diagonal explicit 3-D and
 checked against the 30-digit divergence form of
 `_oracles.mp_laplace_beltrami`."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,3 +239,50 @@ def test_laplacian_meets_the_high_precision_divergence_form(case):
             want = mp_laplace_beltrami(metric, params, component, point)
             assert batch.lap_phi[p, a] == pytest.approx(want, rel=1e-9, abs=1e-12), \
                 (point, component)
+
+
+def _halved(doc):
+    """The manifest on the chart whose coordinates are twice the original's:
+    every chart parameter x becomes 0.5*x in every expression, and each
+    domain bound is doubled."""
+    params = doc["chart"]["params"]
+    word = re.compile(rf"\b({'|'.join(params)})\b")
+
+    def rewrite(value):
+        if isinstance(value, str):
+            return word.sub(r"(0.5*\1)", value)
+        return [rewrite(v) for v in value] if isinstance(value, list) else value
+
+    chart = doc["chart"]
+    halved = {**chart, "domain": [[f"2*({lo})", f"2*({hi})"] for lo, hi in chart["domain"]],
+              "metric": {key: rewrite(v) for key, v in chart["metric"].items()}}
+    return {**doc, "chart": halved,
+            "map": {**doc["map"], "components": rewrite(doc["map"]["components"])}}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case, samples", [
+    (lambda: random_induced_3d()[0], 64),
+    (lambda: sphere_manifest(4, lifted=True), 81),
+], ids=["random_induced_3d", "S4_half_in_S5"])
+def test_a_dyadic_reparametrization_keeps_every_invariant_bit(case, samples):
+    # u -> 0.5 u scales every derivative by a power of two, so no bit of a
+    # quantity that is invariant under the change of chart may move
+    doc = case()
+    smap, halved = build_map(doc)[1], build_map(_halved(doc))[1]
+    points = smap.chart.sample_points(samples)
+    before, after = analyze_samples(smap, points), analyze_samples(halved, 2.0 * points)
+    scaled = {"points": 2.0, "dphi": 0.5, "gram_defect": 0.25}
+    for field in dataclasses.fields(before):
+        want, got = getattr(before, field.name), getattr(after, field.name)
+        if want is None:
+            assert got is None, field.name
+            continue
+        if field.name in scaled:
+            want = want * scaled[field.name]
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=field.name)
+    # on S^4 every row is isometric, so the submanifold residual was compared
+    assert after.isometric.all() == smap.unit_sphere

@@ -1,21 +1,25 @@
-"""The columnar report stage against the row-by-row reference.
+"""The report stage against the references of `_oracles`.
 
-`report.Table` writes the per-point rows of a report by column. Its JSON is
-checked against `to_json` of the same rows as plain dicts, which `_json`
-writes recursively, and its CSV against a row-by-row writer. Its finiteness
-gate is checked against a recursive walk of the same document, which names
-the first non-finite value in document order.
+`report.to_json` appends the pieces of a document to one list and joins it
+once; it is checked against `_oracles.json_text`, which writes each value's
+text recursively as one string, on random documents with `Table`s in them,
+and its transient memory is bounded. `report.Table` writes the per-point
+rows of a report by column. Its JSON is checked against `json_text` of the
+same rows as plain dicts, and its CSV against a row-by-row writer. Its
+finiteness gate is checked against a recursive walk of the same document,
+which names the first non-finite value in document order.
 """
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import csv_rows, require_finite_walk
+from _oracles import csv_rows, json_text, require_finite_walk
 from bieigen import report as rpt
 from bieigen.catalog import catalog_get
 from bieigen.classify import classify
@@ -73,7 +77,7 @@ def row_dicts(columns, defined):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables(), st.integers(0, 2))
+@given(tables(), st.integers(0, 3))
 # no rows: JSON `[]`, CSV a header line only
 @example(({"point": np.zeros((0, 2)), "residual": np.zeros(0)}, {}), 1)
 # one key besides `point`, sorted before it: each row ends with the point's `]`
@@ -92,13 +96,74 @@ def test_table_json_and_csv_match_the_row_writers(table, depth):
         return points
 
     rows = row_dicts(columns, defined)
-    assert rpt.to_json(nested(rpt.Table(columns, defined))) == rpt.to_json(nested(rows))
+    assert rpt.to_json(nested(rpt.Table(columns, defined))) == json_text(nested(rows)) + "\n"
 
     dim = columns["point"].shape[1]
     header = [f"u{k + 1}" for k in range(dim)] + [k for k in columns if k != "point"]
     expected = csv_rows(header, [row["point"] + [row[k] for k in header[dim:]]
                                  for row in rows])
     assert rpt.Table(columns, defined).csv() == expected
+
+
+def _pair(value):
+    return value, value
+
+
+def _table_pair(table):
+    columns, defined = table
+    return rpt.Table(columns, defined), row_dicts(columns, defined)
+
+
+def _container_pairs(children):
+    """(document, plain) pairs of lists, tuples and dicts of child pairs."""
+    items = st.lists(children, max_size=4)
+    return st.one_of(
+        items.map(lambda xs: ([d for d, _ in xs], [p for _, p in xs])),
+        items.map(lambda xs: (tuple(d for d, _ in xs), [p for _, p in xs])),
+        st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), children,
+                        max_size=4).map(
+            lambda kv: ({k: d for k, (d, _) in kv.items()},
+                        {k: p for k, (_, p) in kv.items()})))
+
+
+SCALARS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-2 ** 70, 2 ** 70),
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+                    st.none(), st.text(max_size=6))
+ARRAYS = st.lists(FLOATS, max_size=6).map(np.array) | \
+    st.lists(FLOATS, min_size=6, max_size=6).map(lambda xs: np.array(xs).reshape(2, 3))
+# (document, plain): the document may hold Tables, numpy scalars and arrays,
+# and tuples; plain holds the same values with each Table's rows as dicts
+DOCUMENTS = st.recursive(st.one_of(SCALARS.map(_pair), ARRAYS.map(_pair),
+                                   tables().map(_table_pair)),
+                         _container_pairs, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+@example(_pair({}))
+@example(_pair([]))
+@example(_pair({"a": [], "b": {}, "c": ()}))
+@example(_pair({'say "hi"': np.float64(-0.0), "nul\x00byte": np.int64(-7)}))
+def test_to_json_matches_the_recursive_writer(pair):
+    document, plain = pair
+    assert rpt.to_json(document) == json_text(plain) + "\n"
+
+
+def test_to_json_holds_at_most_twice_the_document():
+    # the pieces of a document are joined once: at its peak, to_json holds
+    # the document and the list of its pieces, not copies of the text; the
+    # cells are formatted before, so only the rendering is measured
+    _, smap = build_map(catalog_get("kfold_equator_S2").manifest)
+    doc = rpt.classification_dict("kfold_equator_S2", classify(smap, 1024))
+    assert doc["points"]._cells
+    tracemalloc.start()
+    try:
+        text = rpt.to_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 500_000
+    assert peak <= 2 * len(text), peak / len(text)
 
 
 # --------------------------------------------------------------------------
