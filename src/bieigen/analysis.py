@@ -9,8 +9,9 @@ read) with its Laplacian and gradient pushforward, the tension field, the
 mean curvature vector, and the residual vectors of the three biharmonicity
 characterizations. The component Laplacians are jets (`charts.laplacian_jet`),
 since grad lap phi and the bi-Laplacian read them; the Laplacians read for
-their value alone, the bi-Laplacian of every component, lap e and the
-bienergy's lap phi, are one `charts.laplacian_values` call each:
+their value alone are values of `charts.laplacian_values`: the bi-Laplacian
+of every component and lap e in one call per block, and the bienergy's lap
+phi in another:
 
   tension           lap + (e / r^2) phi                  (lap in R^n)
   submanifold       lap2 + 2m lap + (2 m^2 - |lap|^2) phi        (isometric)
@@ -338,8 +339,15 @@ def _analyze_block(smap, points):
     frame = metric_frame(chart, points, ANALYSIS_ORDER - 1, smap.components)
     phi_jets = frame.fields
     phi, sphere_defect = _phi(smap, phi_jets, points)
-    lap_phi, bilap_phi, d_lap = _laplacians(frame, phi_jets)
-    dphi, energy, lap_energy, d_energy = _energy(frame, phi_jets)
+    lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
+    energy_jet = _energy_jet(frame, phi_jets)
+    # lap2 phi and lap e, the values of the Laplacians of order-2 jets at one
+    # block, in one pass; copied out contiguous, as `dots` reads its operands
+    values = laplacian_values(frame, lap_jets + [energy_jet])
+    bilap_phi, lap_energy = values[:, :-1].copy(), values[:, -1].copy()
+    lap_phi, d_lap = _stack([lj.value for lj in lap_jets]), first_partials(lap_jets)
+    dphi, energy = first_partials(phi_jets), energy_jet.value
+    d_energy = first_partials([energy_jet])[:, :, 0]
     gram = np.matmul(dphi, dphi.transpose(0, 2, 1))
     gram_defect = inf_norms((gram - frame.g_values).reshape(len(points), m * m))
     grad_push = pushforward(frame, d_energy, dphi)
@@ -374,30 +382,19 @@ def _analyze_block(smap, points):
     return batch
 
 
-def _laplacians(frame, phi_jets):
-    """lap phi, lap2 phi (shapes (P, ambient)) and d_i lap phi (shape (P, m,
-    ambient)) from order-4 component jets."""
-    lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
-    lap = _stack([lj.value for lj in lap_jets])
-    return lap, laplacian_values(frame, lap_jets), first_partials(lap_jets)
-
-
-def _energy(frame, phi_jets):
-    """d_i phi^A (shape (P, m, ambient)), and the energy density e = |dphi|^2
-    with lap e and d_i e, from the density as an order-2 jet
-    g^ij sum_A d_i phi^A d_j phi^A: lap e, e and d_i e read no slot above
-    order 2, and the truncated factors form the same bits in those slots.
-    The derivative jets, the largest of a block, are dropped on return."""
+def _energy_jet(frame, phi_jets):
+    """The energy density e = |dphi|^2 as an order-2 jet g^ij sum_A d_i phi^A
+    d_j phi^A, from order-4 component jets: lap e, e and d_i e read no slot
+    above order 2, and the truncated factors form the same bits in those
+    slots. The derivative jets, the largest of a block, are dropped on
+    return."""
     m = frame.chart.dim
     dphi_jets = [[pj.extract_derivative(i).truncated(2) for pj in phi_jets] for i in range(m)]
 
     def dot(i, j):
         return reduce(add, (x * y for x, y in zip(dphi_jets[i], dphi_jets[j])))
-    energy_jet = reduce(add, (frame.g_inv[i][j].truncated(2) * dot(i, j)
-                              for i in range(m) for j in range(m)))
-    return (first_partials(phi_jets), energy_jet.value,
-            laplacian_values(frame, [energy_jet])[:, 0],
-            first_partials([energy_jet])[:, :, 0])
+    return reduce(add, (frame.g_inv[i][j].truncated(2) * dot(i, j)
+                        for i in range(m) for j in range(m)))
 
 
 def _bienergy_block(smap, points):

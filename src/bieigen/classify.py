@@ -46,16 +46,24 @@ class FittedConstants:
     c_hat: float
 
 
+def _sequential_sums(rows) -> list:
+    """The sum of each float array of `rows` left to right from +0.0, in
+    sample order, as the reference values were made: the bits of Python's
+    `sum` up to 3.11. Python 3.12's `sum` of floats is compensated, and
+    rounds differently. Overflow gives inf silently, as `sum` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.accumulate(np.array(rows), axis=-1)[:, -1]
+    return [total + 0.0 for total in totals.tolist()]
+
+
 def fit_constants(samples: SampleBatch) -> FittedConstants:
     """Least-squares eigen-style constants over a sample set."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to fit constants")
-    # Python's float sum, in sample order, as the reference values were made
-    phi2 = sum(dots(samples.phi, samples.phi).tolist())
-    lap_phi = sum(dots(samples.lap_phi, samples.phi).tolist())
-    bilap_phi = sum(dots(samples.bilap_phi, samples.phi).tolist())
-    bilap_lap = sum(dots(samples.bilap_phi, samples.lap_phi).tolist())
-    lap2 = sum(dots(samples.lap_phi, samples.lap_phi).tolist())
+    s = samples
+    phi2, lap_phi, bilap_phi, bilap_lap, lap2 = _sequential_sums([
+        dots(s.phi, s.phi), dots(s.lap_phi, s.phi), dots(s.bilap_phi, s.phi),
+        dots(s.bilap_phi, s.lap_phi), dots(s.lap_phi, s.lap_phi)])
     if phi2 > RHO_DENOMINATOR_FLOOR:
         lambda_hat = -lap_phi / phi2 + 0.0  # +0.0 normalizes -0.0
         mu_hat = bilap_phi / phi2 + 0.0
@@ -70,17 +78,17 @@ def fit_constants(samples: SampleBatch) -> FittedConstants:
 @dataclass
 class ResidualNorm:
     """Max and rms, over the rows where the residual is defined, of its
-    per-point max-norms; `per_point` holds those norms at every sample."""
+    per-point max-norms; `per_point` holds those norms at every sample.
+    `scale` is its dominant term over those rows, the largest |coefficient|
+    times max-norm of one of its (coefficient, vector) terms, and
+    `threshold` the tolerance applied absolutely and relatively to it: the
+    residual vanishes when `max` is below `threshold`."""
 
     max: float
     rms: float
     per_point: np.ndarray = field(repr=False, compare=False)
-
-
-def _norms(per_point, rows) -> ResidualNorm:
-    defined = per_point[rows]
-    return ResidualNorm(float(np.max(defined)),
-                        float(np.sqrt(np.mean(defined * defined))), per_point)
+    scale: float = field(default=0.0, repr=False, compare=False)
+    threshold: float = field(default=0.0, repr=False, compare=False)
 
 
 @dataclass
@@ -130,33 +138,32 @@ def _spread(values, around=None):
     return {"abs": absolute, "rel": absolute / max(1.0, abs(center))}
 
 
-def _scale(terms, rows):
-    """Threshold scale of a residual: the largest of its terms over `rows`,
-    at least 0.0. A NaN term never wins, as in a running max() from 0.0."""
-    values = np.stack(terms)[:, rows]
-    values = values[values > 0.0]
-    return float(np.max(values)) if values.size else 0.0
-
-
 def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
              tol=DEFAULT_TOL) -> ClassificationReport:
     """Assemble the full classification report from the per-point analyses.
 
     Each residual is a row of (coefficient, vector) terms; its threshold
     scale is the largest |coefficient| times max-norm of a vector over the
-    rows where it is defined. The harmonic, submanifold and full residuals
-    are read from the analysis (`samples.tension`, `residual_submanifold`,
-    `residual_full`), which formed them from the same terms; the eigen,
-    bi-eigen and buckling residuals are summed here, and so is the
-    constant-density one, which is evaluated with c = c_hat, the mean
-    density, not with the pointwise density of the per-point
-    `residual_constant_density` column."""
+    rows where it is defined, and both stay on its ResidualNorm. The
+    harmonic, submanifold and full residuals are read from the analysis
+    (`samples.tension`, `residual_submanifold`, `residual_full`), which
+    formed them from the same terms; the eigen, bi-eigen and buckling
+    residuals are summed here, and so is the constant-density one, which is
+    evaluated with c = c_hat, the mean density, not with the pointwise
+    density of the per-point `residual_constant_density` column.
+
+    All rows are reduced in one stacked pass: one (R, P) array of per-point
+    max-norms, each row's `per_point` its own row of it, whose max and rms
+    (the square root of numpy's mean of the squares) are taken over each
+    row's defined points; and one zero-padded (R, T, P) array of
+    term magnitudes, zero off a row's defined points, whose positive entries
+    give each row's scale (0.0 when there are none: a NaN term, the padding
+    and the points where a row is not defined never win)."""
     if not len(samples):
         raise ValueError("empty sample set")
     s = samples
     lam, mu, rho, c = (fitted.lambda_hat, fitted.mu_hat, fitted.rho_hat,
                        fitted.c_hat)
-    every = np.ones(len(s), dtype=bool)
     # the max-norms of each vector a term may hold, by identity, taken once
     norms = {id(v): inf_norms(v)
              for v in (s.phi, s.lap_phi, s.bilap_phi, s.grad_energy_pushforward)}
@@ -165,21 +172,40 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
              ("bieigen", ((1.0, s.bilap_phi), (-mu, s.phi))),
              ("buckling", None if rho is None else ((1.0, s.bilap_phi), (rho, s.lap_phi))),
              next(forms), *(forms if smap.unit_sphere else ()))
-    rows = {"biharmonic_submanifold": s.isometric}
     formed = {"harmonic": s.tension, "biharmonic_submanifold": s.residual_submanifold,
               "biharmonic_full": s.residual_full}
-    residuals, scales = {}, {}
-    for name, terms in table:
-        defined = rows.get(name, every)
-        if terms is not None and defined.any():
-            vector = formed[name] if name in formed else sum_terms(terms)
-            residuals[name] = _norms(inf_norms(vector), defined)
-            scales[name] = _scale([abs(k) * norms[id(vec)] for k, vec in terms], defined)
+    # the rows defined at some points only, by their masks; the others are
+    # defined at every point
+    partial = {"biharmonic_submanifold": s.isometric}
+    rows = [(name, terms) for name, terms in table
+            if terms is not None and (name not in partial or partial[name].any())]
+    # each row's vector is summed into its place, so no row's temporaries
+    # outlive it, and the stack is dropped once its norms are taken
+    vectors = np.empty((len(rows),) + s.phi.shape)
+    for r, (name, terms) in enumerate(rows):
+        vectors[r] = formed[name] if name in formed else sum_terms(terms)
+    per_point = inf_norms(vectors)
+    del vectors
+    tops = per_point.max(axis=1).tolist()
+    rms = np.sqrt((per_point * per_point).mean(axis=1)).tolist()
+    magnitudes = np.zeros((len(rows), max(len(terms) for _, terms in rows), len(s)))
+    for r, (name, terms) in enumerate(rows):
+        for t, (k, vector) in enumerate(terms):
+            np.multiply(abs(k), norms[id(vector)], out=magnitudes[r, t])
+        if name in partial:
+            values = per_point[r][partial[name]]
+            tops[r], rms[r] = float(values.max()), float(np.sqrt((values * values).mean()))
+            magnitudes[r][:, ~partial[name]] = 0.0
+    np.copyto(magnitudes, 0.0, where=~(magnitudes > 0.0))  # np.where, in place
+    scales = magnitudes.max(axis=(1, 2)).tolist()
+    residuals = {name: ResidualNorm(top, mean, point, scale, _threshold(tol, scale))
+                 for (name, _), top, mean, point, scale in zip(rows, tops, rms, per_point,
+                                                               scales)}
 
     def holds(name):
         if name not in residuals:
             return None
-        return residuals[name].max < _threshold(tol, scales[name])
+        return residuals[name].max < residuals[name].threshold
 
     p2 = dots(s.phi, s.phi)
     ratio_rows = p2 > RATIO_FLOOR
@@ -211,7 +237,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
         bilap_max = max(norms[id(s.bilap_phi)].tolist())
-        is_biharmonic = bilap_max < _threshold(tol, max(1.0, scales["bieigen"]))
+        is_biharmonic = bilap_max < _threshold(tol, max(1.0, residuals["bieigen"].scale))
     else:
         # sphere of radius != 1: the residual formulas are stated for the
         # unit sphere only, but harmonic maps are biharmonic for any target

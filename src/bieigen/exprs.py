@@ -100,10 +100,12 @@ Expr = Union[Const, Var, Neg, BinOp, Pow, Call]
 # tokenizer / parser
 # --------------------------------------------------------------------------
 
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))")
+_IDENT_RE = re.compile(_IDENT)
 
 
 def _byte_offset(source, char_pos):
@@ -275,11 +277,9 @@ def parse(source: str) -> Expr:
 
 
 def is_variable(name) -> bool:
-    """Whether the parser reads `name` as that variable (`pi` is a constant)."""
-    try:
-        return isinstance(name, str) and parse(name) == Var(name)
-    except ParseError:
-        return False
+    """Whether the parser reads `name` as that variable: an identifier token
+    and nothing else, other than `pi`, which is a constant."""
+    return isinstance(name, str) and name != "pi" and _IDENT_RE.fullmatch(name) is not None
 
 
 # --------------------------------------------------------------------------

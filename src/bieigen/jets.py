@@ -12,6 +12,10 @@ the jet's order (a constant's only to its value). Its kernel is `math`'s
 mapped over the values, or numpy's where that gives `math`'s bits
 (`_NUMPY_KERNELS`), and the rest is elementwise numpy arithmetic, which
 rounds like Python floats, so a point's tower does not depend on its block.
+The tower is composed with the argument by Horner's rule in jet products;
+an argument a0 + lambda u_i, a function of one coordinate, has all those
+products on the slots k e_i, and takes Horner's steps there as plain rows,
+with the products' bits (`_compose_along`).
 A finite value whose tower is not finite is refused as out of float range,
 and so is an underflowed zero derivative of sqrt or of a fractional power,
 which never vanishes; a block holding a value the tower refuses is rerun
@@ -315,6 +319,13 @@ class _JetSpace:
         return q
 
     @cache
+    def axis_slots(self, direction):
+        """The slots k e_direction, k = 0..order, of the powers of one variable."""
+        return np.array([self.position[tuple(k if v == direction else 0
+                                             for v in range(self.nvars))]
+                         for k in range(self.order + 1)])
+
+    @cache
     def diff_table(self, direction):
         """Positions and de-normalization factors for d/du_direction."""
         lower = _space(self.order - 1, self.nvars)
@@ -607,8 +618,12 @@ def _compose(a, derivs):
     """Truncated composition f(a) from the derivative rows derivs[k] =
     f^(k)(a.value), k = 0..K, K the order of `a`, or 0 when `a` is a
     constant (degree 0), by Horner evaluation in the zero-value part of
-    `a`; the value slot is derivs[0]."""
+    `a`; the value slot is derivs[0]. A function of one coordinate,
+    a0 + lambda u_i (degree 1, one variable in its support), takes the
+    same steps on the slots k e_i alone (`_compose_along`)."""
     taylor = [d / factorial for d, factorial in zip(derivs, _FACTORIAL)]
+    if a.degree == 1 and not a.support & (a.support - 1):
+        return _compose_along(a, taylor, derivs)
     hat = a.coeffs.copy()
     hat[0] = 0.0
     hat = Jet(a.order, a.nvars, hat, a.degree, a.support)
@@ -620,6 +635,32 @@ def _compose(a, derivs):
         # or from inf to NaN
         acc.coeffs[0] = acc.coeffs[0] + taylor[k] if k else derivs[0]
     return acc
+
+
+def _compose_along(a, taylor, derivs):
+    """Horner's composition for an argument a0 + lambda u_i, whose products
+    all live on the slots k e_i, k = 0..K: row k below is slot k e_i. Each
+    product of the accumulator acc (degree d) by the zero-value part (0.0 at
+    slot 0, lambda at e_i) forms, as `Jet.__mul__` does, the value acc_0 *
+    0.0 and, for j = 0..d, slot (j+1) e_i as (0.0 + acc_j * lambda) +
+    acc_{j+1} * 0.0, the second term only where j+1 <= d. The acc * 0.0
+    terms are +-0.0 where acc is finite and NaN where it is infinite, as in
+    Horner's products. Every other slot is +0.0."""
+    slots = _space(a.order, a.nvars).axis_slots(a.support.bit_length() - 1)
+    lam = a.coeffs[slots[1]]
+    order = len(derivs) - 1
+    rows = np.empty((order + 1,) + lam.shape)
+    rows[0] = taylor[order]
+    for d in range(order):
+        zero = rows[:d + 1] * 0.0
+        # the new rows are formed from the old ones before they are stored
+        rows[1:d + 2] = 0.0 + rows[:d + 1] * lam
+        rows[1:d + 1] += zero[1:]
+        k = order - 1 - d
+        rows[0] = zero[0] + taylor[k] if k else derivs[0]
+    out = np.zeros(a.coeffs.shape)
+    out[slots] = rows
+    return Jet(a.order, a.nvars, out, order, a.support)
 
 
 def _derivatives(tower, a, *args):

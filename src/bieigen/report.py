@@ -159,27 +159,27 @@ class Table:
     def _require_finite(self):
         """Raise NonFiniteError naming the first non-finite value in the
         order of the JSON rows: row by row, keys sorted, list cells in
-        order."""
-        first = None  # (row, key)
+        order. The cells are one (K, P) array, a row per JSON cell of a
+        point in that order, a cell outside its column's defined rows read
+        as 0.0; its mask read point by point is in JSON order, so one search
+        finds the first bad cell."""
+        keys, blocks = [], []
         for key in sorted(self.columns):
             values = self.columns[key]
             if values is None:
                 continue
-            ok = np.isfinite(values)
-            if key == "point":
-                ok = ok.all(axis=1)
             if key in self.defined:
-                ok |= ~self.defined[key]
-            row = first_index(~ok)
-            if row is not None and (first is None or row < first[0]):
-                first = (row, key)
+                values = np.where(self.defined[key], values, 0.0)
+            block = values.T if values.ndim == 2 else values[None]
+            keys += [(key, k) for k in range(len(block))]
+            blocks.append(block)
+        first = first_index(~np.isfinite(np.concatenate(blocks)).T.ravel())
         if first is None:
             return
-        row, key = first
-        value = self.columns[key][row]
-        path = f"points[{row}].{key}"
+        row, cell = divmod(first, len(keys))
+        key, k = keys[cell]
+        value, path = self.columns[key][row], f"points[{row}].{key}"
         if key == "point":
-            k = first_index(~np.isfinite(value))
             value, path = value[k], f"{path}[{k}]"
         point = tuple(self.columns["point"][row].tolist())
         raise NonFiniteError(

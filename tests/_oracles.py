@@ -16,14 +16,19 @@ The report oracles at the end work on report documents of plain dicts and
 lists: a recursive walk for the first non-finite value, a row-by-row CSV
 writer, the references for `report.Table`, and a recursive JSON writer that
 returns each value's text as one string, the reference for the one-join
-`report.to_json`. Before them, `_det` and
-`_adjugate` expand every minor of a matrix of jets on its own, the reference
-for the one cofactor pass of `charts._cofactors`. Before those, the tension
-and the three biharmonicity residuals are each written out as one
-expression, the reference for the term table of `analysis.residual_terms`.
-Before those, the derivative towers of the elementary functions, formed one
-point at a time in Python floats and the `math` kernels and only up to the
-jet's order, are the reference for the block towers of `bieigen.jets`.
+`report.to_json`; last, a column-by-column search for the first non-finite
+cell, the reference for the one-pass gate of `report.Table`. Before them,
+`_det` and `_adjugate` expand every minor of a matrix of jets on its own,
+the reference for the one cofactor pass of `charts._cofactors`. Before
+those, `residual_rows` reduces the verdict rows of a classification one at
+a time, the reference for the stacked pass of `classify.verdicts`, and
+before it the tension and the three biharmonicity residuals are each
+written out as one expression, the reference for the term table of
+`analysis.residual_terms`. Before those, the derivative towers of the
+elementary functions, formed one point at a time in Python floats and the
+`math` kernels and only up to the jet's order, are the reference for the
+block towers of `bieigen.jets`, and Horner's composition in jet products
+is the reference for its composition of a function of one coordinate.
 """
 
 import math
@@ -31,8 +36,9 @@ import math
 import mpmath as mp
 import numpy as np
 
+from bieigen.analysis import residual_terms, sum_terms
 from bieigen.exprs import BinOp, Call, Const, Neg, Pow, Var, parse
-from bieigen.jets import JetDomainError
+from bieigen.jets import Jet, JetDomainError, constant_like
 
 _MP_FUNCS = {name: getattr(mp, name)
              for name in ("sin", "cos", "tan", "exp", "sinh", "cosh", "log", "sqrt")}
@@ -271,6 +277,23 @@ def per_point_rows(tower, values, order, *args):
     return np.array(rows).T.reshape((order + 1,) + np.shape(values)), None
 
 
+def horner_compose(a, derivs):
+    """f(a) from the derivative rows derivs[k] = f^(k)(a.value) by Horner's
+    rule in jet products, acc * (a - a.value) + taylor[k] from the highest
+    k down, the value slot derivs[0] itself: the general composition of
+    `jets._compose`, and the reference for its path for a function of one
+    coordinate."""
+    taylor = [d / math.factorial(k) for k, d in enumerate(derivs)]
+    hat = a.coeffs.copy()
+    hat[0] = 0.0
+    hat = Jet(a.order, a.nvars, hat, a.degree, a.support)
+    acc = constant_like(taylor[-1], a)
+    for k in range(len(derivs) - 2, -1, -1):
+        acc = acc * hat
+        acc.coeffs[0] = acc.coeffs[0] + taylor[k] if k else derivs[0]
+    return acc
+
+
 # --------------------------------------------------------------------------
 # residual formulas, each written out as one expression
 # --------------------------------------------------------------------------
@@ -310,6 +333,39 @@ def constant_density_residual(s, c):
     c = np.asarray(c, dtype=float)[..., None]
     coef = 2.0 * c * c - _dots(s.bilap_phi, s.phi)[:, None]
     return s.bilap_phi + 2.0 * c * s.lap_phi + coef * s.phi
+
+
+# --------------------------------------------------------------------------
+# verdict rows, one at a time
+# --------------------------------------------------------------------------
+
+def residual_rows(smap, s, fitted, tol):
+    """name -> (per_point, max, rms, scale, threshold) of each residual row
+    of a classification, one row at a time: its vector summed from its
+    terms, max and rms over the rows where it is defined, and its scale the
+    largest positive |coefficient| times max-norm of a term on those rows
+    (0.0 when there is none, so a NaN never wins)."""
+    every = np.ones(len(s), dtype=bool)
+    lam, mu, rho = fitted.lambda_hat, fitted.mu_hat, fitted.rho_hat
+    table = [("eigen", ((1.0, s.lap_phi), (lam, s.phi))),
+             ("bieigen", ((1.0, s.bilap_phi), (-mu, s.phi)))]
+    if rho is not None:
+        table.append(("buckling", ((1.0, s.bilap_phi), (rho, s.lap_phi))))
+    forms = list(residual_terms(s, fitted.c_hat, smap.target, smap.radius))
+    table += forms if smap.unit_sphere else forms[:1]
+    out = {}
+    for name, terms in table:
+        rows = s.isometric if name == "biharmonic_submanifold" else every
+        if not rows.any():
+            continue
+        per_point = np.max(np.abs(sum_terms(terms)), axis=-1)
+        defined = per_point[rows]
+        values = np.stack([abs(k) * np.max(np.abs(v), axis=-1) for k, v in terms])[:, rows]
+        values = values[values > 0.0]
+        scale = float(np.max(values)) if values.size else 0.0
+        out[name] = (per_point, float(np.max(defined)),
+                     float(np.sqrt(np.mean(defined * defined))), scale, tol + tol * abs(scale))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -410,3 +466,33 @@ def _json_string(s):
     below U+0020 as `\\u00XX`, the rest as it is."""
     return '"' + "".join(_SHORT_ESCAPES.get(ch, f"\\u{ord(ch):04x}" if ch < " " else ch)
                          for ch in s) + '"'
+
+
+def table_first_non_finite(columns, defined):
+    """The message naming the first non-finite cell of a `report.Table`'s
+    columns in the order of its JSON rows, or None: each column searched on
+    its own for its first bad row (a cell outside `defined` is never bad),
+    the earliest row winning and, within a row, the first key in sorted
+    order, then the first bad coordinate of a `point` cell."""
+    first = None  # (row, key)
+    for key in sorted(columns):
+        values = columns[key]
+        if values is None:
+            continue
+        ok = np.isfinite(values)
+        if key == "point":
+            ok = ok.all(axis=1)
+        if key in defined:
+            ok |= ~defined[key]
+        bad = np.flatnonzero(~ok)
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), key)
+    if first is None:
+        return None
+    row, key = first
+    value, path = columns[key][row], f"points[{row}].{key}"
+    if key == "point":
+        k = int(np.flatnonzero(~np.isfinite(value))[0])
+        value, path = value[k], f"{path}[{k}]"
+    point = tuple(columns["point"][row].tolist())
+    return f"non-finite value {float(value)} for {path} at point {point}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -328,3 +329,42 @@ def test_verdicts_read_the_residual_vectors_of_the_analysis(name):
     assert read[:1] == ["harmonic"] and ("biharmonic_full" in read) == smap.unit_sphere
     for key in read:
         _assert_bits(report.residuals[key].per_point, inf_norms(sum_terms(forms[key])))
+
+
+def _assert_rows_are_the_row_by_row_reduction(smap, report):
+    want = _oracles.residual_rows(smap, report.samples, report.constants, report.tol)
+    assert list(report.residuals) == list(want)
+    for key, (per_point, top, rms, scale, threshold) in want.items():
+        got = report.residuals[key]
+        _assert_bits(got.per_point, per_point)
+        _assert_bits(np.array([got.max, got.rms, got.scale, got.threshold]),
+                     np.array([top, rms, scale, threshold]))
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *OFF_UNIT])
+def test_stacked_verdict_rows_are_the_row_by_row_reduction(name):
+    # one stacked pass forms every row's per-point norms, max, rms, scale
+    # and threshold; each must be what reducing its row alone gives
+    doc = OFF_UNIT[name]() if name in OFF_UNIT else catalog_get(name).manifest
+    _, smap = build_map(doc)
+    _assert_rows_are_the_row_by_row_reduction(smap, classify(smap, 27))
+
+
+@pytest.mark.parametrize("isometric", ["alternate", "first", "none"])
+def test_stacked_verdict_rows_on_a_map_isometric_at_some_rows(isometric):
+    # the submanifold row is defined on the isometric rows alone: its max,
+    # rms and scale are taken there, and it is absent where there are none
+    smap, report = _report("clifford_torus_S3", 27)
+    rows = np.arange(len(report.samples))
+    mask = {"alternate": rows % 2 == 1, "first": rows == 0, "none": rows < 0}[isometric]
+    # a bi-Laplacian moved off the isometric rows makes their residuals and
+    # terms dominate, so a row taken where it is not defined shows
+    samples = dataclasses.replace(report.samples, isometric=mask,
+                                  bilap_phi=report.samples.bilap_phi + 5.0 * ~mask[:, None])
+    forms = dict(residual_terms(samples, samples.energy_density, smap.target, smap.radius))
+    samples.tension, samples.residual_submanifold, samples.residual_full = (
+        sum_terms(forms[key]) for key in ("harmonic", "biharmonic_submanifold",
+                                          "biharmonic_full"))
+    stacked = verdicts(smap, samples, report.constants, report.tol)
+    assert ("biharmonic_submanifold" in stacked.residuals) == mask.any()
+    _assert_rows_are_the_row_by_row_reduction(smap, stacked)

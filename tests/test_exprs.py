@@ -11,7 +11,7 @@ from bieigen.analysis import SphereMap, analyze_samples
 from bieigen.charts import Chart
 from bieigen.exprs import (BinOp, Call, Const, Expr, Neg, ParseError, Pow,
                            UnboundVariableError, Var, eval_jet, eval_value, intern,
-                           parse, to_source, variables_of)
+                           is_variable, parse, to_source, variables_of)
 
 from _oracles import mp_partial, random_point, random_smooth_source
 from test_curved import sphere_manifest
@@ -285,6 +285,37 @@ def test_parser_is_total_on_arbitrary_text(source):
         assert 0 <= err.position <= len(source.encode("utf-8"))
         return
     assert parse(to_source(ast)) == ast
+
+
+def _parses_as_itself(name):
+    try:
+        return parse(name) == Var(name)
+    except ParseError:
+        return False
+
+
+_NAME_PIECES = st.sampled_from(["pi", "sin", "cos", "sqrt", "x", "u1", "_", "_t", "0",
+                                "1e5", "2", ".", "(", ")", "+", "^", " ", "\t", "\n",
+                                "\u00e9", "\u03c0", "\u0663", "\uff58", ""])
+_NAMES = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7f), max_size=8),
+    st.text(max_size=4),
+    st.lists(_NAME_PIECES, max_size=4).map("".join),
+    st.from_regex(r"[A-Za-z_][A-Za-z_0-9]*", fullmatch=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NAMES)
+@example("pi")
+@example("")
+@example(" x")
+@example("x\n")
+def test_is_variable_is_whether_the_parser_reads_the_name_as_itself(name):
+    assert is_variable(name) == _parses_as_itself(name)
+
+
+def test_is_variable_refuses_what_is_not_text():
+    assert not is_variable(None) and not is_variable(3) and not is_variable(b"x")
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,11 @@ point at a time, the 1024-sample ones while reports were still written row
 by row; a change to any of them is a change to the reports and has to be
 named as one.
 
+The fitted constants sum the samples' inner products left to right, so the
+pins hold under every Python: a compensated builtin `sum`, as Python 3.12
+has, bound in `bieigen.classify` leaves the reports it would move as
+pinned.
+
 The pins live in `golden_pins.json` next to this file. Rewrite it with
 `PYTHONPATH=src python tests/test_golden.py` only when a report change is
 intended.
@@ -25,6 +30,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +182,38 @@ def test_curved_reports_are_byte_stable(name, tmp_path, pins):
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_exit_codes_and_messages_are_stable(fault, tmp_path, pins):
     assert fault_pins(fault, tmp_path) == pins["faults"][fault]
+
+
+def compensated_sum(values, start=0):
+    """The builtin `sum` of floats as Python 3.12 and later compute it, with
+    Neumaier's compensation: it rounds differently from a plain left-to-right
+    sum."""
+    total, compensation = float(start), 0.0
+    for x in map(float, values):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+# reports whose fitted constants a compensated sum of the fit's inner
+# products changes
+SUM_SENSITIVE = (("small_circle_S2", "classify_json"), ("small_circle_S2", "classify"),
+                 ("nonisometric_buckling_S2", "classify_json"),
+                 ("circle_S1_sqrt_half", "classify_json"), ("circle_S1_sqrt_half", "classify"))
+
+
+@pytest.mark.parametrize("name, command", SUM_SENSITIVE)
+def test_reports_do_not_depend_on_the_python_sum(name, command, pins, monkeypatch):
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0  # a plain sum gives 0.0
+    monkeypatch.setattr(sys.modules["bieigen.classify"], "sum", compensated_sum,
+                        raising=False)
+    code, out, _ = run(entry_commands(name)[command])
+    assert [code, hashlib.sha256(out.encode("utf-8")).hexdigest()] == \
+        pins["entries"][name][command]
 
 
 if __name__ == "__main__":

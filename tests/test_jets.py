@@ -6,7 +6,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bieigen import jets
@@ -729,6 +729,62 @@ def _tower_values(draw):
 @given(st.sampled_from(sorted(TOWERS)), st.integers(0, 4), _tower_values())
 def test_block_towers_give_the_bits_of_the_per_point_towers(name, order, values):
     _assert_meets_the_reference(name, jets.variable(0, values, order, 1))
+
+
+# A function of one coordinate, a0 + lambda u_i, composes on the slots k e_i
+# alone (`jets._compose_along`); it must give Horner's jet products' bits
+# (`_oracles.horner_compose`), a NaN's sign and payload aside: numpy's loops
+# do not fix which of two NaN operands a result takes. Its towers are taken
+# as they are, inf and NaN rows included, which the refusals of
+# `_derivatives` would keep from a composition; a value out of the
+# function's domain is replaced by 0.5.
+
+_ARGUMENTS = st.one_of(st.sampled_from(_TOWER_SPECIALS + [-1.0, -2.5, 700.0, 710.0]),
+                       st.floats())
+_SLOPES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -0.5, 1e10,
+                                     -1e200, 1e300, math.inf, -math.inf, math.nan]),
+                    st.floats())
+
+
+def _nan_as_one(x):
+    """The bits of x with every NaN made the same NaN."""
+    return np.where(np.isnan(x), math.nan, x).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(1, 4), st.integers(1, 4), st.data())
+@example("exp", 2, 1, None).via("an infinite slot e_i times 0.0 is a NaN in slot e_i")
+def test_a_function_of_one_coordinate_composes_as_horner_does(name, order, nvars, data):
+    if data is None:
+        direction, count, values, slopes, zeros = 0, 1, [700.0], [1e10], [0.0]
+    else:
+        direction = data.draw(st.integers(0, nvars - 1))
+        count = data.draw(st.sampled_from([None, 1, 5, 33]))
+        size = count or 1
+        values = data.draw(st.lists(_ARGUMENTS, min_size=size, max_size=size))
+        slopes = data.draw(st.lists(_SLOPES, min_size=size, max_size=size))
+        zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
+    _, tower, _, args = TOWERS[name]
+
+    def in_domain(v):
+        try:
+            tower(np.array([v]), order, *args)
+        except ArithmeticError:
+            return False
+        return True
+
+    space = jets._space(order, nvars)
+    coeffs = np.empty((space.size, len(values)))
+    coeffs[:] = zeros  # the slots off the argument's bounds hold zeros of either sign
+    with np.errstate(all="ignore"):
+        coeffs[0] = [v if in_domain(v) else 0.5 for v in values]
+        coeffs[space.axis_slots(direction)[1]] = slopes
+        a = Jet(order, nvars, coeffs if count else coeffs[:, 0], 1, 1 << direction)
+        derivs = tower(a.coeffs[0], order, *args)
+        got, want = jets._compose(a, derivs), _oracles.horner_compose(a, derivs)
+    assert (got.degree, got.support) == (want.degree, want.support) == (order, 1 << direction)
+    assert got.coeffs.shape == want.coeffs.shape == a.coeffs.shape
+    np.testing.assert_array_equal(_nan_as_one(got.coeffs), _nan_as_one(want.coeffs))
 
 
 @pytest.mark.parametrize("name", [*FUNCTIONS, "power(1.5)"])

@@ -7,11 +7,13 @@ and its transient memory is bounded. `report.Table` writes the per-point
 rows of a report by column. Its JSON is checked against `json_text` of the
 same rows as plain dicts, and its CSV against a row-by-row writer. Its
 finiteness gate is checked against a recursive walk of the same document,
-which names the first non-finite value in document order.
+which names the first non-finite value in document order, and its one-pass
+search over a table's cells against a search of one column at a time.
 """
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import csv_rows, json_text, require_finite_walk
+from _oracles import csv_rows, json_text, require_finite_walk, table_first_non_finite
 from bieigen import report as rpt
 from bieigen.catalog import catalog_get
 from bieigen.classify import classify
@@ -286,6 +288,32 @@ def test_gate_names_the_first_non_finite_value_in_document_order(entry, data):
     expected = walk_message(report)
     assert expected is not None or gate_message(report) is None
     assert gate_message(report) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.data())
+def test_table_gate_names_the_cell_the_column_by_column_search_names(table, data):
+    # several cells at once, any column and any row, defined or not: the
+    # one-pass search must name the cell the search of each column names
+    columns, defined = table
+    columns = {k: None if v is None else v.copy() for k, v in columns.items()}
+    cells = [(key, k) for key, v in columns.items() if v is not None and len(v)
+             for k in range(v.shape[1] if v.ndim == 2 else 1)]
+    for _ in range(data.draw(st.integers(0, 6)) if cells else 0):
+        key, k = data.draw(st.sampled_from(cells))
+        row = data.draw(st.integers(0, len(columns[key]) - 1))
+        value = data.draw(st.sampled_from((math.nan, math.inf, -math.inf, -0.0)))
+        if columns[key].ndim == 2:
+            columns[key][row, k] = value
+        else:
+            columns[key][row] = value
+    try:
+        rpt.Table(columns, defined)
+    except rpt.NonFiniteError as err:
+        got = str(err)
+    else:
+        got = None
+    assert got == table_first_non_finite(columns, defined)
 
 
 def test_a_later_column_of_row_0_comes_before_an_earlier_column_of_row_1():
