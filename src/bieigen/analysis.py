@@ -20,13 +20,14 @@ phi in another:
   constant density  lap2 + 2c lap + (2 c^2 - <lap2, phi>) phi    (|dphi|^2 = c)
 
 with e = |dphi|^2 and div theta = |lap|^2 + <grad lap, grad phi>, each
-written once, in `residual_terms`. Each biharmonicity residual is zero exactly
-when the map is biharmonic under the stated hypothesis. The per-point
-constant-density residual takes c = e, the density at that point; the
-classification verdict takes c = c_hat, the mean density over the samples
-(see `constant_density_residual`). A unit-length constraint check
-<lap, phi> + |dphi|^2 = 0 runs on every sphere-target analysis as an internal
-consistency guard.
+written once, in `residual_terms`; |lap|^2, <lap2, phi> and the other inner
+products of the fit are formed once per block (see SampleBatch). Each
+biharmonicity residual is zero exactly when the map is biharmonic under the
+stated hypothesis. The per-point constant-density residual takes c = e, the
+density at that point; the classification verdict takes c = c_hat, the mean
+density over the samples (see `constant_density_residual`). A unit-length
+constraint check <lap, phi> + |dphi|^2 = 0 runs on every sphere-target
+analysis as an internal consistency guard.
 
 `analyze_samples` walks the points in blocks of `block_points(ANALYSIS_ORDER,
 m)` points and returns a SampleBatch, one row per point; `analyze_point` is
@@ -126,14 +127,22 @@ class SampleBatch:
     rows where `isometric` (Gram defect within GRAM_TOL) holds.
     `classify.verdicts` reads `tension`, `residual_submanifold` and
     `residual_full` as the harmonic, submanifold and full residual vectors
-    instead of summing their terms again."""
+    instead of summing their terms again. The inner products `phi_sq` to
+    `bilap_dot_lap` are formed here alone: `residual_terms` reads two, the
+    fit sums all five, the pointwise spreads divide them, and the report
+    takes `phi_norm` and `lap_phi_norm` as square roots."""
 
     points: np.ndarray          # (P, m)
     phi: np.ndarray             # (P, ambient)
     dphi: np.ndarray            # (P, m, ambient): d_i phi^A values
     lap_phi: np.ndarray
     bilap_phi: np.ndarray
-    energy_density: np.ndarray  # (P,)
+    phi_sq: np.ndarray          # (P,): <phi, phi>
+    lap_dot_phi: np.ndarray     # <lap phi, phi>
+    lap_sq: np.ndarray          # <lap phi, lap phi>
+    bilap_dot_phi: np.ndarray   # <lap2 phi, phi>
+    bilap_dot_lap: np.ndarray   # <lap2 phi, lap phi>
+    energy_density: np.ndarray
     lap_energy_density: np.ndarray
     grad_energy_pushforward: np.ndarray
     div_theta: np.ndarray
@@ -197,16 +206,17 @@ def inf_norms(x):
 
 def residual_terms(s, c, target, radius):
     """(name, terms) of the tension field of the analysis `s` (a SampleBatch,
-    one of its rows or any object with its arrays) into R^n or a sphere of
-    `radius`, then of its unit-sphere biharmonicity residuals, `c` the density
-    of the constant-density form. Terms are (coefficient, vector) pairs, the
-    coefficient a number or one per point; each pair is formed when asked for."""
+    one of its rows or any object with its arrays and inner products) into
+    R^n or a sphere of `radius`, then of its unit-sphere biharmonicity
+    residuals, `c` the density of the constant-density form. Terms are
+    (coefficient, vector) pairs, the coefficient a number or one per point;
+    each pair is formed when asked for."""
     phi, lap, e = s.phi, s.lap_phi, s.energy_density
     if target != TARGET_SPHERE:
         yield "harmonic", ((1.0, lap),)
         return
     yield "harmonic", ((1.0, lap), (e / radius ** 2, phi))
-    m, bilap, lap_sq = s.dphi.shape[-2], s.bilap_phi, dots(lap, lap)  # dphi is (m, ambient)
+    m, bilap, lap_sq = s.dphi.shape[-2], s.bilap_phi, s.lap_sq  # dphi is (m, ambient)
     yield "biharmonic_submanifold", ((1.0, bilap), (2.0 * m, lap), (2.0 * m * m - lap_sq, phi))
     yield "biharmonic_full", (
         (1.0, bilap), (2.0 * e, lap),
@@ -214,7 +224,7 @@ def residual_terms(s, c, target, radius):
         (2.0, s.grad_energy_pushforward))
     c = np.asarray(c, dtype=float)
     yield "biharmonic_constant_density", (
-        (1.0, bilap), (2.0 * c, lap), (2.0 * c * c - dots(bilap, phi), phi))
+        (1.0, bilap), (2.0 * c, lap), (2.0 * c * c - s.bilap_dot_phi, phi))
 
 
 def sum_terms(terms):
@@ -318,19 +328,19 @@ def _stack(values):
 
 
 def _phi(smap, phi_jets, points):
-    """phi (shape (P, ambient)) from the component jets, and ||phi|^2 - r^2|
+    """phi (P, ambient) from the component jets, |phi|^2 and ||phi|^2 - r^2|
     per point (zero into R^n); a component that is not finite, or a point
     off the target sphere, raises AnalysisError naming the point."""
     phi = _stack([j.value for j in phi_jets])
     bad = ~np.isfinite(phi)
     _require(~bad.any(axis=1), points, AnalysisError,
              lambda i: f"map component {first_index(bad[i])} is {phi[i][bad[i]][0]}")
-    sphere_defect = np.zeros(len(points))
+    phi_sq, sphere_defect = dots(phi, phi), np.zeros(len(points))
     if smap.target == TARGET_SPHERE:
-        sphere_defect = np.abs(dots(phi, phi) - smap.radius ** 2)
+        sphere_defect = np.abs(phi_sq - smap.radius ** 2)
         _require(sphere_defect <= SPHERE_TOL, points, SphereConstraintError,
                  lambda i: f"|phi|^2 deviates from r^2 by {sphere_defect[i]:.3e}")
-    return phi, sphere_defect
+    return phi, phi_sq, sphere_defect
 
 
 def _analyze_block(smap, points):
@@ -338,7 +348,7 @@ def _analyze_block(smap, points):
     m = chart.dim
     frame = metric_frame(chart, points, ANALYSIS_ORDER - 1, smap.components)
     phi_jets = frame.fields
-    phi, sphere_defect = _phi(smap, phi_jets, points)
+    phi, phi_sq, sphere_defect = _phi(smap, phi_jets, points)
     lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
     energy_jet = _energy_jet(frame, phi_jets)
     # lap2 phi and lap e, the values of the Laplacians of order-2 jets at one
@@ -352,16 +362,19 @@ def _analyze_block(smap, points):
     gram_defect = inf_norms((gram - frame.g_values).reshape(len(points), m * m))
     grad_push = pushforward(frame, d_energy, dphi)
     grad_lap_dot_grad_phi = np.einsum("pij,pia,pja->p", frame.g_inv_values, d_lap, dphi)
-    div_theta = dots(lap_phi, lap_phi) + grad_lap_dot_grad_phi
+    lap_dot_phi, lap_sq = dots(lap_phi, phi), dots(lap_phi, lap_phi)
+    div_theta = lap_sq + grad_lap_dot_grad_phi
 
-    constraint_defect = np.abs(dots(lap_phi, phi) + energy)
+    constraint_defect = np.abs(lap_dot_phi + energy)
     if smap.target == TARGET_SPHERE:
         _require(constraint_defect <= SELF_CHECK_TOL, points, AnalysisError,
                  lambda i: f"sphere identity <lap phi, phi> = -|dphi|^2 violated "
                            f"by {constraint_defect[i]:.3e}")
     batch = SampleBatch(
         points=np.asarray(points, dtype=float), phi=phi, dphi=dphi, lap_phi=lap_phi,
-        bilap_phi=bilap_phi, energy_density=energy, lap_energy_density=lap_energy,
+        bilap_phi=bilap_phi, phi_sq=phi_sq, lap_dot_phi=lap_dot_phi, lap_sq=lap_sq,
+        bilap_dot_phi=dots(bilap_phi, phi), bilap_dot_lap=dots(bilap_phi, lap_phi),
+        energy_density=energy, lap_energy_density=lap_energy,
         grad_energy_pushforward=grad_push, div_theta=div_theta, tension=None,
         gram_defect=gram_defect, sphere_defect=sphere_defect,
         constraint_defect=constraint_defect, isometric=np.zeros(len(points), dtype=bool),
@@ -402,7 +415,7 @@ def _bienergy_block(smap, points):
     jets and an order-1 frame: cheaper than the order-4 analysis."""
     frame = metric_frame(smap.chart, points, BIENERGY_ORDER - 1, smap.components)
     phi_jets = frame.fields
-    phi, _ = _phi(smap, phi_jets, points)
+    phi, _, _ = _phi(smap, phi_jets, points)
     lap = laplacian_values(frame, phi_jets)
     energy = None
     if smap.target == TARGET_SPHERE:

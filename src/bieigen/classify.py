@@ -62,8 +62,7 @@ def fit_constants(samples: SampleBatch) -> FittedConstants:
         raise ValueError("need at least 2 samples to fit constants")
     s = samples
     phi2, lap_phi, bilap_phi, bilap_lap, lap2 = _sequential_sums([
-        dots(s.phi, s.phi), dots(s.lap_phi, s.phi), dots(s.bilap_phi, s.phi),
-        dots(s.bilap_phi, s.lap_phi), dots(s.lap_phi, s.lap_phi)])
+        s.phi_sq, s.lap_dot_phi, s.bilap_dot_phi, s.bilap_dot_lap, s.lap_sq])
     if phi2 > RHO_DENOMINATOR_FLOOR:
         lambda_hat = -lap_phi / phi2 + 0.0  # +0.0 normalizes -0.0
         mu_hat = bilap_phi / phi2 + 0.0
@@ -207,27 +206,24 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
             return None
         return residuals[name].max < residuals[name].threshold
 
-    p2 = dots(s.phi, s.phi)
-    ratio_rows = p2 > RATIO_FLOOR
-    lap_sq = dots(s.lap_phi, s.lap_phi)
-    rho_rows = lap_sq > RATIO_FLOOR
-    rho_ratios = -dots(s.bilap_phi, s.lap_phi)[rho_rows] / lap_sq[rho_rows]
+    ratio_rows, rho_rows = s.phi_sq > RATIO_FLOOR, s.lap_sq > RATIO_FLOOR
+    rho_ratios = -s.bilap_dot_lap[rho_rows] / s.lap_sq[rho_rows]
+    p2 = s.phi_sq[ratio_rows]
     spreads = {
         "density": _spread(s.energy_density, c),
-        "lambda_pointwise": _spread(-dots(s.lap_phi, s.phi)[ratio_rows] / p2[ratio_rows],
-                                    lam),
-        "mu_pointwise": _spread(dots(s.bilap_phi, s.phi)[ratio_rows] / p2[ratio_rows], mu),
+        "lambda_pointwise": _spread(-s.lap_dot_phi[ratio_rows] / p2, lam),
+        "mu_pointwise": _spread(s.bilap_dot_phi[ratio_rows] / p2, mu),
         "rho_pointwise": _spread(rho_ratios, rho) if rho is not None
         else _spread(rho_ratios),
     }
-    # maxima over the samples are Python's max() in sample order, which keeps
-    # the first value where a NaN would make numpy's max NaN
-    eta_norms = []
+    # maxima over the samples skip NaN (np.fmax), so a NaN is refused by the
+    # report at its point, not in the maximum
+    eta_norms = np.empty(0)
     if s.mean_curvature is not None:
         eta = s.mean_curvature[s.isometric]
-        eta_norms = np.sqrt(dots(eta, eta)).tolist()
+        eta_norms = np.sqrt(dots(eta, eta))
 
-    max_gram_defect = max(s.gram_defect.tolist())
+    max_gram_defect = float(np.fmax.reduce(s.gram_defect))
     is_constant_density = spreads["density"]["abs"] <= _threshold(tol, c)
     is_harmonic = holds("harmonic")
     is_eigenmap = holds("eigen")
@@ -236,7 +232,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
         is_biharmonic = holds("biharmonic_full")
     elif smap.target == "euclidean":
         # flat target: biharmonic means the component bi-Laplacian vanishes
-        bilap_max = max(norms[id(s.bilap_phi)].tolist())
+        bilap_max = float(np.fmax.reduce(norms[id(s.bilap_phi)]))
         is_biharmonic = bilap_max < _threshold(tol, max(1.0, residuals["bieigen"].scale))
     else:
         # sphere of radius != 1: the residual formulas are stated for the
@@ -259,12 +255,12 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
         is_buckling=holds("buckling"),
         is_proper_bieigenmap=is_bieigenmap and not is_eigenmap,
         residuals=residuals, spreads=spreads,
-        eta_max_norm=max(eta_norms) if eta_norms else None,
-        eta_deviation_from_unit=(max(abs(n - 1.0) for n in eta_norms)
-                                 if eta_norms else None),
+        eta_max_norm=float(np.fmax.reduce(eta_norms)) if len(eta_norms) else None,
+        eta_deviation_from_unit=(float(np.fmax.reduce(np.abs(eta_norms - 1.0)))
+                                 if len(eta_norms) else None),
         max_gram_defect=max_gram_defect,
-        max_sphere_defect=max(s.sphere_defect.tolist()),
-        max_constraint_defect=max(s.constraint_defect.tolist()),
+        max_sphere_defect=float(np.fmax.reduce(s.sphere_defect)),
+        max_constraint_defect=float(np.fmax.reduce(s.constraint_defect)),
         samples=s)
 
 

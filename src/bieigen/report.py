@@ -289,8 +289,8 @@ def _point_columns(report):
     columns = {
         "point": s.points,
         "energy_density": s.energy_density,
-        "phi_norm": norms(s.phi),
-        "lap_phi_norm": norms(s.lap_phi),
+        "phi_norm": np.sqrt(s.phi_sq),
+        "lap_phi_norm": np.sqrt(s.lap_sq),
         "bilap_phi_norm": norms(s.bilap_phi),
         "tension_norm": norms(s.tension),
         "mean_curvature_norm": norms(s.mean_curvature),

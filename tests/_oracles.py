@@ -19,7 +19,10 @@ returns each value's text as one string, the reference for the one-join
 `report.to_json`; last, a column-by-column search for the first non-finite
 cell, the reference for the one-pass gate of `report.Table`. Before them,
 `_det` and `_adjugate` expand every minor of a matrix of jets on its own,
-the reference for the one cofactor pass of `charts._cofactors`. Before
+the reference for the one cofactor pass of `charts._cofactors`, and
+before those `fitted_constants` and `spreads` form each inner product of the
+fit and of the pointwise ratios from the sample vectors, the reference for
+the columns of `analysis.SampleBatch` that `classify` reads. Before
 those, `residual_rows` reduces the verdict rows of a classification one at
 a time, the reference for the stacked pass of `classify.verdicts`, and
 before it the tension and the three biharmonicity residuals are each
@@ -366,6 +369,60 @@ def residual_rows(smap, s, fitted, tol):
         out[name] = (per_point, float(np.max(defined)),
                      float(np.sqrt(np.mean(defined * defined))), scale, tol + tol * abs(scale))
     return out
+
+
+# --------------------------------------------------------------------------
+# fitted constants and pointwise spreads, each inner product formed here
+# --------------------------------------------------------------------------
+
+# the per-point inner products of a sample batch, by column: (x, y) of <x, y>
+INNER_PRODUCTS = {"phi_sq": ("phi", "phi"), "lap_dot_phi": ("lap_phi", "phi"),
+                  "lap_sq": ("lap_phi", "lap_phi"), "bilap_dot_phi": ("bilap_phi", "phi"),
+                  "bilap_dot_lap": ("bilap_phi", "lap_phi")}
+
+
+def _running_sum(values):
+    """The sum of a float array left to right from +0.0, one point at a time."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def fitted_constants(s):
+    """(lambda_hat, mu_hat, rho_hat, c_hat) of a sample batch, each inner
+    product formed from the stored vectors and summed point by point."""
+    floor = 1e-14  # classify.RHO_DENOMINATOR_FLOOR
+    phi2, lap_phi, bilap_phi, bilap_lap, lap2 = (_running_sum(_dots(x, y)) for x, y in (
+        (s.phi, s.phi), (s.lap_phi, s.phi), (s.bilap_phi, s.phi),
+        (s.bilap_phi, s.lap_phi), (s.lap_phi, s.lap_phi)))
+    lam, mu = (-lap_phi / phi2 + 0.0, bilap_phi / phi2 + 0.0) if phi2 > floor else (0.0, 0.0)
+    rho = None if lap2 < floor else -bilap_lap / lap2 + 0.0
+    return lam, mu, rho, float(np.mean(s.energy_density))
+
+
+def spreads(s, fitted):
+    """The pointwise spreads of a classification: the density around c_hat,
+    and the ratios -<lap, phi>/|phi|^2, <lap2, phi>/|phi|^2 and
+    -<lap2, lap>/|lap|^2 around their fitted constants (around their mean
+    when rho_hat is None), each inner product formed from the vectors."""
+    def spread(values, around=None):
+        if not len(values):
+            return None
+        center = float(np.mean(values)) if around is None else around
+        absolute = float(np.max(np.abs(values - center)))
+        return {"abs": absolute, "rel": absolute / max(1.0, abs(center))}
+
+    floor = 1e-10  # classify.RATIO_FLOOR
+    p2, lap_sq = _dots(s.phi, s.phi), _dots(s.lap_phi, s.lap_phi)
+    rows, rho_rows = p2 > floor, lap_sq > floor
+    return {
+        "density": spread(s.energy_density, fitted.c_hat),
+        "lambda_pointwise": spread(-_dots(s.lap_phi, s.phi)[rows] / p2[rows],
+                                   fitted.lambda_hat),
+        "mu_pointwise": spread(_dots(s.bilap_phi, s.phi)[rows] / p2[rows], fitted.mu_hat),
+        "rho_pointwise": spread(-_dots(s.bilap_phi, s.lap_phi)[rho_rows] / lap_sq[rho_rows],
+                                fitted.rho_hat)}
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bieigen import build_map, catalog_get
+from bieigen import analysis, build_map, catalog_get
 from bieigen.analysis import (SphereConstraintError, SphereMap, analyze_point,
                               analyze_samples, bienergy_quadrature,
-                              constant_density_residual, inf_norms)
+                              constant_density_residual, inf_norms, residual_terms)
 from bieigen.charts import MAX_POINTS, Chart, SizeError
+
+from test_curved import sphere_manifest
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
 
@@ -266,6 +268,36 @@ def test_div_theta_closed_form_on_varying_density_curve():
         fpp = -0.3 * math.sin(t)
         fppp = -0.3 * math.cos(t)
         assert pa.div_theta == pytest.approx(fpp * fpp + fp * fppp, abs=1e-10)
+
+
+# charts on which the two producers of the energy density differ in the last
+# bit at some points: (manifest, samples)
+TWO_DENSITIES = {
+    **{name: (lambda name=name: catalog_get(name).manifest, 64)
+       for name in ("clifford_torus_S3", "clifford_comp_S4", "round_sphere_chart_S2_in_R3")},
+    **{f"sphere_{m}{'_lifted' if lifted else ''}":
+       (lambda m=m, lifted=lifted: sphere_manifest(m, lifted), {2: 64, 3: 125, 4: 81}[m])
+       for m in (2, 3, 4) for lifted in (False, True)}}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_DENSITIES))
+def test_the_two_energy_densities_agree_to_the_last_bits(name, monkeypatch):
+    # the analysis takes e as the value of its energy jet, the bienergy as
+    # g^ij <d_i phi, d_j phi> of its values; they round differently, and a
+    # drift of either beyond a few ulps fails here
+    make, samples = TWO_DENSITIES[name]
+    _, smap = build_map(make())
+    points = np.asarray(smap.chart.sample_points(samples), dtype=float)
+    analysed = analyze_samples(smap, points).energy_density
+    seen = []
+
+    def spy(s, c, target, radius):
+        seen.append(s.energy_density)
+        return residual_terms(s, c, target, radius)
+    monkeypatch.setattr(analysis, "residual_terms", spy)
+    analysis._bienergy_block(smap, points)
+    (bienergy,) = seen
+    assert np.all(np.abs(bienergy - analysed) <= 1e-15 * np.abs(analysed))
 
 
 # values a max-norm must carry through: NaN, +-inf, -0.0 and subnormals

@@ -17,7 +17,8 @@ from bieigen.charts import Chart, GeometryError, laplacian_jet, metric_frame
 from bieigen.exprs import (BinOp, Call, Const, Neg, Pow, Var, eval_jet, eval_value,
                            parse)
 
-from _oracles import mp_laplace_beltrami, mp_partial, random_point, random_smooth_source
+from _oracles import (INNER_PRODUCTS, mp_laplace_beltrami, mp_partial, random_point,
+                      random_smooth_source)
 from test_curved import sphere_manifest
 
 VARIABLES = ("u", "v")
@@ -179,6 +180,28 @@ def test_sample_batch_rows_equal_one_point_analyses(name):
                 assert got is None, key
             else:
                 np.testing.assert_array_equal(got, value, err_msg=key)
+
+
+def test_inner_product_columns_are_dots_of_the_vectors_across_blocks_and_in_rows():
+    # 4000 samples of a 1-D entry are two blocks; a point's <x, y> is one
+    # stacked product of its own vectors, so neither its block nor the
+    # concatenation of the blocks changes it, and a one-point analysis
+    # holds the same value
+    _, smap = build_map(catalog_get("kfold_equator_S2").manifest)
+    step = block_points(ANALYSIS_ORDER, smap.dim)
+    points = smap.chart.sample_points(4000)
+    batch = analyze_samples(smap, points)
+    assert step < len(batch) < 2 * step
+    for column, (x, y) in INNER_PRODUCTS.items():
+        want = analysis.dots(getattr(batch, x), getattr(batch, y))
+        np.testing.assert_array_equal(getattr(batch, column).view(np.int64),
+                                      want.view(np.int64), err_msg=column)
+    for i in (0, *_block_edges(step, len(points)), len(points) - 1):
+        for row in (batch.row(i), analyze_point(smap, points[i])):
+            for column, (x, y) in INNER_PRODUCTS.items():
+                want = float(analysis.dots(getattr(row, x), getattr(row, y)))
+                assert getattr(row, column).hex() == want.hex() == \
+                    float(getattr(batch, column)[i]).hex(), (column, i)
 
 
 # a bump that is -1 at one point and 1 to double precision a tenth away

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bieigen import build_map, catalog_get
-from bieigen.analysis import (SphereMap, analyze_samples, constant_density_residual,
+from bieigen.analysis import (SphereMap, analyze_samples, constant_density_residual, dots,
                               inf_norms, residual_terms, sum_terms)
 from bieigen.catalog import catalog_names
 from bieigen.charts import Chart
@@ -13,7 +13,7 @@ from bieigen.classify import (FAIL, NOT_APPLICABLE, PASS, classify,
                               fit_constants, verdicts, verify)
 
 import _oracles
-from test_curved import random_induced_3d, sphere_manifest
+from test_curved import random_explicit, random_induced_3d, sphere_manifest
 
 
 def _report(name, samples=64, tol=1e-8):
@@ -302,6 +302,46 @@ def test_residuals_are_the_written_out_formulas_bit_for_bit(name):
         _assert_bits(report.residuals[key].per_point, np.max(np.abs(vectors), axis=-1))
 
 
+# random non-diagonal metrics of test_curved.py: (manifest, samples)
+RANDOM = {"random_induced_3d": (lambda: random_induced_3d()[0], 125),
+          "random_explicit_4d": (lambda: random_explicit(4)[0], 81)}
+
+
+def _hex(value):
+    """A value with every float as its hex text, so == compares bits."""
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_hex, value))
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *CURVED, *RANDOM])
+def test_fit_and_spreads_are_the_inner_products_of_the_vectors_bit_for_bit(name):
+    # the analysis forms each inner product once, as a column; each column
+    # must be <x, y> of its vectors, and the fit and the pointwise spreads
+    # that read them what forming them from the vectors gives
+    if name in CURVED:
+        m, lifted, samples = CURVED[name]
+        manifest = sphere_manifest(m, lifted)
+    elif name in RANDOM:
+        make, samples = RANDOM[name]
+        manifest = make()
+    else:
+        manifest, samples = catalog_get(name).manifest, 64
+    _, smap = build_map(manifest)
+    report = classify(smap, samples)
+    s, c = report.samples, report.constants
+    for column, (x, y) in _oracles.INNER_PRODUCTS.items():
+        _assert_bits(getattr(s, column), dots(getattr(s, x), getattr(s, y)))
+    assert _hex((c.lambda_hat, c.mu_hat, c.rho_hat, c.c_hat)) == \
+        _hex(_oracles.fitted_constants(s))
+    want = _oracles.spreads(s, c)
+    assert report.spreads.keys() == want.keys()
+    for key, spread in want.items():
+        assert _hex(report.spreads[key]) == _hex(spread), key
+
+
 # maps off the unit sphere: into R^5 on a curved 3-D chart, and onto the
 # sphere of radius 2 with a varying density
 OFF_UNIT = {
@@ -361,6 +401,8 @@ def test_stacked_verdict_rows_on_a_map_isometric_at_some_rows(isometric):
     # terms dominate, so a row taken where it is not defined shows
     samples = dataclasses.replace(report.samples, isometric=mask,
                                   bilap_phi=report.samples.bilap_phi + 5.0 * ~mask[:, None])
+    samples.bilap_dot_phi, samples.bilap_dot_lap = (
+        dots(samples.bilap_phi, samples.phi), dots(samples.bilap_phi, samples.lap_phi))
     forms = dict(residual_terms(samples, samples.energy_density, smap.target, smap.radius))
     samples.tension, samples.residual_submanifold, samples.residual_full = (
         sum_terms(forms[key]) for key in ("harmonic", "biharmonic_submanifold",

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +136,19 @@ def test_verify_not_applicable_exit_4(capsys):
     assert main(["verify", "great_circle_S2", "--theorem", "t2"]) == 4
     out = capsys.readouterr().out
     assert "NOT_APPLICABLE" in out and "harmonic" in out
+
+
+@pytest.mark.parametrize("theorem, code, shown", [
+    ("takahashi", 0, "takahashi: PASS"),
+    ("t2", 4, "t2: NOT_APPLICABLE (map is harmonic)")])
+def test_python_dash_m_bieigen_runs_the_cli(theorem, code, shown):
+    # the package's __main__, run from the source tree alone
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "bieigen", "verify", "great_circle_S2",
+                          "--theorem", theorem], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert run.stdout.startswith(f"great_circle_S2 {shown}\n")
 
 
 def test_verify_fail_exit_1(tmp_path, capsys):

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from _oracles import csv_rows, json_text, require_finite_walk, table_first_non_finite
 from bieigen import report as rpt
+from bieigen.analysis import dots
 from bieigen.catalog import catalog_get
-from bieigen.classify import classify
+from bieigen.classify import classify, verdicts
 from bieigen.manifest import build_map
 
 SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
@@ -222,11 +223,17 @@ def header_targets(report):
     return targets
 
 
+SQUARES = ("phi_sq", "lap_sq")  # the <x, x> columns of a SampleBatch
+
+
 def cell_targets(report):
     """Every per-point array a report's table reads, as a setter of (row,
-    component)."""
+    component). A sum of squares is never -inf, so the <x, x> columns take
+    +inf for it."""
     def sample(name):
         def put(r, row, k, value):
+            if name in SQUARES:
+                value = abs(value)
             values = getattr(r.samples, name)
             if values.ndim == 1:
                 values[row] = value
@@ -346,6 +353,32 @@ def test_cells_outside_a_columns_rows_are_not_checked():
     report.samples.mean_curvature[0, 0] = float("nan")
     assert gate_message(report) == walk_message(report)
     assert "points[0].mean_curvature_norm" in gate_message(report)
+
+
+@pytest.mark.parametrize("row", [0, 5])
+@pytest.mark.parametrize("column, cell", [
+    ("gram_defect", "gram_defect"), ("sphere_defect", "sphere_defect"),
+    ("constraint_defect", "constraint_defect"), ("mean_curvature", "mean_curvature_norm")])
+def test_a_nan_sample_is_skipped_by_the_maxima_and_named_at_its_point(column, cell, row):
+    # the maxima over the samples skip a NaN wherever it is, so the gate
+    # names the point that holds it, not a maximum that names no point
+    entry = "clifford_torus_S3"
+    _, smap = build_map(catalog_get(entry).manifest)
+    report = copied(base_report(entry))
+    s = report.samples
+    getattr(s, column)[row] = math.nan
+    redone = verdicts(smap, s, report.constants, report.tol)
+    rest = np.arange(len(s)) != row
+    assert s.isometric.all()
+    eta = np.sqrt(dots(s.mean_curvature[rest], s.mean_curvature[rest]))
+    assert redone.max_gram_defect == np.max(s.gram_defect[rest])
+    assert redone.max_sphere_defect == np.max(s.sphere_defect[rest])
+    assert redone.max_constraint_defect == np.max(s.constraint_defect[rest])
+    assert redone.eta_max_norm == np.max(eta)
+    assert redone.eta_deviation_from_unit == np.max(np.abs(eta - 1.0))
+    point = tuple(s.points[row].tolist())
+    expected = f"non-finite value nan for points[{row}].{cell} at point {point}"
+    assert gate_message(redone) == walk_message(redone) == expected
 
 
 def test_header_before_points_and_after_points():
