@@ -1,17 +1,17 @@
 """Pointwise analysis of parametric maps into spheres, at a block of points.
 
-Everything here is pointwise, evaluated for a block of points at once: the
-map components are evaluated as order-4 jets, the chart supplies order-3
-metric jets, and from those we obtain the component Laplacian (order 2, with
-one derivative order to spare), the bi-Laplacian, the energy density (an
-order-2 jet, of which only the value, the gradient and the Laplacian are
-read) with its Laplacian and gradient pushforward, the tension field, the
-mean curvature vector, and the residual vectors of the three biharmonicity
-characterizations. The component Laplacians are jets (`charts.laplacian_jet`),
-since grad lap phi and the bi-Laplacian read them; the Laplacians read for
-their value alone are values of `charts.laplacian_values`: the bi-Laplacian
-of every component and lap e in one call per block, and the bienergy's lap
-phi in another:
+Everything here is pointwise, evaluated for a block of points at once: the map
+components are evaluated as order-4 jets, the chart supplies order-3 metric
+jets, and from those we obtain the component Laplacian (order 2, with one
+derivative order to spare), the bi-Laplacian, the energy density (an order-2
+jet, read for its value, gradient and Laplacian; the bienergy takes e from the
+same formula, `_energy`, on values) with its Laplacian and gradient
+pushforward, the tension field, the mean curvature vector and its norm, and
+the residual vectors of the three biharmonicity characterizations. The
+component Laplacians are jets (`charts.laplacian_jet`), since grad lap phi and
+the bi-Laplacian read them; the Laplacians read for their value alone are
+values of `charts.laplacian_values`: the bi-Laplacian of every component and
+lap e in one call per block, and the bienergy's lap phi in another:
 
   tension           lap + (e / r^2) phi                  (lap in R^n)
   submanifold       lap2 + 2m lap + (2 m^2 - |lap|^2) phi        (isometric)
@@ -123,14 +123,14 @@ class SphereMap:
 class SampleBatch:
     """All pointwise quantities of a map at P points, stacked on a first axis
     of length P. The residual arrays are None unless the target is the unit
-    sphere; mean curvature and the submanifold residual are defined on the
-    rows where `isometric` (Gram defect within GRAM_TOL) holds.
+    sphere; mean curvature, its norm and the submanifold residual are
+    defined on the rows where `isometric` (Gram defect within GRAM_TOL) holds.
     `classify.verdicts` reads `tension`, `residual_submanifold` and
     `residual_full` as the harmonic, submanifold and full residual vectors
-    instead of summing their terms again. The inner products `phi_sq` to
-    `bilap_dot_lap` are formed here alone: `residual_terms` reads two, the
-    fit sums all five, the pointwise spreads divide them, and the report
-    takes `phi_norm` and `lap_phi_norm` as square roots."""
+    instead of summing their terms again. |eta| and the inner products
+    `phi_sq` to `bilap_dot_lap` are formed here alone: `residual_terms` reads
+    two, the fit sums all five, the pointwise spreads divide them, and the
+    report takes `phi_norm` and `lap_phi_norm` as square roots."""
 
     points: np.ndarray          # (P, m)
     phi: np.ndarray             # (P, ambient)
@@ -152,6 +152,7 @@ class SampleBatch:
     constraint_defect: np.ndarray  # |<lap phi, phi> + |dphi|^2|, zero on a round sphere
     isometric: np.ndarray       # (P,) bool
     mean_curvature: Optional[np.ndarray]
+    mean_curvature_norm: Optional[np.ndarray]  # (P,): |eta|
     residual_submanifold: Optional[np.ndarray]
     residual_full: Optional[np.ndarray]
     residual_constant_density: Optional[np.ndarray]
@@ -164,9 +165,10 @@ class SampleBatch:
 
     def row(self, i) -> SimpleNamespace:
         """The analysis of point i as a namespace: `point` a tuple, a (P,)
-        column a float, and mean curvature and the submanifold residual None
-        off the isometric rows."""
-        undefined = () if self.isometric[i] else ("mean_curvature", "residual_submanifold")
+        column a float, and mean curvature, its norm and the submanifold
+        residual None off the isometric rows."""
+        undefined = () if self.isometric[i] else ("mean_curvature", "mean_curvature_norm",
+                                                  "residual_submanifold")
         fields = {}
         for name in self.__dataclass_fields__:
             column = getattr(self, name)
@@ -350,7 +352,11 @@ def _analyze_block(smap, points):
     phi_jets = frame.fields
     phi, phi_sq, sphere_defect = _phi(smap, phi_jets, points)
     lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
-    energy_jet = _energy_jet(frame, phi_jets)
+    # e to order 2, all its readers need: truncated factors give the same bits
+    # there, and the derivative jets, a block's largest, die with the call
+    energy_jet = _energy([[g.truncated(2) for g in row] for row in frame.g_inv],
+                         [[pj.extract_derivative(i).truncated(2) for pj in phi_jets]
+                          for i in range(m)])
     # lap2 phi and lap e, the values of the Laplacians of order-2 jets at one
     # block, in one pass; copied out contiguous, as `dots` reads its operands
     values = laplacian_values(frame, lap_jets + [energy_jet])
@@ -378,16 +384,17 @@ def _analyze_block(smap, points):
         grad_energy_pushforward=grad_push, div_theta=div_theta, tension=None,
         gram_defect=gram_defect, sphere_defect=sphere_defect,
         constraint_defect=constraint_defect, isometric=np.zeros(len(points), dtype=bool),
-        mean_curvature=None, residual_submanifold=None, residual_full=None,
-        residual_constant_density=None)
+        mean_curvature=None, mean_curvature_norm=None, residual_submanifold=None,
+        residual_full=None, residual_constant_density=None)
     residuals = residual_terms(batch, energy, smap.target, smap.radius)
     batch.tension = sum_terms(next(residuals)[1])
     if not smap.unit_sphere:
         return batch
 
     batch.isometric = gram_defect <= GRAM_TOL
-    batch.mean_curvature = (lap_phi + m * phi) / m
-    tangency = np.abs(dots(batch.mean_curvature, phi))
+    batch.mean_curvature = eta = (lap_phi + m * phi) / m
+    batch.mean_curvature_norm = np.sqrt(dots(eta, eta))
+    tangency = np.abs(dots(eta, phi))
     _require(~batch.isometric | (tangency <= SELF_CHECK_TOL), points, AnalysisError,
              lambda i: f"mean curvature tangency check failed ({tangency[i]:.3e})")
     (batch.residual_submanifold, batch.residual_full,
@@ -395,19 +402,15 @@ def _analyze_block(smap, points):
     return batch
 
 
-def _energy_jet(frame, phi_jets):
-    """The energy density e = |dphi|^2 as an order-2 jet g^ij sum_A d_i phi^A
-    d_j phi^A, from order-4 component jets: lap e, e and d_i e read no slot
-    above order 2, and the truncated factors form the same bits in those
-    slots. The derivative jets, the largest of a block, are dropped on
-    return."""
-    m = frame.chart.dim
-    dphi_jets = [[pj.extract_derivative(i).truncated(2) for pj in phi_jets] for i in range(m)]
-
+def _energy(g_inv, dphi):
+    """e = |dphi|^2 = g^ij sum_A d_i phi^A d_j phi^A from `g_inv[i][j]` and
+    `dphi[i][A]`, jets or (P,) values alike, summed left to right over A, then
+    over (i, j) row-major. A jet product's value is the product of the values
+    and jets add slot by slot, so values get the bits of the jets' value."""
     def dot(i, j):
-        return reduce(add, (x * y for x, y in zip(dphi_jets[i], dphi_jets[j])))
-    return reduce(add, (frame.g_inv[i][j].truncated(2) * dot(i, j)
-                        for i in range(m) for j in range(m)))
+        return reduce(add, (x * y for x, y in zip(dphi[i], dphi[j])))
+    m = len(g_inv)
+    return reduce(add, (g_inv[i][j] * dot(i, j) for i in range(m) for j in range(m)))
 
 
 def _bienergy_block(smap, points):
@@ -417,10 +420,8 @@ def _bienergy_block(smap, points):
     phi_jets = frame.fields
     phi, _, _ = _phi(smap, phi_jets, points)
     lap = laplacian_values(frame, phi_jets)
-    energy = None
-    if smap.target == TARGET_SPHERE:
-        dphi = first_partials(phi_jets)
-        energy = np.einsum("pij,pia,pja->p", frame.g_inv_values, dphi, dphi)
+    energy = None if smap.target != TARGET_SPHERE else _energy(
+        frame.g_inv_values.transpose(1, 2, 0), first_partials(phi_jets).transpose(1, 2, 0))
     fields = SimpleNamespace(phi=phi, lap_phi=lap, energy_density=energy)
     tau = sum_terms(next(residual_terms(fields, None, smap.target, smap.radius))[1])
     density = dots(tau, tau) * frame.sqrt_det.value

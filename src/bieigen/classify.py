@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples, dots,
-                       inf_norms, residual_terms, sum_terms)
+from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples, inf_norms,
+                       residual_terms, sum_terms)
 from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL = 1e-8
@@ -218,10 +218,8 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
     }
     # maxima over the samples skip NaN (np.fmax), so a NaN is refused by the
     # report at its point, not in the maximum
-    eta_norms = np.empty(0)
-    if s.mean_curvature is not None:
-        eta = s.mean_curvature[s.isometric]
-        eta_norms = np.sqrt(dots(eta, eta))
+    eta_norms = np.empty(0) if s.mean_curvature_norm is None \
+        else s.mean_curvature_norm[s.isometric]
 
     max_gram_defect = float(np.fmax.reduce(s.gram_defect))
     is_constant_density = spreads["density"]["abs"] <= _threshold(tol, c)

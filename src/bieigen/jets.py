@@ -6,7 +6,8 @@ block of points: one row per coefficient, one column per point. Sums,
 products, quotients and the elementary functions propagate full derivative
 information for the whole block in a few numpy calls, so each partial
 derivative consumed by the geometry layer is exact up to floating-point
-rounding, and every point gets the same bits it would get on its own.
+rounding, and every point gets the same bits it would get on its own (but a
+NaN from two NaN operands may take its sign from its place in the block).
 Each elementary function forms its derivative tower once per block, up to
 the jet's order (a constant's only to its value). Its kernel is `math`'s
 mapped over the values, or numpy's where that gives `math`'s bits

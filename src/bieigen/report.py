@@ -293,7 +293,7 @@ def _point_columns(report):
         "lap_phi_norm": np.sqrt(s.lap_sq),
         "bilap_phi_norm": norms(s.bilap_phi),
         "tension_norm": norms(s.tension),
-        "mean_curvature_norm": norms(s.mean_curvature),
+        "mean_curvature_norm": s.mean_curvature_norm,
         "div_theta": s.div_theta,
         "lap_energy_density": s.lap_energy_density,
         "grad_energy_norm": norms(s.grad_energy_pushforward),

@@ -270,8 +270,8 @@ def test_div_theta_closed_form_on_varying_density_curve():
         assert pa.div_theta == pytest.approx(fpp * fpp + fp * fppp, abs=1e-10)
 
 
-# charts on which the two producers of the energy density differ in the last
-# bit at some points: (manifest, samples)
+# charts whose energy density rounds differently in the last bit at some
+# points under another sum order (an einsum of the values): (manifest, samples)
 TWO_DENSITIES = {
     **{name: (lambda name=name: catalog_get(name).manifest, 64)
        for name in ("clifford_torus_S3", "clifford_comp_S4", "round_sphere_chart_S2_in_R3")},
@@ -282,9 +282,8 @@ TWO_DENSITIES = {
 
 @pytest.mark.parametrize("name", sorted(TWO_DENSITIES))
 def test_the_two_energy_densities_agree_to_the_last_bits(name, monkeypatch):
-    # the analysis takes e as the value of its energy jet, the bienergy as
-    # g^ij <d_i phi, d_j phi> of its values; they round differently, and a
-    # drift of either beyond a few ulps fails here
+    # the analysis takes e as the value of its energy jet, the bienergy from
+    # the same formula on values; every bit must agree
     make, samples = TWO_DENSITIES[name]
     _, smap = build_map(make())
     points = np.asarray(smap.chart.sample_points(samples), dtype=float)
@@ -297,7 +296,7 @@ def test_the_two_energy_densities_agree_to_the_last_bits(name, monkeypatch):
     monkeypatch.setattr(analysis, "residual_terms", spy)
     analysis._bienergy_block(smap, points)
     (bienergy,) = seen
-    assert np.all(np.abs(bienergy - analysed) <= 1e-15 * np.abs(analysed))
+    np.testing.assert_array_equal(bienergy.view(np.int64), analysed.view(np.int64))
 
 
 # values a max-norm must carry through: NaN, +-inf, -0.0 and subnormals

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bieigen import build_map
-from bieigen.analysis import SphereMap, analyze_point, analyze_samples
+from bieigen.analysis import SphereMap, analyze_point, analyze_samples, bienergy_quadrature
 from bieigen.charts import Chart, bilaplacian, gradient_pushforward, laplace_beltrami
 from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
 from bieigen.exprs import parse
@@ -264,11 +264,11 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("case, samples", [
-    (lambda: random_induced_3d()[0], 64),
-    (lambda: sphere_manifest(4, lifted=True), 81),
+@pytest.mark.parametrize("case, samples, grid", [
+    (lambda: random_induced_3d()[0], 64, 6),
+    (lambda: sphere_manifest(4, lifted=True), 81, 5),
 ], ids=["random_induced_3d", "S4_half_in_S5"])
-def test_a_dyadic_reparametrization_keeps_every_invariant_bit(case, samples):
+def test_a_dyadic_reparametrization_keeps_every_invariant_bit(case, samples, grid):
     # u -> 0.5 u scales every derivative by a power of two, so no bit of a
     # quantity that is invariant under the change of chart may move
     doc = case()
@@ -286,3 +286,5 @@ def test_a_dyadic_reparametrization_keeps_every_invariant_bit(case, samples):
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=field.name)
     # on S^4 every row is isometric, so the submanifold residual was compared
     assert after.isometric.all() == smap.unit_sphere
+    # the cells are 2^m times larger and sqrt|g| 2^m times smaller
+    assert _bits(bienergy_quadrature(halved, grid)) == _bits(bienergy_quadrature(smap, grid))

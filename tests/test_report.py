@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from _oracles import csv_rows, json_text, require_finite_walk, table_first_non_finite
 from bieigen import report as rpt
-from bieigen.analysis import dots
 from bieigen.catalog import catalog_get
 from bieigen.classify import classify, verdicts
 from bieigen.manifest import build_map
@@ -223,13 +222,13 @@ def header_targets(report):
     return targets
 
 
-SQUARES = ("phi_sq", "lap_sq")  # the <x, x> columns of a SampleBatch
+SQUARES = ("phi_sq", "lap_sq", "mean_curvature_norm")  # <x, x> and |x| columns
 
 
 def cell_targets(report):
     """Every per-point array a report's table reads, as a setter of (row,
-    component). A sum of squares is never -inf, so the <x, x> columns take
-    +inf for it."""
+    component). A sum of squares or a norm is never -inf, so the SQUARES
+    columns take +inf for it."""
     def sample(name):
         def put(r, row, k, value):
             if name in SQUARES:
@@ -346,11 +345,11 @@ def test_cells_outside_a_columns_rows_are_not_checked():
     rows = len(base.samples)
     isometric = [True] + [False] * (rows - 1)
     report = copied(base, isometric)
-    report.samples.mean_curvature[1, 0] = float("inf")
+    report.samples.mean_curvature_norm[1] = float("inf")
     report.residuals["biharmonic_submanifold"].per_point[2] = float("nan")
     assert gate_message(report) is None and walk_message(report) is None
     report = copied(base, isometric)
-    report.samples.mean_curvature[0, 0] = float("nan")
+    report.samples.mean_curvature_norm[0] = float("nan")
     assert gate_message(report) == walk_message(report)
     assert "points[0].mean_curvature_norm" in gate_message(report)
 
@@ -358,7 +357,7 @@ def test_cells_outside_a_columns_rows_are_not_checked():
 @pytest.mark.parametrize("row", [0, 5])
 @pytest.mark.parametrize("column, cell", [
     ("gram_defect", "gram_defect"), ("sphere_defect", "sphere_defect"),
-    ("constraint_defect", "constraint_defect"), ("mean_curvature", "mean_curvature_norm")])
+    ("constraint_defect", "constraint_defect"), ("mean_curvature_norm", "mean_curvature_norm")])
 def test_a_nan_sample_is_skipped_by_the_maxima_and_named_at_its_point(column, cell, row):
     # the maxima over the samples skip a NaN wherever it is, so the gate
     # names the point that holds it, not a maximum that names no point
@@ -370,7 +369,7 @@ def test_a_nan_sample_is_skipped_by_the_maxima_and_named_at_its_point(column, ce
     redone = verdicts(smap, s, report.constants, report.tol)
     rest = np.arange(len(s)) != row
     assert s.isometric.all()
-    eta = np.sqrt(dots(s.mean_curvature[rest], s.mean_curvature[rest]))
+    eta = s.mean_curvature_norm[rest]
     assert redone.max_gram_defect == np.max(s.gram_defect[rest])
     assert redone.max_sphere_defect == np.max(s.sphere_defect[rest])
     assert redone.max_constraint_defect == np.max(s.constraint_defect[rest])
