@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import (MAX_POINTS, Chart, SizeError, laplacian_jet, laplacian_values,
-                     metric_frame, pushforward)
+from .charts import (MAX_POINTS, Chart, PointError, SizeError, laplacian_jet,
+                     laplacian_values, metric_frame, pushforward, require)
 from .exprs import intern, parse, variables_of
 from .jets import BLOCK_VALUES, JetDomainError, first_index, first_partials
 
@@ -58,14 +58,8 @@ TARGET_SPHERE = "sphere"
 TARGET_EUCLIDEAN = "euclidean"
 
 
-class AnalysisError(RuntimeError):
-    """Raised when a map violates a validated constraint at a point; `index`
-    is the point's position in the evaluated block."""
-
-    def __init__(self, message, point=None, index=0):
-        super().__init__(message)
-        self.point = tuple(point) if point is not None else None
-        self.index = index
+class AnalysisError(PointError):
+    """Raised when a map violates a validated constraint at a point."""
 
 
 class SphereConstraintError(AnalysisError):
@@ -125,6 +119,8 @@ class SampleBatch:
     of length P. The residual arrays are None unless the target is the unit
     sphere; mean curvature, its norm and the submanifold residual are
     defined on the rows where `isometric` (Gram defect within GRAM_TOL) holds.
+    `isometric` is set for every target, and the isometry verdict is that it
+    holds at every row.
     `classify.verdicts` reads `tension`, `residual_submanifold` and
     `residual_full` as the harmonic, submanifold and full residual vectors
     instead of summing their terms again. |eta| and the inner products
@@ -314,14 +310,14 @@ def analyze_samples(smap: SphereMap, points) -> SampleBatch:
         _blockwise(lambda block: _analyze_block(smap, block), points, ANALYSIS_ORDER))
 
 
-def _require(ok, points, error, defect):
-    """Raise `error` for the first point where the mask `ok` is False (a NaN
-    compares False, so it fails too); defect(i) describes what failed. The
-    point is named in Python floats."""
-    bad = first_index(~ok)
-    if bad is not None:
-        point = tuple(np.asarray(points[bad], dtype=float).tolist())
-        raise error(f"{defect(bad)} at {point}", point, bad)
+def sequential_sums(rows) -> list:
+    """The sum of each float array of `rows` left to right from +0.0, in
+    order, as the reference values were made: the bits of Python's `sum` up
+    to 3.11. Python 3.12's `sum` of floats is compensated, and rounds
+    differently. Overflow gives inf silently, as `sum` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.accumulate(np.array(rows), axis=-1)[:, -1]
+    return [total + 0.0 for total in totals.tolist()]
 
 
 def _stack(values):
@@ -335,13 +331,13 @@ def _phi(smap, phi_jets, points):
     off the target sphere, raises AnalysisError naming the point."""
     phi = _stack([j.value for j in phi_jets])
     bad = ~np.isfinite(phi)
-    _require(~bad.any(axis=1), points, AnalysisError,
-             lambda i: f"map component {first_index(bad[i])} is {phi[i][bad[i]][0]}")
+    require(~bad.any(axis=1), points, AnalysisError,
+            lambda i, p: f"map component {first_index(bad[i])} is {phi[i][bad[i]][0]} at {p}")
     phi_sq, sphere_defect = dots(phi, phi), np.zeros(len(points))
     if smap.target == TARGET_SPHERE:
         sphere_defect = np.abs(phi_sq - smap.radius ** 2)
-        _require(sphere_defect <= SPHERE_TOL, points, SphereConstraintError,
-                 lambda i: f"|phi|^2 deviates from r^2 by {sphere_defect[i]:.3e}")
+        require(sphere_defect <= SPHERE_TOL, points, SphereConstraintError,
+                lambda i, p: f"|phi|^2 deviates from r^2 by {sphere_defect[i]:.3e} at {p}")
     return phi, phi_sq, sphere_defect
 
 
@@ -373,9 +369,9 @@ def _analyze_block(smap, points):
 
     constraint_defect = np.abs(lap_dot_phi + energy)
     if smap.target == TARGET_SPHERE:
-        _require(constraint_defect <= SELF_CHECK_TOL, points, AnalysisError,
-                 lambda i: f"sphere identity <lap phi, phi> = -|dphi|^2 violated "
-                           f"by {constraint_defect[i]:.3e}")
+        require(constraint_defect <= SELF_CHECK_TOL, points, AnalysisError,
+                lambda i, p: f"sphere identity <lap phi, phi> = -|dphi|^2 violated "
+                             f"by {constraint_defect[i]:.3e} at {p}")
     batch = SampleBatch(
         points=np.asarray(points, dtype=float), phi=phi, dphi=dphi, lap_phi=lap_phi,
         bilap_phi=bilap_phi, phi_sq=phi_sq, lap_dot_phi=lap_dot_phi, lap_sq=lap_sq,
@@ -383,7 +379,7 @@ def _analyze_block(smap, points):
         energy_density=energy, lap_energy_density=lap_energy,
         grad_energy_pushforward=grad_push, div_theta=div_theta, tension=None,
         gram_defect=gram_defect, sphere_defect=sphere_defect,
-        constraint_defect=constraint_defect, isometric=np.zeros(len(points), dtype=bool),
+        constraint_defect=constraint_defect, isometric=gram_defect <= GRAM_TOL,
         mean_curvature=None, mean_curvature_norm=None, residual_submanifold=None,
         residual_full=None, residual_constant_density=None)
     residuals = residual_terms(batch, energy, smap.target, smap.radius)
@@ -391,12 +387,11 @@ def _analyze_block(smap, points):
     if not smap.unit_sphere:
         return batch
 
-    batch.isometric = gram_defect <= GRAM_TOL
     batch.mean_curvature = eta = (lap_phi + m * phi) / m
     batch.mean_curvature_norm = np.sqrt(dots(eta, eta))
     tangency = np.abs(dots(eta, phi))
-    _require(~batch.isometric | (tangency <= SELF_CHECK_TOL), points, AnalysisError,
-             lambda i: f"mean curvature tangency check failed ({tangency[i]:.3e})")
+    require(~batch.isometric | (tangency <= SELF_CHECK_TOL), points, AnalysisError,
+            lambda i, p: f"mean curvature tangency check failed ({tangency[i]:.3e}) at {p}")
     (batch.residual_submanifold, batch.residual_full,
      batch.residual_constant_density) = (sum_terms(terms) for _, terms in residuals)
     return batch
@@ -425,8 +420,8 @@ def _bienergy_block(smap, points):
     fields = SimpleNamespace(phi=phi, lap_phi=lap, energy_density=energy)
     tau = sum_terms(next(residual_terms(fields, None, smap.target, smap.radius))[1])
     density = dots(tau, tau) * frame.sqrt_det.value
-    _require(np.isfinite(density), points, AnalysisError,
-             lambda i: f"bienergy density |tau|^2 sqrt|g| is {float(density[i])}")
+    require(np.isfinite(density), points, AnalysisError,
+            lambda i, p: f"bienergy density |tau|^2 sqrt|g| is {float(density[i])} at {p}")
     return density
 
 
@@ -453,8 +448,7 @@ def bienergy_quadrature(smap: SphereMap, grid: int) -> float:
     total = 0.0
     for block in _blockwise(lambda block: _bienergy_block(smap, block), points,
                             BIENERGY_ORDER):
-        for value in block.tolist():  # a sequential sum, cell by cell
-            total += value
+        total, = sequential_sums([np.concatenate(([total], block))])  # cell by cell
     bienergy = 0.5 * total * cell
     if not math.isfinite(bienergy):
         raise AnalysisError(f"chart-domain bienergy is out of float range: the "

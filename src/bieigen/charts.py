@@ -28,8 +28,9 @@ g^ij and the flux are symmetric: each entry is formed once per unordered
 pair (i, j), from the cofactor C(i, j) with j >= i, and its mirror is the
 same jet. The one-point functions (`metric_frame` of one point,
 `laplace_beltrami`, `bilaplacian`, `gradient_pushforward`) pick their point
-from a block of one. A failing check raises for the first offending point
-of the block and carries its index in `index`.
+from a block of one. Every check of a block of points raises through
+`require`, for the first offending point of the block, with the point in
+`point` and its position in `index` (a `PointError`).
 """
 
 import math
@@ -50,15 +51,30 @@ DEFAULT_MARGIN = 1e-3
 MAX_POINTS = 2 ** 20  # sample points or quadrature cells in one grid
 
 
-class GeometryError(RuntimeError):
+class PointError(RuntimeError):
+    """A check that fails at a point of a block: `point` names it in Python
+    floats, and `index` is its position in the evaluated block."""
+
+    def __init__(self, message, point=None, index=0):
+        super().__init__(message)
+        self.point = tuple(point) if point is not None else None
+        self.index = index
+
+
+class GeometryError(PointError):
     """Degenerate geometry at an evaluation point (metric value not finite,
     metric not positive definite, rank-deficient immersion, point outside
-    the chart); `index`
-    is the point's position in the evaluated block."""
+    the chart)."""
 
-    def __init__(self, message, index=0):
-        super().__init__(message)
-        self.index = index
+
+def require(ok, points, error, message):
+    """Raise error(message(i, point), point, i) for the first point i of
+    `points` where the mask `ok` is False (a NaN compares False, so it
+    fails too). The point is named in Python floats."""
+    bad = jets.first_index(~ok)
+    if bad is not None:
+        point = tuple(np.asarray(points[bad], dtype=float).tolist())
+        raise error(message(bad, point), point, bad)
 
 
 class SizeError(ValueError):
@@ -181,10 +197,8 @@ class Chart:
         coords = coords.reshape(-1, self.dim)
         lo, hi = np.array(self.domain).T
         inside = (lo < coords) & (coords < hi) | np.array(self.periodic)
-        bad = jets.first_index(~inside.all(axis=1))
-        if bad is not None:
-            raise GeometryError(f"point {tuple(coords[bad].tolist())} is not "
-                                f"strictly inside the chart domain", bad)
+        require(inside.all(axis=1), coords, GeometryError,
+                lambda i, p: f"point {p} is not strictly inside the chart domain")
 
     def sample_points(self, count=64, margin=DEFAULT_MARGIN):
         """Quasi-uniform interior tensor grid with at least `count` points.
@@ -331,22 +345,15 @@ def _metric_jets(chart, coords, order, env, memo):
     return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j], env, memo))
 
 
-def _require_finite_metric(chart, g_values, coords):
-    """Raise GeometryError naming the first point whose metric values are
-    not all finite (eigvalsh may fail to converge on them), and its first
-    such entry in upper-triangle order: the manifest key
+def _metric_entry(chart, finite):
+    """The first entry (i, j), j >= i, of a point's metric that is not finite
+    (`finite` its (m, m) mask), and its name: the manifest key
     chart.metric.g[i][k] of an explicit metric, g_ij (0-based) of an
     induced one."""
-    finite = np.isfinite(g_values)
-    if finite.all():
-        return
-    bad = jets.first_index(~finite.all(axis=(1, 2)))
     m = chart.dim
-    i, j = next((i, j) for i in range(m) for j in range(i, m) if not finite[bad, i, j])
-    entry = f"g_{i}{j}" if isinstance(chart.metric, InducedMetric) \
-        else f"chart.metric.g[{i}][{j - i}]"
-    raise GeometryError(f"metric is not finite at {tuple(coords[bad].tolist())} "
-                        f"({entry} is {g_values[bad, i, j]})", bad)
+    i, j = next((i, j) for i in range(m) for j in range(i, m) if not finite[i, j])
+    return (i, j), (f"g_{i}{j}" if isinstance(chart.metric, InducedMetric)
+                    else f"chart.metric.g[{i}][{j - i}]")
 
 
 def metric_frame(chart, points, order=3, fields=()):
@@ -374,19 +381,20 @@ def metric_frame(chart, points, order=3, fields=()):
     det, adj = _cofactors(g)
     # written so that a NaN fails the checks too
     if isinstance(chart.metric, InducedMetric):
-        bad = jets.first_index(~(det.coeffs[0] >= MIN_IMMERSION_DET))
-        if bad is not None:
-            raise GeometryError(
-                f"immersion is rank-deficient at {tuple(coords[bad].tolist())} "
-                f"(det {det.coeffs[0][bad]:.3e})", bad)
+        require(det.coeffs[0] >= MIN_IMMERSION_DET, coords, GeometryError,
+                lambda i, p: f"immersion is rank-deficient at {p} (det {det.coeffs[0][i]:.3e})")
     g_values = _values(g, len(points))
-    _require_finite_metric(chart, g_values[:len(coords)], coords)
+    # eigvalsh may not converge on a value that is not finite
+    finite = np.isfinite(g_values[:len(coords)])
+
+    def not_finite(i, p):
+        at, entry = _metric_entry(chart, finite[i])
+        return f"metric is not finite at {p} ({entry} is {g_values[i][at]})"
+    require(finite.all(axis=(1, 2)), coords, GeometryError, not_finite)
     smallest = np.linalg.eigvalsh(g_values[:len(coords)])[:, 0]
-    bad = jets.first_index(~(smallest > MIN_METRIC_EIGENVALUE))
-    if bad is not None:
-        raise GeometryError(
-            f"metric is not positive definite at {tuple(coords[bad].tolist())} "
-            f"(smallest eigenvalue {smallest[bad]:.3e})", bad)
+    require(smallest > MIN_METRIC_EIGENVALUE, coords, GeometryError,
+            lambda i, p: f"metric is not positive definite at {p} "
+                         f"(smallest eigenvalue {smallest[i]:.3e})")
     field_jets = [eval_jet(_as_expr(f), env, memo) for f in fields]
 
     g_inv = _symmetric(len(adj), lambda i, j: adj[i][j] / det)

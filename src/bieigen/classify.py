@@ -12,7 +12,8 @@ Verdicts compare pointwise residual max-norms against one tolerance, applied
 absolutely and relatively: tol plus tol times the dominant term, the largest
 |coefficient| times max-norm of the residual's (coefficient, vector) terms
 (`analysis.residual_terms`), so they are stable across scales.
-The isometry verdict uses a fixed gate on the Gram defect, independent of the
+The isometry verdict holds when every sample is isometric by the analysis's
+fixed gate on the Gram defect (`SampleBatch.isometric`), independent of the
 user tolerance.
 
 Each theorem is a row of `THEOREMS`: its hypotheses, shared with the other
@@ -25,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (GRAM_TOL, SampleBatch, SphereMap, analyze_samples, inf_norms,
-                       residual_terms, sum_terms)
+from .analysis import (SampleBatch, SphereMap, analyze_samples, inf_norms,
+                       residual_terms, sequential_sums, sum_terms)
 from .charts import DEFAULT_MARGIN
 
 DEFAULT_TOL = 1e-8
@@ -46,22 +47,12 @@ class FittedConstants:
     c_hat: float
 
 
-def _sequential_sums(rows) -> list:
-    """The sum of each float array of `rows` left to right from +0.0, in
-    sample order, as the reference values were made: the bits of Python's
-    `sum` up to 3.11. Python 3.12's `sum` of floats is compensated, and
-    rounds differently. Overflow gives inf silently, as `sum` does."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.add.accumulate(np.array(rows), axis=-1)[:, -1]
-    return [total + 0.0 for total in totals.tolist()]
-
-
 def fit_constants(samples: SampleBatch) -> FittedConstants:
     """Least-squares eigen-style constants over a sample set."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to fit constants")
     s = samples
-    phi2, lap_phi, bilap_phi, bilap_lap, lap2 = _sequential_sums([
+    phi2, lap_phi, bilap_phi, bilap_lap, lap2 = sequential_sums([
         s.phi_sq, s.lap_dot_phi, s.bilap_dot_phi, s.bilap_dot_lap, s.lap_sq])
     if phi2 > RHO_DENOMINATOR_FLOOR:
         lambda_hat = -lap_phi / phi2 + 0.0  # +0.0 normalizes -0.0
@@ -241,7 +232,7 @@ def verdicts(smap: SphereMap, samples: SampleBatch, fitted: FittedConstants,
         sample_count=len(s), dim=smap.dim, ambient_dim=smap.ambient_dim,
         target=smap.target, radius=smap.radius, unit_sphere=smap.unit_sphere,
         tol=tol, constants=fitted,
-        is_isometric=max_gram_defect <= GRAM_TOL,
+        is_isometric=bool(s.isometric.all()),
         is_constant_density=is_constant_density,
         is_harmonic=is_harmonic,
         is_biharmonic=is_biharmonic,

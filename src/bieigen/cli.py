@@ -30,9 +30,9 @@ import sys
 import numpy as np
 
 from . import report as rpt
-from .analysis import AnalysisError, bienergy_quadrature
+from .analysis import bienergy_quadrature
 from .catalog import catalog_get, catalog_list
-from .charts import DEFAULT_MARGIN, GeometryError, SizeError
+from .charts import DEFAULT_MARGIN, PointError, SizeError
 from .classify import (DEFAULT_TOL, NOT_APPLICABLE, PASS, THEOREMS,
                        classify, verify)
 from .exprs import ParseError, UnboundVariableError
@@ -266,8 +266,8 @@ def main(argv=None) -> int:
         flag = "--grid" if args.command == "bienergy" else "--samples"
         print(f"error: {flag}: {err}", file=sys.stderr)
         return EXIT_MANIFEST
-    except (AnalysisError, GeometryError, JetDomainError, UnboundVariableError,
-            OverflowError, rpt.NonFiniteError) as err:
+    except (PointError, JetDomainError, UnboundVariableError, OverflowError,
+            rpt.NonFiniteError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
 

@@ -313,9 +313,11 @@ def test_infinite_metric_fails_the_finite_metric_guard_at_its_first_point():
         with pytest.raises(GeometryError, match=r"not finite at \(0.5, 0.0, 0.0\) "
                                                 r"\(chart.metric.g\[0\]\[2\] is inf\)") as e:
             metric_frame(explicit, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.7, 0.0, 0.0)], 1)
-        assert e.value.index == 1
-        with pytest.raises(GeometryError, match=r"not finite at \(-0.5,\) \(g_00 is inf\)"):
+        assert e.value.index == 1 and e.value.point == (0.5, 0.0, 0.0)
+        with pytest.raises(GeometryError,
+                           match=r"not finite at \(-0.5,\) \(g_00 is inf\)") as e:
             metric_frame(induced, [(0.0,), (-0.5,)], 1)
+        assert e.value.index == 1 and e.value.point == (-0.5,)
 
 
 def test_sqrt_tower_bits_match_math():

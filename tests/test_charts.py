@@ -151,12 +151,23 @@ def test_gradient_pushforward_torus_matches_oracle():
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
+def _raises_at(chart, block, index, match):
+    """The GeometryError of metric_frame on `block`, which names the point at
+    `index` as data and in its message, as the one-point form does."""
+    with pytest.raises(GeometryError, match=match) as err:
+        metric_frame(chart, block, 1)
+    assert err.value.point == tuple(block[index]) and err.value.index == index
+    assert str(err.value.point) in str(err.value)
+    with pytest.raises(GeometryError, match=match) as one:
+        metric_frame(chart, block[index], 1)
+    assert one.value.point == err.value.point and one.value.index == 0
+
+
 def test_metric_not_positive_definite():
     bad = Chart.explicit(["t"], [(-1.0, 1.0)], [["t"]])
-    with pytest.raises(GeometryError):
-        metric_frame(bad, (-0.5,), 1)
-    with pytest.raises(GeometryError):
-        metric_frame(bad, (0.0,), 1)  # zero eigenvalue is rejected too
+    _raises_at(bad, [(0.5,), (-0.5,)], 1, "not positive definite")
+    # zero eigenvalue is rejected too
+    _raises_at(bad, [(0.5,), (0.25,), (0.0,), (-0.5,)], 2, "not positive definite")
 
 
 def test_rank_deficient_immersion():
@@ -164,13 +175,15 @@ def test_rank_deficient_immersion():
                                ["u + v", "u + v"])
     with pytest.raises(GeometryError, match="rank"):
         metric_frame(degenerate, (0.3, 0.4), 1)
+    # det g = u^2, so the immersion is rank-deficient on u = 0 only
+    pinched = Chart.induced(["u", "v"], [(-1.0, 1.0), (-1.0, 1.0)], ["u", "u*v"])
+    _raises_at(pinched, [(0.5, 0.3), (0.0, 0.4), (0.0, 0.5)], 1, "rank-deficient")
 
 
 def test_point_outside_domain():
-    with pytest.raises(GeometryError):
-        metric_frame(FLAT2, (5.0, 0.5), 1)
-    with pytest.raises(GeometryError):
-        metric_frame(FLAT2, (0.0, 0.5), 1)  # boundary is excluded
+    _raises_at(FLAT2, [(0.5, 0.5), (5.0, 0.5)], 1, "not strictly inside")
+    # boundary is excluded
+    _raises_at(FLAT2, [(0.5, 0.5), (1.0, 1.5), (0.0, 0.5)], 2, "not strictly inside")
 
 
 def test_sample_points_interior_and_count():

@@ -68,6 +68,18 @@ def test_verdicts_threefold_cover():
     assert not report.is_isometric
 
 
+@pytest.mark.parametrize("components, period, target, radius", [
+    (["2*cos(t/2)", "2*sin(t/2)", "0"], 4.0 * math.pi, "sphere", 2.0),
+    (["cos(t)", "sin(t)"], 2.0 * math.pi, "euclidean", 1.0),
+], ids=["great_circle_radius_2", "euclidean_unit_circle"])
+def test_isometric_mask_is_set_off_the_unit_sphere(components, period, target, radius):
+    # the per-point mask and the verdict are one rule, for every target
+    chart = Chart.explicit(["t"], [(0.0, period)], [["1"]], periodic=[True])
+    report = classify(SphereMap.build(chart, components, target, radius))
+    assert report.samples.isometric.all()
+    assert report.is_isometric == report.samples.isometric.all()
+
+
 def test_eigen_implies_bieigen_and_buckling_consistency():
     for name in ("great_circle_S2", "clifford_torus_S3", "kfold_equator_S2",
                  "round_sphere_chart_S2_in_R3"):
