@@ -33,6 +33,9 @@ from .exprs import ParseError, UnboundVariableError, eval_value, is_variable, pa
 from .jets import JetDomainError
 
 MAX_SHOWN = 60  # characters of a manifest value echoed in an error message
+# (document, its canonical text, (name, map)) that `load_manifest` built, for
+# the next `build_map` call
+_handoff = None
 
 
 class ManifestError(ValueError):
@@ -174,8 +177,24 @@ def _build_map(doc, chart):
         raise ManifestError(str(err)) from err
 
 
+def _text(doc):
+    """The canonical JSON text of `doc`, or None when it has none."""
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except (TypeError, ValueError, RecursionError):
+        return None
+
+
 def build_map(doc) -> tuple:
-    """Validate a manifest document and build (name, SphereMap)."""
+    """Validate a manifest document and build (name, SphereMap).
+
+    The first call after `load_manifest` returns the pair that it built
+    when `doc` is the document it returned, unchanged in its canonical JSON
+    text; every call drops that hand-off first, so it serves one call."""
+    global _handoff
+    handoff, _handoff = _handoff, None
+    if handoff is not None and handoff[0] is doc and handoff[1] == _text(doc):
+        return handoff[2]
     _require_keys(doc, ("name", "chart", "map"), (), "manifest")
     name = doc["name"]
     if not isinstance(name, str) or not name:
@@ -202,7 +221,15 @@ def read_manifest(path) -> dict:
 
 
 def load_manifest(path) -> dict:
-    """Read and validate a manifest JSON file; returns the raw document."""
+    """Read and validate a manifest JSON file; returns the raw document.
+
+    Validation builds the map, and the pair is handed to the next
+    `build_map` call: `build_map(load_manifest(path))` builds once. The
+    hand-off lasts one call and only for this document, unchanged; a
+    refused manifest leaves none."""
+    global _handoff
+    _handoff = None
     doc = read_manifest(path)
-    build_map(doc)
+    built = build_map(doc)
+    _handoff = (doc, _text(doc), built)
     return doc

@@ -362,18 +362,19 @@ def require_finite(report):
     """Raise NonFiniteError naming the first non-finite value of the
     classification document, in document order (keys sorted, `points` row by
     row), and the sample point when it is in a row. Run before any format
-    is rendered, so JSON, CSV, text and `verify` fail alike."""
+    is rendered, so JSON, CSV, text and `verify` fail alike. Returns the
+    checked header sections (see `_header`)."""
     header = _header(report)
     _require_finite(header, sorted(s for s in header if s < "points"))
     _point_table(report)
     _require_finite(header, sorted(s for s in header if s > "points"))
+    return header
 
 
 def classification_dict(name, report, settings=None) -> dict:
     """The classification document. Its `points` is the report's `Table`,
     which `to_json` writes as a list of row objects."""
-    require_finite(report)
-    doc = {"format_version": FORMAT_VERSION, "name": name, **_header(report),
+    doc = {"format_version": FORMAT_VERSION, "name": name, **require_finite(report),
            "points": _point_table(report)}
     doc["settings"].update(settings or {})
     return doc

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from bieigen import catalog_list
+from bieigen import analyze_point, catalog_get, catalog_list, classify, manifest
 from bieigen.analysis import SphereMap
 from bieigen.manifest import ManifestError, build_map, load_manifest
-from bieigen.report import to_json
+from bieigen.report import classification_dict, to_json
 
 GOOD = {
     "name": "demo",
@@ -159,6 +159,106 @@ def test_load_manifest_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ManifestError, match="valid JSON"):
         load_manifest(bad)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The number of charts built so far, one per map build."""
+    count = [0]
+
+    def counted(doc):
+        count[0] += 1
+        return build_chart(doc)
+    build_chart = manifest._build_chart
+    monkeypatch.setattr(manifest, "_build_chart", counted)
+    return lambda: count[0]
+
+
+def _write(tmp_path, doc, stem="m"):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(to_json(doc) if isinstance(doc, dict) else doc)
+    return path
+
+
+def test_load_then_build_builds_once_and_reports_the_same_bytes(tmp_path, builds):
+    doc = catalog_get("clifford_torus_S3").manifest
+    name, smap = build_map(load_manifest(_write(tmp_path, doc)))
+    assert builds() == 1
+    fresh_name, fresh = build_map(copy.deepcopy(doc))
+    assert builds() == 2 and fresh is not smap
+    assert name == fresh_name == "clifford_torus_S3"
+    assert to_json(classification_dict(name, classify(smap))) \
+        == to_json(classification_dict(name, classify(fresh)))
+
+
+def test_a_document_edited_after_loading_is_rebuilt(tmp_path, builds):
+    doc = load_manifest(_write(tmp_path, GOOD))
+    doc["map"]["components"] = ["cos(t)", "0", "sin(t)"]
+    _, smap = build_map(doc)
+    assert builds() == 2
+    assert analyze_point(smap, (0.7,)).phi.tolist() \
+        == pytest.approx([math.cos(0.7), 0.0, math.sin(0.7)], rel=1e-15)
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("components", lambda doc: {"cos(t)"}, "non-empty list"),
+    ("components", lambda doc: doc, "non-empty list"),
+    ("deep", lambda doc: _nested(100000), "unknown keys"),
+], ids=["set", "cycle", "deep"])
+def test_a_document_edited_to_hold_no_json_text_is_rebuilt_and_refused(
+        tmp_path, builds, key, value, message):
+    doc = load_manifest(_write(tmp_path, GOOD))
+    doc["map"][key] = value(doc)
+    with pytest.raises(ManifestError, match=message):
+        build_map(doc)
+    assert builds() == 2
+
+
+def test_the_hand_off_serves_one_build_map_call(tmp_path, builds):
+    doc = load_manifest(_write(tmp_path, GOOD))
+    first, second = build_map(doc), build_map(doc)
+    assert builds() == 2
+    assert first[1] is not second[1]
+
+
+def test_an_equal_copy_is_built_afresh_and_drops_the_hand_off(tmp_path, builds):
+    doc = load_manifest(_write(tmp_path, GOOD))
+    build_map(copy.deepcopy(doc))
+    assert builds() == 2
+    build_map(doc)
+    assert builds() == 3
+
+
+def test_loading_another_document_drops_the_hand_off(tmp_path, builds):
+    d1 = load_manifest(_write(tmp_path, GOOD, "d1"))
+    load_manifest(_write(tmp_path, _variant(name="other"), "d2"))
+    assert builds() == 2
+    name, _ = build_map(d1)
+    assert builds() == 3 and name == "demo"
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ("{not json", "valid JSON"),
+    (_variant(**{"map.components": ["cos(", "sin(t)", "0"]}), "byte"),
+    (_variant(**{"map.radius": -2.0}), "positive"),
+], ids=["missing", "not_json", "bad_expression", "bad_radius"])
+def test_a_refused_manifest_leaves_no_hand_off(tmp_path, builds, content, message):
+    d1 = load_manifest(_write(tmp_path, GOOD, "d1"))
+    bad = tmp_path / "bad.json" if content is None else _write(tmp_path, content, "bad")
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(bad)
+    assert manifest._handoff is None
+    before = builds()
+    build_map(d1)
+    assert builds() == before + 1
 
 
 
