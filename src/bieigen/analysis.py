@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import (MAX_POINTS, Chart, PointError, SizeError, laplacian_jet,
+from .charts import (MAX_POINTS, Chart, PointError, SizeError, _shown, laplacian_jet,
                      laplacian_values, metric_frame, pushforward, require)
 from .exprs import intern, parse, variables_of
 from .jets import BLOCK_VALUES, JetDomainError, first_index, first_partials
@@ -76,13 +76,16 @@ class SphereMap:
     radius: float = 1.0
 
     def __post_init__(self):
+        """Check the map in the order a manifest lists it, each rule worded
+        by its manifest key, as `manifest.build_map` reports it."""
         if self.target not in (TARGET_SPHERE, TARGET_EUCLIDEAN):
-            raise ValueError(f"unknown target '{self.target}'")
+            raise ValueError(f"map.target must be 'sphere' or 'euclidean', "
+                             f"got {_shown(self.target)}")
         if self.target == TARGET_SPHERE and not (math.isfinite(self.radius)
                                                  and self.radius > 0):
-            raise ValueError("sphere radius must be finite and positive")
+            raise ValueError(f"map.radius must be finite and positive, got {self.radius}")
         if not self.components:
-            raise ValueError("map needs at least one component")
+            raise ValueError("map.components must be a non-empty list of expressions")
         names = set(self.chart.params)
         for k, comp in enumerate(self.components):
             extra = variables_of(comp) - names

@@ -49,6 +49,7 @@ MIN_METRIC_EIGENVALUE = 1e-10
 MIN_IMMERSION_DET = 1e-12
 DEFAULT_MARGIN = 1e-3
 MAX_POINTS = 2 ** 20  # sample points or quadrature cells in one grid
+MAX_SHOWN = 60  # characters of a manifest value echoed in an error message
 
 
 class PointError(RuntimeError):
@@ -81,9 +82,15 @@ class SizeError(ValueError):
     """A sample or quadrature grid above MAX_POINTS points or cells."""
 
 
+def _shown(value):
+    """repr(value), cut to MAX_SHOWN characters followed by '...'."""
+    text = repr(value)
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
+
+
 @dataclass(frozen=True)
 class ExplicitMetric:
-    entries: tuple  # full symmetric m x m tuple-of-tuples of Expr
+    entries: tuple  # upper triangle: entries[i][k] is g_{i,i+k}, the manifest's g[i][k]
 
 
 @dataclass(frozen=True)
@@ -103,27 +110,42 @@ class Chart:
     metric: Union[ExplicitMetric, InducedMetric]
 
     def __post_init__(self):
+        """Check the chart in the order a manifest lists it, each rule
+        worded by its manifest key, as `manifest.build_map` reports it."""
         m = len(self.params)
         if not 1 <= m <= 4:
-            raise ValueError(f"chart dimension must be 1..4, got {m}")
+            raise ValueError("chart.params must list 1 to 4 parameter names")
         for name in self.params:
             if not is_variable(name):
-                raise ValueError(f"chart parameter {name!r} is not a variable name")
+                raise ValueError(f"chart.params: invalid identifier {_shown(name)}")
+        if len(self.domain) != m:
+            raise ValueError("chart.domain must have one interval per parameter")
+        for k, (lo, hi) in enumerate(self.domain):
+            for i, bound in enumerate((lo, hi)):
+                if not math.isfinite(bound):
+                    raise ValueError(f"chart.domain[{k}][{i}] must be finite, got {bound}")
+            if not lo < hi:
+                raise ValueError(f"chart.domain[{k}]: need lo < hi, got [{lo}, {hi}]")
+        if len(self.periodic) != m:
+            raise ValueError("chart.periodic must be a list of booleans, one per parameter")
+        if isinstance(self.metric, ExplicitMetric):
+            if len(self.metric.entries) != m:
+                raise ValueError("chart.metric.g must have one row per parameter")
+            for i, row in enumerate(self.metric.entries):
+                if len(row) != m - i:
+                    raise ValueError(f"chart.metric.g[{i}] must list the upper triangle "
+                                     f"({m - i} entries expected)")
+        elif len(self.metric.immersion) < m:
+            raise ValueError(
+                "chart.metric.immersion needs at least as many components as parameters")
         if len(set(self.params)) != m:
             raise ValueError("chart parameter names must be distinct")
-        if len(self.domain) != m or len(self.periodic) != m:
-            raise ValueError("domain and periodic flags must match the parameter count")
-        for lo, hi in self.domain:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid domain interval [{lo}, {hi}]")
         names = set(self.params)
         for e in self._metric_exprs():
             extra = variables_of(e) - names
             if extra:
                 raise ValueError(
                     f"metric expression uses undeclared variables: {sorted(extra)}")
-        if isinstance(self.metric, InducedMetric) and len(self.metric.immersion) < m:
-            raise ValueError("immersion needs at least as many components as parameters")
         # equal subtrees become one object, evaluated once per memo
         exprs = iter(intern(self._metric_exprs()))
         if isinstance(self.metric, InducedMetric):
@@ -156,26 +178,13 @@ class Chart:
         upper_triangle[i] lists g_{i,i}, g_{i,i+1}, ..., g_{i,m-1} as
         expression strings or ASTs.
         """
-        m = len(params)
-        rows = [[None] * m for _ in range(m)]
-        if len(upper_triangle) != m:
-            raise ValueError("upper triangle must have one row per parameter")
-        for i, row in enumerate(upper_triangle):
-            if len(row) != m - i:
-                raise ValueError(f"upper triangle row {i} must have {m - i} entries")
-            for k, e in enumerate(row):
-                j = i + k
-                rows[i][j] = _as_expr(e)
-                rows[j][i] = rows[i][j]
-        entries = tuple(tuple(row) for row in rows)
-        return Chart(tuple(params), tuple(tuple(map(float, iv)) for iv in domain),
-                     _periodic_flags(periodic, m), ExplicitMetric(entries))
+        return Chart(tuple(params), _intervals(domain), _periodic_flags(periodic, params),
+                     ExplicitMetric(tuple(tuple(map(_as_expr, row)) for row in upper_triangle)))
 
     @staticmethod
     def induced(params, domain, immersion, periodic=None):
-        comps = tuple(_as_expr(e) for e in immersion)
-        return Chart(tuple(params), tuple(tuple(map(float, iv)) for iv in domain),
-                     _periodic_flags(periodic, len(params)), InducedMetric(comps))
+        return Chart(tuple(params), _intervals(domain), _periodic_flags(periodic, params),
+                     InducedMetric(tuple(map(_as_expr, immersion))))
 
     def param_jets(self, points, order):
         """Environment binding each parameter to its coordinate jet, at one
@@ -227,13 +236,12 @@ class Chart:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _periodic_flags(periodic, m):
-    if periodic is None:
-        return (False,) * m
-    flags = tuple(bool(p) for p in periodic)
-    if len(flags) != m:
-        raise ValueError("periodic flags must match the parameter count")
-    return flags
+def _intervals(domain):
+    return tuple(tuple(map(float, interval)) for interval in domain)
+
+
+def _periodic_flags(periodic, params):
+    return (False,) * len(params) if periodic is None else tuple(map(bool, periodic))
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +350,7 @@ def _metric_jets(chart, coords, order, env, memo):
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
         return _symmetric(m, lambda i, j: reduce(add, (x * y for x, y in zip(dx[i], dx[j]))))
     env, memo = chart._coordinate_jets(coords, order), {}
-    return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j], env, memo))
+    return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j - i], env, memo))
 
 
 def _metric_entry(chart, finite):

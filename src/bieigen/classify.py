@@ -109,8 +109,10 @@ class ClassificationReport:
     max_sphere_defect: float = 0.0
     max_constraint_defect: float = 0.0
     samples: Optional[SampleBatch] = field(default=None, repr=False)
-    # its per-point report.Table, built on first use by the report stage
+    # its per-point report.Table and its checked header sections, built on
+    # first use by the report stage
     point_table: object = field(default=None, init=False, repr=False, compare=False)
+    header: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def _threshold(tol, scale):

@@ -69,7 +69,7 @@ or a NaN divisor a NaN, in a slot that the bounds show to be zero.
 """
 
 import math
-from functools import cache, lru_cache
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -79,9 +79,9 @@ MAX_VARS = 4
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0)
 
-# Float64 values one temporary holds at most (128 KB): `_fold`'s products
-# at once, and a jet of a block (`analysis.block_points`). Larger ones are
-# freshly mapped pages, which made 4-D blocks slower and raise peak memory.
+# Float64 values of a jet of a block (`analysis.block_points`), 128 KB.
+# Larger jets are freshly mapped pages, which made 4-D blocks slower and
+# raise peak memory.
 BLOCK_VALUES = 16384
 
 
@@ -140,34 +140,16 @@ def _rounds(xs, ys, outs, count):
     return xs[key], ys[key], outs[key], sizes, perm
 
 
-@lru_cache(maxsize=4096)
-def _groups(sizes, points):
-    """Consecutive rounds of the given sizes, grouped so that the products
-    of one group at `points` points stay within BLOCK_VALUES values: (first
-    term, end term, round sizes) per group."""
-    groups, start, group = [], 0, []
-    for size in sizes:
-        if group and (sum(group) + size) * points > BLOCK_VALUES:
-            groups.append((start, start + sum(group), group))
-            start, group = start + sum(group), []
-        group.append(size)
-    groups.append((start, start + sum(group), group))
-    return groups
-
-
 def _fold(ufunc, acc, x, xs, y, ys, sizes):
     """acc[:size] = ufunc(acc[:size], x[xs] * y[ys]) for one round after the
-    other (see `_rounds`), so each slot of acc takes its terms in order."""
-    points = acc[0].size
-    groups = ([(0, len(xs), sizes)] if len(xs) * points <= BLOCK_VALUES
-              else _groups(sizes, points))
-    for start, stop, group in groups:
-        products = x[xs[start:stop]] * y[ys[start:stop]]
-        offset = 0
-        for size in group:
-            head = acc[:size]
-            ufunc(head, products[offset:offset + size], out=head)
-            offset += size
+    other (see `_rounds`), so each slot of acc takes its terms in order; the
+    products of all rounds are formed at once."""
+    products = x[xs] * y[ys]
+    offset = 0
+    for size in sizes:
+        head = acc[:size]
+        ufunc(head, products[offset:offset + size], out=head)
+        offset += size
 
 
 class _JetSpace:

@@ -19,20 +19,24 @@ bounds may be numbers or constant expressions such as "2*pi/sqrt(2)"):
       }
     }
 
-Unknown keys are rejected so that typos fail loudly. Validation errors carry
-enough position information to locate bad expressions.
+Unknown keys are rejected so that typos fail loudly. This module checks the
+JSON shape (keys, the type of each value, the [lo, hi] pairs), evaluates the
+constant bounds and the radius, and parses the expressions, each error
+naming its key. Every rule on the values (1 to 4 distinct parameter names,
+finite intervals with lo < hi, one periodic flag and one triangle row per
+parameter, enough immersion and map components, the target, the radius) is
+checked by `Chart` and `SphereMap` alone, in the manifest's words, so a
+library caller reads the message a manifest prints.
 """
 
 import json
-import math
 from typing import Mapping
 
 from .analysis import SphereMap
-from .charts import Chart
-from .exprs import ParseError, UnboundVariableError, eval_value, is_variable, parse
+from .charts import Chart, _shown
+from .exprs import ParseError, UnboundVariableError, eval_value, parse
 from .jets import JetDomainError
 
-MAX_SHOWN = 60  # characters of a manifest value echoed in an error message
 # (document, its canonical text, (name, map)) that `load_manifest` built, for
 # the next `build_map` call
 _handoff = None
@@ -53,10 +57,10 @@ def _require_keys(doc, required, optional, where):
         raise ManifestError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _shown(value):
-    """repr(value), cut to MAX_SHOWN characters followed by '...'."""
-    text = repr(value)
-    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
+def _list(value, message):
+    if not isinstance(value, list):
+        raise ManifestError(message)
+    return value
 
 
 def _expr(text, where):
@@ -81,43 +85,21 @@ def _bound(value, where):
     raise ManifestError(f"{where} must be a number or constant expression")
 
 
-def _finite_bound(value, where):
-    bound = _bound(value, where)
-    if not math.isfinite(bound):
-        raise ManifestError(f"{where} must be finite, got {bound}")
-    return bound
-
-
-def _ident(name, where):
-    if not is_variable(name):
-        raise ManifestError(f"{where}: invalid identifier {_shown(name)}")
-    return name
-
-
 def _build_chart(doc):
+    """The chart of a manifest's `chart` section. This checks the JSON
+    shapes and evaluates the bounds; `Chart` checks every rule on the
+    values, in the same words."""
     _require_keys(doc, ("params", "domain", "metric"), ("periodic",), "chart")
-    params = doc["params"]
-    if not isinstance(params, list) or not 1 <= len(params) <= 4:
-        raise ManifestError("chart.params must list 1 to 4 parameter names")
-    params = [_ident(p, "chart.params") for p in params]
-    m = len(params)
-
-    domain = doc["domain"]
-    if not isinstance(domain, list) or len(domain) != m:
-        raise ManifestError("chart.domain must have one interval per parameter")
+    params = _list(doc["params"], "chart.params must list 1 to 4 parameter names")
     intervals = []
-    for k, iv in enumerate(domain):
+    for k, iv in enumerate(_list(doc["domain"],
+                                 "chart.domain must have one interval per parameter")):
         if not isinstance(iv, list) or len(iv) != 2:
             raise ManifestError(f"chart.domain[{k}] must be a [lo, hi] pair")
-        lo, hi = (_finite_bound(value, f"chart.domain[{k}][{i}]")
-                  for i, value in enumerate(iv))
-        if not lo < hi:
-            raise ManifestError(f"chart.domain[{k}]: need lo < hi, got [{lo}, {hi}]")
-        intervals.append((lo, hi))
-
-    periodic = doc.get("periodic", [False] * m)
-    if not isinstance(periodic, list) or len(periodic) != m \
-            or not all(isinstance(p, bool) for p in periodic):
+        intervals.append([_bound(value, f"chart.domain[{k}][{i}]")
+                          for i, value in enumerate(iv)])
+    periodic = doc.get("periodic", [False] * len(params))
+    if not isinstance(periodic, list) or not all(isinstance(p, bool) for p in periodic):
         raise ManifestError("chart.periodic must be a list of booleans, one per parameter")
 
     metric = doc["metric"]
@@ -126,55 +108,35 @@ def _build_chart(doc):
     mode = metric["mode"]
     if mode == "explicit":
         _require_keys(metric, ("mode", "g"), (), "chart.metric")
-        g = metric["g"]
-        if not isinstance(g, list) or len(g) != m:
-            raise ManifestError("chart.metric.g must have one row per parameter")
         triangle = []
-        for i, row in enumerate(g):
-            if not isinstance(row, list) or len(row) != m - i:
-                raise ManifestError(
-                    f"chart.metric.g[{i}] must list the upper triangle "
-                    f"({m - i} entries expected)")
-            triangle.append([_expr(e, f"chart.metric.g[{i}][{k}]")
-                             for k, e in enumerate(row)])
-        try:
-            return Chart.explicit(params, intervals, triangle, periodic)
-        except ValueError as err:
-            raise ManifestError(str(err)) from err
+        for i, row in enumerate(_list(metric["g"],
+                                      "chart.metric.g must have one row per parameter")):
+            row = _list(row, f"chart.metric.g[{i}] must list the upper triangle "
+                             f"({len(params) - i} entries expected)")
+            triangle.append([_expr(e, f"chart.metric.g[{i}][{k}]") for k, e in enumerate(row)])
+        return Chart.explicit(params, intervals, triangle, periodic)
     if mode == "induced":
         _require_keys(metric, ("mode", "immersion"), (), "chart.metric")
-        imm = metric["immersion"]
-        if not isinstance(imm, list) or len(imm) < m:
-            raise ManifestError(
-                "chart.metric.immersion needs at least as many components as parameters")
-        comps = [_expr(e, f"chart.metric.immersion[{k}]") for k, e in enumerate(imm)]
-        try:
-            return Chart.induced(params, intervals, comps, periodic)
-        except ValueError as err:
-            raise ManifestError(str(err)) from err
+        imm = _list(metric["immersion"],
+                    "chart.metric.immersion needs at least as many components as parameters")
+        return Chart.induced(params, intervals,
+                             [_expr(e, f"chart.metric.immersion[{k}]") for k, e in enumerate(imm)],
+                             periodic)
     raise ManifestError(f"chart.metric.mode must be 'explicit' or 'induced', got {_shown(mode)}")
 
 
 def _build_map(doc, chart):
+    """The map of a manifest's `map` section on `chart`; `SphereMap` checks
+    the target, the radius and the component count."""
     _require_keys(doc, ("target", "components"), ("radius",), "map")
-    target = doc["target"]
-    if target not in ("sphere", "euclidean"):
-        raise ManifestError(f"map.target must be 'sphere' or 'euclidean', got {_shown(target)}")
     radius = 1.0
     if "radius" in doc:
-        if target != "sphere":
+        if doc["target"] == "euclidean":
             raise ManifestError("map.radius is only valid for sphere targets")
         radius = _bound(doc["radius"], "map.radius")
-        if not (math.isfinite(radius) and radius > 0):
-            raise ManifestError(f"map.radius must be finite and positive, got {radius}")
-    comps = doc["components"]
-    if not isinstance(comps, list) or not comps:
-        raise ManifestError("map.components must be a non-empty list of expressions")
-    exprs = [_expr(e, f"map.components[{k}]") for k, e in enumerate(comps)]
-    try:
-        return SphereMap.build(chart, exprs, target, radius)
-    except ValueError as err:
-        raise ManifestError(str(err)) from err
+    comps = _list(doc["components"], "map.components must be a non-empty list of expressions")
+    return SphereMap.build(chart, [_expr(e, f"map.components[{k}]") for k, e in enumerate(comps)],
+                           doc["target"], radius)
 
 
 def _text(doc):
@@ -199,9 +161,12 @@ def build_map(doc) -> tuple:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise ManifestError("manifest.name must be a non-empty string")
-    chart = _build_chart(doc["chart"])
-    smap = _build_map(doc["map"], chart)
-    return name, smap
+    try:
+        return name, _build_map(doc["map"], _build_chart(doc["chart"]))
+    except ManifestError:
+        raise
+    except ValueError as err:  # a rule of `Chart` or `SphereMap`, in the manifest's words
+        raise ManifestError(str(err)) from err
 
 
 def read_manifest(path) -> dict:

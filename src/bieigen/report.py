@@ -363,21 +363,25 @@ def require_finite(report):
     classification document, in document order (keys sorted, `points` row by
     row), and the sample point when it is in a row. Run before any format
     is rendered, so JSON, CSV, text and `verify` fail alike. Returns the
-    checked header sections (see `_header`)."""
-    header = _header(report)
-    _require_finite(header, sorted(s for s in header if s < "points"))
-    _point_table(report)
-    _require_finite(header, sorted(s for s in header if s > "points"))
-    return header
+    checked header sections (see `_header`), kept on the report beside its
+    table, so a report is checked once; a report changed after that renders
+    as it was."""
+    if report.header is None:
+        header = _header(report)
+        _require_finite(header, sorted(s for s in header if s < "points"))
+        _point_table(report)
+        _require_finite(header, sorted(s for s in header if s > "points"))
+        report.header = header
+    return report.header
 
 
 def classification_dict(name, report, settings=None) -> dict:
     """The classification document. Its `points` is the report's `Table`,
     which `to_json` writes as a list of row objects."""
-    doc = {"format_version": FORMAT_VERSION, "name": name, **require_finite(report),
-           "points": _point_table(report)}
-    doc["settings"].update(settings or {})
-    return doc
+    header = require_finite(report)
+    return {"format_version": FORMAT_VERSION, "name": name, **header,
+            "settings": {**header["settings"], **(settings or {})},
+            "points": _point_table(report)}
 
 
 def classification_text(name, report) -> str:

@@ -214,7 +214,7 @@ def test_a_chart_parameter_is_a_name_the_parser_reads_as_that_variable(name):
     # `pi` parses as the constant, so a parameter named pi would be ignored
     with pytest.raises(ValueError) as err:
         Chart.explicit((name,), [(0.1, 1.0)], [["1"]])
-    assert str(err.value) == f"chart parameter {name!r} is not a variable name"
+    assert str(err.value) == f"chart.params: invalid identifier {name!r}"
 
 
 def test_laplacian_output_orders_agree():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bieigen import manifest
+from bieigen import report as rpt
 from bieigen.charts import Chart
 from bieigen.cli import main
 from bieigen.exprs import (MAX_DEPTH, eval_jet, eval_value, intern, parse, to_source,
@@ -765,6 +766,20 @@ def test_a_valid_margin_reaches_the_report_settings(capsys):
     argv = ["classify", "great_circle_S2", "--samples", "4", "--format", "json"]
     assert main([*argv, "--margin", "0.01"]) == 0
     assert json.loads(capsys.readouterr().out)["settings"]["margin"] == 0.01
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_every_format_assembles_and_checks_the_header_once(capsys, monkeypatch, fmt):
+    calls = dict.fromkeys(("_header", "_require_finite"), 0)
+    for name in calls:
+        def counted(*args, name=name, wrapped=getattr(rpt, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(rpt, name, counted)
+    assert main(["classify", "clifford_torus_S3", "--format", fmt]) == 0
+    capsys.readouterr()
+    # one walk of the sections before `points` and one of those after it
+    assert calls == {"_header": 1, "_require_finite": 2}
 
 
 def test_bienergy_command(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from bieigen import analyze_point, catalog_get, catalog_list, classify, manifest
 from bieigen.analysis import SphereMap
+from bieigen.charts import Chart
 from bieigen.manifest import ManifestError, build_map, load_manifest
 from bieigen.report import classification_dict, to_json
 
@@ -128,14 +129,78 @@ def test_radius_rules():
                                                 rf"positive, got {shown}$"):
             build_map(_variant(**{"map.radius": radius}))
     chart = build_map(GOOD)[1].chart
-    for radius in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="sphere radius must be finite and positive"):
+    for radius, shown in ((math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0")):
+        with pytest.raises(ValueError) as err:
             SphereMap.build(chart, ["cos(t)", "sin(t)", "0"], radius=radius)
+        assert str(err.value) == f"map.radius must be finite and positive, got {shown}"
     with pytest.raises(ManifestError, match="radius"):
         build_map(_variant(**{"map.target": "euclidean"}))  # radius forbidden
     ok = _variant(**{"map.target": "euclidean", "map.radius": ...})
     _, smap = build_map(ok)
     assert smap.target == "euclidean"
+
+
+_CIRCLE = {"params": ["t"], "domain": [(0.0, 2.0 * math.pi)], "periodic": [True]}
+_TWICE = {"chart.params": ["t", "t"], "chart.domain": [[0, 1], [0, 1]],
+          "chart.periodic": [False, False]}
+
+
+def _explicit(**args):
+    return lambda: Chart.explicit(**{**_CIRCLE, "upper_triangle": [["1"]], **args})
+
+
+def _induced(**args):
+    return lambda: Chart.induced(**{**_CIRCLE, **args})
+
+
+def _sphere_map(*args, **kwargs):
+    return lambda: SphereMap.build(_explicit()(), *args, **kwargs)
+
+
+@pytest.mark.parametrize("edits, library, message", [
+    ({"chart.params": list("abcde")}, _explicit(params=list("abcde")),
+     "chart.params must list 1 to 4 parameter names"),
+    ({"chart.params": []}, _explicit(params=[]),
+     "chart.params must list 1 to 4 parameter names"),
+    ({"chart.params": ["pi"]}, _explicit(params=["pi"]), "chart.params: invalid identifier 'pi'"),
+    ({"chart.domain": [[0, 1], [0, 1]]}, _explicit(domain=[(0, 1), (0, 1)]),
+     "chart.domain must have one interval per parameter"),
+    ({"chart.domain": [["1e300*1e300", 1]]}, _explicit(domain=[(math.inf, 1)]),
+     "chart.domain[0][0] must be finite, got inf"),
+    ({"chart.domain": [[0, math.nan]]}, _explicit(domain=[(0, math.nan)]),
+     "chart.domain[0][1] must be finite, got nan"),
+    ({"chart.domain": [[1, 0]]}, _explicit(domain=[(1, 0)]),
+     "chart.domain[0]: need lo < hi, got [1.0, 0.0]"),
+    ({"chart.periodic": [True, False]}, _explicit(periodic=[True, False]),
+     "chart.periodic must be a list of booleans, one per parameter"),
+    ({"chart.metric.g": [["1"], ["1"]]}, _explicit(upper_triangle=[["1"], ["1"]]),
+     "chart.metric.g must have one row per parameter"),
+    ({"chart.metric.g": [["1", "0"]]}, _explicit(upper_triangle=[["1", "0"]]),
+     "chart.metric.g[0] must list the upper triangle (1 entries expected)"),
+    ({**_TWICE, "chart.metric.g": [["1", "0"], ["1"]]},
+     _explicit(params=["t", "t"], domain=[(0, 1), (0, 1)], periodic=[False, False],
+               upper_triangle=[["1", "0"], ["1"]]),
+     "chart parameter names must be distinct"),
+    ({"chart.metric.g": [["1 + x"]]}, _explicit(upper_triangle=[["1 + x"]]),
+     "metric expression uses undeclared variables: ['x']"),
+    ({"chart.metric": {"mode": "induced", "immersion": []}}, _induced(immersion=[]),
+     "chart.metric.immersion needs at least as many components as parameters"),
+    ({"map.target": "torus"}, _sphere_map(["cos(t)", "sin(t)", "0"], "torus"),
+     "map.target must be 'sphere' or 'euclidean', got 'torus'"),
+    ({"map.radius": -2.0}, _sphere_map(["cos(t)", "sin(t)", "0"], radius=-2.0),
+     "map.radius must be finite and positive, got -2.0"),
+    ({"map.components": []}, _sphere_map([]),
+     "map.components must be a non-empty list of expressions"),
+], ids=["five_params", "no_params", "param_pi", "domain_length", "lo_not_finite",
+        "hi_not_finite", "lo_not_below_hi", "periodic_length", "triangle_rows",
+        "triangle_row_length", "duplicate_params", "undeclared_metric_variable",
+        "short_immersion", "target", "radius", "no_components"])
+def test_a_rule_reads_the_same_from_the_library_and_a_manifest(edits, library, message):
+    with pytest.raises(ValueError) as from_library:
+        library()
+    with pytest.raises(ManifestError) as from_manifest:
+        build_map(_variant(**edits))
+    assert str(from_library.value) == str(from_manifest.value) == message
 
 
 def test_bad_metric_mode():
