@@ -37,18 +37,20 @@ point-by-point loop would fail.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, mul
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .charts import (MAX_POINTS, Chart, PointError, SizeError, _shown, laplacian_jet,
-                     laplacian_values, metric_frame, pushforward, require)
+from . import jets
+from .charts import (MAX_POINTS, Chart, PointError, SizeError, _shown, _symmetric,
+                     laplacian_jet, laplacian_values, metric_frame, pushforward, require)
 from .exprs import intern, parse, variables_of
-from .jets import BLOCK_VALUES, JetDomainError, first_index, first_partials
+from .jets import BLOCK_VALUES, Jet, JetDomainError, first_index, first_partials
 
 SPHERE_TOL = 1e-10
 GRAM_TOL = 1e-9  # Gram defect |dphi dphi^T - g| of an isometric point and report
@@ -81,9 +83,13 @@ class SphereMap:
         if self.target not in (TARGET_SPHERE, TARGET_EUCLIDEAN):
             raise ValueError(f"map.target must be 'sphere' or 'euclidean', "
                              f"got {_shown(self.target)}")
-        if self.target == TARGET_SPHERE and not (math.isfinite(self.radius)
-                                                 and self.radius > 0):
-            raise ValueError(f"map.radius must be finite and positive, got {self.radius}")
+        if self.target == TARGET_SPHERE:
+            if not (math.isfinite(self.radius) and self.radius > 0):
+                raise ValueError(f"map.radius must be finite and positive, got {self.radius}")
+            # the sphere check, the tension and Takahashi's constant read r^2
+            if not sys.float_info.min <= self.radius * self.radius < math.inf:
+                raise ValueError(f"map.radius must have a square in the normal float range, "
+                                 f"got {self.radius}")
         if not self.components:
             raise ValueError("map.components must be a non-empty list of expressions")
         names = set(self.chart.params)
@@ -350,12 +356,14 @@ def _analyze_block(smap, points):
     frame = metric_frame(chart, points, ANALYSIS_ORDER - 1, smap.components)
     phi_jets = frame.fields
     phi, phi_sq, sphere_defect = _phi(smap, phi_jets, points)
-    lap_jets = [laplacian_jet(frame, pj) for pj in phi_jets]
+    # d_j phi^A, which the Laplacians and e both read, formed once
+    dphi_jets = [[pj.extract_derivative(j) for j in range(m)] for pj in phi_jets]
+    lap_jets = [laplacian_jet(frame, pj, df) for pj, df in zip(phi_jets, dphi_jets)]
     # e to order 2, all its readers need: truncated factors give the same bits
     # there, and the derivative jets, a block's largest, die with the call
-    energy_jet = _energy([[g.truncated(2) for g in row] for row in frame.g_inv],
-                         [[pj.extract_derivative(i).truncated(2) for pj in phi_jets]
-                          for i in range(m)])
+    energy_jet = _energy(_symmetric(m, lambda i, j: frame.g_inv[i][j].truncated(2)),
+                         [[df[i].truncated(2) for df in dphi_jets] for i in range(m)])
+    del dphi_jets
     # lap2 phi and lap e, the values of the Laplacians of order-2 jets at one
     # block, in one pass; copied out contiguous, as `dots` reads its operands
     values = laplacian_values(frame, lap_jets + [energy_jet])
@@ -401,14 +409,21 @@ def _analyze_block(smap, points):
 
 
 def _energy(g_inv, dphi):
-    """e = |dphi|^2 = g^ij sum_A d_i phi^A d_j phi^A from `g_inv[i][j]` and
-    `dphi[i][A]`, jets or (P,) values alike, summed left to right over A, then
-    over (i, j) row-major. A jet product's value is the product of the values
-    and jets add slot by slot, so values get the bits of the jets' value."""
-    def dot(i, j):
-        return reduce(add, (x * y for x, y in zip(dphi[i], dphi[j])))
-    m = len(g_inv)
-    return reduce(add, (g_inv[i][j] * dot(i, j) for i in range(m) for j in range(m)))
+    """e = |dphi|^2 = g^ij D_ij, D_ij = sum_A d_i phi^A d_j phi^A, from
+    `g_inv[i][j]` and `dphi[i][A]`, jets or (P,) values alike, summed left
+    to right over A, then over (i, j) row-major. Jets sum their products
+    with `jets.dot`, which has the bits of the jet products and sums; a jet
+    product's value is the product of the values and jets add slot by slot,
+    so values get the bits of the jets' value. Each D_ij is formed when its
+    term is, so one is alive at a time."""
+    dot = jets.dot if isinstance(g_inv[0][0], Jet) else _dot_values
+    pairs = [(i, j) for i in range(len(g_inv)) for j in range(len(g_inv))]
+    return dot((g_inv[i][j] for i, j in pairs), (dot(dphi[i], dphi[j]) for i, j in pairs))
+
+
+def _dot_values(xs, ys):
+    """sum_k xs[k] * ys[k] of per-point values, left to right."""
+    return reduce(add, map(mul, xs, ys))
 
 
 def _bienergy_block(smap, points):

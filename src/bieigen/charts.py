@@ -12,7 +12,7 @@ is evaluated entirely in exact truncated Taylor arithmetic. The order budget
 is: field jets at order K (up to 4), metric jets at order K-1, the flux
 sqrt|g| g^ij d_j f at order K-1, lap f at order K-2 (`laplacian_jet`). The
 flux is read only through d_i, so only its slots with alpha_i >= 1 are
-formed (`jets.dot_derivative`). A reader of the value alone, such as the
+formed (`jets.dot` in direction i). A reader of the value alone, such as the
 bi-Laplacian, the Laplacian of an order-4 field's order-2 Laplacian, takes
 `laplacian_values`: the value of d_i of the flux reads sqrt|g| g^ij only at
 slots 0 and e_i and the field only at slots e_j and e_i + e_j, so the values
@@ -262,10 +262,12 @@ def _cofactors(mat):
     """det and adjugate of a symmetric matrix of jets from one cofactor
     expansion along the first row: each distinct minor, keyed by its (rows,
     cols), is expanded once, and det, the minor of the whole matrix, reuses
-    the row-0 cofactors. A minor keeps the operands and the order of its own
-    expansion (IEEE a - b is a + (-b)), so the bits are those of expanding it
-    alone. The adjugate of a symmetric matrix is symmetric, so only the
-    cofactors C(i, j) with j >= i are expanded, and adj[i][j] is adj[j][i].
+    the row-0 cofactors. A minor's expansion is one `jets.dot` of its first
+    row with the minors below it, the odd terms subtracted: it keeps the
+    operands and the order of the expansion by jet products and sums (IEEE
+    a - b is a + (-b)), so the bits are those of expanding it alone. The
+    adjugate of a symmetric matrix is symmetric, so only the cofactors
+    C(i, j) with j >= i are expanded, and adj[i][j] is adj[j][i].
 
     A minor on rows R is read only by the minors on rows (r,) + R, so the
     minors the cofactors of row i read are on the suffixes of the rows
@@ -279,12 +281,10 @@ def _cofactors(mat):
         if not rows:  # the cofactor of a 1 x 1 matrix
             return jets.constant_like(1.0, mat[0][0])
         if (rows, cols) not in minors:
-            total = mat[rows[0]][cols[0]]  # a 1 x 1 minor
-            if len(rows) > 1:
-                for k, c in enumerate(cols):
-                    term = mat[rows[0]][c] * minor(rows[1:], cols[:k] + cols[k + 1:])
-                    total = term if k == 0 else total + (-term if k % 2 else term)
-            minors[rows, cols] = total
+            minors[rows, cols] = mat[rows[0]][cols[0]] if len(rows) == 1 else jets.dot(
+                (mat[rows[0]][c] for c in cols),
+                (minor(rows[1:], cols[:k] + cols[k + 1:]) for k in range(len(cols))),
+                alternate=True)
         return minors[rows, cols]
 
     full = tuple(range(len(mat)))
@@ -348,7 +348,7 @@ def _metric_jets(chart, coords, order, env, memo):
     if isinstance(chart.metric, InducedMetric):
         x_jets = [eval_jet(e, env, memo) for e in chart.metric.immersion]
         dx = [[xj.extract_derivative(i) for xj in x_jets] for i in range(m)]
-        return _symmetric(m, lambda i, j: reduce(add, (x * y for x, y in zip(dx[i], dx[j]))))
+        return _symmetric(m, lambda i, j: jets.dot(dx[i], dx[j]))
     env, memo = chart._coordinate_jets(coords, order), {}
     return _symmetric(m, lambda i, j: eval_jet(chart.metric.entries[i][j - i], env, memo))
 
@@ -420,16 +420,18 @@ def _require_order(frame, K):
             f"metric frame order {frame.order} too low for a field of order {K}")
 
 
-def laplacian_jet(frame, fjet):
+def laplacian_jet(frame, fjet, df=None):
     """Order-(K-2) jet of the Laplace-Beltrami operator applied to an
-    order-K field jet (divergence of the metric gradient)."""
+    order-K field jet (divergence of the metric gradient). `df` is the list
+    of its first derivative jets d_j f, where the caller has them."""
     K = fjet.order
     _require_order(frame, K)
     m = frame.chart.dim
-    df = [fjet.extract_derivative(j) for j in range(m)]
+    if df is None:
+        df = [fjet.extract_derivative(j) for j in range(m)]
     # d_i of the flux sqrt|g| g^ij d_j f, which reads only its slots with alpha_i >= 1
-    div = reduce(add, (jets.dot_derivative([entry.truncated(K - 1) for entry in frame.flux[i]],
-                                           df, i) for i in range(m)))
+    div = reduce(add, (jets.dot([entry.truncated(K - 1) for entry in frame.flux[i]], df, i)
+                       for i in range(m)))
     return div / frame.sqrt_det.truncated(K - 2)
 
 
@@ -453,7 +455,7 @@ def laplacian_values(frame, fields):
     The value of d_i (F^ij d_j f), F^ij = sqrt|g| g^ij, reads F^ij only at
     slots 0 and e_i: it is the product slot e_i, (0.0 + F^ij_0 H_ij) +
     F^ij_{e_i} D_j with H_ij = c[e_i + e_j] (1 + delta_ij) and D_j =
-    c[e_j], summed over j and then over i as `jets.dot_derivative` and the
+    c[e_j], summed over j and then over i as `jets.dot` and the
     jet sum do, and divided by the value of sqrt|g|. A term is formed only
     where the product table would form it: F^ij_0 H_ij where slot e_i is
     live in d_j f (`jets._derivative_bounds`), F^ij_{e_i} D_j where it is

@@ -348,13 +348,17 @@ def intern(roots) -> list:
     """The roots with every subtree replaced by the first equal subtree met,
     roots in order and children before parents, so equal subtrees are one
     object. A node whose children are unchanged is kept, so interning
-    interned roots returns them. Numbers are compared by their float bits:
-    Const(0.0) and Const(-0.0) stay apart, although == merges them."""
-    table = {}
+    interned roots returns them, and a node met again is not walked again.
+    Numbers are compared by their float bits: Const(0.0) and Const(-0.0)
+    stay apart, although == merges them."""
+    table, roots = {}, list(roots)  # the list keeps each node alive, so no id is reused
     return [_intern(e, table) for e in roots]
 
 
 def _intern(e, table):
+    done = table.get(id(e))  # a node met before, in this root or an earlier one
+    if done is not None:
+        return done
     key, values, changed = [type(e)], [], False
     for name in _FIELDS[type(e)]:
         value = getattr(e, name)
@@ -370,6 +374,7 @@ def _intern(e, table):
     found = table.get(key)
     if found is None:
         found = table[key] = type(e)(*values) if changed else e
+    table[id(e)] = found
     return found
 
 

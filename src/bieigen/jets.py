@@ -36,36 +36,37 @@ involve: variable i has {i} and a constant none, and +, -, *, / and the
 elementary functions take the union of their operands' supports, which
 truncation and `at` keep. A derivative d/du_i keeps the support and is one
 degree lower, but one in a direction outside the support is zero in every
-slot (`_derivative_bounds`, for `extract_derivative` and `dot_derivative`
-alike). A jet that either bound shows to be constant has degree 0 and
-support 0, so a product with such a derivative, d_j phi^A of a component
-that does not involve u_j, is elementwise. A product skips the terms a[i] *
-b[j] in which a slot above its factor's degree, or one that involves a
-variable outside its factor's support, takes part, so a constant, a linear
-operand or a factor in a few of the variables (sin(a)*sin(b)*cos(c) on a
-4-D chart) costs only its live terms. That keeps the bits: each output
-slot adds its remaining terms in the same order, starting from +0.0, and a
-skipped term is +0.0 or -0.0 while its other factor is finite; a running
-sum that starts at +0.0 is never -0.0, so adding a zero to it changes
-nothing. (Where the other factor is inf or NaN, the skipped term would have
-been NaN.) The value slot is not a sum: it is its one term a[0] * b[0],
-so the value of a product is the product of the values, the sign of a zero
-included. `dot_derivative` forms d/du_i of a sum of products, reading only
-the product slots the derivative reads (alpha_i >= 1), with the bits of
-summing the full products and differentiating. With a degree-0 factor
-each output slot has at most one term, so such a product is one
-elementwise multiplication of the other factor's live slots by the
-constant's value, each term above the value added to +0.0. A quotient
-skips terms by the same rule: its recurrence subtracts q[i] * b[j] from
-a[k] only where the divisor slot j lies within b's bounds and the output
-slot k within the quotient's support, so a degree-0 divisor has no terms
-and its quotient is one elementwise division a / b[0]. It forms only the
-slots its own bounds leave live, and every other slot is +0.0, as in a
-product, whatever the divisor's value, NaN and inf included. Each skipped
-term is a zero while the quotient is finite, so a quotient differs from
-the full recurrence only in the sign of a zero slot (-0.0 - (-0.0) is
-+0.0), and where the full recurrence would have formed inf * 0.0 = NaN,
-or a NaN divisor a NaN, in a slot that the bounds show to be zero.
+slot (`_derivative_bounds`, for `extract_derivative` and `dot` alike). A
+jet that either bound shows to be constant has degree 0 and support 0, so a
+product with such a derivative, d_j phi^A of a component that does not
+involve u_j, is elementwise. A product skips the terms a[i] * b[j] in which
+a slot above its factor's degree, or one that involves a variable outside
+its factor's support, takes part, so a constant, a linear operand or a
+factor in a few of the variables (sin(a)*sin(b)*cos(c) on a 4-D chart)
+costs only its live terms. That keeps the bits: each output slot adds its
+remaining terms in the same order, starting from +0.0, and a skipped term
+is +0.0 or -0.0 while its other factor is finite; a running sum that starts
+at +0.0 is never -0.0, so adding a zero to it changes nothing. (Where the
+other factor is inf or NaN, the skipped term would have been NaN.) The
+value slot is not a sum: it is its one term a[0] * b[0], so the value of a
+product is the product of the values, the sign of a zero included. `dot`
+forms a sum of products on coefficient arrays, with the bits of the jet sum
+of the jet products, and makes only the sum a Jet; its direction case forms
+d/du_i of the sum, reading only the product slots the derivative reads
+(alpha_i >= 1). With a degree-0 factor each output slot has at most one
+term, so such a product is one elementwise multiplication of the other
+factor's live slots by the constant's value, each term above the value
+added to +0.0. A quotient skips terms by the same rule: its recurrence
+subtracts q[i] * b[j] from a[k] only where the divisor slot j lies within
+b's bounds and the output slot k within the quotient's support, so a
+degree-0 divisor has no terms and its quotient is one elementwise division
+a / b[0]. It forms only the slots its own bounds leave live, and every
+other slot is +0.0, as in a product, whatever the divisor's value, NaN and
+inf included. Each skipped term is a zero while the quotient is finite, so
+a quotient differs from the full recurrence only in the sign of a zero slot
+(-0.0 - (-0.0) is +0.0), and where the full recurrence would have formed
+inf * 0.0 = NaN, or a NaN divisor a NaN, in a slot that the bounds show to
+be zero.
 """
 
 import math
@@ -555,23 +556,47 @@ def first_partials(jet_list):
     return np.ascontiguousarray(np.moveaxis(rows, 0, -2))
 
 
-def dot_derivative(xs, ys, direction):
-    """The order-(K-1) jet of d/du_direction of sum_j xs[j] * ys[j], for
-    order-K jets, with the bits of `reduce(add, (x * y for x, y in zip(xs,
-    ys))).extract_derivative(direction)`: each product forms only the slots
-    the derivative reads, and they are added in the same order."""
-    head = xs[0]
-    if head.order < 1:
-        raise ValueError("cannot differentiate an order-0 jet")
-    if not 0 <= direction < head.nvars:
-        raise ValueError(f"direction {direction} out of range for {head.nvars} variables")
-    space = _space(head.order, head.nvars)
-    total, degree, support = None, 0, 0
-    for x, y in zip(xs, ys, strict=True):
+def dot(xs, ys, direction=None, alternate=False):
+    """The jet of sum_k xs[k] * ys[k], for jets of one signature and one
+    form, with the bits, degree and support of `reduce(add, (x * y for x, y
+    in zip(xs, ys)))`: each product's coefficients (`_JetSpace.multiply`)
+    are added in order into one running array, and only the sum is made a
+    Jet. With `alternate` the odd terms are subtracted, with the bits of
+    adding their negatives (IEEE a - b is a + (-b)), but the sign of a NaN.
+    xs and ys are read in step, so a factor formed lazily lives for its term
+    alone.
+
+    With a direction, the order-(K-1) jet of d/du_direction of that sum,
+    for order-K jets, with the bits of `dot(xs, ys).extract_derivative(
+    direction)`: each product forms only the slots the derivative reads, and
+    they are added in the same order."""
+    total = head = None
+    degree = support = 0
+    for k, (x, y) in enumerate(zip(xs, ys, strict=True)):
+        if head is None:
+            head, space = x, _space(x.order, x.nvars)
+            if direction is not None:
+                if head.order < 1:
+                    raise ValueError("cannot differentiate an order-0 jet")
+                if not 0 <= direction < head.nvars:
+                    raise ValueError(f"direction {direction} out of range for "
+                                     f"{head.nvars} variables")
         head._binary(x)._binary(y)  # one signature and one form, as `*` and `+` require
         product = space.multiply(x, y, direction)
-        total = product if total is None else total + product
+        subtract = alternate and k % 2
+        if total is None:
+            total = product
+        elif product.size > total.size:  # a block of one broadcasts against the block
+            total = total - product if subtract else total + product
+        elif subtract:
+            total -= product
+        else:
+            total += product
         degree, support = max(degree, x.degree + y.degree), support | x.support | y.support
+    if head is None:
+        raise ValueError("a sum of products needs at least one term")
+    if direction is None:
+        return Jet(head.order, head.nvars, total, degree, support)
     _, fac = space.diff_table(direction)
     return Jet(head.order - 1, head.nvars, total * _rows(fac, total),
                *_derivative_bounds(degree, support, direction))

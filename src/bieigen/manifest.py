@@ -63,21 +63,30 @@ def _list(value, message):
     return value
 
 
-def _expr(text, where):
+def _parse(text, texts):
+    """The tree of `text`, parsed once per build: `texts` maps each text
+    the build has parsed to its tree."""
+    tree = texts.get(text)
+    if tree is None:
+        tree = texts[text] = parse(text)
+    return tree
+
+
+def _expr(text, where, texts):
     if not isinstance(text, str):
         raise ManifestError(f"{where} must be an expression string, got {_shown(text)}")
     try:
-        return parse(text)
+        return _parse(text, texts)
     except ParseError as err:
         raise ManifestError(f"{where}: {err}") from err
 
 
-def _bound(value, where):
+def _bound(value, where, texts):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
-            return float(eval_value(parse(value), {}))
+            return float(eval_value(_parse(value, texts), {}))
         except (ParseError, JetDomainError) as err:
             raise ManifestError(f"{where}: {err}") from err
         except UnboundVariableError as err:
@@ -85,10 +94,10 @@ def _bound(value, where):
     raise ManifestError(f"{where} must be a number or constant expression")
 
 
-def _build_chart(doc):
-    """The chart of a manifest's `chart` section. This checks the JSON
-    shapes and evaluates the bounds; `Chart` checks every rule on the
-    values, in the same words."""
+def _build_chart(doc, texts):
+    """The chart of a manifest's `chart` section, its texts parsed through
+    `texts` (see `_parse`). This checks the JSON shapes and evaluates the
+    bounds; `Chart` checks every rule on the values, in the same words."""
     _require_keys(doc, ("params", "domain", "metric"), ("periodic",), "chart")
     params = _list(doc["params"], "chart.params must list 1 to 4 parameter names")
     intervals = []
@@ -96,7 +105,7 @@ def _build_chart(doc):
                                  "chart.domain must have one interval per parameter")):
         if not isinstance(iv, list) or len(iv) != 2:
             raise ManifestError(f"chart.domain[{k}] must be a [lo, hi] pair")
-        intervals.append([_bound(value, f"chart.domain[{k}][{i}]")
+        intervals.append([_bound(value, f"chart.domain[{k}][{i}]", texts)
                           for i, value in enumerate(iv)])
     periodic = doc.get("periodic", [False] * len(params))
     if not isinstance(periodic, list) or not all(isinstance(p, bool) for p in periodic):
@@ -113,30 +122,33 @@ def _build_chart(doc):
                                       "chart.metric.g must have one row per parameter")):
             row = _list(row, f"chart.metric.g[{i}] must list the upper triangle "
                              f"({len(params) - i} entries expected)")
-            triangle.append([_expr(e, f"chart.metric.g[{i}][{k}]") for k, e in enumerate(row)])
+            triangle.append([_expr(e, f"chart.metric.g[{i}][{k}]", texts)
+                             for k, e in enumerate(row)])
         return Chart.explicit(params, intervals, triangle, periodic)
     if mode == "induced":
         _require_keys(metric, ("mode", "immersion"), (), "chart.metric")
         imm = _list(metric["immersion"],
                     "chart.metric.immersion needs at least as many components as parameters")
         return Chart.induced(params, intervals,
-                             [_expr(e, f"chart.metric.immersion[{k}]") for k, e in enumerate(imm)],
+                             [_expr(e, f"chart.metric.immersion[{k}]", texts)
+                              for k, e in enumerate(imm)],
                              periodic)
     raise ManifestError(f"chart.metric.mode must be 'explicit' or 'induced', got {_shown(mode)}")
 
 
-def _build_map(doc, chart):
-    """The map of a manifest's `map` section on `chart`; `SphereMap` checks
-    the target, the radius and the component count."""
+def _build_map(doc, chart, texts):
+    """The map of a manifest's `map` section on `chart`, its texts parsed
+    through `texts`; `SphereMap` checks the target, the radius and the
+    component count."""
     _require_keys(doc, ("target", "components"), ("radius",), "map")
     radius = 1.0
     if "radius" in doc:
         if doc["target"] == "euclidean":
             raise ManifestError("map.radius is only valid for sphere targets")
-        radius = _bound(doc["radius"], "map.radius")
+        radius = _bound(doc["radius"], "map.radius", texts)
     comps = _list(doc["components"], "map.components must be a non-empty list of expressions")
-    return SphereMap.build(chart, [_expr(e, f"map.components[{k}]") for k, e in enumerate(comps)],
-                           doc["target"], radius)
+    return SphereMap.build(chart, [_expr(e, f"map.components[{k}]", texts)
+                                   for k, e in enumerate(comps)], doc["target"], radius)
 
 
 def _text(doc):
@@ -152,7 +164,9 @@ def build_map(doc) -> tuple:
 
     The first call after `load_manifest` returns the pair that it built
     when `doc` is the document it returned, unchanged in its canonical JSON
-    text; every call drops that hand-off first, so it serves one call."""
+    text; every call drops that hand-off first, so it serves one call.
+    Each distinct expression text is parsed once per call: the map's
+    components repeat the immersion's texts, and domain bounds repeat."""
     global _handoff
     handoff, _handoff = _handoff, None
     if handoff is not None and handoff[0] is doc and handoff[1] == _text(doc):
@@ -161,8 +175,9 @@ def build_map(doc) -> tuple:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise ManifestError("manifest.name must be a non-empty string")
+    texts = {}
     try:
-        return name, _build_map(doc["map"], _build_chart(doc["chart"]))
+        return name, _build_map(doc["map"], _build_chart(doc["chart"], texts), texts)
     except ManifestError:
         raise
     except ValueError as err:  # a rule of `Chart` or `SphereMap`, in the manifest's words

@@ -566,6 +566,21 @@ def test_radius_out_of_float_range_exit_2(tmp_path, capsys, radius):
     assert capsys.readouterr().err == "error: map.radius must be finite and positive, got inf\n"
 
 
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_a_radius_whose_square_leaves_float_range_exits_2(tmp_path, capsys, radius):
+    # phi = r (cos t, sin t) is on the sphere of radius r, but r^2 overflows
+    # to inf or underflows to 0.0, which the sphere check and the tension read
+    doc = {**NEARLY_ISOMETRIC, "name": "scaled_circle",
+           "map": {"target": "sphere", "radius": radius,
+                   "components": [f"{radius!r}*cos(t)", f"{radius!r}*sin(t)"]}}
+    path = _write(tmp_path, doc)
+    for argv in (["classify", path], ["verify", path, "--theorem", "takahashi"],
+                 ["residual", path, "--equation", "mf"], ["bienergy", path]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: map.radius must have a square in the "
+                                           f"normal float range, got {radius!r}\n")
+
+
 @pytest.mark.parametrize("bound", ["1e400", '"1e300*1e300"'])
 def test_domain_bound_out_of_float_range_exit_2(tmp_path, capsys, bound):
     doc = {**HUGE_DOMAIN, "chart": {**HUGE_DOMAIN["chart"], "domain": [[0, "BOUND"]]}}

@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from bieigen import build_map
+from bieigen import build_map, jets
 from bieigen.analysis import SphereMap, analyze_point, analyze_samples, bienergy_quadrature
 from bieigen.charts import Chart, bilaplacian, gradient_pushforward, laplace_beltrami
 from bieigen.classify import NOT_APPLICABLE, PASS, classify, verify
@@ -82,6 +82,27 @@ def test_half_sphere_is_proper_biharmonic_buckling_with_rho_2m(m):
     assert report.eta_deviation_from_unit < 1e-8
     assert verify(report, "t2").status == PASS
     assert verify(report, "t4").status == PASS
+
+
+def test_an_s4_classify_makes_one_jet_per_sum_of_products(monkeypatch):
+    # the induced metric, the cofactor minors and the energy density are sums
+    # of products (`jets.dot`), which wrap only their sum in a Jet: a jet per
+    # product and per partial sum made 641 Jets for the same 339 products
+    made, products = [0], [0]
+    init, multiply = jets.Jet.__init__, jets._JetSpace.multiply
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_multiply(self, *args, **kwargs):
+        products[0] += 1
+        return multiply(self, *args, **kwargs)
+    smap = _sphere_map(4, lifted=True)
+    monkeypatch.setattr(jets.Jet, "__init__", counted_init)
+    monkeypatch.setattr(jets._JetSpace, "multiply", counted_multiply)
+    classify(smap, SAMPLES[4])
+    assert made[0] <= 270 and products[0] == 339
 
 
 def test_round_s3_identity_is_takahashi_with_lambda_3():

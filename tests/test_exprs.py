@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bieigen import build_map, jets
+from bieigen import build_map, exprs, jets
 from bieigen.analysis import SphereMap, analyze_samples
 from bieigen.charts import Chart
 from bieigen.exprs import (BinOp, Call, Const, Expr, Neg, ParseError, Pow,
@@ -345,6 +345,21 @@ def test_one_memo_gives_the_bits_of_each_root_alone():
     for e, jet in zip(roots, shared):
         alone = eval_jet(e, smap.chart.param_jets(points, 4))
         np.testing.assert_array_equal(jet.coeffs.view(np.int64), alone.coeffs.view(np.int64))
+
+
+def test_interning_walks_a_node_met_before_once(monkeypatch):
+    # a manifest's map components are the very trees of its immersion
+    tree = parse("sin(a)*sin(b)*cos(c)/sqrt(2)")
+    walked, walk = [], exprs._intern
+
+    def counted(e, table):
+        walked.append(e)
+        return walk(e, table)
+    monkeypatch.setattr(exprs, "_intern", counted)
+    shared = intern([tree, BinOp("+", tree, tree), tree])
+    assert shared[0] is tree and shared[2] is tree and shared[1].left is tree
+    # tree's 11 nodes once, then the sum and its two children, then the last root
+    assert len(walked) == 11 + 3 + 1
 
 
 def test_interning_keeps_signed_zeros_apart():

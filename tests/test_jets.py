@@ -526,7 +526,7 @@ def test_every_operation_keeps_its_degree_and_support_bounds(case, divisor_value
         if a.order:
             direction %= a.nvars
             results += [a.extract_derivative(direction),
-                        jets.dot_derivative([a], [b], direction)]
+                        jets.dot([a], [b], direction)]
         for result in results:
             _assert_within_bounds(result)
 
@@ -568,7 +568,7 @@ def test_a_derivative_outside_the_support_is_a_zero_constant(case, direction):
     for product, want in ((got * b, table * b), (b * got, b * table)):
         np.testing.assert_array_equal(product.coeffs.view(np.int64), want.coeffs.view(np.int64))
     # and so is d/du_i of a product that does not involve u_i
-    dot = jets.dot_derivative([a], [a], direction)
+    dot = jets.dot([a], [a], direction)
     assert (dot.degree, dot.support) == (0, 0) and not dot.coeffs.any()
 
 
@@ -576,7 +576,7 @@ def _assert_directional_products_are_the_derivative_of_their_sum(case, count, di
     order, nvars, factors = case
     xs, ys, direction = factors[:count], factors[3:3 + count], direction % nvars
     with np.errstate(over="ignore", invalid="ignore"):
-        got = jets.dot_derivative(xs, ys, direction)
+        got = jets.dot(xs, ys, direction)
         want = reduce(add, (x * y for x, y in zip(xs, ys))).extract_derivative(direction)
     assert (got.order, got.degree, got.support) == (want.order, want.degree, want.support)
     np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
@@ -595,6 +595,58 @@ def test_directional_products_with_constants_are_the_derivative_of_their_sum(
     _assert_directional_products_are_the_derivative_of_their_sum(case, count, direction)
 
 
+def _expanded(xs, ys, alternate):
+    """The jet sum of the jet products x * y, the odd ones negated with
+    `alternate`, as a cofactor expansion writes it."""
+    total = None
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        term = x * y
+        total = term if k == 0 else total + (-term if alternate and k % 2 else term)
+    return total
+
+
+def _same_jet_but_nan_signs(got, want):
+    assert (got.order, got.nvars, got.degree, got.support) \
+        == (want.order, want.nvars, want.degree, want.support)
+    assert got.coeffs.shape == want.coeffs.shape
+    nan = np.isnan(want.coeffs)
+    np.testing.assert_array_equal(np.isnan(got.coeffs), nan)
+    np.testing.assert_array_equal(got.coeffs.view(np.int64)[~nan],
+                                  want.coeffs.view(np.int64)[~nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_filtered_factors(6), _filtered_factors(6, constant=True)),
+       st.integers(1, 3), st.booleans(), st.integers(0, 3))
+def test_a_sum_of_products_is_the_jet_expression_it_replaces_bit_for_bit(
+        case, count, alternate, direction):
+    # orders 0 to 4 in 1 to 4 variables, narrow degrees and supports,
+    # degree-0 factors, one point, blocks and blocks of one that broadcast;
+    # a subtracted term is a - b, which is a + (-b) but for the sign of a NaN
+    order, nvars, factors = case
+    xs, ys = factors[:count], factors[3:3 + count]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _expanded(xs, ys, alternate)
+        _same_jet_but_nan_signs(jets.dot(xs, iter(ys), alternate=alternate), want)
+        if order:
+            direction %= nvars
+            _same_jet_but_nan_signs(jets.dot(iter(xs), ys, direction, alternate),
+                                    want.extract_derivative(direction))
+
+
+def test_a_sum_of_products_refuses_what_its_jet_expression_refuses():
+    u, v = jets.variable(0, 0.5, 2, 2), jets.variable(1, [0.5], 2, 2)
+    for xs, ys, message in (([], [], "at least one term"), ([u], [u, u], "zip"),
+                            ([u], [v], "form mismatch"),
+                            ([u], [jets.variable(0, 0.5, 3, 2)], "shape mismatch")):
+        with pytest.raises(ValueError, match=message):
+            jets.dot(xs, ys)
+    with pytest.raises(ValueError, match="order-0"):
+        jets.dot([u.truncated(0)], [u.truncated(0)], 0)
+    with pytest.raises(ValueError, match="out of range"):
+        jets.dot([u], [u], 2)
+
+
 @pytest.mark.parametrize("order, nvars, shape", [(2, 2, (5,)), (3, 3, ()), (4, 4, (5,))])
 def test_directional_products_add_in_the_order_of_the_sum(order, nvars, shape):
     # full jets of random values, whose sums round differently in another order
@@ -603,7 +655,7 @@ def test_directional_products_add_in_the_order_of_the_sum(order, nvars, shape):
     xs, ys = ([Jet(order, nvars, rng.uniform(-4.0, 4.0, (size,) + shape)) for _ in range(3)]
               for _ in range(2))
     for direction in range(nvars):
-        got = jets.dot_derivative(xs, ys, direction)
+        got = jets.dot(xs, ys, direction)
         want = reduce(add, (x * y for x, y in zip(xs, ys))).extract_derivative(direction)
         np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
 
@@ -615,7 +667,7 @@ def test_a_directional_product_with_no_terms_is_zero(points):
     df = (2.0 * jets.variable(0, value, 3, 2) - 1.0).extract_derivative(0)
     flux = jets.constant_like(-3.0, df)
     assert jets._space(2, 2)._mul_table(0, 0, 0, 0, 0)[0].size == 0
-    got = jets.dot_derivative([flux], [df], 0)
+    got = jets.dot([flux], [df], 0)
     want = (flux * df).extract_derivative(0)
     assert got.coeffs.shape == want.coeffs.shape and got.degree == got.support == 0
     np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))

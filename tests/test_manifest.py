@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ from bieigen.analysis import SphereMap
 from bieigen.charts import Chart
 from bieigen.manifest import ManifestError, build_map, load_manifest
 from bieigen.report import classification_dict, to_json
+
+from test_curved import sphere_manifest
 
 GOOD = {
     "name": "demo",
@@ -133,6 +136,17 @@ def test_radius_rules():
         with pytest.raises(ValueError) as err:
             SphereMap.build(chart, ["cos(t)", "sin(t)", "0"], radius=radius)
         assert str(err.value) == f"map.radius must be finite and positive, got {shown}"
+    # r^2 overflows to inf, underflows to 0.0, or is subnormal: refused in
+    # map.radius words, before the sphere check, the tension or Takahashi's
+    # constant read it
+    for radius, shown in ((1e200, "1e+200"), ("1e100*1e100", "1e+200"),
+                          (1e-200, "1e-200"), (1e-155, "1e-155")):
+        with pytest.raises(ManifestError) as err:
+            build_map(_variant(**{"map.radius": radius}))
+        assert str(err.value) == f"map.radius must have a square in the normal float range, " \
+                                 f"got {shown}"
+    for radius in (1e150, 1e-150, math.sqrt(sys.float_info.min)):
+        assert build_map(_variant(**{"map.radius": radius}))[1].radius == radius
     with pytest.raises(ManifestError, match="radius"):
         build_map(_variant(**{"map.target": "euclidean"}))  # radius forbidden
     ok = _variant(**{"map.target": "euclidean", "map.radius": ...})
@@ -189,12 +203,14 @@ def _sphere_map(*args, **kwargs):
      "map.target must be 'sphere' or 'euclidean', got 'torus'"),
     ({"map.radius": -2.0}, _sphere_map(["cos(t)", "sin(t)", "0"], radius=-2.0),
      "map.radius must be finite and positive, got -2.0"),
+    ({"map.radius": 1e200}, _sphere_map(["cos(t)", "sin(t)", "0"], radius=1e200),
+     "map.radius must have a square in the normal float range, got 1e+200"),
     ({"map.components": []}, _sphere_map([]),
      "map.components must be a non-empty list of expressions"),
 ], ids=["five_params", "no_params", "param_pi", "domain_length", "lo_not_finite",
         "hi_not_finite", "lo_not_below_hi", "periodic_length", "triangle_rows",
         "triangle_row_length", "duplicate_params", "undeclared_metric_variable",
-        "short_immersion", "target", "radius", "no_components"])
+        "short_immersion", "target", "radius", "radius_square", "no_components"])
 def test_a_rule_reads_the_same_from_the_library_and_a_manifest(edits, library, message):
     with pytest.raises(ValueError) as from_library:
         library()
@@ -231,9 +247,9 @@ def builds(monkeypatch):
     """The number of charts built so far, one per map build."""
     count = [0]
 
-    def counted(doc):
+    def counted(*args):
         count[0] += 1
-        return build_chart(doc)
+        return build_chart(*args)
     build_chart = manifest._build_chart
     monkeypatch.setattr(manifest, "_build_chart", counted)
     return lambda: count[0]
@@ -307,6 +323,47 @@ def test_loading_another_document_drops_the_hand_off(tmp_path, builds):
     assert builds() == 2
     name, _ = build_map(d1)
     assert builds() == 3 and name == "demo"
+
+
+def _s4_half_in_s5():
+    """S^4(1/sqrt 2) in S^5 with literal polar bounds, as a benchmark writes
+    it: 18 texts, 9 of them distinct. The 5 immersion texts are map
+    components too, next to 1/sqrt(2), and the 3 polar intervals repeat
+    their 2 bounds beside the azimuth's 2*pi."""
+    doc = sphere_manifest(4, lifted=True)
+    doc["chart"]["domain"][:3] = [[repr(0.3), repr(math.pi - 0.3)]] * 3
+    return doc
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts parsed so far, in order."""
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+    parse = manifest.parse
+    monkeypatch.setattr(manifest, "parse", counted)
+    return texts
+
+
+def test_each_distinct_text_is_parsed_once_per_build(parses):
+    doc = _s4_half_in_s5()
+    _, smap = build_map(doc)
+    assert len(parses) == len(set(parses)) == 9
+    # the memo lives for one build: a second build parses every text again
+    _, again = build_map(doc)
+    assert len(parses) == 18 and parses[9:] == parses[:9]
+    assert again is not smap and again.chart.metric == smap.chart.metric
+    assert again.components == smap.components
+
+
+def test_a_bad_text_shared_by_chart_and_map_is_named_under_the_chart():
+    doc = _s4_half_in_s5()
+    doc["chart"]["metric"]["immersion"][1] = doc["map"]["components"][1] = "sin(a)*("
+    with pytest.raises(ManifestError, match=r"^chart\.metric\.immersion\[1\]: parse error "):
+        build_map(doc)
 
 
 @pytest.mark.parametrize("content, message", [
