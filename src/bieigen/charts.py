@@ -22,15 +22,16 @@ operator's value slot.
 `metric_frame` is where the jets of a block of points are made: it binds the
 coordinates, checks that the points are inside the chart, and evaluates the
 metric and the caller's fields at the orders of that budget; det g and g^ij
-come from one cofactor pass over g, which expands each minor once, and the
-flux coefficients sqrt|g| g^ij are formed next to them. g, its adjugate,
-g^ij and the flux are symmetric: each entry is formed once per unordered
-pair (i, j), from the cofactor C(i, j) with j >= i, and its mirror is the
-same jet. The one-point functions (`metric_frame` of one point,
-`laplace_beltrami`, `bilaplacian`, `gradient_pushforward`) pick their point
-from a block of one. Every check of a block of points raises through
-`require`, for the first offending point of the block, with the point in
-`point` and its position in `index` (a `PointError`).
+come from one cofactor pass over g, which expands each minor once into a
+memo of that call, left in no reference cycle, and the flux coefficients
+sqrt|g| g^ij are formed next to them. g, its adjugate, g^ij and the flux are
+symmetric: each entry is formed once per unordered pair (i, j), from the
+cofactor C(i, j) with j >= i, and its mirror is the same jet. The one-point
+functions (`metric_frame` of one point, `laplace_beltrami`, `bilaplacian`,
+`gradient_pushforward`) pick their point from a block of one. Every check of
+a block of points raises through `require`, for the first offending point of
+the block, with the point in `point` and its position in `index` (a
+`PointError`).
 """
 
 import math
@@ -258,46 +259,41 @@ def _symmetric(m, entry):
     return matrix
 
 
+def _minor(mat, rows, cols, minors):
+    """The minor of `mat` on (rows, cols), from the memo `minors` or expanded
+    along its first row into it: one `jets.dot` of that row with the minors
+    below it, the odd terms subtracted."""
+    if not rows:  # the cofactor of a 1 x 1 matrix
+        return jets.constant_like(1.0, mat[0][0])
+    if (rows, cols) not in minors:
+        minors[rows, cols] = mat[rows[0]][cols[0]] if len(rows) == 1 else jets.dot(
+            (mat[rows[0]][c] for c in cols),
+            (_minor(mat, rows[1:], cols[:k] + cols[k + 1:], minors)
+             for k in range(len(cols))),
+            alternate=True)
+    return minors[rows, cols]
+
+
 def _cofactors(mat):
     """det and adjugate of a symmetric matrix of jets from one cofactor
     expansion along the first row: each distinct minor, keyed by its (rows,
-    cols), is expanded once, and det, the minor of the whole matrix, reuses
-    the row-0 cofactors. A minor's expansion is one `jets.dot` of its first
-    row with the minors below it, the odd terms subtracted: it keeps the
+    cols), is expanded once (`_minor`), and det, the minor of the whole
+    matrix, reuses the row-0 cofactors. A minor's expansion keeps the
     operands and the order of the expansion by jet products and sums (IEEE
     a - b is a + (-b)), so the bits are those of expanding it alone. The
     adjugate of a symmetric matrix is symmetric, so only the cofactors
-    C(i, j) with j >= i are expanded, and adj[i][j] is adj[j][i].
-
-    A minor on rows R is read only by the minors on rows (r,) + R, so the
-    minors the cofactors of row i read are on the suffixes of the rows
-    other than i. The cofactors are formed row by row, and a minor that is
-    not on a suffix of the current rows is not read again: it is dropped,
-    so a 4 x 4 matrix holds 6 of the 14 distinct 2 x 2 minors it expands at
-    a time."""
+    C(i, j) with j >= i are expanded, and adj[i][j] is adj[j][i]. The memo
+    is this call's, passed down the recursion, so no reference cycle holds
+    it or the matrix for the collector once the call returns."""
     minors = {}
-
-    def minor(rows, cols):
-        if not rows:  # the cofactor of a 1 x 1 matrix
-            return jets.constant_like(1.0, mat[0][0])
-        if (rows, cols) not in minors:
-            minors[rows, cols] = mat[rows[0]][cols[0]] if len(rows) == 1 else jets.dot(
-                (mat[rows[0]][c] for c in cols),
-                (minor(rows[1:], cols[:k] + cols[k + 1:]) for k in range(len(cols))),
-                alternate=True)
-        return minors[rows, cols]
-
     full = tuple(range(len(mat)))
-    det = minor(full, full)
+    det = _minor(mat, full, full, minors)
     adj = [[None] * len(full) for _ in full]  # the transposed cofactors
     for i in full:
         rows = full[:i] + full[i + 1:]
-        for key in [key for key in minors if key[0] != rows[-len(key[0]):]]:
-            del minors[key]
         for j in full[i:]:
-            cofactor = minor(rows, full[:j] + full[j + 1:])
+            cofactor = _minor(mat, rows, full[:j] + full[j + 1:], minors)
             adj[j][i] = adj[i][j] = -cofactor if (i + j) % 2 else cofactor
-    minors.clear()  # `minor` refers to itself, so the memo would wait for the cycle collector
     return det, adj
 
 

@@ -109,10 +109,8 @@ class ClassificationReport:
     max_sphere_defect: float = 0.0
     max_constraint_defect: float = 0.0
     samples: Optional[SampleBatch] = field(default=None, repr=False)
-    # its per-point report.Table and its checked header sections, built on
-    # first use by the report stage
-    point_table: object = field(default=None, init=False, repr=False, compare=False)
-    header: object = field(default=None, init=False, repr=False, compare=False)
+    # the checked (header, per-point Table) that report.require_finite keeps
+    document: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def _threshold(tol, scale):

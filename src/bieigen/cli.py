@@ -65,17 +65,9 @@ def _load_map(spec):
     return build_map(entry.manifest)
 
 
-def _classified(args):
-    """(name, classification report): the report is checked for non-finite
-    values before any command reads it."""
+def cmd_classify(args):
     name, smap = _load_map(args.manifest)
     report = classify(smap, args.samples, args.tol, margin=args.margin)
-    rpt.require_finite(report)
-    return name, report
-
-
-def cmd_classify(args):
-    name, report = _classified(args)
     if args.format == "json":
         doc = rpt.classification_dict(name, report, {"margin": args.margin})
         sys.stdout.write(rpt.to_json(doc))
@@ -87,7 +79,9 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    name, report = _classified(args)
+    name, smap = _load_map(args.manifest)
+    report = classify(smap, args.samples, args.tol, margin=args.margin)
+    rpt.require_finite(report)  # verify refuses a report the formats refuse
     verdict = verify(report, args.theorem)
     lines = [f"{name} {verdict}"]
     for key in sorted(verdict.details):
@@ -122,14 +116,13 @@ def cmd_residual(args):
               f"{report.constants.c_hat:.6g}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    table, summary = rpt.residual_table(report, EQUATIONS[args.equation])
+    doc = rpt.residual_table(name, args.equation, report, EQUATIONS[args.equation])
     if args.format == "json":
-        doc = rpt.residual_table_json(name, args.equation, table, summary)
         sys.stdout.write(rpt.to_json(doc))
     elif args.format == "csv":
-        sys.stdout.write(rpt.residual_table_csv(table))
+        sys.stdout.write(doc["points"].csv())
     else:
-        sys.stdout.write(rpt.residual_table_text(name, args.equation, table, summary))
+        sys.stdout.write(rpt.residual_table_text(doc))
     return EXIT_OK
 
 

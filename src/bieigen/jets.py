@@ -483,10 +483,7 @@ class Jet:
 
     def extract_derivative(self, direction):
         """Order-(K-1) jet of the partial derivative in one direction."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        if not 0 <= direction < self.nvars:
-            raise ValueError(f"direction {direction} out of range for {self.nvars} variables")
+        _require_derivative(self, direction)
         src, fac = _space(self.order, self.nvars).diff_table(direction)
         return Jet(self.order - 1, self.nvars, self.coeffs[src] * _rows(fac, self.coeffs),
                    *_derivative_bounds(self.degree, self.support, direction))
@@ -500,6 +497,14 @@ def _quotient_bounds(a, b):
     where b is constant, else the full order, and the union of the
     supports."""
     return a.degree if b.degree == 0 else a.order, a.support | b.support
+
+
+def _require_derivative(jet, direction):
+    """ValueError unless a jet like `jet` has a first partial in `direction`."""
+    if jet.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    if not 0 <= direction < jet.nvars:
+        raise ValueError(f"direction {direction} out of range for {jet.nvars} variables")
 
 
 def _derivative_bounds(degree, support, direction):
@@ -576,11 +581,7 @@ def dot(xs, ys, direction=None, alternate=False):
         if head is None:
             head, space = x, _space(x.order, x.nvars)
             if direction is not None:
-                if head.order < 1:
-                    raise ValueError("cannot differentiate an order-0 jet")
-                if not 0 <= direction < head.nvars:
-                    raise ValueError(f"direction {direction} out of range for "
-                                     f"{head.nvars} variables")
+                _require_derivative(head, direction)
         head._binary(x)._binary(y)  # one signature and one form, as `*` and `+` require
         product = space.multiply(x, y, direction)
         subtract = alternate and k % 2

@@ -15,6 +15,9 @@ and renders its JSON and its CSV from the same cell strings. Its JSON pieces
 are its cells and the text between them (between two cells of a row,
 between two rows, before the first and after the last), each piece of text
 built once per table, not once per row; a CSV line is one `",".join`.
+
+A report has one checked document, built once (`require_finite`,
+`residual_table`), which every one of its formats reads.
 """
 
 import math
@@ -310,15 +313,6 @@ def _point_columns(report):
                      "residual_submanifold": s.isometric}
 
 
-def _point_table(report) -> Table:
-    """The classification's per-point table, built (and checked) on first
-    use and kept on the report, so its JSON and CSV share their cells; a
-    report changed after that renders as it was."""
-    if report.point_table is None:
-        report.point_table = Table(*_point_columns(report))
-    return report.point_table
-
-
 def _header(report) -> dict:
     """The sections of the classification document: all of it but
     `format_version`, `name` and `points`."""
@@ -359,99 +353,92 @@ def _header(report) -> dict:
 
 
 def require_finite(report):
-    """Raise NonFiniteError naming the first non-finite value of the
-    classification document, in document order (keys sorted, `points` row by
-    row), and the sample point when it is in a row. Run before any format
-    is rendered, so JSON, CSV, text and `verify` fail alike. Returns the
-    checked header sections (see `_header`), kept on the report beside its
-    table, so a report is checked once; a report changed after that renders
-    as it was."""
-    if report.header is None:
+    """The checked classification document of a report: (header, table), its
+    sections but `format_version`, `name` and `points` (see `_header`) and its
+    per-point `Table`. Raises NonFiniteError naming the first non-finite
+    value, in document order (keys sorted, `points` row by row), and the
+    sample point when it is in a row. Every format reads this, so JSON, CSV,
+    text and `verify` refuse a report alike. The pair is kept on the report
+    only once every check passed, so it is built and checked once, JSON and
+    CSV share the table's cells, and a report changed after that renders as
+    it was."""
+    if report.document is None:
         header = _header(report)
         _require_finite(header, sorted(s for s in header if s < "points"))
-        _point_table(report)
+        table = Table(*_point_columns(report))
         _require_finite(header, sorted(s for s in header if s > "points"))
-        report.header = header
-    return report.header
+        report.document = header, table
+    return report.document
 
 
 def classification_dict(name, report, settings=None) -> dict:
     """The classification document. Its `points` is the report's `Table`,
     which `to_json` writes as a list of row objects."""
-    header = require_finite(report)
+    header, table = require_finite(report)
     return {"format_version": FORMAT_VERSION, "name": name, **header,
             "settings": {**header["settings"], **(settings or {})},
-            "points": _point_table(report)}
+            "points": table}
 
 
 def classification_text(name, report) -> str:
-    lines = [f"classification of {name}"]
-    target = report.target if report.target != "sphere" \
-        else f"sphere (radius {report.radius:g})"
-    lines.append(f"  domain dimension {report.dim}, ambient dimension "
-                 f"{report.ambient_dim}, target {target}")
-    lines.append(f"  samples {report.sample_count}, tol_abs {report.tol:g}, "
-                 f"tol_rel {report.tol:g}")
-    c = report.constants
-    rho = "n/a" if c.rho_hat is None else f"{c.rho_hat:.12g}"
-    lines.append(f"  constants: lambda_hat {c.lambda_hat:.12g}  "
-                 f"mu_hat {c.mu_hat:.12g}  rho_hat {rho}  c_hat {c.c_hat:.12g}")
+    """A summary of the checked document's header: the map, settings,
+    constants, verdicts and residual norms."""
+    header = require_finite(report)[0]
+    mapping, settings, c = header["map"], header["settings"], header["constants"]
+    target = mapping["target"] if mapping["target"] != "sphere" \
+        else f"sphere (radius {mapping['radius']:g})"
+    lines = [f"classification of {name}",
+             f"  domain dimension {mapping['dimension']}, ambient dimension "
+             f"{mapping['ambient_dimension']}, target {target}",
+             f"  samples {settings['samples']}, tol_abs {settings['tol_abs']:g}, "
+             f"tol_rel {settings['tol_rel']:g}"]
+    rho = "n/a" if c["rho_hat"] is None else f"{c['rho_hat']:.12g}"
+    lines.append(f"  constants: lambda_hat {c['lambda_hat']:.12g}  "
+                 f"mu_hat {c['mu_hat']:.12g}  rho_hat {rho}  c_hat {c['c_hat']:.12g}")
     lines.append("  verdicts:")
     for key, label in VERDICTS:
-        value = getattr(report, key)
+        value = header["verdicts"][key]
         shown = "n/a" if value is None else ("yes" if value else "no")
         lines.append(f"    {label:36s} {shown}")
     lines.append("  residual max-norms:")
-    for key in sorted(report.residuals):
-        rn = report.residuals[key]
-        lines.append(f"    {key:36s} max {rn.max:.3e}  rms {rn.rms:.3e}")
-    if report.eta_max_norm is not None:
-        lines.append(f"  mean curvature: max norm {report.eta_max_norm:.12g}, "
-                     f"max deviation from 1 {report.eta_deviation_from_unit:.3e}")
+    for key, rn in sorted(header["residual_norms"].items()):
+        lines.append(f"    {key:36s} max {rn['max']:.3e}  rms {rn['rms']:.3e}")
+    eta = header["mean_curvature"]
+    if eta["max_norm"] is not None:
+        lines.append(f"  mean curvature: max norm {eta['max_norm']:.12g}, "
+                     f"max deviation from 1 {eta['max_deviation_from_unit']:.3e}")
     return "\n".join(lines) + "\n"
 
 
 def classification_csv(name, report) -> str:
     """The JSON report's per-point rows, coordinates first."""
-    return _point_table(report).csv()
+    return require_finite(report)[1].csv()
 
 
-def residual_table(report, key):
-    """(table, summary) of the residual `key` of a classification: its
-    per-point max-norms by sample point, and their max and rms (and the
-    fitted density c of the constant-density form), checked for non-finite
-    values in the order of the residual document."""
+def residual_table(name, equation, report, key) -> dict:
+    """The residual document of the residual `key` of a classification: its
+    per-point max-norms by sample point, a `Table`, and their max and rms
+    (and the fitted density c of the constant-density form), checked for
+    non-finite values in document order: the table when it is built, then
+    the summary. `to_json` writes it, its `points` write the CSV."""
     residual = report.residuals[key]
-    table = Table({"point": report.samples.points, "residual": residual.per_point})
-    summary = {"max": residual.max, "rms": residual.rms}
+    doc = {"format_version": FORMAT_VERSION, "name": name, "equation": equation,
+           "points": Table({"point": report.samples.points, "residual": residual.per_point}),
+           "summary": {"max": residual.max, "rms": residual.rms}}
     if key == "biharmonic_constant_density":
-        summary["c"] = report.constants.c_hat
-    _require_finite({"summary": summary}, ["summary"])
-    return table, summary
+        doc["summary"]["c"] = report.constants.c_hat
+    _require_finite(doc, ["summary"])
+    return doc
 
 
-def residual_table_text(name, equation, table, summary) -> str:
-    lines = [f"{equation} residual for {name}"]
+def residual_table_text(doc) -> str:
+    summary, columns = doc["summary"], doc["points"].columns
+    lines = [f"{doc['equation']} residual for {doc['name']}"]
     if "c" in summary:
         lines.append(f"  constant energy density c = {summary['c']:.12g}")
     lines.append("  point -> residual max-norm")
-    for point, norm in zip(table.columns["point"].tolist(),
-                           table.columns["residual"].tolist()):
+    for point, norm in zip(columns["point"].tolist(), columns["residual"].tolist()):
         coords = ", ".join(f"{x:.6f}" for x in point)
         lines.append(f"    ({coords})  {norm:.6e}")
     lines.append(f"  max {summary['max']:.6e}  rms {summary['rms']:.6e}")
     return "\n".join(lines) + "\n"
-
-
-def residual_table_json(name, equation, table, summary) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "name": name,
-        "equation": equation,
-        "points": table,
-        "summary": summary,
-    }
-
-
-def residual_table_csv(table) -> str:
-    return table.csv()

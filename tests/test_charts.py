@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from bieigen.exprs import eval_value, parse
 from bieigen.jets import Jet, JetDomainError
 
 from _oracles import _adjugate, _det, random_smooth_source
-from test_curved import random_explicit, random_induced_3d
+from test_curved import random_explicit, random_induced_3d, sphere_manifest
 
 CIRCLE = Chart.explicit(["t"], [(0.0, 2.0 * math.pi)], [["1"]], periodic=[True])
 FLAT2 = Chart.explicit(["u", "v"], [(0.0, 2.0), (0.0, 2.0)],
@@ -303,6 +304,19 @@ def test_cofactor_pass_expands_each_minor_once(monkeypatch, m, products):
     monkeypatch.setattr(jets._JetSpace, "multiply", counted)
     _cofactors(mat)
     assert len(calls) == products
+
+
+def test_a_metric_frame_leaves_no_reference_cycle():
+    # the cofactor memo is the call's own: reference counting frees the
+    # minors and the metric's jets, so the collector finds nothing
+    chart = build_map(sphere_manifest(4, lifted=True))[1].chart
+    gc.collect()
+    gc.disable()
+    try:
+        metric_frame(chart, (0.7, 1.1, 1.3, 2.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # the varying non-diagonal charts of test_curved, and constant metrics,

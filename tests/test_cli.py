@@ -735,6 +735,8 @@ _PLANE = {"params": ["u", "v"], "domain": [[0, 1], [0, 1]]}
     (_line({"params": list("abcde")}), [],
      "error: chart.params must list 1 to 4 parameter names"),
     (_line({"params": ["pi"]}), [], "error: chart.params: invalid identifier 'pi'"),
+    (_line({"periodic": "yes"}), [],
+     "error: chart.periodic must be a list of booleans, one per parameter"),
     (_line({"domain": [[0, 1, 2]]}), [], "error: chart.domain[0] must be a [lo, hi] pair"),
     (_line({"metric": {"g": [["1"]]}}), [],
      "error: chart.metric must be an object with a 'mode' key"),
@@ -756,7 +758,7 @@ _PLANE = {"params": ["u", "v"], "domain": [[0, 1], [0, 1]]}
     (LINE, ["--grid", "0"],
      "bieigen bienergy: error: argument --grid: must be a positive integer"),
 ], ids=["section_not_an_object", "bound_not_a_number", "params_not_a_list", "five_params",
-        "param_pi", "interval_not_a_pair", "metric_without_mode", "triangle_row_length",
+        "param_pi", "periodic_not_a_list", "interval_not_a_pair", "metric_without_mode", "triangle_row_length",
         "duplicate_params_explicit", "duplicate_params_induced", "short_immersion",
         "no_components", "empty_name", "samples_zero", "grid_zero"])
 def test_malformed_manifests_and_flags_exit_2(tmp_path, capsys, doc, argv, line):

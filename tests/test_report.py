@@ -396,11 +396,25 @@ def test_header_before_points_and_after_points():
 def test_json_and_csv_of_a_report_share_one_table():
     report = copied(base_report("kfold_equator_S2"))
     doc = rpt.classification_dict("x", report)
-    assert doc["points"] is report.point_table
+    assert doc["points"] is report.document[1]
     rpt.classification_csv("x", report)
-    assert report.point_table is doc["points"]
+    assert report.document[1] is doc["points"]
     # a copy starts without one
-    assert dataclasses.replace(report).point_table is None
+    assert dataclasses.replace(report).document is None
+
+
+@pytest.mark.parametrize("render", [
+    lambda report: rpt.to_json(rpt.classification_dict("x", report)),
+    lambda report: rpt.classification_csv("x", report),
+    lambda report: rpt.classification_text("x", report),
+], ids=["json", "csv", "text"])
+def test_every_library_format_refuses_a_non_finite_header_value(render):
+    report = copied(base_report("great_circle_S2"))
+    report.constants = dataclasses.replace(report.constants, lambda_hat=float("nan"))
+    with pytest.raises(rpt.NonFiniteError,
+                       match=r"^non-finite value nan for constants\.lambda_hat$"):
+        render(report)
+    assert report.document is None  # a refused report keeps nothing
 
 
 def test_no_library_path_formats_a_non_finite_cell():
