@@ -382,7 +382,7 @@ def classification_dict(name, report, settings=None) -> dict:
 
 def classification_text(name, report) -> str:
     """A summary of the checked document's header: the map, settings,
-    constants, verdicts and residual norms."""
+    constants, verdicts, residual norms and mean curvature."""
     header = require_finite(report)[0]
     mapping, settings, c = header["map"], header["settings"], header["constants"]
     target = mapping["target"] if mapping["target"] != "sphere" \

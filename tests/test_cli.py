@@ -758,8 +758,8 @@ _PLANE = {"params": ["u", "v"], "domain": [[0, 1], [0, 1]]}
     (LINE, ["--grid", "0"],
      "bieigen bienergy: error: argument --grid: must be a positive integer"),
 ], ids=["section_not_an_object", "bound_not_a_number", "params_not_a_list", "five_params",
-        "param_pi", "periodic_not_a_list", "interval_not_a_pair", "metric_without_mode", "triangle_row_length",
-        "duplicate_params_explicit", "duplicate_params_induced", "short_immersion",
+        "param_pi", "periodic_not_a_list", "interval_not_a_pair", "metric_without_mode",
+        "triangle_row_length", "duplicate_params_explicit", "duplicate_params_induced", "short_immersion",
         "no_components", "empty_name", "samples_zero", "grid_zero"])
 def test_malformed_manifests_and_flags_exit_2(tmp_path, capsys, doc, argv, line):
     command = "bienergy" if "--grid" in argv else "classify"
